@@ -32,6 +32,13 @@ from . import check, gen
 OK, ERROR, WRONG = "ok", "error", "wrong"
 
 
+def _decide(a, b):
+    try:
+        return _order.decide_order(a, b)
+    except VarOrderError as exc:
+        return exc
+
+
 def _check_verdict(pair: gen.Pair, out) -> tuple[str, str | None]:
     if isinstance(out, VarOrderError):
         return ERROR, f"{pair.kind} n={pair.b.matrix.shape[0]}: {type(out).__name__}: {out}"
@@ -67,10 +74,7 @@ class Fresh(InProcess):
         return gen.fresh_chunk(self.name, seed, k, self.dims, self.size)
 
     def run(self, pair: gen.Pair):
-        try:
-            return _order.decide_order(pair.a.matrix, pair.b.matrix)
-        except VarOrderError as exc:
-            return exc
+        return _decide(pair.a.matrix, pair.b.matrix)
 
     def check(self, pair: gen.Pair, out) -> tuple[str, str | None]:
         return _check_verdict(pair, out)
@@ -93,10 +97,7 @@ class Pool(InProcess):
         return [(objs[i], objs[j], pair) for i, j, pair in gen.pool_pairs(members)]
 
     def run(self, item):
-        try:
-            return _order.decide_order(item[0], item[1])
-        except VarOrderError as exc:
-            return exc
+        return _decide(item[0], item[1])
 
     def check(self, item, out) -> tuple[str, str | None]:
         return _check_verdict(item[2], out)

@@ -15,29 +15,34 @@ import numpy as np
 
 from varorder import order as _order
 
-from . import spans
+from . import reference, spans
 from .workloads import OK, WRONG, Cli
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
+# Reference-kernel calls that gauge the machine's speed before each set-up repeat.
+SETUP_REF_CALLS = 20
 STARTUP_REPEATS = 5
 # Share of the traced run's ops that are run again, with and without spans, to price the tracing.
 OVERHEAD_SHARE = 0.1
-# Traced seconds' worth of ops (at least one whole cycle) rerun under tracemalloc.
+# Traced CPU seconds' worth of ops (at least one whole cycle) rerun under tracemalloc.
 ALLOC_SECONDS = 0.2
 P99_MIN_OPS = 1000
-# Throughput is the median over windows of whole cycles holding at least this
-# much op time, so a slow or fast spell of a shared machine moves a few
-# windows rather than the result.
+# Each window of whole cycles holding at least this many CPU seconds of op
+# time is scaled to reference speed by the reference-kernel calls made in it,
+# so that a slow or fast spell of a shared machine cancels out.
 WINDOW_SECONDS = 1.0
 
-IMPORT_PROBE = "import time; t = time.perf_counter(); import varorder; print(time.perf_counter() - t)"
+IMPORT_PROBE = "import time; t = time.process_time(); import varorder; print(time.process_time() - t)"
 
 
 @dataclass
 class Loop:
-    """Per-op seconds and checked outcomes of one closed loop."""
+    """Per-op CPU seconds, per-op wall seconds and checked outcomes of one closed loop."""
 
     times: list[float] = field(default_factory=list)
+    wall: list[float] = field(default_factory=list)
+    # (ops done when it ran, CPU seconds) of each reference-kernel call
+    refs: list[tuple[int, float]] = field(default_factory=list)
     status: Counter = field(default_factory=Counter)
     reasons: list[str] = field(default_factory=list)
     # wrong answers from the traced run's in-process pass over the cli mix
@@ -52,62 +57,90 @@ class Loop:
         return self.attempted - self.status[OK]
 
 
-def closed_loop(wl, seed: int, seconds: float, run=None, tracer=None, first=None, max_ops=None) -> Loop:
+def run_length(wl, seconds: float) -> int:
+    """Ops in a run: ``seconds`` at the workload's nominal rate, in whole cycles (at least one).
+
+    The count depends only on ``seconds``, so two runs with the same seed
+    attempt the same ops and, the program being deterministic, fail the same
+    ones.
+    """
+    return wl.cycle * max(1, round(seconds * wl.rate / wl.cycle))
+
+
+def closed_loop(wl, seed: int, ops: int, run=None, tracer=None, first=None, gauge=False) -> Loop:
     """One client with no think time: each op starts when the previous one returns.
 
-    Ops are timed one at a time.  Building a chunk of inputs and checking its
-    answers happen between chunks, outside the timed ops.  The loop stops at
-    the first whole cycle of the workload's mix once the timed total reaches
-    ``seconds``, or after ``max_ops`` ops when that is given.
+    Runs exactly ``ops`` ops.  Each op is timed on its own, in CPU seconds of
+    ``wl.clock`` (and in wall seconds beside it).  Building a chunk of inputs
+    and checking its answers happen between chunks, outside the timed ops.
+    With ``gauge``, the reference kernel runs between ops, outside the timed
+    ops, for ``reference.REF_SHARE`` of the op CPU time, so every window of
+    the run knows the machine's speed while it ran.
     """
     run = run or wl.run
-    loop, spent, k = Loop(), 0.0, 0
+    loop, k, debt = Loop(), 0, 0.0
     chunk = first if first is not None else wl.chunk(seed, 0)
-    clock = time.perf_counter
+    clock, wall = wl.clock, time.perf_counter
     while True:
-        outs, done = [], False
-        for item in chunk:
+        outs = []
+        for item in chunk[: ops - loop.attempted]:
+            w0 = wall()
             if tracer is None:
                 t0 = clock()
                 out = run(item)
                 dt = clock() - t0
             else:
                 out, dt = tracer.run_op(loop.attempted, run, item)
+            loop.wall.append(wall() - w0)
             loop.times.append(dt)
             outs.append((item, out))
-            spent += dt
-            n = loop.attempted
-            done = n >= max_ops if max_ops else spent >= seconds and n % wl.cycle == 0
-            if done:
-                break
+            debt += dt * reference.REF_SHARE if gauge else 0.0
+            while debt > 0.0:
+                r = reference.timed()
+                loop.refs.append((loop.attempted, r))
+                debt -= r
         for item, out in outs:
             status, reason = wl.check(item, out)
             loop.status[status] += 1
             if reason is not None and len(loop.reasons) < 5:
                 loop.reasons.append(reason)
         wl.release(k)
-        if done:
+        if loop.attempted >= ops:
             return loop
         k += 1
         chunk = wl.chunk(seed, k)
 
 
-def windows(times: list[float], cycle: int) -> list[np.ndarray]:
-    """Split per-op times into consecutive whole cycles of at least ``WINDOW_SECONDS``.
+def windows(times: list[float], cycle: int) -> list[slice]:
+    """Split the ops into consecutive whole cycles of at least ``WINDOW_SECONDS`` of CPU time.
 
     A short remainder joins the last full window.
     """
-    out, cur, spent = [], [], 0.0
-    for c in np.asarray(times).reshape(-1, cycle):
-        cur.append(c)
-        spent += float(c.sum())
+    out, start, spent = [], 0, 0.0
+    for end in range(cycle, len(times) + 1, cycle):
+        spent += sum(times[end - cycle:end])
         if spent >= WINDOW_SECONDS:
-            out.append(np.concatenate(cur))
-            cur, spent = [], 0.0
-    if cur and out:
-        out[-1] = np.concatenate([out[-1], *cur])
-    elif cur:
-        out.append(np.concatenate(cur))
+            out.append(slice(start, end))
+            start, spent = end, 0.0
+    if start < len(times):
+        if out:
+            out[-1] = slice(out[-1].start, len(times))
+        else:
+            out.append(slice(0, len(times)))
+    return out
+
+
+def normalised_times(loop: Loop, cycle: int) -> np.ndarray:
+    """Per-op CPU seconds scaled to reference speed.
+
+    The ops of a window are divided by ``reference.factor`` of the reference
+    kernel calls made during that window's ops.
+    """
+    at = np.array([i for i, _ in loop.refs])
+    ref = np.array([r for _, r in loop.refs])
+    out = np.array(loop.times)
+    for w in windows(loop.times, cycle):
+        out[w] /= reference.factor(ref[(at > w.start) & (at <= w.stop)])
     return out
 
 
@@ -118,30 +151,38 @@ def _child_seconds(root: Path, argv: list[str]) -> tuple[float, str]:
 
 
 def untraced(wl, seed: int, seconds: float, root: Path) -> tuple[dict, Loop, dict]:
-    """End-to-end metrics, plus figures printed beside them (latency percentiles, failure share)."""
-    imports = [float(_child_seconds(root, ["-c", IMPORT_PROBE])[1]) for _ in range(SETUP_REPEATS)]
-    builds = []
+    """End-to-end metrics, plus figures printed beside them (latency percentiles, failure share).
+
+    Set-up is the CPU time of ``import varorder`` in a fresh interpreter plus
+    that of building the first chunk of inputs, each repeat scaled to
+    reference speed by reference-kernel calls made just before it, and each
+    the median of ``SETUP_REPEATS``.
+    """
+    imports, builds = [], []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
+        speed = reference.factor([reference.timed() for _ in range(SETUP_REF_CALLS)])
+        imports.append(float(_child_seconds(root, ["-c", IMPORT_PROBE])[1]) / speed)
+        t0 = time.process_time()
         first = wl.chunk(seed, 0)
-        builds.append(time.perf_counter() - t0)
+        builds.append((time.process_time() - t0) / speed)
     setup_s = statistics.median(imports) + statistics.median(builds)
-    loop = closed_loop(wl, seed, seconds, first=first)
-    wins = windows(loop.times, wl.cycle)
+    loop = closed_loop(wl, seed, run_length(wl, seconds), first=first, gauge=True)
+    norm = normalised_times(loop, wl.cycle)
     metrics = {
-        "ops_per_s": (float(np.median([len(w) / w.sum() for w in wins])), "1/s"),
+        "ops_per_cpu_s": (loop.attempted / float(norm.sum()), "1/s"),
+        "op_cpu_p50_ms": (float(np.percentile(norm, 50)) * 1e3, "ms"),
         "peak_rss_mb": (wl.peak_rss_mb(), "MB"),
         "setup_s": (setup_s, "s"),
     }
     extra = {
-        "op_p50_ms": (float(np.percentile(loop.times, 50)) * 1e3, "ms"),
-        "op_p90_ms": (float(np.percentile(loop.times, 90)) * 1e3, "ms"),
+        "op_cpu_p90_ms": (float(np.percentile(norm, 90)) * 1e3, "ms"),
+        "unscaled_ops_per_cpu_s": (loop.attempted / sum(loop.times), "1/s"),
+        "wall_ops_per_s": (loop.attempted / sum(loop.wall), "1/s"),
         "failed_share": (loop.failed / loop.attempted, "share"),
         "ops": (loop.attempted, "count"),
-        "windows": (len(wins), "count"),
     }
     if loop.attempted >= P99_MIN_OPS:
-        extra["op_p99_ms"] = (float(np.percentile(loop.times, 99)) * 1e3, "ms")
+        extra["op_cpu_p99_ms"] = (float(np.percentile(norm, 99)) * 1e3, "ms")
     return metrics, loop, extra
 
 
@@ -161,7 +202,7 @@ def _alloc_peak_mb(wl, seed: int, run, ops: int) -> float:
     tracemalloc.start()
     try:
         with spans.patched({"order.decide_order": measured}):
-            closed_loop(wl, seed, 0.0, run=run, max_ops=ops)
+            closed_loop(wl, seed, ops, run=run)
     finally:
         tracemalloc.stop()
     return max(peaks, default=0) / 2**20
@@ -173,7 +214,7 @@ def _overhead_share(wl, seed: int, run, ops: int) -> float:
     Each chunk is built twice and run once with spans and once without, the
     side going first alternating, so a slow spell of the machine hits both.
     """
-    clock = time.perf_counter
+    clock = wl.clock
     totals = {True: 0.0, False: 0.0}
     done = k = 0
     while done < ops:
@@ -238,7 +279,7 @@ def traced(wl, seed: int, seconds: float, root: Path, outdir: Path) -> tuple[dic
     run = wl.run_inprocess if is_cli else wl.run
     tracer = spans.Tracer()
     with tracer.install():
-        loop = closed_loop(wl, seed, seconds, run=run, tracer=tracer)
+        loop = closed_loop(wl, seed, run_length(wl, seconds), run=run, tracer=tracer)
     cum = np.cumsum(loop.times)
     m = max(1, int(np.searchsorted(cum, OVERHEAD_SHARE * cum[-1])))
     overhead = _overhead_share(wl, seed, run, m)
@@ -252,8 +293,8 @@ def traced(wl, seed: int, seconds: float, root: Path, outdir: Path) -> tuple[dic
         cli_tracer = spans.Tracer()
         try:
             with cli_tracer.install():
-                probe_loop = closed_loop(probe, seed, 0.0, run=probe.run_inprocess,
-                                         tracer=cli_tracer, max_ops=probe.cycle)
+                probe_loop = closed_loop(probe, seed, probe.cycle, run=probe.run_inprocess,
+                                         tracer=cli_tracer)
         finally:
             probe.close()
         cli_tracer.dump(outdir / f"spans-{wl.name}-{seed}-cli-mix.jsonl")

@@ -3,10 +3,12 @@
     python3 bench/run.py --workload fresh-small --seed 1 --seconds 20 --trace 0
 
 Run from anywhere inside a checkout: the program is imported from the
-checkout's ``src/`` and nowhere else.  With ``--trace 0`` the last line holds
-the end-to-end metrics; with ``--trace 1`` it holds the per-layer metrics of a
-separate traced run.  Lines before it repeat every metric with its unit and
-the machine facts.  See ``bench/README.md``.
+checkout's ``src/`` and nowhere else.  A run does a fixed number of ops set by
+``--seconds``, so the same seed and seconds attempt the same ops.  With
+``--trace 0`` the last line holds the end-to-end metrics; with ``--trace 1``
+it holds the per-layer metrics of a separate traced run.  Lines before it
+repeat every metric with its unit and the machine facts.  See
+``bench/README.md``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=WORKLOADS, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, required=True, help="timed op seconds per run")
+    p.add_argument("--seconds", type=float, required=True,
+                   help="run length: about this many CPU seconds of ops at the workload's nominal rate")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     if args.seed < 0 or not args.seconds > 0:
@@ -38,9 +41,16 @@ def parse_args(argv):
 
 
 def prepare_environment() -> None:
-    """One BLAS thread here and in every child; children import the checkout's src."""
+    """One BLAS thread and one CPU here and in every child; children import the checkout's src.
+
+    Pinning to one CPU makes the ops and the reference kernel that gauges the
+    machine's speed run where the gauge reads it.  A fixed hash seed keeps
+    each child's start-up work the same from one process to the next.
+    """
     for var in BLAS_VARS:
         os.environ[var] = "1"
+    os.environ["PYTHONHASHSEED"] = "0"
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     if sys.path and Path(sys.path[0]).resolve() == ROOT / "bench":
         sys.path.pop(0)

@@ -3,8 +3,9 @@
 The benchmark wraps each layer's public functions wherever a varorder module
 has bound them (``varorder.order.eigendecompose``, ``varorder.cli.emit``, ...),
 so the program itself is unchanged.  A span is ``[name, start, end, parent,
-op, note]``: ``parent`` indexes the enclosing span (-1 for none), ``op`` is
-the benchmark operation it belongs to, and ``note`` records an outcome
+op, note]``: ``start`` and ``end`` are CPU seconds of the process, ``parent``
+indexes the enclosing span (-1 for none), ``op`` is the benchmark operation
+it belongs to, and ``note`` records an outcome
 (``holds``/``fails``/``error`` for decisions, ``repeat``/``new`` for
 eigendecompositions).
 """
@@ -92,7 +93,7 @@ class Tracer:
         self._seen = weakref.WeakSet()
 
     def wrap(self, name: str, fn, note=None):
-        spans, stack, clock = self.spans, self._stack, time.perf_counter
+        spans, stack, clock = self.spans, self._stack, time.process_time
 
         def traced(*args, **kwargs):
             rec = [name, clock(), 0.0, stack[-1] if stack else -1, self.op, None]
@@ -139,7 +140,7 @@ class Tracer:
         return patched(replace)
 
     def run_op(self, op: int, fn, *args):
-        """Run one benchmark operation under a root span; returns (result, seconds)."""
+        """Run one benchmark operation under a root span; returns (result, CPU seconds)."""
         self.op = op
         first = len(self.spans)
         out = self.wrap(ROOT, fn)(*args)

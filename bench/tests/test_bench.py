@@ -6,7 +6,7 @@ Run with ``python -m pytest bench/tests``.
 import numpy as np
 import pytest
 
-from bench import check, gen, harness, spans, workloads
+from bench import check, gen, harness, reference, spans, workloads
 from varorder import order
 
 
@@ -68,13 +68,13 @@ def test_checker_accepts_a_certificate_and_flags_a_tampered_one():
     assert check.check_decision(pair, False, None, np.linalg.eigh(pair.b.matrix)[1][:, 0]) is not None
 
 
-def test_traced_self_times_sum_to_traced_wall_time():
+def test_traced_self_times_sum_to_traced_op_time():
     wl = workloads.make("pool-order", None, None)
     tracer = spans.Tracer()
     decide = order.decide_order
     with tracer.install():
         assert order.decide_order is not decide
-        loop = harness.closed_loop(wl, 0, 0.0, tracer=tracer, max_ops=60)
+        loop = harness.closed_loop(wl, 0, 60, tracer=tracer)
     assert order.decide_order is decide
     names = {rec[0] for rec in tracer.spans}
     assert {"op", "order.decide_order", "linalg.eigendecompose", "linalg.jacobi_eigh"} <= names
@@ -84,3 +84,20 @@ def test_traced_self_times_sum_to_traced_wall_time():
     assert {rec[4] for rec in tracer.spans} == set(range(60))
     summary = spans.summarize(tracer.spans)
     assert summary["linalg.eigendecompose"]["notes"]["repeat"] > 0
+
+
+def test_runs_are_whole_cycles_of_a_fixed_length():
+    wl = workloads.make("fresh-small", None, None)
+    ops = harness.run_length(wl, 0.5)
+    assert ops % wl.cycle == 0 and ops == harness.run_length(wl, 0.5)
+    first = harness.closed_loop(wl, 2, ops)
+    again = harness.closed_loop(wl, 2, ops)
+    assert first.attempted == again.attempted == ops
+    assert first.status == again.status
+
+
+def test_normalised_times_divide_each_window_by_its_reference_factor():
+    loop = harness.Loop(times=[0.6, 0.6, 0.6, 0.6])
+    loop.refs = [(1, 2 * reference.REF_SECONDS), (2, 2 * reference.REF_SECONDS), (4, reference.REF_SECONDS)]
+    norm = harness.normalised_times(loop, 2)
+    assert norm == pytest.approx([0.3, 0.3, 0.6, 0.6])

@@ -1,10 +1,13 @@
 """The four workloads: how each builds a chunk of inputs, runs one op, and checks it.
 
 An op is one ``decide_order`` call, or one ``python -m varorder`` process.
-``chunk(seed, k)`` is the set-up for ops ``k * size ...``: it generates
-inputs with :mod:`bench.gen` and, where the op needs them, builds
-``HermitianObservable`` objects or writes JSON files.  Every chunk is built
-afresh, so no spectral cache from an earlier chunk or run reaches a timed call.
+Each workload has a ``cycle`` (the ops of one balanced mix), a ``rate`` (the
+nominal ops per CPU second that sizes a run, see ``harness.run_length``) and
+a ``clock`` that op CPU time is read from.  ``chunk(seed, k)`` is the set-up
+for ops ``k * size ...``: it generates inputs with :mod:`bench.gen` and,
+where the op needs them, builds ``HermitianObservable`` objects or writes
+JSON files.  Every chunk is built afresh, so no spectral cache from an
+earlier chunk or run reaches a timed call.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -30,6 +34,14 @@ from varorder.linalg import HermitianObservable
 from . import check, gen
 
 OK, ERROR, WRONG = "ok", "error", "wrong"
+
+# Nominal ops per CPU second of each workload on a 2-core x86-64 VM (Python
+# 3.11, numpy 2.4, one BLAS thread).  They only size a run: a run of
+# ``--seconds s`` does about ``s * rate`` ops, rounded to whole cycles.
+RATE_SMALL = 390.0
+RATE_LARGE = 3.7
+RATE_POOL = 2000.0
+RATE_CLI = 3.0
 
 
 def _decide(a, b):
@@ -54,6 +66,8 @@ def _check_verdict(pair: gen.Pair, out) -> tuple[str, str | None]:
 class InProcess:
     """Workloads whose op is one in-process ``decide_order`` call."""
 
+    clock = staticmethod(time.process_time)
+
     def peak_rss_mb(self) -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -67,8 +81,9 @@ class InProcess:
 class Fresh(InProcess):
     """Fresh pairs as raw complex arrays, so no spectral cache can exist."""
 
-    def __init__(self, name: str, dims: tuple[int, ...], cycle: int, size: int):
-        self.name, self.dims, self.cycle, self.size = name, dims, cycle, size
+    def __init__(self, name: str, dims: tuple[int, ...], size: int, rate: float):
+        self.name, self.dims, self.size, self.rate = name, dims, size, rate
+        self.cycle = len(dims) * len(gen.KINDS)
 
     def chunk(self, seed: int, k: int) -> list[gen.Pair]:
         return gen.fresh_chunk(self.name, seed, k, self.dims, self.size)
@@ -86,6 +101,7 @@ class Pool(InProcess):
     name = "pool-order"
     size = 240
     cycle = size * len(gen.POOL_DIMS)
+    rate = RATE_POOL
 
     def chunk(self, seed: int, k: int) -> list[tuple]:
         # A cycle of four pools holds each dimension once and four evenly spaced
@@ -125,6 +141,7 @@ class Cli:
 
     name = "cli"
     cycle = size = 7
+    rate = RATE_CLI
 
     def __init__(self, root: Path, workdir: Path):
         self.root, self.workdir = root, workdir
@@ -170,6 +187,12 @@ class Cli:
                              lambda code, rep: check.check_reconstruct_report(r_pts, code, rep)))
         return items
 
+    @staticmethod
+    def clock() -> float:
+        """CPU seconds of this process and of every child it has waited for."""
+        kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return time.process_time() + kids.ru_utime + kids.ru_stime
+
     def run(self, item: CliItem) -> CliOut:
         proc = subprocess.Popen(
             [sys.executable, "-m", "varorder", *item.argv],
@@ -208,9 +231,9 @@ class Cli:
 
 def make(name: str, root: Path, workdir: Path):
     if name == "fresh-small":
-        return Fresh(name, gen.SMALL_DIMS, len(gen.SMALL_DIMS) * len(gen.KINDS), 224)
+        return Fresh(name, gen.SMALL_DIMS, 224, RATE_SMALL)
     if name == "fresh-large":
-        return Fresh(name, gen.LARGE_DIMS, len(gen.LARGE_DIMS), 3)
+        return Fresh(name, gen.LARGE_DIMS, 3, RATE_LARGE)
     if name == "pool-order":
         return Pool()
     if name == "cli":

@@ -28,7 +28,7 @@ from .errors import (
     ReconstructionError,
     ValidationError,
 )
-from .linalg import HermitianObservable, UnitaryMap, default_pair_tol, eigendecompose
+from .linalg import HermitianObservable, UnitaryMap, default_pair_tol
 from .order import (
     OracleConfig,
     canonical_representative,
@@ -61,14 +61,26 @@ INPUT_ERRORS = (
 )
 
 
-def _pairs_to_complex(data, shape_hint: str) -> np.ndarray:
+def _numeric(data, what: str, kind=np.float64):
+    """``data`` as a ``kind`` array; malformed input is a :class:`ValidationError`."""
     try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {shape_hint}: {exc}") from exc
+        return np.asarray(data, dtype=kind)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def _pairs_to_complex(data, shape_hint: str) -> np.ndarray:
+    arr = _numeric(data, shape_hint)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError(f"malformed {shape_hint}: entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _dim(data) -> int:
+    n = _numeric(data["dim"], "dim", np.int64)
+    if n.ndim != 0:
+        raise ValidationError(f"malformed dim: expected an integer, got {data['dim']!r}")
+    return int(n)
 
 
 def _load_json(path: str):
@@ -81,7 +93,7 @@ def load_matrix(path: str) -> np.ndarray:
     if not isinstance(data, dict) or "matrix" not in data or "dim" not in data:
         raise ValidationError(f"{path}: expected an object with 'dim' and 'matrix'")
     m = _pairs_to_complex(data["matrix"], "matrix")
-    n = int(data["dim"])
+    n = _dim(data)
     if m.shape != (n, n):
         raise ValidationError(f"{path}: matrix shape {m.shape} does not match dim {n}")
     return m
@@ -91,7 +103,7 @@ def load_state(path: str):
     data = _load_json(path)
     if not isinstance(data, dict) or "dim" not in data:
         raise ValidationError(f"{path}: expected an object with 'dim'")
-    n = int(data["dim"])
+    n = _dim(data)
     if "vector" in data:
         x = _pairs_to_complex(data["vector"], "vector")
         if x.shape != (n,):
@@ -107,14 +119,12 @@ def load_state(path: str):
 
 def load_spectrum(arg: str) -> list[float]:
     if os.path.exists(arg):
-        data = _load_json(arg)
-        if not isinstance(data, list):
-            raise ValidationError(f"{arg}: spectrum file must be a flat JSON array")
-        return [float(x) for x in data]
-    try:
-        return [float(tok) for tok in arg.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse spectrum {arg!r}: {exc}") from exc
+        pts = _numeric(_load_json(arg), f"spectrum in {arg}")
+    else:
+        pts = _numeric([tok for tok in arg.split(",") if tok.strip()], f"spectrum {arg!r}")
+    if pts.ndim != 1:
+        raise ValidationError(f"{arg}: spectrum file must be a flat JSON array")
+    return pts.tolist()
 
 
 def complex_pairs(m: np.ndarray):
@@ -128,7 +138,8 @@ def matrix_report(obs: HermitianObservable) -> dict:
 
 
 def emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    """Print ``report`` as JSON, stamped with the package version."""
+    print(json.dumps({**report, "version": __version__}, indent=2))
 
 
 def cmd_check_order(args) -> int:
@@ -146,7 +157,6 @@ def cmd_check_order(args) -> int:
         ),
         "margin": verdict.margin,
         "tol": tol,
-        "version": __version__,
     }
     code = 0 if verdict.holds else 1
     if args.oracle_trials > 0:
@@ -176,18 +186,17 @@ def cmd_extract_function(args) -> int:
             {
                 "error": str(exc),
                 "witness": complex_pairs(witness.vector) if witness is not None else None,
-                "version": __version__,
             }
         )
         return 1
-    emit({"points": [[x, y] for x, y in table.points], "version": __version__})
+    emit({"points": [[x, y] for x, y in table.points]})
     return 0
 
 
 def cmd_variance(args) -> int:
     obs = HermitianObservable(load_matrix(args.observable))
     state = load_state(args.state)
-    emit({"variance": variance(obs, state), "version": __version__})
+    emit({"variance": variance(obs, state)})
     return 0
 
 
@@ -195,9 +204,7 @@ def cmd_joint_upper_bound(args) -> int:
     a = HermitianObservable(load_matrix(args.a))
     b = HermitianObservable(load_matrix(args.b))
     bound = joint_upper_bound(a, b, args.tol)
-    report = matrix_report(bound)
-    report["version"] = __version__
-    emit(report)
+    emit(matrix_report(bound))
     return 0
 
 
@@ -211,7 +218,7 @@ def cmd_lower_set(args) -> int:
         }
         for f in two_point_lower_set(a)
     ]
-    emit({"families": families, "version": __version__})
+    emit({"families": families})
     return 0
 
 
@@ -225,12 +232,11 @@ def cmd_reconstruct_metric(args) -> int:
     data = _load_json(args.q)
     if not isinstance(data, dict) or "q" not in data:
         raise ValidationError(f"{args.q}: expected an object with a 'q' field")
-    d, spectrum = reconstruct_metric(QMatrix(np.asarray(data["q"], dtype=np.float64)))
+    d, spectrum = reconstruct_metric(QMatrix(_numeric(data["q"], "gap matrix")))
     emit(
         {
             "distances": [[float(v) for v in row] for row in d],
             "spectrum": [float(v) for v in spectrum],
-            "version": __version__,
         }
     )
     return 0
@@ -245,12 +251,7 @@ def cmd_verify_automorphism(args) -> int:
         dim = args.dim
     spec = AutomorphismSpec(args.alpha, u)
     report = verify_automorphism(spec, args.trials, dim, seed=args.seed)
-    payload = {
-        "passed": report.passed,
-        "trials": report.trials,
-        "counterexample": None,
-        "version": __version__,
-    }
+    payload = {"passed": report.passed, "trials": report.trials, "counterexample": None}
     if report.counterexample is not None:
         ca, cb = report.counterexample
         payload["counterexample"] = {
@@ -264,15 +265,13 @@ def cmd_verify_automorphism(args) -> int:
 
 def cmd_canonical(args) -> int:
     a = HermitianObservable(load_matrix(args.a))
-    report = matrix_report(canonical_representative(a))
-    report["version"] = __version__
-    emit(report)
+    emit(matrix_report(canonical_representative(a)))
     return 0
 
 
 def cmd_max_deviation(args) -> int:
     a = HermitianObservable(load_matrix(args.a))
-    emit({"maximal_deviation": maximal_deviation(a), "version": __version__})
+    emit({"maximal_deviation": maximal_deviation(a)})
     return 0
 
 

@@ -93,57 +93,73 @@ def _as_observable(a) -> HermitianObservable:
 
 @dataclass(frozen=True, eq=False)
 class SpectralGroup:
-    """One eigenvalue cluster: value, orthogonal projector, rank, and a basis."""
+    """One eigenvalue cluster, viewed in its decomposition's eigenbasis."""
 
     eigenvalue: float
-    projector: np.ndarray
     rank: int
-    basis: np.ndarray  # dim x rank, orthonormal columns spanning ran(projector)
+    basis: np.ndarray  # dim x rank, orthonormal columns spanning the eigenspace
 
-    def __post_init__(self):
-        object.__setattr__(self, "projector", _freeze(np.asarray(self.projector, np.complex128)))
-        object.__setattr__(self, "basis", _freeze(np.asarray(self.basis, np.complex128)))
+    @property
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector onto the eigenspace, built on demand."""
+        return self.basis @ self.basis.conj().T
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Grouped eigendecomposition with strictly increasing eigenvalues."""
+    """Grouped eigendecomposition ``B = V diag(lam) V*``.
 
-    groups: tuple[SpectralGroup, ...]
-    source_dim: int
+    ``vectors`` is unitary with each group's columns kept together, in the
+    order of the strictly increasing group ``eigenvalues``; ``ranks`` gives
+    the number of columns per group.
+    """
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    ranks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
-        lams = self.eigenvalues
-        if len(lams) and np.any(np.diff(lams) <= 0):
+        object.__setattr__(self, "eigenvalues", _freeze(np.array(self.eigenvalues, np.float64)))
+        object.__setattr__(self, "vectors", _freeze(np.array(self.vectors, np.complex128)))
+        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        n = sum(self.ranks)
+        if self.eigenvalues.shape != (len(self.ranks),) or min(self.ranks, default=1) < 1:
+            raise ValidationError("need one positive rank per group eigenvalue")
+        if self.vectors.shape != (n, n):
+            raise ValidationError("group ranks must sum to the side of the eigenvector matrix")
+        if np.any(np.diff(self.eigenvalues) <= 0):
             raise ValidationError("group eigenvalues must be strictly increasing")
-        if sum(g.rank for g in self.groups) != self.source_dim:
-            raise ValidationError("group ranks must sum to the source dimension")
-        for g in self.groups:
-            if g.projector.shape != (self.source_dim, self.source_dim):
-                raise ValidationError("projector shape does not match source dimension")
-            if g.basis.shape != (self.source_dim, g.rank):
-                raise ValidationError("basis shape does not match rank")
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([g.eigenvalue for g in self.groups], dtype=np.float64)
+    def source_dim(self) -> int:
+        return self.vectors.shape[0]
 
     @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(g.rank for g in self.groups)
+    def labels(self) -> np.ndarray:
+        """Group index of each eigenvector column (nondecreasing)."""
+        return np.repeat(np.arange(len(self.ranks)), self.ranks)
+
+    @property
+    def groups(self) -> tuple[SpectralGroup, ...]:
+        ends = np.cumsum(self.ranks)
+        return tuple(
+            SpectralGroup(float(lam), r, self.vectors[:, e - r : e])
+            for lam, r, e in zip(self.eigenvalues, self.ranks, ends)
+        )
 
     @property
     def diameter(self) -> float:
         lams = self.eigenvalues
         return float(lams[-1] - lams[0]) if len(lams) else 0.0
 
+    def assemble(self, values) -> np.ndarray:
+        """``V diag(values) V*`` with one value per group."""
+        v = self.vectors
+        return (v * np.repeat(np.asarray(values, dtype=np.float64), self.ranks)) @ v.conj().T
+
     def matrix(self) -> np.ndarray:
         """Reassemble the source matrix from the grouped decomposition."""
-        out = np.zeros((self.source_dim, self.source_dim), dtype=np.complex128)
-        for g in self.groups:
-            out += g.eigenvalue * g.projector
-        return out
+        return self.assemble(self.eigenvalues)
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -211,22 +227,13 @@ def jacobi_eigh(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray
 
 def _decompose(obs: HermitianObservable, group_tol: float) -> SpectralDecomposition:
     w, v = jacobi_eigh(obs.matrix)
-    n = obs.dim
-    groups: list[SpectralGroup] = []
-    spread_sq = 0.0
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or w[i] - w[i - 1] > group_tol:
-            basis = v[:, start:i]
-            lam = float(w[start:i].mean())
-            spread_sq += float(np.sum((w[start:i] - lam) ** 2))
-            proj = basis @ basis.conj().T
-            proj = (proj + proj.conj().T) / 2.0
-            groups.append(SpectralGroup(lam, proj, i - start, basis))
-            start = i
-    dec = SpectralDecomposition(tuple(groups), n)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > group_tol) + 1, [obs.dim]))
+    ranks = np.diff(bounds)
+    lams = np.add.reduceat(w, bounds[:-1]) / ranks
+    dec = SpectralDecomposition(lams, v, tuple(ranks))
+    spread = float(np.linalg.norm(w - np.repeat(lams, ranks)))
     recon_err = float(np.linalg.norm(dec.matrix() - obs.matrix))
-    allowed = math.sqrt(spread_sq) + GROUP_TOL_SCALE * max(1.0, obs.frobenius_norm)
+    allowed = spread + GROUP_TOL_SCALE * max(1.0, obs.frobenius_norm)
     if recon_err > allowed:
         raise InternalConsistencyError(
             f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
@@ -238,9 +245,10 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     """Grouped spectral decomposition of a Hermitian observable.
 
     Eigenvalues within ``group_tol`` of each other are merged into a single
-    group carrying their mean and the orthogonal projector onto the joint
-    eigenspace.  The default tolerance is ``1e-8 * max(1, |A|_F)``.
-    Decompositions are cached on the (immutable) observable per tolerance.
+    group carrying their mean, with the group's eigenvectors as adjacent
+    columns of one eigenvector matrix.  The default tolerance is
+    ``1e-8 * max(1, |A|_F)``.  Decompositions are cached on the (immutable)
+    observable per tolerance.
     """
     obs = _as_observable(A)
     if group_tol is None:
@@ -280,7 +288,7 @@ def apply_function(
     f: FunctionTable | Mapping | Callable[[float], float],
     match_tol: float | None = None,
 ) -> HermitianObservable:
-    """Functional calculus: sum of ``f(eigenvalue) * projector`` over groups.
+    """Functional calculus: ``V diag(f(lam)) V*`` over the grouped eigenvalues.
 
     ``f`` may be a :class:`FunctionTable`, a mapping from eigenvalue to value
     (matched within ``match_tol``), or a plain callable.
@@ -289,10 +297,8 @@ def apply_function(
     if match_tol is None:
         scale = float(np.abs(lams).max()) if len(lams) else 1.0
         match_tol = GROUP_TOL_SCALE * max(1.0, scale)
-    out = np.zeros((decomposition.source_dim, decomposition.source_dim), dtype=np.complex128)
-    for g in decomposition.groups:
-        out += _table_value(f, g.eigenvalue, match_tol) * g.projector
-    return HermitianObservable((out + out.conj().T) / 2.0)
+    values = [_table_value(f, float(lam), match_tol) for lam in lams]
+    return HermitianObservable(decomposition.assemble(values))
 
 
 def commutator_norm(A, B) -> float:

@@ -16,8 +16,9 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
     PreconditionError,
+    ValidationError,
 )
-from .functions import FunctionTable, LipschitzExtension, mcshane_extend  # noqa: F401
+from .functions import FunctionTable
 from .linalg import (
     HermitianObservable,
     _as_observable,
@@ -25,8 +26,8 @@ from .linalg import (
     eigendecompose,
     jacobi_eigh,
 )
-from .sampling import as_rng, complex_gaussian, random_density_matrix
-from .states import DensityState, PureState, variance
+from .sampling import as_rng, complex_gaussian
+from .states import DensityState, PureState, _variances, variance
 
 FAIL_MARGIN_TOL = 1e-9
 STATE_ORDER_TOL = 1e-9
@@ -69,12 +70,15 @@ def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
 def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     """Decide whether ``A`` is below ``B`` in the variance order.
 
-    The procedure eigendecomposes ``B``, checks that ``A`` commutes with and
-    is scalar on each eigenspace (with scalar value ``tr(P A P) / rank``),
-    and finally that the scalar values are 1-Lipschitz across eigenvalue
-    gaps.  A single tolerance ``tol`` (default ``1e-8 * max(1, |A|_F,
-    |B|_F)``) controls the eigenvalue grouping, the residue checks, and the
-    Lipschitz slack.
+    The procedure eigendecomposes ``B = V diag(lam) V*`` and works on
+    ``A' = V* A V``.  On each eigenspace ``g``, with orthogonal projection
+    ``P``, it checks that ``A`` commutes with ``P`` (the residue
+    ``sqrt(2) |A'[g, not g]|_F`` equals ``|PA - AP|_F``) and is scalar there
+    (with scalar value the mean of the diagonal of ``A'[g, g]``), and
+    finally that the scalar values are 1-Lipschitz across eigenvalue gaps.
+    A single tolerance ``tol`` (default ``1e-8 * max(1, |A|_F, |B|_F)``)
+    controls the eigenvalue grouping, the residue checks, and the Lipschitz
+    slack.
 
     On failure the witness is the eigenbasis candidate of the offending
     eigenspace with the largest variance for ``A`` (ties to the lowest
@@ -87,50 +91,49 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     if tol is None:
         tol = default_pair_tol(a, b)
     dec = eigendecompose(b, group_tol=tol)
+    v, lams, labels = dec.vectors, dec.eigenvalues, dec.labels
 
-    # Per-eigenspace checks: commutation and scalarity of A on ran P_j.
-    scalars = []
-    for g in dec.groups:
-        comm = float(np.linalg.norm(g.projector @ a.matrix - a.matrix @ g.projector))
-        block = g.basis.conj().T @ a.matrix @ g.basis
-        fj = float(np.trace(block).real) / g.rank
-        scal = float(np.linalg.norm(block - fj * np.eye(g.rank)))
-        if comm > tol or scal > tol:
-            av = a.matrix @ g.basis
-            e = np.einsum("ij,ij->j", g.basis.conj(), av).real
-            defects = np.einsum("ij,ij->j", av.conj(), av).real - e**2
-            w, margin = _margin_at(a, b, g.basis[:, int(np.argmax(defects))])
-            if margin > FAIL_MARGIN_TOL:
-                return OrderVerdict(False, None, w, margin)
-            # every basis candidate is itself an eigenvector of A; split the
-            # block across its extreme eigenvectors instead
-            mu, wv = jacobi_eigh(block)
-            sup = g.basis @ (wv[:, 0] + wv[:, -1])
-            w2, margin2 = _margin_at(a, b, sup)
-            if margin2 > FAIL_MARGIN_TOL:
-                return OrderVerdict(False, None, w2, margin2)
-            raise InternalConsistencyError(
-                f"eigenspace residues (commutation {comm:.3e}, scalar {scal:.3e}) exceed "
-                f"tol {tol:.3e} but no witness clears the margin floor"
-            )
-        scalars.append(fj)
+    # Per-eigenspace checks: commutation and scalarity of A on each group.
+    ap = v.conj().T @ a.matrix @ v
+    diag = ap.diagonal().real
+    scalars = np.bincount(labels, weights=diag) / dec.ranks
+    dev = np.abs(ap - np.diag(scalars[labels])) ** 2
+    same = labels[:, None] == labels[None, :]
+    comm = np.sqrt(2.0 * np.bincount(labels, weights=np.where(same, 0.0, dev).sum(axis=0)))
+    scal = np.sqrt(np.bincount(labels, weights=np.where(same, dev, 0.0).sum(axis=0)))
+    bad = np.flatnonzero((comm > tol) | (scal > tol))
+    if bad.size:
+        j = int(bad[0])
+        cols = labels == j
+        defects = (np.abs(ap[:, cols]) ** 2).sum(axis=0) - diag[cols] ** 2
+        w, margin = _margin_at(a, b, v[:, cols][:, int(np.argmax(defects))])
+        if margin > FAIL_MARGIN_TOL:
+            return OrderVerdict(False, None, w, margin)
+        # every basis candidate is itself an eigenvector of A; split the
+        # block across its extreme eigenvectors instead
+        _, wv = jacobi_eigh(ap[np.ix_(cols, cols)])
+        w2, margin2 = _margin_at(a, b, v[:, cols] @ (wv[:, 0] + wv[:, -1]))
+        if margin2 > FAIL_MARGIN_TOL:
+            return OrderVerdict(False, None, w2, margin2)
+        raise InternalConsistencyError(
+            f"eigenspace residues (commutation {comm[j]:.3e}, scalar {scal[j]:.3e}) exceed "
+            f"tol {tol:.3e} but no witness clears the margin floor"
+        )
 
-    # Pairwise Lipschitz check on the induced eigenvalue table.
-    lams = dec.eigenvalues
-    worst = None
-    for j in range(len(lams)):
-        for k in range(j + 1, len(lams)):
-            excess = abs(scalars[j] - scalars[k]) - abs(lams[j] - lams[k]) - tol
-            if excess > 0 and (worst is None or excess > worst[0]):
-                worst = (excess, j, k)
-    if worst is not None:
-        _, j, k = worst
-        sup = dec.groups[j].basis[:, 0] + dec.groups[k].basis[:, 0]
-        w, margin = _margin_at(a, b, sup)
+    # Pairwise Lipschitz check on the induced eigenvalue table; the worst
+    # excess wins, ties to the first pair in (j, k) order.
+    excess = np.triu(
+        np.abs(scalars[:, None] - scalars[None, :]) - np.abs(lams[:, None] - lams[None, :]) - tol, 1
+    )
+    worst = int(np.argmax(excess))
+    if excess.flat[worst] > 0:
+        j, k = divmod(worst, len(lams))
+        first = np.searchsorted(labels, [j, k])
+        w, margin = _margin_at(a, b, v[:, first[0]] + v[:, first[1]])
         if margin > FAIL_MARGIN_TOL:
             return OrderVerdict(False, None, w, margin)
         raise InternalConsistencyError(
-            f"Lipschitz excess {worst[0]:.3e} at eigenvalues ({lams[j]!r}, {lams[k]!r}) "
+            f"Lipschitz excess {excess.flat[worst]:.3e} at eigenvalues ({lams[j]!r}, {lams[k]!r}) "
             "but the superposition witness does not clear the margin floor"
         )
 
@@ -167,12 +170,7 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
     n, r = a.dim, cfg.restarts
 
     def value(x: np.ndarray) -> np.ndarray:
-        xa, xb = x @ am.T, x @ bm.T
-        ea = np.einsum("ij,ij->i", x.conj(), xa).real
-        eb = np.einsum("ij,ij->i", x.conj(), xb).real
-        va = np.einsum("ij,ij->i", xa.conj(), xa).real - ea * ea
-        vb = np.einsum("ij,ij->i", xb.conj(), xb).real - eb * eb
-        return va - vb
+        return _variances(am, x) - _variances(bm, x)
 
     x = complex_gaussian(rng, r, n)
     x /= np.linalg.norm(x, axis=1)[:, None]
@@ -280,19 +278,15 @@ def state_order_violation(
     a, b = _as_observable(A), _as_observable(B)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     rng = as_rng(seed)
-    am, bm = a.matrix, b.matrix
-    a2, b2 = am @ am, bm @ bm
     for start in range(0, trials, 256):
         count = min(256, trials - start)
         g = complex_gaussian(rng, count, a.dim, a.dim)
         rho = g @ g.conj().transpose(0, 2, 1)
         rho /= np.einsum("tii->t", rho).real[:, None, None]
-        ea = np.einsum("tij,ji->t", rho, am).real
-        eb = np.einsum("tij,ji->t", rho, bm).real
-        va = np.einsum("tij,ji->t", rho, a2).real - ea * ea
-        vb = np.einsum("tij,ji->t", rho, b2).real - eb * eb
-        bad = np.flatnonzero(va > vb + tol)
+        bad = np.flatnonzero(_variances(a.matrix, rho) > _variances(b.matrix, rho) + tol)
         if bad.size:
             return DensityState(rho[int(bad[0])])
     return None

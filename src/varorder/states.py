@@ -130,20 +130,27 @@ def expectation(A, state: State) -> float:
     return float(np.trace(state.matrix @ obs.matrix).real)
 
 
+def _variances(a: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Unclamped ``<A^2> - <A>^2`` at each state of a stack.
+
+    ``states`` holds pure vectors ``(k, n)`` or density matrices ``(k, n, n)``.
+    """
+    if states.ndim == 2:
+        ax = states @ a.T
+        mean = np.einsum("ij,ij->i", states.conj(), ax).real
+        second = np.einsum("ij,ij->i", ax.conj(), ax).real
+    else:
+        mean = np.einsum("tij,ji->t", states, a).real
+        second = np.einsum("tij,ji->t", states, a @ a).real
+    return second - mean * mean
+
+
 def variance(A, state: State) -> float:
     """Variance ``<A^2> - <A>^2``; clamped at 0 against rounding dust."""
     obs = _as_observable(A)
     _check_dims(obs, state)
-    if isinstance(state, PureState):
-        x = state.vector
-        ax = obs.matrix @ x
-        e = float(np.vdot(x, ax).real)
-        second = float(np.vdot(ax, ax).real)
-    else:
-        rho_a = state.matrix @ obs.matrix
-        e = float(np.trace(rho_a).real)
-        second = float(np.trace(rho_a @ obs.matrix).real)
-    return max(0.0, second - e * e)
+    x = state.vector if isinstance(state, PureState) else state.matrix
+    return max(0.0, float(_variances(obs.matrix, x[None])[0]))
 
 
 def _clean_atoms(pairs, merge_tol: float) -> tuple[tuple[float, float], ...]:
@@ -205,22 +212,21 @@ class BornMeasure:
 
 
 def born_measure(decomposition: SpectralDecomposition, state: State) -> BornMeasure:
-    """Distribution of measurement outcomes: mass ``<P_j>`` at each eigenvalue."""
+    """Distribution of measurement outcomes: mass ``tr(V_j* rho V_j)`` at each eigenvalue."""
     if decomposition.source_dim != state.dim:
         raise DimensionMismatchError(
             f"decomposition dimension {decomposition.source_dim} does not match state {state.dim}"
         )
-    masses = []
-    for g in decomposition.groups:
-        if isinstance(state, PureState):
-            m = float(np.linalg.norm(g.basis.conj().T @ state.vector) ** 2)
-        else:
-            m = float(np.einsum("ij,ji->", g.projector, state.matrix).real)
-        masses.append(max(0.0, m))
-    total = sum(masses)
+    v = decomposition.vectors
+    if isinstance(state, PureState):
+        weights = np.abs(v.conj().T @ state.vector) ** 2
+    else:
+        weights = np.einsum("ij,ij->j", v.conj(), state.matrix @ v).real
+    masses = np.maximum(np.bincount(decomposition.labels, weights=weights), 0.0)
+    total = float(masses.sum())
     if abs(total - 1.0) > MEASURE_SUM_TOL:
-        raise InternalConsistencyError(f"projector masses sum to {total!r}, not 1")
-    pairs = [(g.eigenvalue, m) for g, m in zip(decomposition.groups, masses) if m >= MASS_DROP_TOL]
+        raise InternalConsistencyError(f"eigenspace masses sum to {total!r}, not 1")
+    pairs = [(lam, m) for lam, m in zip(decomposition.eigenvalues, masses) if m >= MASS_DROP_TOL]
     total = sum(p for _, p in pairs)
     return BornMeasure(tuple((t, p / total) for t, p in pairs))
 

@@ -56,19 +56,15 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     dec = eigendecompose(a)
-    blocks = []
-    tau = 0.0
-    for g in dec.groups:
-        m = g.basis.conj().T @ b.matrix @ g.basis
-        m = (m + m.conj().T) / 2.0
-        w, _ = jacobi_eigh(m)
-        tau = max(tau, float(np.abs(w).max()))
-        blocks.append(m)
+    v, labels = dec.vectors, dec.labels
+    blocks = np.where(labels[:, None] == labels[None, :], v.conj().T @ b.matrix @ v, 0.0)
+    blocks = (blocks + blocks.conj().T) / 2.0
+    tau = max(
+        float(np.abs(jacobi_eigh(blocks[np.ix_(labels == j, labels == j)])[0]).max())
+        for j in range(len(dec.ranks))
+    )
     beta = 4.0 * tau + dec.diameter + 1.0
-    out = np.zeros((a.dim, a.dim), dtype=np.complex128)
-    for j, (g, m) in enumerate(zip(dec.groups, blocks), start=1):
-        out += g.basis @ (m + j * beta * np.eye(g.rank)) @ g.basis.conj().T
-    return HermitianObservable((out + out.conj().T) / 2.0)
+    return HermitianObservable(v @ (blocks + np.diag(beta * (labels + 1.0))) @ v.conj().T)
 
 
 def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
@@ -135,9 +131,8 @@ def two_point_lower_set(A) -> tuple[TwoPointFamily, ...]:
                 continue
             rest = [i for i in range(m) if i not in omega]
             t = min(abs(lams[i] - lams[j]) for i in omega for j in rest)
-            proj = np.zeros((a.dim, a.dim), dtype=np.complex128)
-            for i in omega:
-                proj += dec.groups[i].projector
+            basis = dec.vectors[:, np.isin(dec.labels, omega)]
+            proj = basis @ basis.conj().T
             families.append(
                 TwoPointFamily(tuple(lams[i] for i in omega), proj, float(t))
             )
@@ -334,6 +329,8 @@ def verify_automorphism(
     """
     if dim < 2:
         raise ValidationError(f"dimension must be at least 2, got {dim}")
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     transform = phi.transform if isinstance(phi, AutomorphismSpec) else phi
     rng = as_rng(seed)
     for t in range(trials):
@@ -412,15 +409,11 @@ def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianO
     if tol is None:
         tol = GROUP_TOL_SCALE * max(1.0, a.frobenius_norm)
     lams = dec.eigenvalues
-    p0, p1, p2 = (g.projector for g in dec.groups)
     t1, t2 = float(lams[1] - lams[0]), float(lams[2] - lams[1])
-    if t1 > t2:
-        p0, p1, p2 = p2, p1, p0
+    flip = t1 > t2  # name the eigenspaces from the end with the smaller gap
+    if flip:
         t1, t2 = t2, t1
-    candidates = [
-        HermitianObservable(t1 * p1 + (t1 + t2) * p2),
-        HermitianObservable(t2 * p0 + (t1 + t2) * p1),
-    ]
+    values = [[0.0, t1, t1 + t2], [t2, t1 + t2, 0.0]]
     if abs(t1 - t2) <= tol:
-        candidates.append(HermitianObservable(2.0 * t1 * p0 + t1 * p2))
-    return candidates
+        values.append([2.0 * t1, 0.0, t1])
+    return [HermitianObservable(dec.assemble(v[::-1] if flip else v)) for v in values]

@@ -115,6 +115,10 @@ def test_truncated_json_is_an_input_error(files):
     res = run_cli("check-order", str(bad), matrix("b.json", [0.0, 1.0]))
     assert res.returncode == 2
     assert res.stderr
+    bad.write_text(json.dumps({"dim": "x", "matrix": [[[0.0, 0.0]]]}))
+    res = run_cli("check-order", str(bad), matrix("b.json", [0.0, 1.0]))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
 
 
 def test_non_hermitian_is_an_input_error(files):
@@ -258,7 +262,18 @@ def test_q_matrix_from_spectrum_file(files):
 
 
 def test_q_matrix_duplicate_points_is_an_input_error(files):
+    tmp_path, _ = files
     assert run_cli("q-matrix", "0,1,1,3").returncode == 2
+    spec = tmp_path / "spectrum.json"
+    spec.write_text('["a", 1]')
+    res = run_cli("q-matrix", str(spec))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    qfile = tmp_path / "q.json"
+    qfile.write_text(json.dumps({"q": [["a"]]}))
+    res = run_cli("reconstruct-metric", str(qfile))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +286,12 @@ def test_verify_automorphism_scaling(files):
     report = json.loads(res.stdout)
     assert report["passed"] is True
     assert report["trials"] == 10
+
+
+def test_verify_automorphism_nonpositive_trials_is_an_input_error(files):
+    res = run_cli("verify-automorphism", "--trials", "-3")
+    assert res.returncode == 2
+    assert not res.stdout
 
 
 def test_verify_automorphism_with_unitary_file(files):
@@ -305,4 +326,6 @@ def test_reports_reparse_as_json(files):
         ("q-matrix", "0,1,3,7"),
     ):
         out = run_cli(*args).stdout
-        assert json.loads(out) == json.loads(json.dumps(json.loads(out)))
+        report = json.loads(out)
+        assert report == json.loads(json.dumps(report))
+        assert "version" in report

@@ -1,5 +1,7 @@
 """The order decision procedure, its certificates, witnesses, and oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from varorder import (
     OrderVerdict,
     PreconditionError,
     PureState,
+    ValidationError,
     apply_function,
     canonical_representative,
     check_state_order,
@@ -113,6 +116,22 @@ def test_rotated_basis_instance():
     verdict = decide_order(a, b)
     assert verdict.holds
     np.testing.assert_allclose(verdict.certificate.values, table.values, atol=1e-8)
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_tol_bounds_the_commutator_norm_with_each_eigenspace(factor):
+    # A couples B's two lowest eigenvectors and is otherwise B itself, so the
+    # only residue is |PA - AP|_F for the lowest eigenspace P.
+    u = random_unitary(4, seed=73).matrix
+    b = HermitianObservable(u @ np.diag([0.0, 1.0, 2.0, 4.0]) @ u.conj().T)
+    x = np.outer(u[:, 0], u[:, 1].conj())
+    coupling = x + x.conj().T
+    p = np.outer(u[:, 0], u[:, 0].conj())
+    tol = 1e-3
+    eps = factor * tol / np.linalg.norm(p @ coupling - coupling @ p)
+    a = HermitianObservable(b.matrix + eps * coupling)
+    verdict = decide_order(a, b, tol)
+    assert verdict.holds == (factor < 1.0)
 
 
 def test_dimension_mismatch():
@@ -327,6 +346,39 @@ def test_state_order_trivial_for_scalars():
     b = random_hermitian(4, seed=84)
     assert check_state_order(scalar, b, trials=300, seed=4)
     assert state_order_violation(scalar, b, trials=300, seed=4) is None
+
+
+def test_state_order_rejects_nonpositive_trials():
+    a = HermitianObservable.from_diag([0.0, 2.0, 3.0])
+    for trials in (0, -3):
+        with pytest.raises(ValidationError):
+            state_order_violation(a, a, trials=trials)
+        with pytest.raises(ValidationError):
+            check_state_order(a, a, trials=trials)
+
+
+# ---------------------------------------------------------------------------
+# memory: decisions work in B's eigenbasis, with no per-eigenspace projectors
+
+
+def test_decide_order_memory_stays_below_one_projector_per_eigenspace():
+    # A fresh simple-spectrum pair at n = 64, decided in a process whose code
+    # paths are already warm.  B is diagonal, so the eigensolver stops before
+    # its first sweep and the peak is the decision's own.  One dense projector
+    # per eigenspace would take 64 * 64 KB = 4 MB; the eigenbasis route needs
+    # a few n x n arrays.
+    n = 64
+    decide_order(*(HermitianObservable.from_diag(np.arange(4.0)),) * 2)
+    b = HermitianObservable.from_diag(np.arange(n, dtype=float))
+    a = HermitianObservable.from_diag(np.sin(np.arange(n, dtype=float)))
+    tracemalloc.start()
+    try:
+        verdict = decide_order(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

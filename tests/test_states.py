@@ -6,6 +6,7 @@ import pytest
 from varorder import (
     BornMeasure,
     DensityState,
+    OracleConfig,
     DimensionMismatchError,
     HermitianObservable,
     PreconditionError,
@@ -22,6 +23,7 @@ from varorder import (
     superposition_variance,
     variance,
     variance_defect,
+    witness_search,
 )
 from varorder.sampling import (
     random_density_matrix,
@@ -30,6 +32,7 @@ from varorder.sampling import (
     random_pure_vector,
     random_unitary,
 )
+from varorder.states import _variances
 
 DIAG01 = HermitianObservable.from_diag([0.0, 1.0])
 E1 = PureState.basis_vector(2, 0)
@@ -333,6 +336,25 @@ def test_variance_matches_measure_variance():
             assert variance(a, rho) == pytest.approx(
                 measure_variance(born_measure(dec, rho)), abs=1e-9
             )
+        # the batched moment kernel behind witness_search and
+        # state_order_violation, on stacks of pure and density states
+        xs = [PureState(random_pure_vector(n, rng)) for _ in range(5)]
+        rhos = [DensityState(random_density_matrix(n, rng)) for _ in range(5)]
+        for stack, states in (
+            (np.array([x.vector for x in xs]), xs),
+            (np.array([r.matrix for r in rhos]), rhos),
+        ):
+            np.testing.assert_allclose(
+                _variances(a.matrix, stack),
+                [measure_variance(born_measure(dec, s)) for s in states],
+                atol=1e-9,
+            )
+        b = random_hermitian(n, seed=70 + n)
+        x, value = witness_search(a, b, OracleConfig(restarts=3, steps=5, seed=n))
+        born_gap = measure_variance(born_measure(dec, x)) - measure_variance(
+            born_measure(eigendecompose(b), x)
+        )
+        assert value == pytest.approx(born_gap, abs=1e-9)
 
 
 def test_variance_shift_and_negation_invariance():

@@ -291,6 +291,9 @@ def test_spec_validation():
         AutomorphismSpec(0.0, UnitaryMap(np.eye(2)))
     with pytest.raises(ValidationError):
         verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=5, dim=1)
+    for trials in (0, -3):
+        with pytest.raises(ValidationError):
+            verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=trials, dim=2)
 
 
 def test_spec_transform_shape():

@@ -28,7 +28,7 @@ from .errors import (
     ReconstructionError,
     ValidationError,
 )
-from .linalg import HermitianObservable, UnitaryMap, default_pair_tol
+from .linalg import HermitianObservable, UnitaryMap, resolve_tol
 from .order import (
     OracleConfig,
     canonical_representative,
@@ -145,7 +145,7 @@ def emit(report: dict) -> None:
 def cmd_check_order(args) -> int:
     a = HermitianObservable(load_matrix(args.a))
     b = HermitianObservable(load_matrix(args.b))
-    tol = args.tol if args.tol is not None else default_pair_tol(a, b)
+    tol = resolve_tol(args.tol, a, b)
     verdict = decide_order(a, b, tol)
     report = {
         "holds": verdict.holds,

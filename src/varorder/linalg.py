@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -82,13 +83,26 @@ class HermitianObservable:
     def identity(cls, dim: int) -> "HermitianObservable":
         return cls(np.eye(dim))
 
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors from :func:`jacobi_eigh`, solved on first use."""
+        w, v = jacobi_eigh(self.matrix)
+        return _freeze(w), _freeze(v)
+
     def spectral(self) -> "SpectralDecomposition":
-        """Eigendecomposition at the default grouping tolerance, cached."""
+        """Default-tolerance decomposition: one eigensolve per observable, cached per grouping."""
         return eigendecompose(self)
 
 
 def _as_observable(a) -> HermitianObservable:
     return a if isinstance(a, HermitianObservable) else HermitianObservable(a)
+
+
+def _as_pair(A, B) -> tuple[HermitianObservable, HermitianObservable]:
+    a, b = _as_observable(A), _as_observable(B)
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,42 +239,34 @@ def jacobi_eigh(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray
     return w[order], v[:, order]
 
 
-def _decompose(obs: HermitianObservable, group_tol: float) -> SpectralDecomposition:
-    w, v = jacobi_eigh(obs.matrix)
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > group_tol) + 1, [obs.dim]))
-    ranks = np.diff(bounds)
-    lams = np.add.reduceat(w, bounds[:-1]) / ranks
-    dec = SpectralDecomposition(lams, v, tuple(ranks))
-    spread = float(np.linalg.norm(w - np.repeat(lams, ranks)))
-    recon_err = float(np.linalg.norm(dec.matrix() - obs.matrix))
-    allowed = spread + GROUP_TOL_SCALE * max(1.0, obs.frobenius_norm)
-    if recon_err > allowed:
-        raise InternalConsistencyError(
-            f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
-        )
-    return dec
-
-
 def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     """Grouped spectral decomposition of a Hermitian observable.
 
     Eigenvalues within ``group_tol`` of each other are merged into a single
     group carrying their mean, with the group's eigenvectors as adjacent
     columns of one eigenvector matrix.  The default tolerance is
-    ``1e-8 * max(1, |A|_F)``.  Decompositions are cached on the (immutable)
-    observable per tolerance.
+    ``1e-8 * max(1, |A|_F)``.  The eigensolver runs at most once per (immutable)
+    observable; grouped decompositions are cached on it per grouping, so every
+    tolerance that yields the same group ranks returns the same object.
     """
     obs = _as_observable(A)
-    if group_tol is None:
-        group_tol = GROUP_TOL_SCALE * max(1.0, obs.frobenius_norm)
-    key = float(group_tol)
-    cache = obs.__dict__.get("_spectral_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(obs, "_spectral_cache", cache)
-    if key not in cache:
-        cache[key] = _decompose(obs, key)
-    return cache[key]
+    group_tol = resolve_tol(group_tol, obs)
+    w, v = obs.eigenpairs
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > group_tol) + 1, [obs.dim]))
+    ranks = tuple(np.diff(bounds).tolist())
+    cache = obs.__dict__.setdefault("_spectral_cache", {})
+    if ranks not in cache:
+        lams = np.add.reduceat(w, bounds[:-1]) / ranks
+        dec = SpectralDecomposition(lams, v, ranks)
+        spread = float(np.linalg.norm(w - np.repeat(lams, ranks)))
+        recon_err = float(np.linalg.norm(dec.matrix() - obs.matrix))
+        allowed = spread + default_pair_tol(obs)
+        if recon_err > allowed:
+            raise InternalConsistencyError(
+                f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
+            )
+        cache[ranks] = dec
+    return cache[ranks]
 
 
 def _table_value(f, lam: float, match_tol: float) -> float:
@@ -295,32 +301,39 @@ def apply_function(
     """
     lams = decomposition.eigenvalues
     if match_tol is None:
-        scale = float(np.abs(lams).max()) if len(lams) else 1.0
-        match_tol = GROUP_TOL_SCALE * max(1.0, scale)
+        match_tol = _tol_at(float(np.abs(lams).max()) if len(lams) else 1.0)
     values = [_table_value(f, float(lam), match_tol) for lam in lams]
     return HermitianObservable(decomposition.assemble(values))
 
 
 def commutator_norm(A, B) -> float:
     """Frobenius norm of ``AB - BA``."""
-    a, b = _as_observable(A), _as_observable(B)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    a, b = _as_pair(A, B)
     return float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix))
 
 
-def default_pair_tol(A: HermitianObservable, B: HermitianObservable) -> float:
-    """Single decision tolerance knob: ``1e-8 * max(1, |A|_F, |B|_F)``."""
-    return GROUP_TOL_SCALE * max(1.0, A.frobenius_norm, B.frobenius_norm)
+def _tol_at(scale: float) -> float:
+    return GROUP_TOL_SCALE * max(1.0, scale)
+
+
+def default_pair_tol(*observables: HermitianObservable) -> float:
+    """The default tolerance: ``1e-8 * max(1, |X|_F)`` over the given observables."""
+    return _tol_at(max(x.frobenius_norm for x in observables))
+
+
+def resolve_tol(tol: float | None, *observables: HermitianObservable) -> float:
+    """The given ``tol`` (finite, >= 0) or, for ``None``, ``default_pair_tol(*observables)``."""
+    if tol is None:
+        return default_pair_tol(*observables)
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def loewner_leq(A, B, tol: float | None = None) -> bool:
     """Spectral-order comparison: smallest eigenvalue of ``B - A`` is ``>= -tol``."""
-    a, b = _as_observable(A), _as_observable(B)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if tol is None:
-        tol = default_pair_tol(a, b)
+    a, b = _as_pair(A, B)
+    tol = resolve_tol(tol, a, b)
     w, _ = jacobi_eigh(b.matrix - a.matrix)
     return bool(w[0] >= -tol)
 

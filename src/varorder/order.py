@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     InternalConsistencyError,
     PreconditionError,
     ValidationError,
@@ -22,9 +21,11 @@ from .functions import FunctionTable
 from .linalg import (
     HermitianObservable,
     _as_observable,
+    _as_pair,
     default_pair_tol,
     eigendecompose,
     jacobi_eigh,
+    resolve_tol,
 )
 from .sampling import as_rng, complex_gaussian
 from .states import DensityState, PureState, _variances, variance
@@ -76,20 +77,19 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     ``sqrt(2) |A'[g, not g]|_F`` equals ``|PA - AP|_F``) and is scalar there
     (with scalar value the mean of the diagonal of ``A'[g, g]``), and
     finally that the scalar values are 1-Lipschitz across eigenvalue gaps.
-    A single tolerance ``tol`` (default ``1e-8 * max(1, |A|_F, |B|_F)``)
-    controls the eigenvalue grouping, the residue checks, and the Lipschitz
-    slack.
+    A single tolerance ``tol`` (default ``1e-8 * max(1, |A|_F, |B|_F)``;
+    a given one must be finite and >= 0) controls the eigenvalue grouping,
+    the residue checks, and the Lipschitz slack.  ``B``'s eigenpairs are
+    solved once per observable and its grouped decompositions cached per
+    grouping, however many partners it is decided against.
 
     On failure the witness is the eigenbasis candidate of the offending
     eigenspace with the largest variance for ``A`` (ties to the lowest
     index), or an equal superposition across the offending pair; its margin
     is recomputed from scratch and must exceed ``FAIL_MARGIN_TOL``.
     """
-    a, b = _as_observable(A), _as_observable(B)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if tol is None:
-        tol = default_pair_tol(a, b)
+    a, b = _as_pair(A, B)
+    tol = resolve_tol(tol, a, b)
     dec = eigendecompose(b, group_tol=tol)
     v, lams, labels = dec.vectors, dec.eigenvalues, dec.labels
 
@@ -160,9 +160,7 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
     its value; ties across restarts resolve to the lowest restart index.
     Deterministic for a fixed ``cfg.seed``.
     """
-    a, b = _as_observable(A), _as_observable(B)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    a, b = _as_pair(A, B)
     cfg = cfg or OracleConfig()
     rng = as_rng(cfg.seed)
     am, bm = a.matrix, b.matrix
@@ -227,11 +225,8 @@ def extract_function(A, B, tol: float | None = None) -> FunctionTable:
 
 def class_equal(A, B, tol: float | None = None) -> bool:
     """Whether ``B`` equals ``A + cI`` or ``-A + cI`` for some real ``c``."""
-    a, b = _as_observable(A), _as_observable(B)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if tol is None:
-        tol = default_pair_tol(a, b)
+    a, b = _as_pair(A, B)
+    tol = resolve_tol(tol, a, b)
     eye = np.eye(a.dim)
     for sign in (1.0, -1.0):
         d = b.matrix - sign * a.matrix
@@ -264,7 +259,7 @@ def canonical_representative(A) -> HermitianObservable:
     lmin, lmax = float(lams[0]), float(lams[-1])
     seq1 = [(lam - lmin, rk) for lam, rk in zip(lams, ranks)]
     seq2 = [(lmax - lam, rk) for lam, rk in zip(lams[::-1], ranks[::-1])]
-    tie_tol = default_pair_tol(a, a)
+    tie_tol = default_pair_tol(a)
     eye = np.eye(a.dim)
     if _lex_spectrum_key(seq1, seq2, tie_tol) <= 0:
         return HermitianObservable(a.matrix - lmin * eye)
@@ -275,9 +270,7 @@ def state_order_violation(
     A, B, trials: int, seed=0, tol: float = STATE_ORDER_TOL
 ) -> DensityState | None:
     """First sampled density matrix with ``var(A) > var(B) + tol``, if any."""
-    a, b = _as_observable(A), _as_observable(B)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    a, b = _as_pair(A, B)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     rng = as_rng(seed)

@@ -19,13 +19,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    GROUP_TOL_SCALE,
     HermitianObservable,
     SpectralDecomposition,
     _as_observable,
     _freeze,
     as_complex_matrix,
     jacobi_eigh,
+    resolve_tol,
 )
 
 PURE_NORM_TOL = 1e-12
@@ -313,8 +313,7 @@ def superposition_variance(
     alpha, beta = float(alpha), float(beta)
     if alpha == 0.0 or beta == 0.0:
         raise PreconditionError("superposition coefficients must both be nonzero")
-    if tol is None:
-        tol = GROUP_TOL_SCALE * max(1.0, obs.frobenius_norm)
+    tol = resolve_tol(tol, obs)
     overlap = abs(np.vdot(x.vector, y.vector))
     if overlap > tol:
         raise PreconditionError(f"states are not orthogonal: |<x, y>| = {overlap!r}")
@@ -336,6 +335,5 @@ def superposition_variance(
 
 def maximal_deviation(A) -> float:
     """Largest standard deviation over all states: half the spectral diameter."""
-    obs = _as_observable(A)
-    w, _ = jacobi_eigh(obs.matrix)
+    w, _ = _as_observable(A).eigenpairs
     return float(w[-1] - w[0]) / 2.0

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
-    DimensionMismatchError,
     InternalConsistencyError,
     PreconditionError,
     ReconstructionError,
@@ -26,16 +25,17 @@ from .errors import (
 )
 from .functions import FunctionTable
 from .linalg import (
-    GROUP_TOL_SCALE,
     HermitianObservable,
+    SpectralDecomposition,
     UnitaryMap,
     _as_observable,
+    _as_pair,
     _freeze,
     apply_function,
     commutator_norm,
-    default_pair_tol,
     eigendecompose,
     jacobi_eigh,
+    resolve_tol,
 )
 from .order import decide_order
 from .sampling import as_rng, random_hermitian, random_lipschitz_values
@@ -52,9 +52,7 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
     upward.  ``A`` is always a 1-Lipschitz function of ``C``; ``B`` is one
     exactly when the pair commutes, which :func:`joint_upper_bound` checks.
     """
-    a, b = _as_observable(A), _as_observable(B)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    a, b = _as_pair(A, B)
     dec = eigendecompose(a)
     v, labels = dec.vectors, dec.labels
     blocks = np.where(labels[:, None] == labels[None, :], v.conj().T @ b.matrix @ v, 0.0)
@@ -75,8 +73,7 @@ def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
     that case.
     """
     a, b = _as_observable(A), _as_observable(B)
-    if tol is None:
-        tol = default_pair_tol(a, b)
+    tol = resolve_tol(tol, a, b)
     comm = commutator_norm(a, b)
     if comm > tol:
         raise PreconditionError(
@@ -88,19 +85,31 @@ def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
 
 @dataclass(frozen=True, eq=False)
 class TwoPointFamily:
-    """Threshold family ``{t E : 0 <= t <= threshold}`` below a fixed observable."""
+    """Threshold family ``{t E : 0 <= t <= threshold}`` below a fixed observable.
 
-    eigenvalues: tuple[float, ...]
-    projector: np.ndarray
+    ``E`` projects onto the eigenspaces with group ``indices`` in the shared
+    ``decomposition`` of the observable; it is formed only on request.
+    """
+
+    decomposition: SpectralDecomposition
+    indices: tuple[int, ...]
     threshold: float
 
     def __post_init__(self):
-        if not self.eigenvalues:
+        object.__setattr__(self, "indices", tuple(int(j) for j in self.indices))
+        if not self.indices:
             raise ValidationError("family needs a nonempty eigenvalue subset")
         if not self.threshold > 0:
             raise ValidationError(f"threshold must be positive, got {self.threshold!r}")
-        object.__setattr__(self, "eigenvalues", tuple(float(x) for x in self.eigenvalues))
-        object.__setattr__(self, "projector", _freeze(np.asarray(self.projector, np.complex128)))
+
+    @property
+    def eigenvalues(self) -> tuple[float, ...]:
+        return tuple(float(self.decomposition.eigenvalues[j]) for j in self.indices)
+
+    @property
+    def projector(self) -> np.ndarray:
+        basis = self.decomposition.vectors[:, np.isin(self.decomposition.labels, self.indices)]
+        return basis @ basis.conj().T
 
     def observable(self, t: float) -> HermitianObservable:
         return HermitianObservable(float(t) * self.projector)
@@ -131,11 +140,7 @@ def two_point_lower_set(A) -> tuple[TwoPointFamily, ...]:
                 continue
             rest = [i for i in range(m) if i not in omega]
             t = min(abs(lams[i] - lams[j]) for i in omega for j in rest)
-            basis = dec.vectors[:, np.isin(dec.labels, omega)]
-            proj = basis @ basis.conj().T
-            families.append(
-                TwoPointFamily(tuple(lams[i] for i in omega), proj, float(t))
-            )
+            families.append(TwoPointFamily(dec, omega, float(t)))
     return tuple(families)
 
 
@@ -247,25 +252,18 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
         others = [k for k in range(n) if k not in (i, j)]
         d[i, j] = d[j, i] = min(q[i, k] + q[k, j] for k in others)
 
-    counts = np.zeros(n, dtype=int)
-    for i, j in pairs:
-        counts[i] += 1
-        counts[j] += 1
+    repeated = np.flatnonzero(np.bincount(np.ravel(pairs), minlength=n) == 2)
     if len(pairs) == 1:
-        endpoints = pairs[0]
+        anchor = min(pairs[0])
     elif len(pairs) == 2:
-        repeated = np.flatnonzero(counts == 2)
         if len(repeated) != 1:
             raise ReconstructionError("two maximal pairs must share exactly one index")
-        j1 = int(repeated[0])
-        endpoints = (j1, int(np.argmax(d[j1])))
+        anchor = min(int(repeated[0]), int(np.argmax(d[repeated[0]])))
+    elif len(repeated) != 2:
+        raise ReconstructionError("three maximal pairs must share exactly two indices")
     else:
-        repeated = np.flatnonzero(counts == 2)
-        if len(repeated) != 2:
-            raise ReconstructionError("three maximal pairs must share exactly two indices")
-        endpoints = (int(repeated[0]), int(repeated[1]))
+        anchor = int(repeated[0])  # the smaller of the two shared indices
 
-    anchor = min(endpoints)
     positions = d[anchor].copy()
     positions[anchor] = 0.0
 
@@ -296,8 +294,7 @@ class AutomorphismSpec:
     def transform(self, A) -> HermitianObservable:
         return HermitianObservable(self.scale * self.unitary.apply(A).matrix)
 
-    def __call__(self, A) -> HermitianObservable:
-        return self.transform(A)
+    __call__ = transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,8 +403,7 @@ def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianO
         raise DegenerateInputError(
             f"expected exactly 3 distinct eigenvalues, got {len(dec.groups)}"
         )
-    if tol is None:
-        tol = GROUP_TOL_SCALE * max(1.0, a.frobenius_norm)
+    tol = resolve_tol(tol, a)
     lams = dec.eigenvalues
     t1, t2 = float(lams[1] - lams[0]), float(lams[2] - lams[1])
     flip = t1 > t2  # name the eigenspaces from the end with the smaller gap

@@ -94,6 +94,28 @@ def test_check_order_inconsistency_exit_code(files):
     assert report["oracle"]["agrees"] is False
 
 
+@pytest.mark.parametrize(
+    "command, tol",
+    [
+        ("check-order", "nan"),
+        ("check-order", "inf"),
+        ("check-order", "-1e-3"),
+        ("extract-function", "nan"),
+        ("joint-upper-bound", "inf"),
+    ],
+)
+def test_nonfinite_or_negative_tol_is_an_input_error(files, command, tol):
+    # the pair fails at the default tol; --tol nan and --tol inf used to
+    # exit 0 and print a certificate
+    _, matrix = files
+    a = matrix("a.json", [0.0, 2.0, 3.0])
+    b = matrix("b.json", [0.0, 1.0, 3.0])
+    res = run_cli(command, a, b, f"--tol={tol}")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "tolerance must be finite and >= 0" in res.stderr
+
+
 def test_check_order_is_deterministic(files):
     _, matrix = files
     args = (

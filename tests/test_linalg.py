@@ -17,10 +17,13 @@ from varorder import (
     ValidationError,
     apply_function,
     commutator_norm,
+    decide_order,
     eigendecompose,
     jacobi_eigh,
+    linalg,
+    maximal_deviation,
 )
-from varorder.linalg import loewner_leq
+from varorder.linalg import default_pair_tol, loewner_leq
 from varorder.sampling import random_hermitian, random_unitary
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -159,11 +162,58 @@ def test_reconstruction_from_groups(n):
     assert err <= 1e-8 * max(1.0, obs.frobenius_norm)
 
 
-def test_decomposition_is_cached_per_tolerance():
-    obs = random_hermitian(5, seed=4)
+def test_decomposition_is_cached_per_grouping():
+    obs = random_hermitian(5, seed=4)  # eigenvalue gaps 0.83, 1.59, 0.92, 1.73
     assert eigendecompose(obs) is eigendecompose(obs)
     assert eigendecompose(obs, group_tol=0.5) is eigendecompose(obs, group_tol=0.5)
-    assert eigendecompose(obs) is not eigendecompose(obs, group_tol=0.5)
+    # 0.5 splits every gap, as the default does: same grouping, same object
+    assert eigendecompose(obs, group_tol=0.5) is eigendecompose(obs)
+    # 1.0 merges across the 0.83 and 0.92 gaps
+    merged = eigendecompose(obs, group_tol=1.0)
+    assert merged is not eigendecompose(obs)
+    assert merged.ranks == (2, 2, 1)
+
+
+@pytest.fixture
+def jacobi_calls(monkeypatch):
+    """Shapes of the matrices handed to ``varorder.linalg.jacobi_eigh``."""
+    calls = []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return jacobi_eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+    return calls
+
+
+def test_one_eigensolve_per_observable_across_partner_norms(jacobi_calls):
+    b = random_hermitian(3, seed=1)
+    dec = b.spectral()
+    # shifted partners hold, and their norms raise the default tol
+    # 1e-8 * max(1, |A|_F, |B|_F) above B's own default
+    for shift in (10.0, 1000.0):
+        a = HermitianObservable(b.matrix + shift * np.eye(3))
+        assert default_pair_tol(a, b) > default_pair_tol(b)
+        assert decide_order(a, b).holds
+    assert eigendecompose(b, group_tol=1e-3) is dec  # same grouping
+    assert jacobi_calls == [(3, 3)]
+
+
+def test_maximal_deviation_reuses_the_eigensolve(jacobi_calls):
+    b = random_hermitian(4, seed=2)
+    w = eigendecompose(b).eigenvalues
+    assert maximal_deviation(b) == pytest.approx((w[-1] - w[0]) / 2.0, abs=1e-12)
+    assert len(jacobi_calls) == 1
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
+def test_group_tol_must_be_finite_and_nonnegative(tol):
+    # a NaN group_tol used to merge the whole spectrum into one group
+    with pytest.raises(ValidationError):
+        eigendecompose(random_hermitian(3, seed=5), group_tol=tol)
+    zero = eigendecompose(HermitianObservable.from_diag([0.0, 0.0, 1.0]), group_tol=0)
+    assert zero.ranks == (2, 1)
 
 
 def test_diameter():

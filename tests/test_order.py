@@ -26,11 +26,15 @@ from varorder import (
     variance,
     witness_search,
 )
+from varorder.linalg import loewner_leq
 from varorder.order import state_order_violation
 from varorder.sampling import random_hermitian, random_lipschitz_values, random_unitary
+from varorder.states import superposition_variance
+from varorder.structure import joint_upper_bound, three_point_class_candidates
 
 PAULI_X = HermitianObservable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 PAULI_Z = HermitianObservable(np.array([[1.0, 0.0], [0.0, -1.0]]))
+E1, E2 = PureState.basis_vector(2, 0), PureState.basis_vector(2, 1)
 
 
 def _lipschitz_image(B, seed):
@@ -137,6 +141,27 @@ def test_tol_bounds_the_commutator_norm_with_each_eigenspace(factor):
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         decide_order(PAULI_X, HermitianObservable.identity(3))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+def test_nonfinite_or_negative_tol_is_rejected(tol):
+    # the pair fails at the default tol; a NaN or infinite tol used to pass
+    # every check and return a certificate
+    a, b = random_hermitian(3, 1), random_hermitian(3, 2)
+    assert not decide_order(a, b).holds
+    for call in (decide_order, extract_function, class_equal, loewner_leq, joint_upper_bound):
+        with pytest.raises(ValidationError):
+            call(a, b, tol)
+    with pytest.raises(ValidationError):
+        superposition_variance(PAULI_Z, E1, E2, 1.0, 1.0, tol)
+    with pytest.raises(ValidationError):
+        three_point_class_candidates(HermitianObservable.from_diag([0.0, 1.0, 3.0]), tol)
+
+
+def test_zero_tol_is_valid():
+    assert decide_order(PAULI_Z, PAULI_Z, 0.0).holds
+    assert decide_order(PAULI_Z, PAULI_Z, 0).holds
+    assert not decide_order(2.0 * PAULI_Z.matrix, PAULI_Z, 0.0).holds
 
 
 # ---------------------------------------------------------------------------

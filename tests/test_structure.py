@@ -1,5 +1,7 @@
 """Joint upper bounds, two-point lower sets, gap matrices, automorphisms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,23 @@ def test_lower_set_thresholds_are_sharp(seed):
         assert decide_order(fam.observable(fam.threshold), a).holds
         assert decide_order(fam.observable(fam.threshold - 0.1 * mingap), a).holds
         assert not decide_order(fam.observable(fam.threshold + 0.1 * mingap), a).holds
+
+
+def test_lower_set_families_share_one_decomposition():
+    # 2^11 - 1 families on a distinct n = 12 spectrum.  One dense 12 x 12
+    # projector per family would take 2047 * 2.3 KB = 4.7 MB; the families
+    # share one eigenbasis and form a projector only on request.
+    two_point_lower_set(HermitianObservable.from_diag([0.0, 1.0, 3.0]))  # warm code paths
+    a = HermitianObservable.from_diag(np.arange(12.0) ** 1.5)
+    tracemalloc.start()
+    try:
+        fams = two_point_lower_set(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fams) == 2**11 - 1
+    assert all(f.decomposition is eigendecompose(a) for f in fams)
+    assert peak < 1_000_000
 
 
 def test_lower_set_covers_complements_once():

@@ -20,7 +20,10 @@ class ValidationError(VarOrderError, ValueError):
 
 
 class EigensolverError(VarOrderError, RuntimeError):
-    """Jacobi iteration failed to reach the off-diagonal target."""
+    """An eigensolve failed: LAPACK did not converge, or Jacobi missed its target.
+
+    ``residual`` is the off-diagonal norm Jacobi stopped at; ``None`` for LAPACK.
+    """
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -1,10 +1,12 @@
 """Hermitian matrices, spectral decompositions, and the functional calculus.
 
 All heavy objects are immutable: construction validates the defining
-invariants, copies the input, and freezes the underlying arrays.  The
-eigensolver is a hand-rolled cyclic Jacobi iteration for complex Hermitian
-matrices so the decision procedures do not depend on an external solver;
-``numpy.linalg.eigh`` is used only as an independent oracle in the tests.
+invariants, copies the input, and freezes the underlying arrays.  Every
+eigensolve in the package goes through :func:`_eigh`, which calls LAPACK
+through ``numpy.linalg.eigh``; its answers stay on the checked path
+(:func:`eigendecompose` verifies each grouped reconstruction).  The cyclic
+Jacobi iteration :func:`jacobi_eigh` is kept as an independent solver that the
+tests compare :func:`_eigh` against; no decision procedure calls it.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ class HermitianObservable:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors from :func:`jacobi_eigh`, solved on first use."""
-        w, v = jacobi_eigh(self.matrix)
+        """Ascending eigenvalues and eigenvectors from :func:`_eigh`, solved on first use."""
+        w, v = _eigh(self.matrix)
         return _freeze(w), _freeze(v)
 
     def spectral(self) -> "SpectralDecomposition":
@@ -204,6 +206,21 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: float) -> None:
     vp, vq = v[:, p].copy(), v[:, q].copy()
     v[:, p] = c * vp + s * np.conj(phase) * vq
     v[:, q] = -s * phase * vp + c * vq
+
+
+def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix, from LAPACK.
+
+    Calls ``numpy.linalg.eigh`` (lower triangle) on the input as complex128,
+    without copying it (LAPACK works on its own copy), so a ``(k, n, n)``
+    stack gives ``(k, n)`` eigenvalues and ``(k, n, n)`` vectors.
+    A LAPACK failure is raised as :class:`EigensolverError` with no residual.
+    """
+    try:
+        w, v = np.linalg.eigh(np.asarray(matrix, dtype=np.complex128))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"LAPACK eigensolver failed: {exc}") from exc
+    return w, v
 
 
 def jacobi_eigh(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +351,7 @@ def loewner_leq(A, B, tol: float | None = None) -> bool:
     """Spectral-order comparison: smallest eigenvalue of ``B - A`` is ``>= -tol``."""
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
-    w, _ = jacobi_eigh(b.matrix - a.matrix)
+    w, _ = _eigh(b.matrix - a.matrix)
     return bool(w[0] >= -tol)
 
 

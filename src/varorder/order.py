@@ -22,9 +22,9 @@ from .linalg import (
     HermitianObservable,
     _as_observable,
     _as_pair,
+    _eigh,
     default_pair_tol,
     eigendecompose,
-    jacobi_eigh,
     resolve_tol,
 )
 from .sampling import as_rng, complex_gaussian
@@ -111,7 +111,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
             return OrderVerdict(False, None, w, margin)
         # every basis candidate is itself an eigenvector of A; split the
         # block across its extreme eigenvectors instead
-        _, wv = jacobi_eigh(ap[np.ix_(cols, cols)])
+        _, wv = _eigh(ap[np.ix_(cols, cols)])
         w2, margin2 = _margin_at(a, b, v[:, cols] @ (wv[:, 0] + wv[:, -1]))
         if margin2 > FAIL_MARGIN_TOL:
             return OrderVerdict(False, None, w2, margin2)

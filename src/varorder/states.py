@@ -22,9 +22,9 @@ from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
     _as_observable,
+    _eigh,
     _freeze,
     as_complex_matrix,
-    jacobi_eigh,
     resolve_tol,
 )
 
@@ -89,7 +89,7 @@ class DensityState:
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > DENSITY_TOL:
             raise ValidationError(f"density matrix trace {tr!r} is not 1 within {DENSITY_TOL:.0e}")
-        w, _ = jacobi_eigh(m)
+        w, _ = _eigh(m)
         if w[0] < DENSITY_EIG_FLOOR:
             raise ValidationError(
                 f"density matrix has eigenvalue {w[0]!r} below the floor {DENSITY_EIG_FLOOR:.0e}"

@@ -30,11 +30,11 @@ from .linalg import (
     UnitaryMap,
     _as_observable,
     _as_pair,
+    _eigh,
     _freeze,
     apply_function,
     commutator_norm,
     eigendecompose,
-    jacobi_eigh,
     resolve_tol,
 )
 from .order import decide_order
@@ -58,7 +58,7 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
     blocks = np.where(labels[:, None] == labels[None, :], v.conj().T @ b.matrix @ v, 0.0)
     blocks = (blocks + blocks.conj().T) / 2.0
     tau = max(
-        float(np.abs(jacobi_eigh(blocks[np.ix_(labels == j, labels == j)])[0]).max())
+        float(np.abs(_eigh(blocks[np.ix_(labels == j, labels == j)])[0]).max())
         for j in range(len(dec.ranks))
     )
     beta = 4.0 * tau + dec.diameter + 1.0

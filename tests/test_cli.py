@@ -116,6 +116,22 @@ def test_nonfinite_or_negative_tol_is_an_input_error(files, command, tol):
     assert "tolerance must be finite and >= 0" in res.stderr
 
 
+def test_eigensolver_failure_exits_3(files, monkeypatch, capsys):
+    # in process, so the patched LAPACK entry point is the one the CLI calls
+    from varorder.cli import main
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    _, matrix = files
+    code = main(["check-order", matrix("a.json", [0.0, 1.0, 2.0]), matrix("b.json", [0.0, 1.0, 3.0])])
+    assert code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal error: LAPACK eigensolver failed: Eigenvalues did not converge")
+
+
 def test_check_order_is_deterministic(files):
     _, matrix = files
     args = (

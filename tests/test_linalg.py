@@ -1,7 +1,9 @@
 """Eigensolver, spectral grouping, functional calculus, and comparators.
 
-The hand-rolled Jacobi solver is checked against ``numpy.linalg.eigh``,
-which appears here only as a reference oracle.
+Two solvers are cross-checked in both directions: the cyclic Jacobi
+``jacobi_eigh`` against ``numpy.linalg.eigh``, and the package's LAPACK seam
+``linalg._eigh`` against ``jacobi_eigh``, which no production code calls and
+which serves as the independent oracle.
 """
 
 import numpy as np
@@ -68,6 +70,57 @@ def test_jacobi_sweep_cap_reports_residual():
     with pytest.raises(EigensolverError) as err:
         jacobi_eigh(m, max_sweeps=0)
     assert err.value.residual > 0
+
+
+# ---------------------------------------------------------------------------
+# linalg._eigh (LAPACK) against jacobi_eigh as the oracle
+
+
+def _degenerate(n):
+    u = random_unitary(n, seed=50 + n).matrix
+    # a repeated eigenvalue at every n >= 2
+    return (u * np.repeat([-1.0, 2.0], [(n - 1) // 2, n - (n - 1) // 2])) @ u.conj().T
+
+
+def _real_symmetric(n):
+    g = np.random.default_rng(60 + n).normal(size=(n, n))
+    return (g + g.T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
+@pytest.mark.parametrize(
+    "build",
+    [lambda n: random_hermitian(n, seed=400 + n, scale=2.0).matrix, _degenerate, _real_symmetric],
+    ids=["random", "degenerate", "real-symmetric"],
+)
+def test_eigh_agrees_with_jacobi_oracle(build, n):
+    m = build(n)
+    w, v = linalg._eigh(m)
+    w_ref, _ = jacobi_eigh(m)
+    scale = max(1.0, float(np.linalg.norm(m)))
+    np.testing.assert_allclose(w, w_ref, atol=1e-10 * scale, rtol=0)
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-10)
+    np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-10 * scale, rtol=0)
+
+
+def test_eigh_solves_a_stack_matrix_by_matrix():
+    stack = np.stack([random_hermitian(5, seed=70 + k).matrix for k in range(4)])
+    w, v = linalg._eigh(stack)
+    assert w.shape == (4, 5) and v.shape == (4, 5, 5)
+    for k, m in enumerate(stack):
+        wk, vk = linalg._eigh(m)
+        np.testing.assert_array_equal(w[k], wk)
+        np.testing.assert_array_equal(v[k], vk)
+
+
+def test_lapack_failure_is_an_eigensolver_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigensolverError, match="did not converge") as err:
+        eigendecompose(random_hermitian(3, seed=6))
+    assert err.value.residual is None
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +228,20 @@ def test_decomposition_is_cached_per_grouping():
 
 
 @pytest.fixture
-def jacobi_calls(monkeypatch):
-    """Shapes of the matrices handed to ``varorder.linalg.jacobi_eigh``."""
+def eigh_calls(monkeypatch):
+    """Shapes of the matrices handed to ``varorder.linalg._eigh``."""
     calls = []
+    eigh = linalg._eigh
 
-    def counted(matrix, *args, **kwargs):
+    def counted(matrix):
         calls.append(np.shape(matrix))
-        return jacobi_eigh(matrix, *args, **kwargs)
+        return eigh(matrix)
 
-    monkeypatch.setattr(linalg, "jacobi_eigh", counted)
+    monkeypatch.setattr(linalg, "_eigh", counted)
     return calls
 
 
-def test_one_eigensolve_per_observable_across_partner_norms(jacobi_calls):
+def test_one_eigensolve_per_observable_across_partner_norms(eigh_calls):
     b = random_hermitian(3, seed=1)
     dec = b.spectral()
     # shifted partners hold, and their norms raise the default tol
@@ -197,14 +251,14 @@ def test_one_eigensolve_per_observable_across_partner_norms(jacobi_calls):
         assert default_pair_tol(a, b) > default_pair_tol(b)
         assert decide_order(a, b).holds
     assert eigendecompose(b, group_tol=1e-3) is dec  # same grouping
-    assert jacobi_calls == [(3, 3)]
+    assert eigh_calls == [(3, 3)]
 
 
-def test_maximal_deviation_reuses_the_eigensolve(jacobi_calls):
+def test_maximal_deviation_reuses_the_eigensolve(eigh_calls):
     b = random_hermitian(4, seed=2)
     w = eigendecompose(b).eigenvalues
     assert maximal_deviation(b) == pytest.approx((w[-1] - w[0]) / 2.0, abs=1e-12)
-    assert len(jacobi_calls) == 1
+    assert len(eigh_calls) == 1
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])

@@ -26,8 +26,8 @@ from varorder import (
     variance,
     witness_search,
 )
-from varorder.linalg import loewner_leq
-from varorder.order import state_order_violation
+from varorder.linalg import default_pair_tol, loewner_leq
+from varorder.order import FAIL_MARGIN_TOL, state_order_violation
 from varorder.sampling import random_hermitian, random_lipschitz_values, random_unitary
 from varorder.states import superposition_variance
 from varorder.structure import joint_upper_bound, three_point_class_candidates
@@ -189,6 +189,19 @@ def test_fail_margins_recompute(seed):
     recomputed = _margin(a, b, verdict.witness)
     assert recomputed >= verdict.margin - 1e-12
     assert recomputed > 1e-9
+
+
+def test_decisions_at_n_128():
+    b = random_hermitian(128, seed=128, scale=2.0)
+    a, _ = _lipschitz_image(b, seed=129)
+    verdict = decide_order(a, b)
+    assert verdict.holds
+    rebuilt = apply_function(eigendecompose(b), verdict.certificate)
+    assert float(np.linalg.norm(rebuilt.matrix - a.matrix)) <= default_pair_tol(a, b)
+    c = random_hermitian(128, seed=130, scale=2.0)
+    verdict = decide_order(c, b)
+    assert not verdict.holds
+    assert _margin(c, b, verdict.witness) > FAIL_MARGIN_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +401,9 @@ def test_state_order_rejects_nonpositive_trials():
 
 def test_decide_order_memory_stays_below_one_projector_per_eigenspace():
     # A fresh simple-spectrum pair at n = 64, decided in a process whose code
-    # paths are already warm.  B is diagonal, so the eigensolver stops before
-    # its first sweep and the peak is the decision's own.  One dense projector
-    # per eigenspace would take 64 * 64 KB = 4 MB; the eigenbasis route needs
-    # a few n x n arrays.
+    # paths are already warm, so the peak is the eigensolve's and the
+    # decision's own.  One dense projector per eigenspace would take
+    # 64 * 64 KB = 4 MB; the eigenbasis route needs a few n x n arrays.
     n = 64
     decide_order(*(HermitianObservable.from_diag(np.arange(4.0)),) * 2)
     b = HermitianObservable.from_diag(np.arange(n, dtype=float))

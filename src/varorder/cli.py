@@ -46,8 +46,7 @@ from .structure import (
     two_point_lower_set,
     verify_automorphism,
 )
-
-ORACLE_AGREE_TOL = 1e-6
+from .tolerances import ORACLE_AGREE_TOL
 
 INPUT_ERRORS = (
     OSError,

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-
-DEFAULT_LIP_TOL = 1e-9
+from .tolerances import LIP_TOL, PAIR_TOL_SCALE
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +21,7 @@ class FunctionTable:
 
     points: tuple[tuple[float, float], ...]
     lipschitz_bound: float | None = None
-    lip_tol: float = DEFAULT_LIP_TOL
+    lip_tol: float = LIP_TOL
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
@@ -68,7 +67,7 @@ class FunctionTable:
         mask = dx > 0
         return float((dy[mask] / dx[mask]).max())
 
-    def value_at(self, x: float, tol: float = 1e-8) -> float:
+    def value_at(self, x: float, tol: float = PAIR_TOL_SCALE) -> float:
         """Value at the table point nearest to ``x`` (within ``tol``)."""
         xs = self.locations
         i = int(np.argmin(np.abs(xs - x)))
@@ -78,18 +77,22 @@ class FunctionTable:
             )
         return self.points[i][1]
 
-    def __call__(self, x: float, tol: float = 1e-8) -> float:
+    def __call__(self, x: float, tol: float = PAIR_TOL_SCALE) -> float:
         return self.value_at(x, tol=tol)
 
 
+def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
+    """``|y_j - y_k| - c |x_j - x_k|`` above the diagonal (``j < k``), ``-inf`` elsewhere."""
+    upper = np.arange(len(xs))[:, None] < np.arange(len(xs))
+    excess = np.abs(ys[:, None] - ys[None, :]) - c * np.abs(xs[:, None] - xs[None, :])
+    return np.where(upper, excess, -np.inf)
+
+
 def _lipschitz_violation(pts, c: float, tol: float):
-    worst = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            excess = abs(pts[i][1] - pts[j][1]) - c * abs(pts[i][0] - pts[j][0])
-            if excess > tol and (worst is None or excess > worst[0]):
-                worst = (excess, (pts[i], pts[j]))
-    return worst[1] if worst else None
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN excess, never a violation
+        excess = _lipschitz_excess(*np.array(pts).T, c)
+    j, k = divmod(int(np.nanargmax(excess)), len(pts))  # the first worst pair
+    return (pts[j], pts[k]) if excess[j, k] > tol else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +121,7 @@ class LipschitzExtension:
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def mcshane_extend(f: FunctionTable, c: float, lip_tol: float = DEFAULT_LIP_TOL) -> LipschitzExtension:
+def mcshane_extend(f: FunctionTable, c: float, lip_tol: float = LIP_TOL) -> LipschitzExtension:
     """Extend a c-Lipschitz table to the line, keeping the constant.
 
     Raises :class:`PreconditionError` naming a violating pair when the table

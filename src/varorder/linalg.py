@@ -27,12 +27,9 @@ from .errors import (
     ValidationError,
 )
 from .functions import FunctionTable
+from .tolerances import CHECK_TOL, PAIR_TOL_SCALE, ROUND_RTOL
 
-HERMITIAN_RTOL = 1e-10
-GROUP_TOL_SCALE = 1e-8
-JACOBI_OFF_SCALE = 1e-12
 JACOBI_MAX_SWEEPS = 100
-UNITARY_TOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -52,6 +49,17 @@ def as_complex_matrix(obj, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def _hermitian_part(obj, error: Callable[[float, float], Exception]) -> np.ndarray:
+    """``(M + M*) / 2``; raises ``error(dev, bound)`` when ``dev = max |M - M*|`` exceeds
+    ``bound = CHECK_TOL * max(1, |M|_max)``."""
+    m = as_complex_matrix(obj)
+    bound = CHECK_TOL * max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    if dev > bound:
+        raise error(dev, bound)
+    return (m + m.conj().T) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianObservable:
     """A Hermitian matrix; the input is symmetrized once it passes validation."""
@@ -59,15 +67,11 @@ class HermitianObservable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-        dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        if dev > HERMITIAN_RTOL * scale:
-            raise NotHermitianError(
-                f"matrix is not Hermitian: max |M - M*| = {dev:.3e} "
-                f"exceeds {HERMITIAN_RTOL:.0e} * max(1, |M|_max) = {HERMITIAN_RTOL * scale:.3e}"
-            )
-        object.__setattr__(self, "matrix", _freeze((m + m.conj().T) / 2.0))
+        m = _hermitian_part(self.matrix, lambda dev, bound: NotHermitianError(
+            f"matrix is not Hermitian: max |M - M*| = {dev:.3e} "
+            f"exceeds {CHECK_TOL:.0e} * max(1, |M|_max) = {bound:.3e}"
+        ))
+        object.__setattr__(self, "matrix", _freeze(m))
 
     @property
     def dim(self) -> int:
@@ -227,7 +231,7 @@ def jacobi_eigh(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
 
     Cyclic Jacobi sweeps run until the off-diagonal Frobenius norm drops
-    below ``1e-12 * |A|_F`` or the sweep cap is hit, in which case an
+    below ``ROUND_RTOL * |A|_F`` or the sweep cap is hit, in which case an
     :class:`EigensolverError` carrying the residual is raised.
     """
     a = np.array(matrix, dtype=np.complex128)
@@ -235,7 +239,7 @@ def jacobi_eigh(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray
     v = np.eye(n, dtype=np.complex128)
     if n == 1:
         return np.array([a[0, 0].real]), v
-    target = JACOBI_OFF_SCALE * float(np.linalg.norm(a))
+    target = ROUND_RTOL * float(np.linalg.norm(a))
     skip = target / (2.0 * n)
     for _ in range(max_sweeps):
         if _offdiag_norm(a) <= target:
@@ -260,11 +264,12 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     """Grouped spectral decomposition of a Hermitian observable.
 
     Eigenvalues within ``group_tol`` of each other are merged into a single
-    group carrying their mean, with the group's eigenvectors as adjacent
-    columns of one eigenvector matrix.  The default tolerance is
-    ``1e-8 * max(1, |A|_F)``.  The eigensolver runs at most once per (immutable)
-    observable; grouped decompositions are cached on it per grouping, so every
-    tolerance that yields the same group ranks returns the same object.
+    group carrying their mean (clipped into the group's range), with the
+    group's eigenvectors as adjacent columns of one eigenvector matrix.  The
+    default tolerance is ``PAIR_TOL_SCALE * max(1, |A|_F)``.  The eigensolver
+    runs at most once per (immutable) observable; grouped decompositions are
+    cached on it per grouping, so every tolerance that yields the same group
+    ranks returns the same object.
     """
     obs = _as_observable(A)
     group_tol = resolve_tol(group_tol, obs)
@@ -273,7 +278,8 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     ranks = tuple(np.diff(bounds).tolist())
     cache = obs.__dict__.setdefault("_spectral_cache", {})
     if ranks not in cache:
-        lams = np.add.reduceat(w, bounds[:-1]) / ranks
+        means = np.add.reduceat(w, bounds[:-1]) / ranks
+        lams = np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1])
         dec = SpectralDecomposition(lams, v, ranks)
         spread = float(np.linalg.norm(w - np.repeat(lams, ranks)))
         recon_err = float(np.linalg.norm(dec.matrix() - obs.matrix))
@@ -330,11 +336,11 @@ def commutator_norm(A, B) -> float:
 
 
 def _tol_at(scale: float) -> float:
-    return GROUP_TOL_SCALE * max(1.0, scale)
+    return PAIR_TOL_SCALE * max(1.0, scale)
 
 
 def default_pair_tol(*observables: HermitianObservable) -> float:
-    """The default tolerance: ``1e-8 * max(1, |X|_F)`` over the given observables."""
+    """The default tolerance: ``PAIR_TOL_SCALE * max(1, |X|_F)`` over the given observables."""
     return _tol_at(max(x.frobenius_norm for x in observables))
 
 
@@ -369,7 +375,7 @@ class UnitaryMap:
     def __post_init__(self):
         u = as_complex_matrix(self.matrix)
         dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-        if dev > UNITARY_TOL:
+        if dev > CHECK_TOL:
             raise ValidationError(f"matrix is not unitary: max |U*U - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", _freeze(u))
 

@@ -17,7 +17,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .functions import FunctionTable
+from .functions import FunctionTable, _lipschitz_excess
 from .linalg import (
     HermitianObservable,
     _as_observable,
@@ -29,9 +29,7 @@ from .linalg import (
 )
 from .sampling import as_rng, complex_gaussian
 from .states import DensityState, PureState, _variances, variance
-
-FAIL_MARGIN_TOL = 1e-9
-STATE_ORDER_TOL = 1e-9
+from .tolerances import CHECK_TOL, DUST, FAIL_MARGIN_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +75,12 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     ``sqrt(2) |A'[g, not g]|_F`` equals ``|PA - AP|_F``) and is scalar there
     (with scalar value the mean of the diagonal of ``A'[g, g]``), and
     finally that the scalar values are 1-Lipschitz across eigenvalue gaps.
-    A single tolerance ``tol`` (default ``1e-8 * max(1, |A|_F, |B|_F)``;
-    a given one must be finite and >= 0) controls the eigenvalue grouping,
-    the residue checks, and the Lipschitz slack.  ``B``'s eigenpairs are
-    solved once per observable and its grouped decompositions cached per
-    grouping, however many partners it is decided against.
+    A single tolerance ``tol`` (default
+    ``PAIR_TOL_SCALE * max(1, |A|_F, |B|_F)``; a given one must be finite and
+    >= 0) controls the eigenvalue grouping, the residue checks, and the
+    Lipschitz slack.  ``B``'s eigenpairs are solved once per observable and
+    its grouped decompositions cached per grouping, however many partners it
+    is decided against.
 
     On failure the witness is the eigenbasis candidate of the offending
     eigenspace with the largest variance for ``A`` (ties to the lowest
@@ -122,9 +121,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
 
     # Pairwise Lipschitz check on the induced eigenvalue table; the worst
     # excess wins, ties to the first pair in (j, k) order.
-    excess = np.triu(
-        np.abs(scalars[:, None] - scalars[None, :]) - np.abs(lams[:, None] - lams[None, :]) - tol, 1
-    )
+    excess = _lipschitz_excess(lams, scalars, 1.0) - tol
     worst = int(np.argmax(excess))
     if excess.flat[worst] > 0:
         j, k = divmod(worst, len(lams))
@@ -148,7 +145,7 @@ class OracleConfig:
     restarts: int = 32
     steps: int = 500
     initial_step: float = 1.0
-    grad_tol: float = 1e-10
+    grad_tol: float = CHECK_TOL
     seed: int = 0
 
 
@@ -205,9 +202,9 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
             val[hit] = vc[improved]
             rest = pend[~improved]
             eta[rest] *= 0.5
-            dead = rest[eta[rest] < 1e-14]
+            dead = rest[eta[rest] < DUST]
             active[dead] = False
-            pend = rest[eta[rest] >= 1e-14]
+            pend = rest[eta[rest] >= DUST]
     best = int(np.argmax(val))
     return PureState.normalized(x[best]), float(val[best])
 
@@ -267,7 +264,7 @@ def canonical_representative(A) -> HermitianObservable:
 
 
 def state_order_violation(
-    A, B, trials: int, seed=0, tol: float = STATE_ORDER_TOL
+    A, B, trials: int, seed=0, tol: float = FAIL_MARGIN_TOL
 ) -> DensityState | None:
     """First sampled density matrix with ``var(A) > var(B) + tol``, if any."""
     a, b = _as_pair(A, B)
@@ -285,7 +282,7 @@ def state_order_violation(
     return None
 
 
-def check_state_order(A, B, trials: int, seed=0, tol: float = STATE_ORDER_TOL) -> bool:
+def check_state_order(A, B, trials: int, seed=0, tol: float = FAIL_MARGIN_TOL) -> bool:
     """Monte Carlo falsifier: no sampled density state violates the order.
 
     Samples Wishart-style density matrices and checks

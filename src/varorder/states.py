@@ -24,22 +24,15 @@ from .linalg import (
     _as_observable,
     _eigh,
     _freeze,
-    as_complex_matrix,
+    _hermitian_part,
     resolve_tol,
 )
-
-PURE_NORM_TOL = 1e-12
-DENSITY_TOL = 1e-10
-DENSITY_EIG_FLOOR = -1e-10
-MASS_DROP_TOL = 1e-14
-MEASURE_SUM_TOL = 1e-10
-VARIANCE_AGREE_TOL = 1e-10
-SANDWICH_TOL = 1e-10
+from .tolerances import CHECK_TOL, DUST, ROUND_RTOL
 
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit vector; the norm must already be 1 to within 1e-12."""
+    """A unit vector; the norm must already be 1 to within ``ROUND_RTOL``."""
 
     vector: np.ndarray
 
@@ -50,8 +43,8 @@ class PureState:
         if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
             raise ValidationError("state vector entries must be finite")
         nrm = float(np.linalg.norm(x))
-        if abs(nrm - 1.0) > PURE_NORM_TOL:
-            raise ValidationError(f"state vector norm {nrm!r} is not 1 within {PURE_NORM_TOL:.0e}")
+        if abs(nrm - 1.0) > ROUND_RTOL:
+            raise ValidationError(f"state vector norm {nrm!r} is not 1 within {ROUND_RTOL:.0e}")
         object.__setattr__(self, "vector", _freeze(x))
 
     @property
@@ -80,19 +73,16 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        scale = max(1.0, float(np.abs(m).max()))
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > DENSITY_TOL * scale:
-            raise ValidationError(f"density matrix is not Hermitian: max |M - M*| = {dev:.3e}")
-        m = (m + m.conj().T) / 2.0
+        m = _hermitian_part(self.matrix, lambda dev, _: ValidationError(
+            f"density matrix is not Hermitian: max |M - M*| = {dev:.3e}"
+        ))
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > DENSITY_TOL:
-            raise ValidationError(f"density matrix trace {tr!r} is not 1 within {DENSITY_TOL:.0e}")
+        if abs(tr - 1.0) > CHECK_TOL:
+            raise ValidationError(f"density matrix trace {tr!r} is not 1 within {CHECK_TOL:.0e}")
         w, _ = _eigh(m)
-        if w[0] < DENSITY_EIG_FLOOR:
+        if w[0] < -CHECK_TOL:
             raise ValidationError(
-                f"density matrix has eigenvalue {w[0]!r} below the floor {DENSITY_EIG_FLOOR:.0e}"
+                f"density matrix has eigenvalue {w[0]!r} below the floor {-CHECK_TOL:.0e}"
             )
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -166,7 +156,7 @@ def _clean_atoms(pairs, merge_tol: float) -> tuple[tuple[float, float], ...]:
             merged[-1][1] = tot
         else:
             merged.append([t, p])
-    kept = [(t, p) for t, p in merged if p >= MASS_DROP_TOL]
+    kept = [(t, p) for t, p in merged if p >= DUST]
     total = sum(p for _, p in kept)
     if total <= 0:
         raise ValidationError("measure has no mass left after dropping empty atoms")
@@ -190,12 +180,12 @@ class BornMeasure:
         if np.any(masses < 0):
             raise ValidationError("atom masses must be nonnegative")
         total = float(masses.sum())
-        if abs(total - 1.0) > MEASURE_SUM_TOL:
-            raise ValidationError(f"atom masses sum to {total!r}, not 1 within {MEASURE_SUM_TOL:.0e}")
+        if abs(total - 1.0) > CHECK_TOL:
+            raise ValidationError(f"atom masses sum to {total!r}, not 1 within {CHECK_TOL:.0e}")
         object.__setattr__(self, "atoms", atoms)
 
     @classmethod
-    def normalized(cls, pairs, merge_tol: float = 1e-12) -> "BornMeasure":
+    def normalized(cls, pairs, merge_tol: float = ROUND_RTOL) -> "BornMeasure":
         """Sort, merge near-coincident atoms, drop dust, and renormalize."""
         return cls(_clean_atoms(pairs, merge_tol))
 
@@ -224,11 +214,10 @@ def born_measure(decomposition: SpectralDecomposition, state: State) -> BornMeas
         weights = np.einsum("ij,ij->j", v.conj(), state.matrix @ v).real
     masses = np.maximum(np.bincount(decomposition.labels, weights=weights), 0.0)
     total = float(masses.sum())
-    if abs(total - 1.0) > MEASURE_SUM_TOL:
+    if abs(total - 1.0) > CHECK_TOL:
         raise InternalConsistencyError(f"eigenspace masses sum to {total!r}, not 1")
-    pairs = [(lam, m) for lam, m in zip(decomposition.eigenvalues, masses) if m >= MASS_DROP_TOL]
-    total = sum(p for _, p in pairs)
-    return BornMeasure(tuple((t, p / total) for t, p in pairs))
+    # distinct eigenvalues: nothing merges at 0, so this only drops dust and renormalizes
+    return BornMeasure.normalized(zip(decomposition.eigenvalues, masses), merge_tol=0.0)
 
 
 def measure_variance(mu: BornMeasure) -> float:
@@ -236,7 +225,7 @@ def measure_variance(mu: BornMeasure) -> float:
 
     Both the moment formula ``m2 - m1^2`` and the double integral
     ``(1/2) integral of (t - s)^2 d(mu x mu)`` are evaluated; they must agree
-    to 1e-10 or an :class:`InternalConsistencyError` is raised.  The moment
+    to ``CHECK_TOL`` or an :class:`InternalConsistencyError` is raised.  The moment
     value is returned.
     """
     t = mu.locations
@@ -246,7 +235,7 @@ def measure_variance(mu: BornMeasure) -> float:
     moment = m2 - m1 * m1
     diff = t[:, None] - t[None, :]
     double = 0.5 * float(np.einsum("ij,i,j->", diff * diff, p, p))
-    if abs(moment - double) > VARIANCE_AGREE_TOL:
+    if abs(moment - double) > CHECK_TOL:
         raise InternalConsistencyError(
             f"variance formulas disagree: moment {moment!r} vs double integral {double!r}"
         )
@@ -258,7 +247,7 @@ def pushforward(mu: BornMeasure, f, merge_tol: float | None = None) -> BornMeasu
     new_locs = [float(f(t)) for t in mu.locations]
     if merge_tol is None:
         scale = max([1.0] + [abs(v) for v in new_locs])
-        merge_tol = 1e-12 * scale
+        merge_tol = ROUND_RTOL * scale
     return BornMeasure.normalized(zip(new_locs, mu.masses), merge_tol=merge_tol)
 
 
@@ -277,7 +266,7 @@ def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float
 
     Returns ``(D, var, err)`` with ``D = |Ax - lam x|^2`` and
     ``err = |<A> - lam|``, after asserting ``D/2 <= var + err^2 <= 2D``
-    (to 1e-10).
+    (to ``CHECK_TOL``).
     """
     obs = _as_observable(A)
     _check_dims(obs, state)
@@ -287,7 +276,7 @@ def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float
     var = variance(obs, state)
     err = abs(float(np.vdot(x, ax).real) - float(lam))
     mid = var + err * err
-    if 0.5 * d - mid > SANDWICH_TOL or mid - 2.0 * d > SANDWICH_TOL:
+    if 0.5 * d - mid > CHECK_TOL or mid - 2.0 * d > CHECK_TOL:
         raise InternalConsistencyError(
             f"sandwich violated: D = {d!r}, var + err^2 = {mid!r}"
         )

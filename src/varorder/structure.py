@@ -39,8 +39,7 @@ from .linalg import (
 )
 from .order import decide_order
 from .sampling import as_rng, random_hermitian, random_lipschitz_values
-
-QMATRIX_TIE_RTOL = 1e-9
+from .tolerances import GAP_RTOL, ROUND_RTOL
 
 
 def block_shift_upper_bound(A, B) -> HermitianObservable:
@@ -125,16 +124,14 @@ def two_point_lower_set(A) -> tuple[TwoPointFamily, ...]:
     """
     a = _as_observable(A)
     dec = eigendecompose(a)
-    m = len(dec.groups)
+    m = len(dec.ranks)
     if m == 1:
         raise DegenerateInputError(
             "spectrum has a single point; everything below it is scalar"
         )
     lams = dec.eigenvalues
     families = []
-    for r in range(1, m):
-        if r > m - r:
-            break
+    for r in range(1, m // 2 + 1):
         for omega in combinations(range(m), r):
             if 2 * r == m and 0 not in omega:
                 continue
@@ -158,7 +155,7 @@ class QMatrix:
             raise DegenerateInputError(f"gap matrix needs n >= 4, got n = {q.shape[0]}")
         if not np.all(np.isfinite(q)):
             raise ValidationError("gap matrix entries must be finite")
-        if np.abs(q - q.T).max() > 1e-12 * max(1.0, np.abs(q).max()):
+        if np.abs(q - q.T).max() > ROUND_RTOL * max(1.0, np.abs(q).max()):
             raise ValidationError("gap matrix must be symmetric")
         if np.abs(np.diag(q)).max() > 0:
             raise ValidationError("gap matrix diagonal must be zero")
@@ -209,7 +206,7 @@ def q_matrix(spectrum, method: str = "closed") -> QMatrix:
     np.fill_diagonal(q, 0.0)
     if method == "enumerate":
         q2 = _enumerated_q(pts)
-        if np.abs(q - q2).max() > 1e-9 * max(1.0, diam):
+        if np.abs(q - q2).max() > GAP_RTOL * max(1.0, diam):
             raise InternalConsistencyError(
                 "closed-form gap matrix disagrees with the clamp enumeration"
             )
@@ -240,7 +237,7 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
     qmax = float(q.max())
     if qmax <= 0:
         raise ReconstructionError("gap matrix has no positive entries")
-    tie = QMATRIX_TIE_RTOL * qmax
+    tie = GAP_RTOL * qmax
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if q[i, j] >= qmax - tie]
     if not 1 <= len(pairs) <= 3:
         raise ReconstructionError(
@@ -271,7 +268,7 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
         q_check = q_matrix(positions).values
     except (ValidationError, DegenerateInputError) as exc:
         raise ReconstructionError(f"recovered positions are degenerate: {exc}") from exc
-    atol = 1e-9 * max(1.0, qmax)
+    atol = GAP_RTOL * max(1.0, qmax)
     if np.abs(q_check - q).max() > atol:
         raise ReconstructionError("gap matrix is not consistent with any point configuration")
     dist_check = np.abs(positions[:, None] - positions[None, :])
@@ -328,7 +325,6 @@ def verify_automorphism(
         raise ValidationError(f"dimension must be at least 2, got {dim}")
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
-    transform = phi.transform if isinstance(phi, AutomorphismSpec) else phi
     rng = as_rng(seed)
     for t in range(trials):
         b = random_hermitian(dim, rng)
@@ -338,8 +334,8 @@ def verify_automorphism(
             a = apply_function(dec, FunctionTable.from_values(dec.eigenvalues, vals))
         else:
             a = random_hermitian(dim, rng)
-        fa = _as_observable(transform(a))
-        fb = _as_observable(transform(b))
+        fa = _as_observable(phi(a))
+        fb = _as_observable(phi(b))
         for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
             if decide_order(x, y, tol).holds != decide_order(fx, fy, tol).holds:
                 return AutomorphismReport(False, t + 1, (a, b), t)
@@ -367,7 +363,7 @@ def two_spectrum_detector(A, method: str = "spectral", samples: int = 20, seed=0
     """
     a = _as_observable(A)
     dec = eigendecompose(a)
-    m = len(dec.groups)
+    m = len(dec.ranks)
     if method == "spectral":
         return m == 2
     if method != "order":
@@ -399,9 +395,9 @@ def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianO
     """
     a = _as_observable(A)
     dec = eigendecompose(a)
-    if len(dec.groups) != 3:
+    if len(dec.ranks) != 3:
         raise DegenerateInputError(
-            f"expected exactly 3 distinct eigenvalues, got {len(dec.groups)}"
+            f"expected exactly 3 distinct eigenvalues, got {len(dec.ranks)}"
         )
     tol = resolve_tol(tol, a)
     lams = dec.eigenvalues

@@ -12,6 +12,7 @@ from varorder import (
     ValidationError,
     mcshane_extend,
 )
+from varorder.functions import _lipschitz_violation
 from varorder.sampling import random_lipschitz_table
 
 
@@ -141,3 +142,35 @@ def test_extension_lipschitz_property(seed, c, probe, x):
     locs = locs[np.r_[True, np.diff(locs) > 1e-6]]
     ext = mcshane_extend(random_lipschitz_table(locs, seed=rng, constant=c), c)
     assert abs(ext(probe) - ext(x)) <= c * abs(probe - x) + 1e-9
+
+
+def _loop_violation(pts, c, tol):
+    # the pairwise double loop the vectorised check replaced, kept as its oracle
+    worst = None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            excess = abs(pts[i][1] - pts[j][1]) - c * abs(pts[i][0] - pts[j][0])
+            if excess > tol and (worst is None or excess > worst[0]):
+                worst = (excess, (pts[i], pts[j]))
+    return worst[1] if worst else None
+
+
+TIE_VALUES = [-1.0, 0.0, 0.5, 1.0, 2.0]
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    xs=st.lists(st.integers(-5, 5), min_size=1, max_size=7, unique=True),
+    data=st.data(),
+    c=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    lip_tol=st.sampled_from([1e-9, 0.0, -0.5]),
+)
+def test_vectorised_lipschitz_check_picks_the_loops_pair(xs, data, c, lip_tol):
+    # integer locations and few values make equal excesses (ties) common;
+    # non-finite values give NaN or infinite excesses, which must not differ either
+    value = st.one_of(
+        st.sampled_from(TIE_VALUES), st.floats(-10.0, 10.0), st.sampled_from([np.nan, np.inf])
+    )
+    ys = data.draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+    pts = tuple(zip(map(float, sorted(xs)), ys))
+    assert _lipschitz_violation(pts, c, lip_tol) == _loop_violation(pts, c, lip_tol)

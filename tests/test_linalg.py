@@ -188,6 +188,15 @@ def test_decompose_group_tol_merges_near_eigenvalues():
     assert dec.eigenvalues[0] == pytest.approx(0.2)  # merged group keeps the mean
 
 
+def test_group_means_stay_inside_their_groups_at_zero_tol():
+    # three 0.1s sum to 0.30000000000000004, whose third rounds onto the next group
+    obs = HermitianObservable.from_diag([0.1, 0.1, 0.1, np.nextafter(0.1, 1.0)])
+    dec = eigendecompose(obs, group_tol=0.0)
+    assert dec.ranks == (3, 1)
+    w, _ = obs.eigenpairs
+    assert w[0] <= dec.eigenvalues[0] <= w[2] < w[3] == dec.eigenvalues[1]
+
+
 @pytest.mark.parametrize("n", [2, 5, 11, 16])
 def test_projector_algebra_random(n):
     obs = random_hermitian(n, seed=200 + n)

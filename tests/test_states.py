@@ -60,6 +60,12 @@ def test_density_state_invariants():
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
 
 
+def test_density_state_rejects_an_empty_matrix():
+    # used to leak numpy's ValueError from max() over a zero-size array
+    with pytest.raises(ValidationError):
+        DensityState(np.zeros((0, 0)))
+
+
 def test_density_from_pure_matches_pure_functionals():
     a = random_hermitian(4, seed=41)
     x = PureState(random_pure_vector(4, np.random.default_rng(42)))

@@ -27,7 +27,6 @@ from .functions import FunctionTable, LipschitzExtension, mcshane_extend
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
-    SpectralGroup,
     UnitaryMap,
     apply_function,
     commutator_norm,

@@ -18,15 +18,11 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    DomainError,
     EigensolverError,
     InternalConsistencyError,
-    NotHermitianError,
     PreconditionError,
-    ReconstructionError,
     ValidationError,
+    VarOrderError,
 )
 from .linalg import HermitianObservable, UnitaryMap, resolve_tol
 from .order import (
@@ -40,6 +36,7 @@ from .states import DensityState, PureState, maximal_deviation, variance
 from .structure import (
     AutomorphismSpec,
     QMatrix,
+    _sampling_dim,
     joint_upper_bound,
     q_matrix,
     reconstruct_metric,
@@ -47,17 +44,6 @@ from .structure import (
     verify_automorphism,
 )
 from .tolerances import ORACLE_AGREE_TOL
-
-INPUT_ERRORS = (
-    OSError,
-    json.JSONDecodeError,
-    ValidationError,
-    NotHermitianError,
-    DimensionMismatchError,
-    DomainError,
-    DegenerateInputError,
-    ReconstructionError,
-)
 
 
 def _numeric(data, what: str, kind=np.float64):
@@ -158,7 +144,7 @@ def cmd_check_order(args) -> int:
         "tol": tol,
     }
     code = 0 if verdict.holds else 1
-    if args.oracle_trials > 0:
+    if args.oracle_trials:
         cfg = OracleConfig(restarts=args.oracle_trials, seed=args.seed)
         _, best = witness_search(a, b, cfg)
         agrees = verdict.holds == (best <= ORACLE_AGREE_TOL)
@@ -244,12 +230,10 @@ def cmd_reconstruct_metric(args) -> int:
 def cmd_verify_automorphism(args) -> int:
     if args.unitary is not None:
         u = UnitaryMap(load_matrix(args.unitary), antiunitary=args.antiunitary)
-        dim = u.dim
     else:
-        u = UnitaryMap(np.eye(args.dim), antiunitary=args.antiunitary)
-        dim = args.dim
+        u = UnitaryMap(np.eye(_sampling_dim(args.dim)), antiunitary=args.antiunitary)
     spec = AutomorphismSpec(args.alpha, u)
-    report = verify_automorphism(spec, args.trials, dim, seed=args.seed)
+    report = verify_automorphism(spec, args.trials, u.dim, seed=args.seed)
     payload = {"passed": report.passed, "trials": report.trials, "counterexample": None}
     if report.counterexample is not None:
         ca, cb = report.counterexample
@@ -348,7 +332,7 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, EigensolverError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (*INPUT_ERRORS, PreconditionError) as exc:
+    except (OSError, json.JSONDecodeError, VarOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ class FunctionTable:
         if not pts:
             raise ValidationError("function table needs at least one point")
         xs = np.array([p[0] for p in pts])
-        if np.any(np.diff(xs) <= 0):
+        if np.isnan(xs).any() or np.any(np.diff(xs) <= 0):
             raise ValidationError("table points must have strictly increasing locations")
         object.__setattr__(self, "points", pts)
         if self.lipschitz_bound is not None:
@@ -77,8 +77,7 @@ class FunctionTable:
             )
         return self.points[i][1]
 
-    def __call__(self, x: float, tol: float = PAIR_TOL_SCALE) -> float:
-        return self.value_at(x, tol=tol)
+    __call__ = value_at
 
 
 def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
@@ -101,12 +100,11 @@ class LipschitzExtension:
 
     Evaluation takes the pointwise minimum of the cones ``f(x_i) + c|x - x_i|``.
     This is the upper extension; negate the table values (and the result) to
-    obtain the lower one.  ``flavor`` records the convention.
+    obtain the lower one.
     """
 
     table: FunctionTable
     constant: float
-    flavor: str = "upper"
 
     def __post_init__(self):
         if self.constant < 0:

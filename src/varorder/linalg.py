@@ -95,10 +95,6 @@ class HermitianObservable:
         w, v = _eigh(self.matrix)
         return _freeze(w), _freeze(v)
 
-    def spectral(self) -> "SpectralDecomposition":
-        """Default-tolerance decomposition: one eigensolve per observable, cached per grouping."""
-        return eigendecompose(self)
-
 
 def _as_observable(a) -> HermitianObservable:
     return a if isinstance(a, HermitianObservable) else HermitianObservable(a)
@@ -109,20 +105,6 @@ def _as_pair(A, B) -> tuple[HermitianObservable, HermitianObservable]:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return a, b
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralGroup:
-    """One eigenvalue cluster, viewed in its decomposition's eigenbasis."""
-
-    eigenvalue: float
-    rank: int
-    basis: np.ndarray  # dim x rank, orthonormal columns spanning the eigenspace
-
-    @property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the eigenspace, built on demand."""
-        return self.basis @ self.basis.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,21 +133,14 @@ class SpectralDecomposition:
             raise ValidationError("group eigenvalues must be strictly increasing")
 
     @property
-    def source_dim(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
     def labels(self) -> np.ndarray:
         """Group index of each eigenvector column (nondecreasing)."""
         return np.repeat(np.arange(len(self.ranks)), self.ranks)
 
-    @property
-    def groups(self) -> tuple[SpectralGroup, ...]:
-        ends = np.cumsum(self.ranks)
-        return tuple(
-            SpectralGroup(float(lam), r, self.vectors[:, e - r : e])
-            for lam, r, e in zip(self.eigenvalues, self.ranks, ends)
-        )
+    def projector(self, *groups: int) -> np.ndarray:
+        """Orthogonal projector onto the eigenspaces of the given group indices."""
+        basis = self.vectors[:, np.isin(self.labels, groups)]
+        return basis @ basis.conj().T
 
     @property
     def diameter(self) -> float:
@@ -295,15 +270,6 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
 def _table_value(f, lam: float, match_tol: float) -> float:
     if isinstance(f, FunctionTable):
         return f.value_at(lam, tol=match_tol)
-    if isinstance(f, Mapping):
-        best = None
-        for key, val in f.items():
-            d = abs(float(key) - lam)
-            if best is None or d < best[0]:
-                best = (d, val)
-        if best is None or best[0] > match_tol:
-            raise DomainError(f"function table has no point within {match_tol:.3e} of eigenvalue {lam!r}")
-        return float(best[1])
     try:
         return float(f(lam))
     except DomainError:
@@ -320,11 +286,14 @@ def apply_function(
     """Functional calculus: ``V diag(f(lam)) V*`` over the grouped eigenvalues.
 
     ``f`` may be a :class:`FunctionTable`, a mapping from eigenvalue to value
-    (matched within ``match_tol``), or a plain callable.
+    (made a table by :meth:`FunctionTable.from_mapping`), or a plain callable;
+    each eigenvalue is matched to its nearest table point within ``match_tol``.
     """
     lams = decomposition.eigenvalues
     if match_tol is None:
         match_tol = _tol_at(float(np.abs(lams).max()) if len(lams) else 1.0)
+    if isinstance(f, Mapping):
+        f = FunctionTable.from_mapping(f)
     values = [_table_value(f, float(lam), match_tol) for lam in lams]
     return HermitianObservable(decomposition.assemble(values))
 

@@ -144,18 +144,21 @@ class OracleConfig:
 
     restarts: int = 32
     steps: int = 500
-    initial_step: float = 1.0
     grad_tol: float = CHECK_TOL
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1 or self.steps < 0:
+            raise ValidationError(f"oracle needs restarts >= 1 and steps >= 0, got {self}")
 
 
 def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, float]:
     """Maximize ``var_x(A) - var_x(B)`` over the unit sphere.
 
-    Multi-restart projected gradient ascent with a halving line search; all
-    restarts advance in lockstep as one batch.  Returns the best state and
-    its value; ties across restarts resolve to the lowest restart index.
-    Deterministic for a fixed ``cfg.seed``.
+    Multi-restart projected gradient ascent with a line search that starts
+    each step at length 1 and halves it; all restarts advance in lockstep as
+    one batch.  Returns the best state and its value; ties across restarts
+    resolve to the lowest restart index.  Deterministic for a fixed ``cfg.seed``.
     """
     a, b = _as_pair(A, B)
     cfg = cfg or OracleConfig()
@@ -190,7 +193,7 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
             continue
         dirs = np.zeros_like(x)
         dirs[live] = grad[~converged]
-        eta = np.full(r, cfg.initial_step)
+        eta = np.ones(r)
         pend = live
         while pend.size:
             cand = x[pend] + eta[pend, None] * dirs[pend]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .functions import FunctionTable
 from .linalg import HermitianObservable, UnitaryMap
 
@@ -18,6 +19,8 @@ RngLike = int | np.random.Generator | None
 def as_rng(seed: RngLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
 

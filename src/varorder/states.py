@@ -203,11 +203,11 @@ class BornMeasure:
 
 def born_measure(decomposition: SpectralDecomposition, state: State) -> BornMeasure:
     """Distribution of measurement outcomes: mass ``tr(V_j* rho V_j)`` at each eigenvalue."""
-    if decomposition.source_dim != state.dim:
-        raise DimensionMismatchError(
-            f"decomposition dimension {decomposition.source_dim} does not match state {state.dim}"
-        )
     v = decomposition.vectors
+    if v.shape[0] != state.dim:
+        raise DimensionMismatchError(
+            f"decomposition dimension {v.shape[0]} does not match state {state.dim}"
+        )
     if isinstance(state, PureState):
         weights = np.abs(v.conj().T @ state.vector) ** 2
     else:

@@ -107,8 +107,7 @@ class TwoPointFamily:
 
     @property
     def projector(self) -> np.ndarray:
-        basis = self.decomposition.vectors[:, np.isin(self.decomposition.labels, self.indices)]
-        return basis @ basis.conj().T
+        return self.decomposition.projector(*self.indices)
 
     def observable(self, t: float) -> HermitianObservable:
         return HermitianObservable(float(t) * self.projector)
@@ -213,7 +212,7 @@ def q_matrix(spectrum, method: str = "closed") -> QMatrix:
         q = q2
         np.fill_diagonal(q, 0.0)
     elif method != "closed":
-        raise ValueError(f"unknown method {method!r}")
+        raise ValidationError(f"unknown method {method!r}")
     return QMatrix(q)
 
 
@@ -304,6 +303,12 @@ class AutomorphismReport:
     counterexample_trial: int | None = None
 
 
+def _sampling_dim(dim: int) -> int:
+    if dim < 2:
+        raise ValidationError(f"dimension must be at least 2, got {dim}")
+    return dim
+
+
 def verify_automorphism(
     phi: AutomorphismSpec | Callable,
     trials: int,
@@ -321,8 +326,7 @@ def verify_automorphism(
     to Hermitian observables, so ill-formed maps can be refuted; stops at
     the first counterexample.
     """
-    if dim < 2:
-        raise ValidationError(f"dimension must be at least 2, got {dim}")
+    _sampling_dim(dim)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     rng = as_rng(seed)
@@ -367,7 +371,7 @@ def two_spectrum_detector(A, method: str = "spectral", samples: int = 20, seed=0
     if method == "spectral":
         return m == 2
     if method != "order":
-        raise ValueError(f"unknown method {method!r}")
+        raise ValidationError(f"unknown method {method!r}")
     if m == 1:
         # everything below a scalar is scalar: the lower set is one class
         return False

@@ -140,7 +140,8 @@ def test_criterion_03_superposition_witness_formula():
         vals = lams.copy()
         vals[g + 1 :] += (kappa - 1.0) * gap  # identity except one stretched gap
         a = apply_function(dec, FunctionTable.from_values(lams, vals))
-        y = PureState.normalized(dec.groups[g].basis[:, 0] + dec.groups[g + 1].basis[:, 0])
+        both = dec.vectors[:, dec.labels == g][:, 0] + dec.vectors[:, dec.labels == g + 1][:, 0]
+        y = PureState.normalized(both)
         var_a, var_b = variance(a, y), variance(b, y)
         dev = max(
             abs(var_a - 0.25 * (vals[g + 1] - vals[g]) ** 2),

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from varorder import EigensolverError, InternalConsistencyError, VarOrderError
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -130,6 +132,26 @@ def test_eigensolver_failure_exits_3(files, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("internal error: LAPACK eigensolver failed: Eigenvalues did not converge")
+
+
+def _error_classes(cls=VarOrderError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_hierarchy(error, monkeypatch, capsys):
+    # every toolkit error is an input error (2) except the two internal ones (3)
+    from varorder import cli
+
+    def fail(_):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_max_deviation", fail)
+    internal = issubclass(error, (InternalConsistencyError, EigensolverError))
+    assert cli.main(["max-deviation", "a.json"]) == (3 if internal else 2)
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("internal error: boom\n" if internal else "error: boom\n")
 
 
 def test_check_order_is_deterministic(files):
@@ -330,6 +352,32 @@ def test_verify_automorphism_nonpositive_trials_is_an_input_error(files):
     res = run_cli("verify-automorphism", "--trials", "-3")
     assert res.returncode == 2
     assert not res.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-automorphism", "--dim", "0"], "dimension must be at least 2, got 0"),
+        (["verify-automorphism", "--dim", "-1"], "dimension must be at least 2, got -1"),
+        (["verify-automorphism", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+        (["check-order", "--oracle-trials", "2", "--seed", "-1"], "seed must be a nonnegative"),
+        (["check-order", "--oracle-trials", "-1"], "oracle needs restarts >= 1"),
+    ],
+    ids=["dim-0", "dim-negative", "automorphism-seed", "oracle-seed", "oracle-trials"],
+)
+def test_out_of_range_arguments_are_input_errors(files, capsys, argv, message):
+    # these ended in a numpy traceback with exit 1 ("refuted"), or, for
+    # --oracle-trials -1, skipped the oracle and exited 0
+    from varorder.cli import main
+
+    _, matrix = files
+    if argv[0] == "check-order":
+        argv = argv[:1] + [matrix("a.json", [0.0, 1.0, 2.0]), matrix("b.json", [0.0, 1.0, 3.0])] + argv[1:]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert message in out.err
 
 
 def test_verify_automorphism_with_unitary_file(files):

@@ -21,6 +21,10 @@ def test_table_requires_increasing_locations():
         FunctionTable(((1.0, 0.0), (1.0, 2.0)))
     with pytest.raises(ValidationError):
         FunctionTable(((2.0, 0.0), (1.0, 2.0)))
+    # a NaN location compares false to everything, so it would match every x
+    for pts in (((np.nan, 0.0),), ((0.0, 1.0), (np.nan, 2.0))):
+        with pytest.raises(ValidationError):
+            FunctionTable(pts)
 
 
 def test_table_requires_points():
@@ -111,11 +115,6 @@ def test_not_lipschitz_names_the_violating_pair():
     with pytest.raises(PreconditionError, match=r"0\.0.*1\.0") as err:
         mcshane_extend(t, 1.0)
     assert err.value.witness == ((0.0, 0.0), (1.0, 5.0))
-
-
-def test_flavor_is_recorded():
-    ext = mcshane_extend(FunctionTable(((0.0, 0.0),)), 1.0)
-    assert ext.flavor == "upper"
 
 
 def test_negation_gives_the_smallest_extension():

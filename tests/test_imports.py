@@ -1,0 +1,37 @@
+"""Every module-level import in ``src/varorder/`` is used by its module."""
+
+import ast
+from pathlib import Path
+
+import varorder
+
+SRC = Path(varorder.__file__).parent
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = stmt.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_module_imports():
+    # __init__ imports to re-export, so it is the one module exempt
+    found = {
+        path.name: unused
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        if (unused := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse("import json\nimport numpy as np\nfrom .errors import A, B\nnp.eye(A)\n")
+    assert _unused_imports(tree) == ["json (line 1)", "B (line 3)"]

@@ -13,6 +13,7 @@ from varorder import (
     DimensionMismatchError,
     DomainError,
     EigensolverError,
+    FunctionTable,
     HermitianObservable,
     NotHermitianError,
     UnitaryMap,
@@ -170,8 +171,8 @@ def test_decompose_pauli_x():
     # projectors onto (1, -1)/sqrt(2) and (1, 1)/sqrt(2)
     p_minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
     p_plus = np.array([[0.5, 0.5], [0.5, 0.5]])
-    np.testing.assert_allclose(dec.groups[0].projector, p_minus, atol=1e-12)
-    np.testing.assert_allclose(dec.groups[1].projector, p_plus, atol=1e-12)
+    np.testing.assert_allclose(dec.projector(0), p_minus, atol=1e-12)
+    np.testing.assert_allclose(dec.projector(1), p_plus, atol=1e-12)
 
 
 def test_decompose_complex_offdiagonal():
@@ -202,17 +203,19 @@ def test_projector_algebra_random(n):
     obs = random_hermitian(n, seed=200 + n)
     dec = eigendecompose(obs)
     eye = np.eye(n)
+    m = len(dec.ranks)
     total = np.zeros((n, n), dtype=complex)
-    for g in dec.groups:
-        p = g.projector
+    for j in range(m):
+        p = dec.projector(j)
         np.testing.assert_allclose(p @ p, p, atol=1e-8)
         np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
         total += p
     np.testing.assert_allclose(total, eye, atol=1e-8)
-    for i, gi in enumerate(dec.groups):
-        for gj in dec.groups[i + 1 :]:
+    np.testing.assert_allclose(dec.projector(*range(m)), eye, atol=1e-8)
+    for i in range(m):
+        for j in range(i + 1, m):
             np.testing.assert_allclose(
-                gi.projector @ gj.projector, np.zeros((n, n)), atol=1e-8
+                dec.projector(i) @ dec.projector(j), np.zeros((n, n)), atol=1e-8
             )
 
 
@@ -252,7 +255,7 @@ def eigh_calls(monkeypatch):
 
 def test_one_eigensolve_per_observable_across_partner_norms(eigh_calls):
     b = random_hermitian(3, seed=1)
-    dec = b.spectral()
+    dec = eigendecompose(b)
     # shifted partners hold, and their norms raise the default tol
     # 1e-8 * max(1, |A|_F, |B|_F) above B's own default
     for shift in (10.0, 1000.0):
@@ -310,8 +313,11 @@ def test_apply_is_a_homomorphism():
     obs = random_hermitian(6, seed=11)
     dec = eigendecompose(obs)
     lams = dec.eigenvalues
-    f = dict(zip(lams, lams**2 - 1.0))
+    f = dict(zip(lams[::-1], lams[::-1] ** 2 - 1.0))  # keys in descending order
     inner = apply_function(dec, f)
+    # a mapping is applied as the table it makes, bit for bit
+    table = apply_function(dec, FunctionTable.from_mapping(f))
+    np.testing.assert_array_equal(inner.matrix, table.matrix)
     composed = apply_function(dec, {x: np.cos(f[x]) for x in lams})
     chained = apply_function(eigendecompose(inner), np.cos)
     np.testing.assert_allclose(composed.matrix, chained.matrix, atol=1e-8)
@@ -325,8 +331,12 @@ def test_apply_commutes_with_source():
 
 def test_apply_undefined_point_names_eigenvalue():
     dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
-    with pytest.raises(DomainError, match="3"):
+    with pytest.raises(DomainError, match=r"of 3\.0 "):
         apply_function(dec, {0.0: 0.0, 1.0: 1.0})
+    with pytest.raises(ValidationError, match="at least one point"):
+        apply_function(dec, {})
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        apply_function(dec, {0.0: 0.0, np.nan: 1.0, 3.0: 2.0})
 
 
 # ---------------------------------------------------------------------------

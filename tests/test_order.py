@@ -241,6 +241,18 @@ def test_search_is_deterministic():
     np.testing.assert_array_equal(s1.vector, s2.vector)
 
 
+def test_oracle_rejects_empty_or_unseeded_searches():
+    # restarts=0 used to die in argmax; a negative seed in numpy's seeding
+    for bad in ({"restarts": 0}, {"restarts": -1}, {"steps": -1}):
+        with pytest.raises(ValidationError, match=r"restarts >= 1 and steps >= 0"):
+            OracleConfig(**bad)
+    a = HermitianObservable.from_diag([0.0, 1.0])
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        witness_search(a, a, OracleConfig(seed=-1))
+    _, best = witness_search(a, a, OracleConfig(restarts=1, steps=0))
+    assert best == pytest.approx(0.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # extract_function
 

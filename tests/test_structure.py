@@ -142,7 +142,10 @@ def test_lower_set_families_share_one_decomposition():
     finally:
         tracemalloc.stop()
     assert len(fams) == 2**11 - 1
-    assert all(f.decomposition is eigendecompose(a) for f in fams)
+    dec = eigendecompose(a)
+    assert all(f.decomposition is dec for f in fams)
+    for f in fams[::97]:
+        np.testing.assert_array_equal(f.projector, dec.projector(*f.indices))
     assert peak < 1_000_000
 
 
@@ -192,6 +195,8 @@ def test_q_matrix_enumeration_cross_check(seed):
 def test_q_matrix_input_validation():
     with pytest.raises(ValidationError):
         q_matrix([0.0, 1.0, 1.0, 3.0])
+    with pytest.raises(ValidationError, match="unknown method 'exact'"):
+        q_matrix([0.0, 1.0, 2.0, 3.0], method="exact")
     with pytest.raises(DegenerateInputError):
         q_matrix([0.0, 1.0, 3.0])
 
@@ -308,8 +313,11 @@ def test_quadratic_corruption_fails_with_counterexample():
 def test_spec_validation():
     with pytest.raises(ValidationError):
         AutomorphismSpec(0.0, UnitaryMap(np.eye(2)))
-    with pytest.raises(ValidationError):
-        verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=5, dim=1)
+    for dim in (1, 0, -1):
+        with pytest.raises(ValidationError, match="dimension must be at least 2"):
+            verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=5, dim=dim)
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=5, dim=2, seed=-1)
     for trials in (0, -3):
         with pytest.raises(ValidationError):
             verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=trials, dim=2)
@@ -337,6 +345,8 @@ def test_detector_order_mode_matches():
     for diag in ([0.0, 1.0], [2.0, 2.0], [0.0, 1.0, 3.0], [0.0, 2.0, 2.0]):
         a = HermitianObservable.from_diag(diag)
         assert two_spectrum_detector(a, method="order") == two_spectrum_detector(a)
+    with pytest.raises(ValidationError, match="unknown method 'exact'"):
+        two_spectrum_detector(a, method="exact")
 
 
 def test_hinge_tables_values():

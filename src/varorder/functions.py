@@ -16,12 +16,11 @@ class FunctionTable:
 
     ``points`` is a tuple of ``(x, f(x))`` pairs with strictly increasing
     first coordinates.  When ``lipschitz_bound`` is supplied, construction
-    verifies ``|f(x) - f(y)| <= bound * |x - y| + lip_tol`` on all pairs.
+    verifies ``|f(x) - f(y)| <= bound * |x - y| + LIP_TOL`` on all pairs.
     """
 
     points: tuple[tuple[float, float], ...]
     lipschitz_bound: float | None = None
-    lip_tol: float = LIP_TOL
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
@@ -32,7 +31,7 @@ class FunctionTable:
             raise ValidationError("table points must have strictly increasing locations")
         object.__setattr__(self, "points", pts)
         if self.lipschitz_bound is not None:
-            bad = _lipschitz_violation(pts, float(self.lipschitz_bound), self.lip_tol)
+            bad = _lipschitz_violation(pts, float(self.lipschitz_bound), LIP_TOL)
             if bad is not None:
                 (x0, y0), (x1, y1) = bad
                 raise ValidationError(
@@ -41,9 +40,8 @@ class FunctionTable:
                 )
 
     @classmethod
-    def from_mapping(cls, mapping, lipschitz_bound: float | None = None) -> "FunctionTable":
-        pts = tuple(sorted((float(k), float(v)) for k, v in mapping.items()))
-        return cls(pts, lipschitz_bound)
+    def from_mapping(cls, mapping) -> "FunctionTable":
+        return cls(tuple(sorted((float(k), float(v)) for k, v in mapping.items())))
 
     @classmethod
     def from_values(cls, xs, ys, lipschitz_bound: float | None = None) -> "FunctionTable":
@@ -71,7 +69,7 @@ class FunctionTable:
         """Value at the table point nearest to ``x`` (within ``tol``)."""
         xs = self.locations
         i = int(np.argmin(np.abs(xs - x)))
-        if abs(xs[i] - x) > tol:
+        if not abs(xs[i] - x) <= tol:  # a NaN ``x`` matches nothing
             raise DomainError(
                 f"no table point within {tol:.3e} of {x!r} (nearest is {xs[i]!r})"
             )
@@ -91,6 +89,8 @@ def _lipschitz_violation(pts, c: float, tol: float):
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN excess, never a violation
         excess = _lipschitz_excess(*np.array(pts).T, c)
     j, k = divmod(int(np.nanargmax(excess)), len(pts))  # the first worst pair
+    if not (excess[j, k] > tol or c >= 0):  # a negative c fails on any pair; a NaN c on none
+        raise ValidationError("Lipschitz constant must be nonnegative")
     return (pts[j], pts[k]) if excess[j, k] > tol else None
 
 
@@ -100,15 +100,25 @@ class LipschitzExtension:
 
     Evaluation takes the pointwise minimum of the cones ``f(x_i) + c|x - x_i|``.
     This is the upper extension; negate the table values (and the result) to
-    obtain the lower one.
+    obtain the lower one.  Construction raises :class:`PreconditionError`
+    naming a violating pair when the table is not c-Lipschitz to within
+    ``LIP_TOL``.
     """
 
     table: FunctionTable
     constant: float
 
     def __post_init__(self):
-        if self.constant < 0:
-            raise ValidationError("Lipschitz constant must be nonnegative")
+        c = self.constant
+        bad = _lipschitz_violation(self.table.points, float(c), LIP_TOL)
+        if bad is not None:
+            (x0, y0), (x1, y1) = bad
+            raise PreconditionError(
+                f"table is not {c}-Lipschitz: |f({x0}) - f({x1})| = {abs(y0 - y1)!r} "
+                f"exceeds {c} * |{x0} - {x1}| = {c * abs(x0 - x1)!r}",
+                witness=bad,
+            )
+        object.__setattr__(self, "constant", float(c))
 
     def __call__(self, x):
         xs = self.table.locations
@@ -119,18 +129,10 @@ class LipschitzExtension:
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def mcshane_extend(f: FunctionTable, c: float, lip_tol: float = LIP_TOL) -> LipschitzExtension:
+def mcshane_extend(f: FunctionTable, c: float) -> LipschitzExtension:
     """Extend a c-Lipschitz table to the line, keeping the constant.
 
     Raises :class:`PreconditionError` naming a violating pair when the table
-    is not c-Lipschitz to within ``lip_tol``.
+    is not c-Lipschitz to within ``LIP_TOL``.
     """
-    bad = _lipschitz_violation(f.points, float(c), lip_tol)
-    if bad is not None:
-        (x0, y0), (x1, y1) = bad
-        raise PreconditionError(
-            f"table is not {c}-Lipschitz: |f({x0}) - f({x1})| = {abs(y0 - y1)!r} "
-            f"exceeds {c} * |{x0} - {x1}| = {c * abs(x0 - x1)!r}",
-            witness=bad,
-        )
-    return LipschitzExtension(f, float(c))
+    return LipschitzExtension(f, c)

@@ -37,13 +37,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_complex_matrix(obj, dim: int | None = None) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def as_complex_matrix(obj) -> np.ndarray:
+    """Coerce to a nonempty square complex128 array with finite entries."""
     m = np.asarray(obj, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if dim is not None and m.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {m.shape[0]}")
+    if m.size == 0:
+        raise ValidationError("expected a nonempty matrix")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError("matrix entries must be finite")
     return m
@@ -53,8 +53,8 @@ def _hermitian_part(obj, error: Callable[[float, float], Exception]) -> np.ndarr
     """``(M + M*) / 2``; raises ``error(dev, bound)`` when ``dev = max |M - M*|`` exceeds
     ``bound = CHECK_TOL * max(1, |M|_max)``."""
     m = as_complex_matrix(obj)
-    bound = CHECK_TOL * max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    bound = CHECK_TOL * max(1.0, float(np.abs(m).max()))
+    dev = float(np.abs(m - m.conj().T).max())
     if dev > bound:
         raise error(dev, bound)
     return (m + m.conj().T) / 2.0
@@ -137,9 +137,16 @@ class SpectralDecomposition:
         """Group index of each eigenvector column (nondecreasing)."""
         return np.repeat(np.arange(len(self.ranks)), self.ranks)
 
+    def group_indices(self, groups) -> tuple[int, ...]:
+        """``groups`` as ints, each in ``range(len(ranks))`` or a :class:`ValidationError`."""
+        groups = tuple(int(j) for j in groups)
+        if not all(0 <= j < len(self.ranks) for j in groups):
+            raise ValidationError(f"group indices {groups} are not all in range({len(self.ranks)})")
+        return groups
+
     def projector(self, *groups: int) -> np.ndarray:
         """Orthogonal projector onto the eigenspaces of the given group indices."""
-        basis = self.vectors[:, np.isin(self.labels, groups)]
+        basis = self.vectors[:, np.isin(self.labels, self.group_indices(groups))]
         return basis @ basis.conj().T
 
     @property
@@ -267,9 +274,9 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     return cache[ranks]
 
 
-def _table_value(f, lam: float, match_tol: float) -> float:
+def _table_value(f, lam: float, tol: float) -> float:
     if isinstance(f, FunctionTable):
-        return f.value_at(lam, tol=match_tol)
+        return f.value_at(lam, tol=tol)
     try:
         return float(f(lam))
     except DomainError:
@@ -281,20 +288,18 @@ def _table_value(f, lam: float, match_tol: float) -> float:
 def apply_function(
     decomposition: SpectralDecomposition,
     f: FunctionTable | Mapping | Callable[[float], float],
-    match_tol: float | None = None,
 ) -> HermitianObservable:
     """Functional calculus: ``V diag(f(lam)) V*`` over the grouped eigenvalues.
 
-    ``f`` may be a :class:`FunctionTable`, a mapping from eigenvalue to value
-    (made a table by :meth:`FunctionTable.from_mapping`), or a plain callable;
-    each eigenvalue is matched to its nearest table point within ``match_tol``.
+    ``f`` may be a :class:`FunctionTable`, a mapping from eigenvalue to value (made
+    a table by :meth:`FunctionTable.from_mapping`), or a plain callable; each eigenvalue
+    is matched to its nearest table point within ``PAIR_TOL_SCALE * max(1, max |lam|)``.
     """
     lams = decomposition.eigenvalues
-    if match_tol is None:
-        match_tol = _tol_at(float(np.abs(lams).max()) if len(lams) else 1.0)
+    tol = _tol_at(float(np.abs(lams).max()) if len(lams) else 1.0)
     if isinstance(f, Mapping):
         f = FunctionTable.from_mapping(f)
-    values = [_table_value(f, float(lam), match_tol) for lam in lams]
+    values = [_table_value(f, float(lam), tol) for lam in lams]
     return HermitianObservable(decomposition.assemble(values))
 
 

@@ -144,7 +144,6 @@ class OracleConfig:
 
     restarts: int = 32
     steps: int = 500
-    grad_tol: float = CHECK_TOL
     seed: int = 0
 
     def __post_init__(self):
@@ -186,7 +185,7 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
         grad -= 2.0 * (xl @ b2.T - 2.0 * eb[:, None] * xb)
         grad -= np.einsum("ij,ij->i", xl.conj(), grad)[:, None] * xl
         gn = np.linalg.norm(grad, axis=1)
-        converged = gn < cfg.grad_tol
+        converged = gn < CHECK_TOL
         active[live[converged]] = False
         live = live[~converged]
         if live.size == 0:

@@ -81,26 +81,24 @@ def random_spectrum(
     low: float = 0.0,
     high: float = 10.0,
     min_gap: float = 0.05,
-    max_tries: int = 1000,
 ) -> np.ndarray:
-    """Sorted distinct points in [low, high] with pairwise gaps >= min_gap."""
+    """Sorted distinct points in [low, high] with pairwise gaps >= min_gap (1000 draws at most)."""
     rng = as_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(1000):
         pts = np.sort(rng.uniform(low, high, size=n))
         if n < 2 or np.diff(pts).min() >= min_gap:
             return pts
-    raise RuntimeError(f"could not draw a spectrum with min gap {min_gap} in {max_tries} tries")
+    raise RuntimeError(f"could not draw a spectrum with min gap {min_gap} in 1000 tries")
 
 
 def random_commuting_pair(
-    dim: int,
-    seed: RngLike = None,
-    distinct_a: int | None = None,
+    dim: int, seed: RngLike = None
 ) -> tuple[HermitianObservable, HermitianObservable]:
-    """Simultaneously diagonalizable pair; A's spectrum may repeat values."""
+    """Simultaneously diagonalizable pair; A takes values from a pool of
+    ``max(2, dim - 1)``, so its spectrum may repeat them."""
     rng = as_rng(seed)
     u = random_unitary(dim, rng).matrix
-    pool = rng.uniform(-3.0, 3.0, size=distinct_a or max(2, dim - 1))
+    pool = rng.uniform(-3.0, 3.0, size=max(2, dim - 1))
     a_vals = rng.choice(pool, size=dim)
     b_vals = rng.uniform(-3.0, 3.0, size=dim)
     a = HermitianObservable(u @ np.diag(a_vals.astype(complex)) @ u.conj().T)

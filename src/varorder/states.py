@@ -242,12 +242,10 @@ def measure_variance(mu: BornMeasure) -> float:
     return max(0.0, moment)
 
 
-def pushforward(mu: BornMeasure, f, merge_tol: float | None = None) -> BornMeasure:
+def pushforward(mu: BornMeasure, f) -> BornMeasure:
     """Image measure under ``f``: atoms move to ``f(t)``; coinciding atoms merge."""
     new_locs = [float(f(t)) for t in mu.locations]
-    if merge_tol is None:
-        scale = max([1.0] + [abs(v) for v in new_locs])
-        merge_tol = ROUND_RTOL * scale
+    merge_tol = ROUND_RTOL * max([1.0] + [abs(v) for v in new_locs])
     return BornMeasure.normalized(zip(new_locs, mu.masses), merge_tol=merge_tol)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from varorder import (
     DomainError,
     FunctionTable,
+    LipschitzExtension,
     PreconditionError,
     ValidationError,
     mcshane_extend,
@@ -37,6 +38,12 @@ def test_stored_bound_is_checked():
     with pytest.raises(ValidationError):
         FunctionTable(((0.0, 0.0), (1.0, 2.0)), lipschitz_bound=1.0)
     FunctionTable(((0.0, 0.0), (1.0, 2.0)), lipschitz_bound=2.0)
+    # a NaN bound used to pass, because a NaN excess is no violation
+    for bound in (float("nan"), -1.0):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            FunctionTable(((0.0, 0.0),), lipschitz_bound=bound)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        FunctionTable(((0.0, 0.0), (1.0, 2.0)), lipschitz_bound=float("nan"))
 
 
 def test_from_mapping_sorts_keys():
@@ -56,6 +63,8 @@ def test_value_at_matches_nearby_location():
     assert t(0.0) == 0.0
     with pytest.raises(DomainError):
         t.value_at(0.5)
+    with pytest.raises(DomainError):  # a NaN used to return the first table value
+        t.value_at(np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +124,25 @@ def test_not_lipschitz_names_the_violating_pair():
     with pytest.raises(PreconditionError, match=r"0\.0.*1\.0") as err:
         mcshane_extend(t, 1.0)
     assert err.value.witness == ((0.0, 0.0), (1.0, 5.0))
+
+
+def test_direct_extension_checks_the_constant():
+    # built directly, the extension used to skip the check and give ext(1.0) == 1.0, not 5.0
+    t = FunctionTable.from_mapping({0.0: 0.0, 1.0: 5.0})
+    with pytest.raises(PreconditionError, match="not 1.0-Lipschitz") as err:
+        LipschitzExtension(t, 1.0)
+    assert err.value.witness == ((0.0, 0.0), (1.0, 5.0))
+    assert LipschitzExtension(t, 5).constant == 5.0
+    point = FunctionTable.from_mapping({0.0: 0.0})
+    for build in (LipschitzExtension, mcshane_extend):
+        # a NaN constant passes the pair check, which compares nothing, so the sign check catches it
+        with pytest.raises(ValidationError, match="nonnegative"):
+            build(t, float("nan"))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            build(point, -1.0)
+        # with a pair to compare, a negative constant fails the table check first
+        with pytest.raises(PreconditionError, match="not -1.0-Lipschitz"):
+            build(t, -1.0)
 
 
 def test_negation_gives_the_smallest_extension():

@@ -138,6 +138,12 @@ def test_rejects_non_square():
         HermitianObservable(np.ones((2, 3)))
 
 
+def test_rejects_an_empty_matrix():
+    # used to pass, then fail inside eigendecompose with IndexError from add.reduceat
+    with pytest.raises(ValidationError, match="nonempty"):
+        HermitianObservable(np.zeros((0, 0)))
+
+
 def test_rejects_non_finite():
     with pytest.raises(ValidationError):
         HermitianObservable(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -217,6 +223,14 @@ def test_projector_algebra_random(n):
             np.testing.assert_allclose(
                 dec.projector(i) @ dec.projector(j), np.zeros((n, n)), atol=1e-8
             )
+
+
+def test_projector_rejects_out_of_range_groups():
+    # an unknown group index used to select no columns and give a zero projector
+    dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
+    for groups in ((5,), (-1,), (0, 3)):
+        with pytest.raises(ValidationError, match="range\\(3\\)"):
+            dec.projector(*groups)
 
 
 @pytest.mark.parametrize("n", [3, 8, 16])
@@ -399,6 +413,12 @@ def test_loewner_agrees_with_quadratic_forms():
 def test_unitary_map_validates():
     with pytest.raises(ValidationError):
         UnitaryMap(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_unitary_map_rejects_an_empty_matrix():
+    # used to leak numpy's ValueError from max() over a zero-size array
+    with pytest.raises(ValidationError, match="nonempty"):
+        UnitaryMap(np.zeros((0, 0)))
 
 
 def test_unitary_apply_conjugates():

@@ -12,6 +12,7 @@ from varorder import (
     PreconditionError,
     QMatrix,
     ReconstructionError,
+    TwoPointFamily,
     UnitaryMap,
     ValidationError,
     apply_function,
@@ -147,6 +148,14 @@ def test_lower_set_families_share_one_decomposition():
     for f in fams[::97]:
         np.testing.assert_array_equal(f.projector, dec.projector(*f.indices))
     assert peak < 1_000_000
+
+
+def test_family_rejects_out_of_range_indices():
+    # index -1 used to report eigenvalue 3.0 while the projector was zero
+    dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
+    for indices in ((-1,), (3,), (0, 7)):
+        with pytest.raises(ValidationError, match="range\\(3\\)"):
+            TwoPointFamily(dec, indices, 1.0)
 
 
 def test_lower_set_covers_complements_once():

@@ -2,13 +2,17 @@
 
 import ast
 import inspect
+from contextlib import nullcontext
 from pathlib import Path
+
+import pytest
 
 import varorder
 from varorder import (
     BornMeasure,
     FunctionTable,
-    OracleConfig,
+    PreconditionError,
+    ValidationError,
     check_state_order,
     mcshane_extend,
     order,
@@ -39,10 +43,18 @@ def test_public_tolerance_defaults_are_unchanged():
         return inspect.signature(fn).parameters[name].default
 
     assert default(FunctionTable.value_at, "tol") == default(FunctionTable.__call__, "tol") == 1e-8
-    assert FunctionTable(((0.0, 0.0),)).lip_tol == default(mcshane_extend, "lip_tol") == 1e-9
     assert default(state_order_violation, "tol") == default(check_state_order, "tol") == 1e-9
     assert default(BornMeasure.normalized, "merge_tol") == 1e-12
-    assert OracleConfig().grad_tol == 1e-10
+
+
+@pytest.mark.parametrize("excess, ok", [(0.5e-9, True), (2e-9, False)])
+def test_lipschitz_slack_is_lip_tol(excess, ok):
+    # LIP_TOL = 1e-9 of slack in |f(x) - f(y)| <= c |x - y|, for a stored bound and an extension
+    pts = ((0.0, 0.0), (1.0, 1.0 + excess))
+    with nullcontext() if ok else pytest.raises(ValidationError):
+        FunctionTable(pts, lipschitz_bound=1.0)
+    with nullcontext() if ok else pytest.raises(PreconditionError):
+        mcshane_extend(FunctionTable(pts), 1.0)
 
 
 def test_no_tolerance_literal_outside_the_model():

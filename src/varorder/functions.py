@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,9 @@ class FunctionTable:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         if not pts:
             raise ValidationError("function table needs at least one point")
-        xs = np.array([p[0] for p in pts])
-        if np.isnan(xs).any() or np.any(np.diff(xs) <= 0):
+        xs = np.array([x for x, _ in pts])
+        # a NaN fails every comparison, so only a NaN first location needs its own test
+        if math.isnan(pts[0][0]) or not (xs[1:] > xs[:-1]).all():
             raise ValidationError("table points must have strictly increasing locations")
         object.__setattr__(self, "points", pts)
         if self.lipschitz_bound is not None:
@@ -45,7 +47,8 @@ class FunctionTable:
 
     @classmethod
     def from_values(cls, xs, ys, lipschitz_bound: float | None = None) -> "FunctionTable":
-        return cls(tuple(zip(map(float, xs), map(float, ys))), lipschitz_bound)
+        xs, ys = (np.asarray(v, dtype=np.float64).tolist() for v in (xs, ys))
+        return cls(tuple(zip(xs, ys)), lipschitz_bound)
 
     @property
     def locations(self) -> np.ndarray:
@@ -80,9 +83,10 @@ class FunctionTable:
 
 def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
     """``|y_j - y_k| - c |x_j - x_k|`` above the diagonal (``j < k``), ``-inf`` elsewhere."""
-    upper = np.arange(len(xs))[:, None] < np.arange(len(xs))
-    excess = np.abs(ys[:, None] - ys[None, :]) - c * np.abs(xs[:, None] - xs[None, :])
-    return np.where(upper, excess, -np.inf)
+    idx = np.arange(len(xs))
+    excess = np.abs(ys[:, None] - ys) - c * np.abs(xs[:, None] - xs)
+    excess[idx[:, None] >= idx] = -np.inf
+    return excess
 
 
 def _lipschitz_violation(pts, c: float, tol: float):

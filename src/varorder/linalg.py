@@ -1,7 +1,12 @@
 """Hermitian matrices, spectral decompositions, and the functional calculus.
 
 All heavy objects are immutable: construction validates the defining
-invariants, copies the input, and freezes the underlying arrays.  Every
+invariants and freezes the underlying arrays.  ``HermitianObservable`` stores
+an array computed from its input; ``SpectralDecomposition`` and ``UnitaryMap``
+copy only input arrays that something could still write to, and share ones
+that are already frozen (as :func:`eigendecompose` passes the observable's own
+eigenvectors).  Derived values computed on first use (``eigenpairs``,
+``frobenius_norm``, ``labels``) are stored on the object.  Every
 eigensolve in the package goes through :func:`_eigh`, which calls LAPACK
 through ``numpy.linalg.eigh``; its answers stay on the checked path
 (:func:`eigendecompose` verifies each grouped reconstruction).  The cyclic
@@ -37,6 +42,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(obj, dtype) -> np.ndarray:
+    """``obj`` as a read-only ``dtype`` array: ``obj`` itself when it already is one
+    that nothing can write to (read-only down to the array owning its memory),
+    otherwise a frozen copy."""
+    a = obj
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    if a is None and obj.dtype == dtype:
+        return obj
+    return _freeze(np.array(obj, dtype))
+
+
 def as_complex_matrix(obj) -> np.ndarray:
     """Coerce to a nonempty square complex128 array with finite entries."""
     m = np.asarray(obj, dtype=np.complex128)
@@ -44,7 +61,7 @@ def as_complex_matrix(obj) -> np.ndarray:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise ValidationError("expected a nonempty matrix")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValidationError("matrix entries must be finite")
     return m
 
@@ -53,11 +70,12 @@ def _hermitian_part(obj, error: Callable[[float, float], Exception]) -> np.ndarr
     """``(M + M*) / 2``; raises ``error(dev, bound)`` when ``dev = max |M - M*|`` exceeds
     ``bound = CHECK_TOL * max(1, |M|_max)``."""
     m = as_complex_matrix(obj)
+    mh = m.conj().T
     bound = CHECK_TOL * max(1.0, float(np.abs(m).max()))
-    dev = float(np.abs(m - m.conj().T).max())
+    dev = float(np.abs(m - mh).max())
     if dev > bound:
         raise error(dev, bound)
-    return (m + m.conj().T) / 2.0
+    return (m + mh) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +95,7 @@ class HermitianObservable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.matrix))
 
@@ -121,21 +139,24 @@ class SpectralDecomposition:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _freeze(np.array(self.eigenvalues, np.float64)))
-        object.__setattr__(self, "vectors", _freeze(np.array(self.vectors, np.complex128)))
+        lams = _frozen(self.eigenvalues, np.float64)
+        object.__setattr__(self, "eigenvalues", lams)
+        object.__setattr__(self, "vectors", _frozen(self.vectors, np.complex128))
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        n = sum(self.ranks)
-        if self.eigenvalues.shape != (len(self.ranks),) or min(self.ranks, default=1) < 1:
+        if not self.ranks:
+            raise ValidationError("a spectral decomposition needs at least one group")
+        if lams.shape != (len(self.ranks),) or min(self.ranks) < 1:
             raise ValidationError("need one positive rank per group eigenvalue")
+        n = sum(self.ranks)
         if self.vectors.shape != (n, n):
             raise ValidationError("group ranks must sum to the side of the eigenvector matrix")
-        if np.any(np.diff(self.eigenvalues) <= 0):
+        if (lams[1:] <= lams[:-1]).any():
             raise ValidationError("group eigenvalues must be strictly increasing")
 
-    @property
+    @cached_property
     def labels(self) -> np.ndarray:
         """Group index of each eigenvector column (nondecreasing)."""
-        return np.repeat(np.arange(len(self.ranks)), self.ranks)
+        return _freeze(np.repeat(np.arange(len(self.ranks)), self.ranks))
 
     def group_indices(self, groups) -> tuple[int, ...]:
         """``groups`` as ints, each in ``range(len(ranks))`` or a :class:`ValidationError`."""
@@ -151,8 +172,7 @@ class SpectralDecomposition:
 
     @property
     def diameter(self) -> float:
-        lams = self.eigenvalues
-        return float(lams[-1] - lams[0]) if len(lams) else 0.0
+        return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
     def assemble(self, values) -> np.ndarray:
         """``V diag(values) V*`` with one value per group."""
@@ -256,22 +276,25 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     obs = _as_observable(A)
     group_tol = resolve_tol(group_tol, obs)
     w, v = obs.eigenpairs
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w) > group_tol) + 1, [obs.dim]))
-    ranks = tuple(np.diff(bounds).tolist())
+    splits = w[1:] - w[:-1] > group_tol  # a new group starts after each True
     cache = obs.__dict__.setdefault("_spectral_cache", {})
-    if ranks not in cache:
+    key = splits.tobytes()
+    if key not in cache:
+        bounds = np.concatenate(([0], splits.nonzero()[0] + 1, [obs.dim]))
+        ranks = bounds[1:] - bounds[:-1]
         means = np.add.reduceat(w, bounds[:-1]) / ranks
-        lams = np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1])
-        dec = SpectralDecomposition(lams, v, ranks)
-        spread = float(np.linalg.norm(w - np.repeat(lams, ranks)))
-        recon_err = float(np.linalg.norm(dec.matrix() - obs.matrix))
+        lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
+        dec = SpectralDecomposition(lams, v, ranks.tolist())
+        lam_cols = lams[dec.labels]
+        spread = float(np.linalg.norm(w - lam_cols))
+        recon_err = float(np.linalg.norm((v * lam_cols) @ v.conj().T - obs.matrix))
         allowed = spread + default_pair_tol(obs)
         if recon_err > allowed:
             raise InternalConsistencyError(
                 f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
             )
-        cache[ranks] = dec
-    return cache[ranks]
+        cache[key] = dec
+    return cache[key]
 
 
 def _table_value(f, lam: float, tol: float) -> float:
@@ -296,7 +319,7 @@ def apply_function(
     is matched to its nearest table point within ``PAIR_TOL_SCALE * max(1, max |lam|)``.
     """
     lams = decomposition.eigenvalues
-    tol = _tol_at(float(np.abs(lams).max()) if len(lams) else 1.0)
+    tol = _tol_at(float(np.abs(lams).max()))
     if isinstance(f, Mapping):
         f = FunctionTable.from_mapping(f)
     values = [_table_value(f, float(lam), tol) for lam in lams]
@@ -351,7 +374,7 @@ class UnitaryMap:
         dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
         if dev > CHECK_TOL:
             raise ValidationError(f"matrix is not unitary: max |U*U - I| = {dev:.3e}")
-        object.__setattr__(self, "matrix", _freeze(u))
+        object.__setattr__(self, "matrix", _frozen(u, np.complex128))
 
     @property
     def dim(self) -> int:

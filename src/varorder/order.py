@@ -28,7 +28,7 @@ from .linalg import (
     resolve_tol,
 )
 from .sampling import as_rng, complex_gaussian
-from .states import DensityState, PureState, _variances, variance
+from .states import DensityState, PureState, _variances
 from .tolerances import CHECK_TOL, DUST, FAIL_MARGIN_TOL
 
 
@@ -62,8 +62,11 @@ class OrderVerdict:
 
 
 def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
+    """The state ``w`` along ``vec`` and the gap ``variance(a, w) - variance(b, w)``."""
     w = PureState.normalized(vec)
-    return w, variance(a, w) - variance(b, w)
+    x = w.vector[None]
+    var_a, var_b = (max(0.0, float(_variances(m, x)[0])) for m in (a.matrix, b.matrix))
+    return w, var_a - var_b
 
 
 def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
@@ -100,7 +103,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     same = labels[:, None] == labels[None, :]
     comm = np.sqrt(2.0 * np.bincount(labels, weights=np.where(same, 0.0, dev).sum(axis=0)))
     scal = np.sqrt(np.bincount(labels, weights=np.where(same, dev, 0.0).sum(axis=0)))
-    bad = np.flatnonzero((comm > tol) | (scal > tol))
+    bad = ((comm > tol) | (scal > tol)).nonzero()[0]
     if bad.size:
         j = int(bad[0])
         cols = labels == j
@@ -122,7 +125,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     # Pairwise Lipschitz check on the induced eigenvalue table; the worst
     # excess wins, ties to the first pair in (j, k) order.
     excess = _lipschitz_excess(lams, scalars, 1.0) - tol
-    worst = int(np.argmax(excess))
+    worst = int(excess.argmax())
     if excess.flat[worst] > 0:
         j, k = divmod(worst, len(lams))
         first = np.searchsorted(labels, [j, k])

@@ -24,6 +24,7 @@ from .linalg import (
     _as_observable,
     _eigh,
     _freeze,
+    _frozen,
     _hermitian_part,
     resolve_tol,
 )
@@ -37,15 +38,15 @@ class PureState:
     vector: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.vector, dtype=np.complex128)
+        x = _frozen(self.vector, np.complex128)
         if x.ndim != 1 or x.size == 0:
             raise ValidationError(f"state vector must be 1-dimensional, got shape {x.shape}")
-        if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+        if not np.isfinite(x).all():
             raise ValidationError("state vector entries must be finite")
         nrm = float(np.linalg.norm(x))
         if abs(nrm - 1.0) > ROUND_RTOL:
             raise ValidationError(f"state vector norm {nrm!r} is not 1 within {ROUND_RTOL:.0e}")
-        object.__setattr__(self, "vector", _freeze(x))
+        object.__setattr__(self, "vector", x)
 
     @property
     def dim(self) -> int:
@@ -57,7 +58,7 @@ class PureState:
         nrm = float(np.linalg.norm(x))
         if nrm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
-        return cls(x / nrm)
+        return cls(_freeze(x / nrm))
 
     @classmethod
     def basis_vector(cls, dim: int, index: int) -> "PureState":

@@ -16,6 +16,7 @@ from varorder import (
     FunctionTable,
     HermitianObservable,
     NotHermitianError,
+    SpectralDecomposition,
     UnitaryMap,
     ValidationError,
     apply_function,
@@ -149,6 +150,14 @@ def test_rejects_non_finite():
         HermitianObservable(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("entry", [complex(0.0, np.inf), complex(np.nan, 0.0), complex(-np.inf, 1.0)])
+def test_finiteness_covers_both_parts_of_an_entry(entry):
+    m = np.eye(2, dtype=np.complex128)
+    m[0, 1] = entry
+    with pytest.raises(ValidationError, match="finite"):
+        linalg.as_complex_matrix(m)
+
+
 def test_accepts_tiny_asymmetry_and_symmetrizes():
     eps = 1e-13
     obs = HermitianObservable(np.array([[1.0, eps], [0.0, 2.0]]))
@@ -251,6 +260,40 @@ def test_decomposition_is_cached_per_grouping():
     merged = eigendecompose(obs, group_tol=1.0)
     assert merged is not eigendecompose(obs)
     assert merged.ranks == (2, 2, 1)
+
+
+def test_eigendecompose_shares_the_observables_frozen_eigenvectors():
+    obs = random_hermitian(4, seed=6)
+    dec = eigendecompose(obs)
+    for arr in (dec.eigenvalues, dec.vectors, dec.labels):
+        assert not arr.flags.writeable
+    assert np.shares_memory(dec.vectors, obs.eigenpairs[1])
+    assert dec.labels is dec.labels
+
+
+def test_a_decomposition_copies_arrays_the_caller_can_still_write():
+    lams, vecs = np.array([0.0, 1.0]), np.eye(2, dtype=np.complex128)
+    view = vecs.view()
+    view.setflags(write=False)  # read-only, but writable through ``vecs``
+    decs = [SpectralDecomposition(lams, vecs, (1, 1)), SpectralDecomposition(lams, view, (1, 1))]
+    lams[0], vecs[0, 0] = -5.0, 9.0
+    for dec in decs:
+        assert dec.eigenvalues.tolist() == [0.0, 1.0]
+        np.testing.assert_array_equal(dec.vectors, np.eye(2))
+        assert not np.shares_memory(dec.vectors, vecs)
+
+
+def test_an_empty_decomposition_is_rejected():
+    # used to construct with ranks () and diameter 0.0, then fail in apply_function
+    with pytest.raises(ValidationError, match="at least one group"):
+        SpectralDecomposition([], np.zeros((0, 0)), ())
+
+
+def test_frobenius_norm_is_computed_once_and_stored():
+    obs = random_hermitian(4, seed=7, scale=2.0)
+    assert "frobenius_norm" not in vars(obs)
+    assert obs.frobenius_norm == float(np.linalg.norm(obs.matrix))
+    assert vars(obs)["frobenius_norm"] == obs.frobenius_norm
 
 
 @pytest.fixture
@@ -419,6 +462,15 @@ def test_unitary_map_rejects_an_empty_matrix():
     # used to leak numpy's ValueError from max() over a zero-size array
     with pytest.raises(ValidationError, match="nonempty"):
         UnitaryMap(np.zeros((0, 0)))
+
+
+def test_unitary_map_leaves_the_callers_array_writable_and_keeps_a_copy():
+    # a complex128 input used to be frozen in place and then shared
+    u = np.eye(2, dtype=np.complex128)
+    umap = UnitaryMap(u)
+    u[0, 0] = -1.0
+    np.testing.assert_array_equal(umap.matrix, np.eye(2))
+    assert not umap.matrix.flags.writeable
 
 
 def test_unitary_apply_conjugates():

@@ -51,6 +51,12 @@ def test_pure_state_norm_enforced():
         PureState.normalized([0.0, 0.0])
 
 
+@pytest.mark.parametrize("entry", [complex(0.0, np.inf), complex(np.nan, 0.0)])
+def test_pure_state_entries_must_be_finite_in_both_parts(entry):
+    with pytest.raises(ValidationError, match="finite"):
+        PureState(np.array([entry, 0.0]))
+
+
 def test_density_state_invariants():
     with pytest.raises(ValidationError):
         DensityState(np.diag([0.6, 0.6]))  # trace 1.2

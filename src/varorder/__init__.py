@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     VarOrderError,
 )
-from .functions import FunctionTable, LipschitzExtension, mcshane_extend
+from .functions import FunctionTable, LipschitzExtension
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,

@@ -11,12 +11,25 @@ from .errors import DomainError, PreconditionError, ValidationError
 from .tolerances import LIP_TOL, PAIR_TOL_SCALE
 
 
+def _check_points(xs: np.ndarray, empty: str, what: str) -> None:
+    """Raise :class:`ValidationError` unless ``xs`` is nonempty, finite and strictly increasing.
+
+    ``empty`` is the message for no values; ``what`` names the values otherwise.
+    """
+    if not xs.size:
+        raise ValidationError(empty)
+    # a NaN fails every comparison and an infinity can only end an increasing run, so
+    # after the strict order only the endpoints need a finiteness test
+    if not ((xs[1:] > xs[:-1]).all() and math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+        raise ValidationError(f"{what} must be finite and strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
     """A real function given on finitely many points.
 
-    ``points`` is a tuple of ``(x, f(x))`` pairs with strictly increasing
-    first coordinates.  When ``lipschitz_bound`` is supplied, construction
+    ``points`` is a tuple of ``(x, f(x))`` pairs with finite, strictly
+    increasing first coordinates.  When ``lipschitz_bound`` is supplied, construction
     verifies ``|f(x) - f(y)| <= bound * |x - y| + LIP_TOL`` on all pairs.
     """
 
@@ -25,12 +38,8 @@ class FunctionTable:
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
-        if not pts:
-            raise ValidationError("function table needs at least one point")
         xs = np.array([x for x, _ in pts])
-        # a NaN fails every comparison, so only a NaN first location needs its own test
-        if math.isnan(pts[0][0]) or not (xs[1:] > xs[:-1]).all():
-            raise ValidationError("table points must have strictly increasing locations")
+        _check_points(xs, "function table needs at least one point", "table point locations")
         object.__setattr__(self, "points", pts)
         if self.lipschitz_bound is not None:
             bad = _lipschitz_violation(pts, float(self.lipschitz_bound), LIP_TOL)
@@ -48,6 +57,8 @@ class FunctionTable:
     @classmethod
     def from_values(cls, xs, ys, lipschitz_bound: float | None = None) -> "FunctionTable":
         xs, ys = (np.asarray(v, dtype=np.float64).tolist() for v in (xs, ys))
+        if len(xs) != len(ys):
+            raise ValidationError(f"{len(xs)} locations but {len(ys)} values")
         return cls(tuple(zip(xs, ys)), lipschitz_bound)
 
     @property
@@ -102,11 +113,11 @@ def _lipschitz_violation(pts, c: float, tol: float):
 class LipschitzExtension:
     """The greatest c-Lipschitz extension of a table to the whole line.
 
-    Evaluation takes the pointwise minimum of the cones ``f(x_i) + c|x - x_i|``.
-    This is the upper extension; negate the table values (and the result) to
-    obtain the lower one.  Construction raises :class:`PreconditionError`
-    naming a violating pair when the table is not c-Lipschitz to within
-    ``LIP_TOL``.
+    This is McShane's extension (Bull. Amer. Math. Soc. 40, 1934): evaluation
+    takes the pointwise minimum of the cones ``f(x_i) + c|x - x_i|``.  It is
+    the upper extension; negate the table values (and the result) to obtain
+    the lower one.  Construction raises :class:`PreconditionError` naming a
+    violating pair when the table is not c-Lipschitz to within ``LIP_TOL``.
     """
 
     table: FunctionTable
@@ -132,11 +143,3 @@ class LipschitzExtension:
         out = cones.min(axis=-1)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-
-def mcshane_extend(f: FunctionTable, c: float) -> LipschitzExtension:
-    """Extend a c-Lipschitz table to the line, keeping the constant.
-
-    Raises :class:`PreconditionError` naming a violating pair when the table
-    is not c-Lipschitz to within ``LIP_TOL``.
-    """
-    return LipschitzExtension(f, c)

@@ -31,7 +31,7 @@ from .errors import (
     NotHermitianError,
     ValidationError,
 )
-from .functions import FunctionTable
+from .functions import FunctionTable, _check_points
 from .tolerances import CHECK_TOL, PAIR_TOL_SCALE, ROUND_RTOL
 
 JACOBI_MAX_SWEEPS = 100
@@ -143,15 +143,14 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", lams)
         object.__setattr__(self, "vectors", _frozen(self.vectors, np.complex128))
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if not self.ranks:
-            raise ValidationError("a spectral decomposition needs at least one group")
-        if lams.shape != (len(self.ranks),) or min(self.ranks) < 1:
+        if lams.shape != (len(self.ranks),) or min(self.ranks, default=1) < 1:
             raise ValidationError("need one positive rank per group eigenvalue")
         n = sum(self.ranks)
         if self.vectors.shape != (n, n):
             raise ValidationError("group ranks must sum to the side of the eigenvector matrix")
-        if (lams[1:] <= lams[:-1]).any():
-            raise ValidationError("group eigenvalues must be strictly increasing")
+        _check_points(
+            lams, "a spectral decomposition needs at least one group", "group eigenvalues"
+        )
 
     @cached_property
     def labels(self) -> np.ndarray:

@@ -137,7 +137,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
             "but the superposition witness does not clear the margin floor"
         )
 
-    table = FunctionTable.from_values(lams, scalars, lipschitz_bound=None)
+    table = FunctionTable.from_values(lams, scalars)
     return OrderVerdict(holds=True, certificate=table, witness=None, margin=0.0)
 
 

@@ -18,6 +18,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
+from .functions import _check_points
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
@@ -157,7 +158,7 @@ def _clean_atoms(pairs, merge_tol: float) -> tuple[tuple[float, float], ...]:
             merged[-1][1] = tot
         else:
             merged.append([t, p])
-    kept = [(t, p) for t, p in merged if p >= DUST]
+    kept = [(t, p) for t, p in merged if not p < DUST]  # a NaN mass is kept, to be refused
     total = sum(p for _, p in kept)
     if total <= 0:
         raise ValidationError("measure has no mass left after dropping empty atoms")
@@ -172,13 +173,10 @@ class BornMeasure:
 
     def __post_init__(self):
         atoms = tuple((float(t), float(p)) for t, p in self.atoms)
-        if not atoms:
-            raise ValidationError("measure needs at least one atom")
         locs = np.array([a[0] for a in atoms])
+        _check_points(locs, "measure needs at least one atom", "atom locations")
         masses = np.array([a[1] for a in atoms])
-        if np.any(np.diff(locs) <= 0):
-            raise ValidationError("atom locations must be strictly increasing")
-        if np.any(masses < 0):
+        if not (masses >= 0).all():  # a NaN mass fails too
             raise ValidationError("atom masses must be nonnegative")
         total = float(masses.sum())
         if abs(total - 1.0) > CHECK_TOL:

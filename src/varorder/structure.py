@@ -32,7 +32,6 @@ from .linalg import (
     _as_pair,
     _eigh,
     _freeze,
-    apply_function,
     commutator_norm,
     eigendecompose,
     resolve_tol,
@@ -331,8 +330,7 @@ def verify_automorphism(
         b = random_hermitian(dim, rng)
         if t % 2 == 0:
             dec = eigendecompose(b)
-            vals = random_lipschitz_values(dec.eigenvalues, rng)
-            a = apply_function(dec, FunctionTable.from_values(dec.eigenvalues, vals))
+            a = HermitianObservable(dec.assemble(random_lipschitz_values(dec.eigenvalues, rng)))
         else:
             a = random_hermitian(dim, rng)
         fa = _as_observable(phi(a))
@@ -374,13 +372,10 @@ def two_spectrum_detector(A, method: str = "spectral") -> bool:
         return False
     rng = as_rng(0)
     lams = dec.eigenvalues
-    members = []
-    for _ in range(20):
-        vals = random_lipschitz_values(lams, rng)
-        members.append(apply_function(dec, FunctionTable.from_values(lams, vals)))
+    images = [random_lipschitz_values(lams, rng) for _ in range(20)]
     for i in range(1, m - 1):
-        for table in hinge_tables(lams, float(lams[i])):
-            members.append(apply_function(dec, table))
+        images += [table.values for table in hinge_tables(lams, float(lams[i]))]
+    members = [HermitianObservable(dec.assemble(vals)) for vals in images]
     for x, y in combinations(members, 2):
         if not (decide_order(x, y).holds or decide_order(y, x).holds):
             return False

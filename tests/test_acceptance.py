@@ -17,7 +17,6 @@ from varorder import (
     apply_function,
     approx_eigen_sandwich,
     block_shift_upper_bound,
-    born_measure,
     check_state_order,
     commutator_norm,
     decide_order,

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varorder import (
+    BornMeasure,
     DomainError,
     FunctionTable,
     LipschitzExtension,
     PreconditionError,
+    SpectralDecomposition,
     ValidationError,
-    mcshane_extend,
 )
 from varorder.functions import _lipschitz_violation
 from varorder.sampling import random_lipschitz_table
@@ -31,6 +32,41 @@ def test_table_requires_increasing_locations():
 def test_table_requires_points():
     with pytest.raises(ValidationError):
         FunctionTable(())
+
+
+# One point-set check (nonempty, finite, strictly increasing) for table locations, atom
+# locations and group eigenvalues.  An infinity used to pass all three and a NaN the last
+# two; measure_variance then read 0.0 on a measure with a NaN or infinite atom.
+POINT_SETS = {
+    "table": lambda xs: FunctionTable(tuple((x, 0.0) for x in xs)),
+    "measure": lambda xs: BornMeasure(tuple((x, 1.0 / len(xs)) for x in xs)),
+    "decomposition": lambda xs: SpectralDecomposition(xs, np.eye(len(xs)), (1,) * len(xs)),
+}
+BAD_POINTS = {
+    "nan-first": [np.nan, 0.0, 1.0],
+    "nan-later": [0.0, np.nan],
+    "lone-nan": [np.nan],
+    "inf-last": [0.0, 1.0, np.inf],
+    "minus-inf-first": [-np.inf, 0.0, 1.0],
+    "repeated": [0.0, 1.0, 1.0],
+    "none": [],
+}
+
+
+@pytest.mark.parametrize("points", BAD_POINTS.values(), ids=BAD_POINTS.keys())
+@pytest.mark.parametrize("build", POINT_SETS.values(), ids=POINT_SETS.keys())
+def test_points_must_be_nonempty_finite_and_strictly_increasing(build, points):
+    match = "at least one" if not points else "finite and strictly increasing"
+    with pytest.raises(ValidationError, match=match):
+        build(np.array(points))
+
+
+def test_from_values_needs_one_value_per_location():
+    # the two lists used to be zipped, silently giving the two-point table ((0, 5), (1, 6))
+    with pytest.raises(ValidationError, match="3 locations but 2 values"):
+        FunctionTable.from_values([0.0, 1.0, 2.0], [5.0, 6.0])
+    with pytest.raises(ValidationError, match="1 locations but 2 values"):
+        FunctionTable.from_values([0.0], [5.0, 6.0])
 
 
 def test_stored_bound_is_checked():
@@ -68,12 +104,12 @@ def test_value_at_matches_nearby_location():
 
 
 # ---------------------------------------------------------------------------
-# mcshane_extend
+# LipschitzExtension (McShane's greatest extension)
 
 
 def test_extension_agrees_on_table_points():
     t = random_lipschitz_table(np.array([0.0, 1.0, 2.5, 4.0]), seed=1)
-    ext = mcshane_extend(t, 1.0)
+    ext = LipschitzExtension(t, 1.0)
     for x, y in t.points:
         assert ext(x) == pytest.approx(y, abs=1e-12)
 
@@ -81,7 +117,7 @@ def test_extension_agrees_on_table_points():
 def test_extension_of_constant_table_is_constant():
     # constants are 0-Lipschitz; extending with c = 0 stays constant
     t = FunctionTable.from_mapping({0.0: 3.0, 5.0: 3.0})
-    ext = mcshane_extend(t, 0.0)
+    ext = LipschitzExtension(t, 0.0)
     assert ext(-7.0) == pytest.approx(3.0)
     assert ext(2.5) == pytest.approx(3.0)
     assert ext(100.0) == pytest.approx(3.0)
@@ -90,20 +126,20 @@ def test_extension_of_constant_table_is_constant():
 def test_greatest_extension_peaks_between_constant_points():
     # with c > 0 the greatest extension climbs away from the table points
     t = FunctionTable.from_mapping({0.0: 3.0, 5.0: 3.0})
-    ext = mcshane_extend(t, 1.0)
+    ext = LipschitzExtension(t, 1.0)
     assert ext(2.5) == pytest.approx(5.5)
     assert ext(-7.0) == pytest.approx(10.0)
 
 
 def test_extension_value_between_points():
     # candidates f(0) + |1 - 0| = 1 and f(2) + |1 - 2| = 2; minimum is 1
-    ext = mcshane_extend(FunctionTable.from_mapping({0.0: 0.0, 2.0: 1.0}), 1.0)
+    ext = LipschitzExtension(FunctionTable.from_mapping({0.0: 0.0, 2.0: 1.0}), 1.0)
     assert ext(1.0) == pytest.approx(1.0)
 
 
 def test_extension_on_grid_matches_cone_minimum():
     t = random_lipschitz_table(np.linspace(-1.0, 6.0, 7), seed=2)
-    ext = mcshane_extend(t, 1.0)
+    ext = LipschitzExtension(t, 1.0)
     xs, ys = t.locations, t.values
     grid = np.linspace(-3.0, 8.0, 997)
     expect = np.min(ys + np.abs(grid[:, None] - xs), axis=1)
@@ -112,7 +148,7 @@ def test_extension_on_grid_matches_cone_minimum():
 
 def test_extension_is_lipschitz_on_dense_grid():
     t = random_lipschitz_table(np.array([0.0, 0.7, 1.1, 3.0, 4.2]), seed=3, constant=2.0)
-    ext = mcshane_extend(t, 2.0)
+    ext = LipschitzExtension(t, 2.0)
     grid = np.linspace(-2.0, 6.2, 10_000)
     vals = ext(grid)
     step = grid[1] - grid[0]
@@ -122,7 +158,7 @@ def test_extension_is_lipschitz_on_dense_grid():
 def test_not_lipschitz_names_the_violating_pair():
     t = FunctionTable.from_mapping({0.0: 0.0, 1.0: 5.0, 2.0: 5.5})
     with pytest.raises(PreconditionError, match=r"0\.0.*1\.0") as err:
-        mcshane_extend(t, 1.0)
+        LipschitzExtension(t, 1.0)
     assert err.value.witness == ((0.0, 0.0), (1.0, 5.0))
 
 
@@ -134,24 +170,23 @@ def test_direct_extension_checks_the_constant():
     assert err.value.witness == ((0.0, 0.0), (1.0, 5.0))
     assert LipschitzExtension(t, 5).constant == 5.0
     point = FunctionTable.from_mapping({0.0: 0.0})
-    for build in (LipschitzExtension, mcshane_extend):
-        # a NaN constant passes the pair check, which compares nothing, so the sign check catches it
-        with pytest.raises(ValidationError, match="nonnegative"):
-            build(t, float("nan"))
-        with pytest.raises(ValidationError, match="nonnegative"):
-            build(point, -1.0)
-        # with a pair to compare, a negative constant fails the table check first
-        with pytest.raises(PreconditionError, match="not -1.0-Lipschitz"):
-            build(t, -1.0)
+    # a NaN constant passes the pair check, which compares nothing, so the sign check catches it
+    with pytest.raises(ValidationError, match="nonnegative"):
+        LipschitzExtension(t, float("nan"))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        LipschitzExtension(point, -1.0)
+    # with a pair to compare, a negative constant fails the table check first
+    with pytest.raises(PreconditionError, match="not -1.0-Lipschitz"):
+        LipschitzExtension(t, -1.0)
 
 
 def test_negation_gives_the_smallest_extension():
     # the upper extension dominates every other c-Lipschitz extension,
     # so negating twice produces a pointwise lower bound
     t = FunctionTable.from_mapping({0.0: 0.0, 2.0: 1.0, 3.0: 0.5})
-    upper = mcshane_extend(t, 1.0)
+    upper = LipschitzExtension(t, 1.0)
     neg = FunctionTable.from_values(t.locations, -t.values)
-    lower_vals = -mcshane_extend(neg, 1.0)(np.linspace(-1.0, 4.0, 41))
+    lower_vals = -LipschitzExtension(neg, 1.0)(np.linspace(-1.0, 4.0, 41))
     upper_vals = upper(np.linspace(-1.0, 4.0, 41))
     assert np.all(lower_vals <= upper_vals + 1e-12)
 
@@ -167,7 +202,7 @@ def test_extension_lipschitz_property(seed, c, probe, x):
     rng = np.random.default_rng(seed)
     locs = np.sort(rng.uniform(-10.0, 10.0, size=rng.integers(1, 8)))
     locs = locs[np.r_[True, np.diff(locs) > 1e-6]]
-    ext = mcshane_extend(random_lipschitz_table(locs, seed=rng, constant=c), c)
+    ext = LipschitzExtension(random_lipschitz_table(locs, seed=rng, constant=c), c)
     assert abs(ext(probe) - ext(x)) <= c * abs(probe - x) + 1e-9
 
 

@@ -1,4 +1,4 @@
-"""Every module-level import in ``src/varorder/`` is used by its module."""
+"""Every module-level import in src/varorder/, tests/ and tools/ is used by its module."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,8 @@ from pathlib import Path
 import varorder
 
 SRC = Path(varorder.__file__).parent
+TESTS = Path(__file__).resolve().parent
+TOOLS = TESTS.parent / "tools"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -22,11 +24,12 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_unused_module_imports():
-    # __init__ imports to re-export, so it is the one module exempt
+    # the package __init__ imports to re-export, so it is the one module exempt
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py")) + sorted(TOOLS.glob("*.py"))
     found = {
-        path.name: unused
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.parent.name}/{path.name}": unused
+        for path in paths
         if (unused := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}

@@ -386,6 +386,19 @@ def test_apply_commutes_with_source():
     assert commutator_norm(out, obs) <= 1e-8
 
 
+def test_assembling_values_equals_applying_their_table():
+    # ``dec.assemble(vals)`` is how ``verify_automorphism`` and ``two_spectrum_detector``
+    # build ``f(B)``; matching each eigenvalue back to its table point gives the same bytes
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 5, 8):
+        for scale in (1e-6, 1e-2, 1.0, 1e3, 1e6):
+            dec = eigendecompose(random_hermitian(n, seed=rng, scale=scale))
+            vals = rng.uniform(-1.0, 1.0, len(dec.ranks)) * scale
+            table = FunctionTable.from_values(dec.eigenvalues, vals)
+            direct = HermitianObservable(dec.assemble(vals)).matrix
+            assert direct.tobytes() == apply_function(dec, table).matrix.tobytes()
+
+
 def test_apply_undefined_point_names_eigenvalue():
     dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
     with pytest.raises(DomainError, match=r"of 3\.0 "):

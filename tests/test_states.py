@@ -9,6 +9,7 @@ from varorder import (
     OracleConfig,
     DimensionMismatchError,
     HermitianObservable,
+    LipschitzExtension,
     PreconditionError,
     PureState,
     ValidationError,
@@ -18,7 +19,6 @@ from varorder import (
     expectation,
     maximal_deviation,
     measure_variance,
-    mcshane_extend,
     pushforward,
     superposition_variance,
     variance,
@@ -148,6 +148,30 @@ def test_born_measure_validation():
         BornMeasure(((0.0, 0.5), (1.0, 0.4)))  # mass 0.9
     with pytest.raises(ValidationError):
         BornMeasure(((1.0, 0.5), (0.0, 0.5)))  # decreasing locations
+    # a NaN mass used to pass both the sign test and the sum test
+    for atoms in (((0.0, np.nan),), ((0.0, np.nan), (1.0, 1.0))):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            BornMeasure(atoms)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(np.nan, 0.5), (1.0, 0.5)],
+    [(0.0, 0.5), (np.inf, 0.5)],
+    [(0.0, np.nan), (1.0, 0.5)],  # the NaN atom used to be dropped as dust
+])
+def test_normalized_refuses_nonfinite_locations_and_nan_masses(pairs):
+    with pytest.raises(ValidationError):
+        BornMeasure.normalized(pairs)
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: np.nan,
+    lambda t: np.nan if t > 0 else t,
+    lambda t: np.inf if t > 0 else t,
+], ids=["all-nan", "one-nan", "inf"])
+def test_pushforward_refuses_a_nonfinite_image(f):
+    with pytest.raises(ValidationError):
+        pushforward(BornMeasure(((0.0, 0.5), (1.0, 0.5))), f)
 
 
 def test_normalized_merges_and_drops_dust():
@@ -211,7 +235,7 @@ def test_pushforward_contracts_variance_under_short_maps():
         locs = locs[np.r_[True, np.diff(locs) > 1e-6]]
         masses = rng.dirichlet(np.ones(len(locs)))
         mu = BornMeasure.normalized(zip(locs, masses))
-        f = mcshane_extend(random_lipschitz_table(mu.locations, seed=rng), 1.0)
+        f = LipschitzExtension(random_lipschitz_table(mu.locations, seed=rng), 1.0)
         assert measure_variance(pushforward(mu, f)) <= measure_variance(mu) + 1e-10
 
 

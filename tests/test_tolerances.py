@@ -11,10 +11,10 @@ import varorder
 from varorder import (
     BornMeasure,
     FunctionTable,
+    LipschitzExtension,
     PreconditionError,
     ValidationError,
     check_state_order,
-    mcshane_extend,
     order,
     state_order_violation,
     tolerances,
@@ -54,7 +54,7 @@ def test_lipschitz_slack_is_lip_tol(excess, ok):
     with nullcontext() if ok else pytest.raises(ValidationError):
         FunctionTable(pts, lipschitz_bound=1.0)
     with nullcontext() if ok else pytest.raises(PreconditionError):
-        mcshane_extend(FunctionTable(pts), 1.0)
+        LipschitzExtension(FunctionTable(pts), 1.0)
 
 
 def test_no_tolerance_literal_outside_the_model():

@@ -28,8 +28,8 @@ def _check_points(xs: np.ndarray, empty: str, what: str) -> None:
 class FunctionTable:
     """A real function given on finitely many points.
 
-    ``points`` is a tuple of ``(x, f(x))`` pairs with finite, strictly
-    increasing first coordinates.  When ``lipschitz_bound`` is supplied, construction
+    ``points`` is a tuple of ``(x, f(x))`` pairs with finite values and finite,
+    strictly increasing first coordinates.  When ``lipschitz_bound`` is supplied, construction
     verifies ``|f(x) - f(y)| <= bound * |x - y| + LIP_TOL`` on all pairs.
     """
 
@@ -40,6 +40,8 @@ class FunctionTable:
         pts = tuple((float(x), float(y)) for x, y in self.points)
         xs = np.array([x for x, _ in pts])
         _check_points(xs, "function table needs at least one point", "table point locations")
+        if not all(math.isfinite(y) for _, y in pts):
+            raise ValidationError("table values must be finite")
         object.__setattr__(self, "points", pts)
         if self.lipschitz_bound is not None:
             bad = _lipschitz_violation(pts, float(self.lipschitz_bound), LIP_TOL)

@@ -29,7 +29,7 @@ from .linalg import (
 )
 from .sampling import as_rng, complex_gaussian
 from .states import DensityState, PureState, _variances
-from .tolerances import CHECK_TOL, DUST, FAIL_MARGIN_TOL
+from .tolerances import CHECK_TOL, FAIL_MARGIN_TOL, ROUND_RTOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +143,8 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Settings for the projected-gradient witness oracle."""
+    """Settings for :func:`witness_search`: ``restarts`` random starting states,
+    at most ``steps`` conjugate-gradient steps each, and the ``seed`` that draws them."""
 
     restarts: int = 32
     steps: int = 500
@@ -154,62 +155,133 @@ class OracleConfig:
             raise ValidationError(f"oracle needs restarts >= 1 and steps >= 0, got {self}")
 
 
+# The line search's grid over phi = 2 theta in [0, 2 pi), and the gain basis
+# (cos phi - 1, sin phi, cos 2 phi - 1, sin 2 phi) on it: zero at phi = 0.
+_PHI = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+_GAIN_BASIS = np.stack([np.cos(_PHI) - 1.0, np.sin(_PHI), np.cos(2 * _PHI) - 1.0, np.sin(2 * _PHI)])
+_NEWTON_STEPS = 2
+
+
+def _circle_coefficients(x: np.ndarray, d: np.ndarray, mx: np.ndarray, md: np.ndarray) -> np.ndarray:
+    """Coefficients ``(5, k)`` of ``var(A) - var(B)`` along ``cos(theta) x + sin(theta) d``.
+
+    ``x`` and ``d`` are ``(k, n)`` stacks of unit vectors with ``x_i* d_i = 0``;
+    ``mx`` and ``md`` stack their products with ``A`` and with ``B`` as
+    ``(2, k, n)``.  For each observable ``M``, ``<M>`` and ``<M^2>`` on the
+    circle are ``m0 + m1 cos(phi) + m2 sin(phi)`` at ``phi = 2 theta``, so the
+    gap is ``c[0] + c[1] cos(phi) + c[2] sin(phi) + c[3] cos(2 phi) + c[4] sin(2 phi)``.
+    """
+    xx = np.einsum("ki,ski->sk", x.conj(), mx).real
+    dd = np.einsum("ki,ski->sk", d.conj(), md).real
+    m0, m1, m2 = (xx + dd) / 2, (xx - dd) / 2, np.einsum("ki,ski->sk", x.conj(), md).real
+    sx = np.einsum("ski,ski->sk", mx.conj(), mx).real
+    sd = np.einsum("ski,ski->sk", md.conj(), md).real
+    sxd = np.einsum("ski,ski->sk", mx.conj(), md).real
+    # variance = <M^2> - <M>^2, with <M>^2 expanded into the harmonics of phi
+    per = np.stack([
+        (sx + sd) / 2 - m0 * m0 - (m1 * m1 + m2 * m2) / 2,
+        (sx - sd) / 2 - 2 * m0 * m1,
+        sxd - 2 * m0 * m2,
+        (m2 * m2 - m1 * m1) / 2,
+        -m1 * m2,
+    ])
+    return per[:, 0] - per[:, 1]
+
+
+def _best_angle(c: np.ndarray) -> np.ndarray:
+    """The ``phi`` maximizing each column's trigonometric polynomial: the best
+    point of a grid, then a few Newton steps, each taken only where the
+    curvature is negative and clipped to half the grid spacing."""
+    k1, k2, k3, k4 = c[1:]
+    phi = _PHI[np.argmax(c[1:].T @ _GAIN_BASIS, axis=1)]
+    half = np.pi / len(_PHI)
+    with np.errstate(divide="ignore", invalid="ignore"):  # no step where the curvature is 0
+        for _ in range(_NEWTON_STEPS):
+            c1, s1 = np.cos(phi), np.sin(phi)
+            c2, s2 = c1 * c1 - s1 * s1, 2 * s1 * c1
+            slope = k2 * c1 - k1 * s1 + 2 * (k4 * c2 - k3 * s2)
+            curv = -(k1 * c1 + k2 * s1) - 4 * (k3 * c2 + k4 * s2)
+            step = np.minimum(np.maximum(slope / -curv, -half), half)
+            phi = np.where(curv < 0, phi + step, phi)
+    return phi
+
+
 def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, float]:
     """Maximize ``var_x(A) - var_x(B)`` over the unit sphere.
 
-    Multi-restart projected gradient ascent with a line search that starts
-    each step at length 1 and halves it; all restarts advance in lockstep as
-    one batch.  Returns the best state and its value; ties across restarts
-    resolve to the lowest restart index.  Deterministic for a fixed ``cfg.seed``.
+    Riemannian conjugate gradient (Polak-Ribiere+; Absil, Mahony & Sepulchre,
+    *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 4 and 8) from
+    ``cfg.restarts`` random unit vectors, all advancing in lockstep as one
+    batch, for at most ``cfg.steps`` steps.  A step follows the great circle
+    through ``x`` in the search direction, on which the objective is a
+    trigonometric polynomial of degree 2 in twice the angle
+    (:func:`_circle_coefficients`); the circle's best point
+    (:func:`_best_angle`) is taken only when a fresh evaluation shows a strict
+    gain.  The direction is the gradient plus ``beta`` times the last
+    circle's tangent, or the gradient alone when that does not point uphill
+    and on every ``2n - 2``-th step.  A restart retires when its gradient
+    norm falls below ``CHECK_TOL`` or a step gains at most
+    ``ROUND_RTOL * (|A|_F^2 + |B|_F^2)``.
+
+    Returns the best state and its value; ties across restarts resolve to the
+    lowest restart index.  Deterministic for a fixed ``cfg.seed``.  It calls
+    no eigensolver and no decision routine, so it checks :func:`decide_order`
+    independently.
     """
     a, b = _as_pair(A, B)
     cfg = cfg or OracleConfig()
     rng = as_rng(cfg.seed)
     am, bm = a.matrix, b.matrix
-    a2, b2 = am @ am, bm @ bm
-    n, r = a.dim, cfg.restarts
+    ops = np.stack([am, bm, am @ am, bm @ bm]).transpose(0, 2, 1)  # x @ ops: Ax, Bx, A^2x, B^2x
+    floor = ROUND_RTOL * (a.frobenius_norm**2 + b.frobenius_norm**2)
 
-    def value(x: np.ndarray) -> np.ndarray:
-        return _variances(am, x) - _variances(bm, x)
-
-    x = complex_gaussian(rng, r, n)
+    x = complex_gaussian(rng, cfg.restarts, a.dim)
     x /= np.linalg.norm(x, axis=1)[:, None]
-    val = value(x)
-    active = np.ones(r, dtype=bool)
-    for _ in range(cfg.steps):
-        live = np.flatnonzero(active)
-        if live.size == 0:
-            break
-        xl = x[live]
-        xa, xb = xl @ am.T, xl @ bm.T
-        ea = np.einsum("ij,ij->i", xl.conj(), xa).real
-        eb = np.einsum("ij,ij->i", xl.conj(), xb).real
-        grad = 2.0 * (xl @ a2.T - 2.0 * ea[:, None] * xa)
-        grad -= 2.0 * (xl @ b2.T - 2.0 * eb[:, None] * xb)
-        grad -= np.einsum("ij,ij->i", xl.conj(), grad)[:, None] * xl
-        gn = np.linalg.norm(grad, axis=1)
-        converged = gn < CHECK_TOL
-        active[live[converged]] = False
-        live = live[~converged]
-        if live.size == 0:
-            continue
-        dirs = np.zeros_like(x)
-        dirs[live] = grad[~converged]
-        eta = np.ones(r)
-        pend = live
-        while pend.size:
-            cand = x[pend] + eta[pend, None] * dirs[pend]
-            cand /= np.linalg.norm(cand, axis=1)[:, None]
-            vc = value(cand)
-            improved = vc > val[pend]
-            hit = pend[improved]
-            x[hit] = cand[improved]
-            val[hit] = vc[improved]
-            rest = pend[~improved]
-            eta[rest] *= 0.5
-            dead = rest[eta[rest] < DUST]
-            active[dead] = False
-            pend = rest[eta[rest] >= DUST]
+    val = _variances(am, x) - _variances(bm, x)
+    # the live restarts' state; a row is written back to ``x`` when it retires
+    live = np.arange(cfg.restarts)
+    xl, vl = x.copy(), val.copy()
+    keep = np.ones(cfg.restarts, dtype=bool)
+    tangent = g_prev = gg_prev = None
+    # steepest ascent again every ``cycle`` steps: the real dimension of the
+    # sphere with the phase (on which the gap does not depend) taken out
+    cycle = max(1, 2 * a.dim - 2)
+    for step in range(cfg.steps):
+        px = xl @ ops
+        e = np.einsum("ki,ski->sk", xl.conj(), px[:2]).real
+        g = 2.0 * (px[2] - px[3] - 2.0 * (e[0, :, None] * px[0] - e[1, :, None] * px[1]))
+        g -= np.einsum("ki,ki->k", xl.conj(), g)[:, None] * xl
+        gg = np.einsum("ki,ki->k", g.conj(), g).real
+        keep &= gg >= CHECK_TOL**2
+        if not keep.all():
+            x[live], val[live] = xl, vl
+            live, xl, vl, px, g, gg = live[keep], xl[keep], vl[keep], px[:, keep], g[keep], gg[keep]
+            if tangent is not None:
+                tangent, g_prev, gg_prev = tangent[keep], g_prev[keep], gg_prev[keep]
+            if not live.size:
+                break
+        eta = g
+        if step % cycle:
+            beta = np.maximum(0.0, (gg - np.einsum("ki,ki->k", g.conj(), g_prev).real) / gg_prev)
+            eta = g + beta[:, None] * tangent
+            eta -= np.einsum("ki,ki->k", xl.conj(), eta)[:, None] * xl
+            uphill = np.einsum("ki,ki->k", eta.conj(), g).real > 0
+            eta = np.where(uphill[:, None], eta, g)
+        dn = np.sqrt(np.einsum("ki,ki->k", eta.conj(), eta).real)
+        dh = eta / dn[:, None]
+        theta = _best_angle(_circle_coefficients(xl, dh, px[:2], dh @ ops[:2])) / 2
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        cand = cos * xl + sin * dh
+        cand /= np.linalg.norm(cand, axis=1)[:, None]
+        vc = _variances(am, cand) - _variances(bm, cand)
+        gain = vc - vl
+        better = gain > 0
+        tangent = dn[:, None] * (cos * dh - sin * xl)
+        xl = np.where(better[:, None], cand, xl)
+        vl = np.where(better, vc, vl)
+        g_prev, gg_prev = g, gg
+        keep = gain > floor
+    x[live], val[live] = xl, vl
     best = int(np.argmax(val))
     return PureState.normalized(x[best]), float(val[best])
 

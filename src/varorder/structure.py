@@ -166,19 +166,27 @@ class QMatrix:
         return self.values.shape[0]
 
 
+_MASK_BLOCK = 128
+
+
 def _enumerated_q(pts: np.ndarray) -> np.ndarray:
     # Brute-force cross-check over the extremal short maps on a finite chain:
     # each adjacent step is taken at full width or collapsed to zero, and at
-    # least one step must collapse so the image has fewer points.
+    # least one step must collapse so the image has fewer points.  Bit i of a
+    # mask keeps step i; masks run in blocks of _MASK_BLOCK, so the block's
+    # (masks, n, n) difference array stays small.
     n = len(pts)
     order = np.argsort(pts)
     steps = np.diff(pts[order])
+    shifts = np.arange(n - 1)
+    count = 2 ** (n - 1) - 1  # all-ones (the identity) excluded
     q = np.zeros((n, n))
-    values = np.empty(n)
-    for mask in range(2 ** (n - 1) - 1):  # all-ones (the identity) excluded
-        kept = np.array([(mask >> i) & 1 for i in range(n - 1)], dtype=np.float64)
-        values[order] = np.concatenate(([0.0], np.cumsum(kept * steps)))
-        np.maximum(q, np.abs(values[:, None] - values[None, :]), out=q)
+    for start in range(0, count, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, count))
+        values = np.zeros((masks.size, n))
+        values[:, order[1:]] = np.cumsum(((masks[:, None] >> shifts) & 1) * steps, axis=1)
+        gaps = values[:, :, None] - values[:, None, :]
+        np.maximum(q, np.abs(gaps, out=gaps).max(axis=0), out=q)
     return q
 
 

@@ -6,5 +6,5 @@ LIP_TOL = 1e-9  # function-value units, absolute: slack in |f(x) - f(y)| <= c |x
 GAP_RTOL = 1e-9  # relative to the gap-matrix scale: ties at its maximum, round trips
 CHECK_TOL = 1e-10  # an identity that outside input, or two internal routes, must satisfy
 ROUND_RTOL = 1e-12  # rounding, relative to the magnitude involved (1 for a unit norm)
-DUST = 1e-14  # absolute: lighter Born atoms are dropped, shorter oracle steps abandoned
+DUST = 1e-14  # probability mass, absolute: lighter Born atoms are dropped
 ORACLE_AGREE_TOL = 1e-6  # variance units, absolute: an oracle best this small agrees with "holds"

@@ -61,6 +61,19 @@ def test_points_must_be_nonempty_finite_and_strictly_increasing(build, points):
         build(np.array(points))
 
 
+@pytest.mark.parametrize("bound", [None, 1.0], ids=["no-bound", "bound"])
+@pytest.mark.parametrize(
+    "values",
+    [[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.0, -np.inf]],
+    ids=["nan-first", "nan-later", "inf-first", "inf-later", "minus-inf-first", "minus-inf-later"],
+)
+def test_table_values_must_be_finite(values, bound):
+    # a NaN excess is no Lipschitz violation, so ((0, nan), (1, 0)) used to pass a bound
+    # of 1, and its LipschitzExtension read NaN even at the table point 1.0
+    with pytest.raises(ValidationError, match="table values must be finite"):
+        FunctionTable(tuple(zip([0.0, 1.0], values)), lipschitz_bound=bound)
+
+
 def test_from_values_needs_one_value_per_location():
     # the two lists used to be zipped, silently giving the two-point table ((0, 5), (1, 6))
     with pytest.raises(ValidationError, match="3 locations but 2 values"):

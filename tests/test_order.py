@@ -26,10 +26,11 @@ from varorder import (
     variance,
     witness_search,
 )
+from varorder import linalg, order
 from varorder.linalg import default_pair_tol, loewner_leq
-from varorder.order import FAIL_MARGIN_TOL, state_order_violation
+from varorder.order import FAIL_MARGIN_TOL, _circle_coefficients, state_order_violation
 from varorder.sampling import random_hermitian, random_lipschitz_values, random_unitary
-from varorder.states import superposition_variance
+from varorder.states import _variances, superposition_variance
 from varorder.structure import joint_upper_bound, three_point_class_candidates
 
 PAULI_X = HermitianObservable(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -251,6 +252,64 @@ def test_oracle_rejects_empty_or_unseeded_searches():
         witness_search(a, a, OracleConfig(seed=-1))
     _, best = witness_search(a, a, OracleConfig(restarts=1, steps=0))
     assert best == pytest.approx(0.0, abs=1e-12)
+
+
+def test_circle_coefficients_reproduce_the_gap():
+    # along cos(t) x + sin(t) d the gap is a trigonometric polynomial in 2t whose
+    # five coefficients come from inner products at x and d alone
+    rng = np.random.default_rng(300)
+    for n, scale in ((2, 1e-3), (3, 1.0), (5, 1e3), (8, 1.0)):
+        a = random_hermitian(n, seed=310 + n, scale=scale).matrix
+        b = random_hermitian(n, seed=320 + n, scale=scale).matrix
+        x = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        d = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        d -= np.einsum("ki,ki->k", x.conj(), d)[:, None] * x
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        ops = np.stack([a, b]).transpose(0, 2, 1)
+        c = _circle_coefficients(x, d, x @ ops, d @ ops)
+        norm2 = np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2
+        for t in rng.uniform(0.0, np.pi, 5):
+            y = np.cos(t) * x + np.sin(t) * d
+            want = _variances(a, y) - _variances(b, y)
+            phi = 2.0 * t
+            got = c.T @ [1.0, np.cos(phi), np.sin(phi), np.cos(2 * phi), np.sin(2 * phi)]
+            assert np.abs(got - want).max() <= 1e-12 * norm2
+
+
+@pytest.mark.parametrize("holding", [False, True], ids=["independent", "holding"])
+def test_more_steps_never_lower_the_best(holding):
+    # every restart only ever moves to a strictly better point, and a longer
+    # search repeats a shorter one's steps first
+    b = random_hermitian(6, seed=330, scale=3.0)
+    a = _lipschitz_image(b, seed=331)[0] if holding else random_hermitian(6, seed=332)
+    bests = [witness_search(a, b, OracleConfig(restarts=4, steps=s, seed=9))[1] for s in (0, 1, 5, 50)]
+    assert bests == sorted(bests)
+    assert bests[-1] > bests[0]
+
+
+def test_search_calls_no_eigensolver_and_no_decision(monkeypatch):
+    # the oracle is the independent check of decide_order: it must not lean on
+    # the eigensolver or on the decision procedure
+    def refuse(*args, **kwargs):
+        raise AssertionError("witness_search must not call this")
+
+    for module, name in [
+        (linalg, "_eigh"),
+        (linalg, "eigendecompose"),
+        (order, "_eigh"),
+        (order, "eigendecompose"),
+        (order, "decide_order"),
+        (np.linalg, "eigh"),
+        (np.linalg, "eigvalsh"),
+        (np.linalg, "eig"),
+        (np.linalg, "eigvals"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    a = np.diag([0.0, 2.0, 3.0])  # fresh arrays: no observable with cached eigenpairs
+    b = np.diag([0.0, 1.0, 3.0])
+    _, best = witness_search(a, b, OracleConfig(restarts=4, steps=50, seed=0))
+    assert best >= 0.75 - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from varorder.sampling import (
     random_spectrum,
     random_unitary,
 )
+from varorder.structure import _enumerated_q
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,29 @@ def test_q_matrix_enumeration_cross_check(seed):
         q_matrix(spectrum, method="enumerate").values,
         atol=1e-9,
     )
+
+
+def _loop_enumerated_q(pts):
+    # the one-mask-at-a-time loop the blocked enumeration replaced, kept as its reference
+    n = len(pts)
+    order = np.argsort(pts)
+    steps = np.diff(pts[order])
+    q = np.zeros((n, n))
+    values = np.empty(n)
+    for mask in range(2 ** (n - 1) - 1):
+        kept = np.array([(mask >> i) & 1 for i in range(n - 1)], dtype=np.float64)
+        values[order] = np.concatenate(([0.0], np.cumsum(kept * steps)))
+        np.maximum(q, np.abs(values[:, None] - values[None, :]), out=q)
+    return q
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_blocked_enumeration_equals_the_loop(seed):
+    # n = 4..12 (up to 2047 masks, eight blocks), unsorted, at scales 1e-6..1e6
+    rng = np.random.default_rng(180 + seed)
+    n = 4 + seed % 9
+    pts = rng.permutation(random_spectrum(n, seed=190 + seed)) * 10.0 ** rng.uniform(-6, 6)
+    np.testing.assert_array_equal(_enumerated_q(pts), _loop_enumerated_q(pts))
 
 
 def test_q_matrix_input_validation():

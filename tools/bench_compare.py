@@ -9,7 +9,9 @@ each checkout, the two in alternating order (base first on odd seeds), and
 every end-to-end metric is kept with its median, quartiles and the number of
 pairs the change wins.  Then each checkout times its own layers in a fresh
 process (``--layers DIR``): CPU seconds per call, the minimum over repeats,
-with one BLAS thread on one CPU.
+with one BLAS thread on one CPU.  The ``witness_search`` oracle is timed at
+the ``cli`` workload's setting, n = 8 with 32 restarts, on one holding and
+one failing pair.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LAYER_DIMS = (5, 64)
+ORACLE_DIM = 8
 REPEATS = 7
 
 
@@ -36,7 +39,7 @@ def layer_timings(checkout: Path) -> dict:
     import varorder
     from varorder.functions import FunctionTable
     from varorder.linalg import HermitianObservable, SpectralDecomposition, eigendecompose, resolve_tol
-    from varorder.order import _margin_at, decide_order
+    from varorder.order import OracleConfig, _margin_at, decide_order, witness_search
 
     if not Path(varorder.__file__).resolve().is_relative_to(checkout.resolve()):
         raise SystemExit(f"imported varorder from {varorder.__file__}, not from {checkout}")
@@ -52,16 +55,19 @@ def layer_timings(checkout: Path) -> dict:
             best = min(best, time.process_time() - t0)
         return 1e6 * best / calls
 
+    def pair(n: int, seed: int):
+        """A random ``B`` at dimension ``n`` and ``A = sin(B)``, for which the decision holds."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        raw_b = g + g.conj().T
+        w, v = HermitianObservable(raw_b).eigenpairs
+        return (v * np.sin(w)) @ v.conj().T, raw_b
+
     out = {}
     for n in LAYER_DIMS:
         calls = 2000 if n < 16 else 200
-        rng = np.random.default_rng(n)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        raw_b = g + g.conj().T
-        b = HermitianObservable(raw_b)
-        w, v = b.eigenpairs
-        raw_a = (v * np.sin(w)) @ v.conj().T  # A = sin(B): the decision holds
-        a = HermitianObservable(raw_a)
+        raw_a, raw_b = pair(n, n)
+        a, b = HermitianObservable(raw_a), HermitianObservable(raw_b)
         dec = eigendecompose(b)
         lams, vecs, ranks = np.array(dec.eigenvalues), np.array(dec.vectors), dec.ranks
         vals = np.sin(lams)
@@ -76,6 +82,13 @@ def layer_timings(checkout: Path) -> dict:
             "_margin_at": per_call(lambda _: _margin_at(a, b, probe), calls),
             "decide_order_fresh": per_call(lambda _: decide_order(raw_a, raw_b), calls),
         }
+    holding = pair(ORACLE_DIM, ORACLE_DIM)
+    failing = (pair(ORACLE_DIM, ORACLE_DIM + 1)[1], holding[1])  # an independent A: the order fails
+    cfg = OracleConfig(restarts=32)
+    out[f"n={ORACLE_DIM}"] = {
+        f"witness_search_{name}": per_call(lambda _: witness_search(*ab, cfg), 3)
+        for name, ab in (("holding", holding), ("failing", failing))
+    }
     return out
 
 

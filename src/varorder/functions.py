@@ -94,17 +94,25 @@ class FunctionTable:
     __call__ = value_at
 
 
-def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
-    """``|y_j - y_k| - c |x_j - x_k|`` above the diagonal (``j < k``), ``-inf`` elsewhere."""
+def _lipschitz_allowance(xs, c: float) -> np.ndarray:
+    """``c |x_j - x_k|`` above the diagonal (``j < k``), ``+inf`` elsewhere."""
     idx = np.arange(len(xs))
-    excess = np.abs(ys[:, None] - ys) - c * np.abs(xs[:, None] - xs)
-    excess[idx[:, None] >= idx] = -np.inf
-    return excess
+    allowance = c * np.abs(xs[:, None] - xs)
+    allowance[idx[:, None] >= idx] = np.inf
+    return allowance
+
+
+def _lipschitz_excess(ys, allowance: np.ndarray) -> np.ndarray:
+    """``|y_j - y_k|`` minus a :func:`_lipschitz_allowance`: ``-inf`` on and below the
+    diagonal for finite ``ys``."""
+    return np.abs(ys[:, None] - ys) - allowance
 
 
 def _lipschitz_violation(pts, c: float, tol: float):
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN excess, never a violation
-        excess = _lipschitz_excess(*np.array(pts).T, c)
+    xs, ys = np.array(pts).T
+    with np.errstate(invalid="ignore"):  # c = inf: inf * 0 on the diagonal, overwritten
+        excess = _lipschitz_excess(ys, _lipschitz_allowance(xs, c))
+    excess[np.tri(len(pts), dtype=bool)] = -np.inf  # a non-finite value gives NaN there too
     j, k = divmod(int(np.nanargmax(excess)), len(pts))  # the first worst pair
     if not (excess[j, k] > tol or c >= 0):  # a negative c fails on any pair; a NaN c on none
         raise ValidationError("Lipschitz constant must be nonnegative")

@@ -6,7 +6,8 @@ an array computed from its input; ``SpectralDecomposition`` and ``UnitaryMap``
 copy only input arrays that something could still write to, and share ones
 that are already frozen (as :func:`eigendecompose` passes the observable's own
 eigenvectors).  Derived values computed on first use (``eigenpairs``,
-``frobenius_norm``, ``labels``) are stored on the object.  Every
+``frobenius_norm``, ``labels``, and the arrays :func:`~varorder.order.decide_order`
+reads that depend on the grouping alone) are stored on the object.  Every
 eigensolve in the package goes through :func:`_eigh`, which calls LAPACK
 through ``numpy.linalg.eigh``; its answers stay on the checked path
 (:func:`eigendecompose` verifies each grouped reconstruction).  The cyclic
@@ -31,7 +32,7 @@ from .errors import (
     NotHermitianError,
     ValidationError,
 )
-from .functions import FunctionTable, _check_points
+from .functions import FunctionTable, _check_points, _lipschitz_allowance
 from .tolerances import CHECK_TOL, PAIR_TOL_SCALE, ROUND_RTOL
 
 JACOBI_MAX_SWEEPS = 100
@@ -156,6 +157,26 @@ class SpectralDecomposition:
     def labels(self) -> np.ndarray:
         """Group index of each eigenvector column (nondecreasing)."""
         return _freeze(np.repeat(np.arange(len(self.ranks)), self.ranks))
+
+    # Arrays that depend on the grouping alone, for deciding any partner against it.
+    @cached_property
+    def _vh(self) -> np.ndarray:
+        """``V*``."""
+        return _freeze(self.vectors.conj().T)
+
+    @cached_property
+    def _same_group(self) -> np.ndarray:
+        """Whether columns ``j`` and ``k`` of ``V`` lie in one group."""
+        return _freeze(self.labels[:, None] == self.labels[None, :])
+
+    @cached_property
+    def _rank_floats(self) -> np.ndarray:
+        return _freeze(np.array(self.ranks, dtype=np.float64))
+
+    @cached_property
+    def _allowance(self) -> np.ndarray:
+        """The 1-Lipschitz allowance ``|lam_j - lam_k|`` between groups ``j < k``."""
+        return _freeze(_lipschitz_allowance(self.eigenvalues, 1.0))
 
     def group_indices(self, groups) -> tuple[int, ...]:
         """``groups`` as ints, each in ``range(len(ranks))`` or a :class:`ValidationError`."""

@@ -93,14 +93,13 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
     dec = eigendecompose(b, group_tol=tol)
-    v, lams, labels = dec.vectors, dec.eigenvalues, dec.labels
+    v, lams, labels, same = dec.vectors, dec.eigenvalues, dec.labels, dec._same_group
 
     # Per-eigenspace checks: commutation and scalarity of A on each group.
-    ap = v.conj().T @ a.matrix @ v
+    ap = dec._vh @ a.matrix @ v
     diag = ap.diagonal().real
-    scalars = np.bincount(labels, weights=diag) / dec.ranks
+    scalars = np.bincount(labels, weights=diag) / dec._rank_floats
     dev = np.abs(ap - np.diag(scalars[labels])) ** 2
-    same = labels[:, None] == labels[None, :]
     comm = np.sqrt(2.0 * np.bincount(labels, weights=np.where(same, 0.0, dev).sum(axis=0)))
     scal = np.sqrt(np.bincount(labels, weights=np.where(same, dev, 0.0).sum(axis=0)))
     bad = ((comm > tol) | (scal > tol)).nonzero()[0]
@@ -124,7 +123,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
 
     # Pairwise Lipschitz check on the induced eigenvalue table; the worst
     # excess wins, ties to the first pair in (j, k) order.
-    excess = _lipschitz_excess(lams, scalars, 1.0) - tol
+    excess = _lipschitz_excess(scalars, dec._allowance) - tol
     worst = int(excess.argmax())
     if excess.flat[worst] > 0:
         j, k = divmod(worst, len(lams))

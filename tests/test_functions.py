@@ -14,7 +14,7 @@ from varorder import (
     SpectralDecomposition,
     ValidationError,
 )
-from varorder.functions import _lipschitz_violation
+from varorder.functions import _lipschitz_allowance, _lipschitz_excess, _lipschitz_violation
 from varorder.sampling import random_lipschitz_table
 
 
@@ -249,3 +249,18 @@ def test_vectorised_lipschitz_check_picks_the_loops_pair(xs, data, c, lip_tol):
     ys = data.draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
     pts = tuple(zip(map(float, sorted(xs)), ys))
     assert _lipschitz_violation(pts, c, lip_tol) == _loop_violation(pts, c, lip_tol)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, 1.0, 2.5, np.inf, np.nan])
+@pytest.mark.parametrize("seed", range(6))
+def test_lipschitz_excess_over_an_allowance_matches_the_one_expression(seed, c):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    xs, ys = np.sort(rng.uniform(-10.0, 10.0, n)), rng.uniform(-10.0, 10.0, n)
+    with np.errstate(invalid="ignore"):  # c = inf: inf * 0 on the diagonal
+        # the excess as one expression, before the allowance was split out
+        idx = np.arange(n)
+        expected = np.abs(ys[:, None] - ys) - c * np.abs(xs[:, None] - xs)
+        expected[idx[:, None] >= idx] = -np.inf
+        got = _lipschitz_excess(ys, _lipschitz_allowance(xs, c))
+    assert got.tobytes() == expected.tobytes()

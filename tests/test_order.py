@@ -205,6 +205,51 @@ def test_decisions_at_n_128():
     assert _margin(c, b, verdict.witness) > FAIL_MARGIN_TOL
 
 
+PARTNER_FREE = ("_vh", "_same_group", "_rank_floats", "_allowance")
+
+
+def _verdict_bytes(verdict) -> tuple:
+    payload = (
+        tuple((x.hex(), y.hex()) for x, y in verdict.certificate.points)
+        if verdict.holds
+        else verdict.witness.vector.tobytes()
+    )
+    return verdict.holds, verdict.margin.hex(), payload
+
+
+def test_a_cached_b_builds_its_partner_free_arrays_once(monkeypatch):
+    b = random_hermitian(5, seed=41, scale=2.0)
+    a = _lipschitz_image(b, seed=42)[0]
+    # holding and failing partners whose norms span 1e-1..1e3, so the
+    # default tol differs from call to call while B's grouping does not
+    partners = [
+        a,
+        HermitianObservable(a.matrix + 1e3 * np.eye(5)),
+        HermitianObservable(-0.5 * a.matrix),
+        random_hermitian(5, seed=43, scale=0.05),
+        random_hermitian(5, seed=44, scale=300.0),
+    ]
+    allowances = []
+    build = linalg._lipschitz_allowance
+
+    def counted(*args):
+        allowances.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(linalg, "_lipschitz_allowance", counted)
+    verdicts = [decide_order(p, b) for p in partners]
+    dec = eigendecompose(b)
+    cached = {name: vars(dec)[name] for name in PARTNER_FREE}
+    verdicts += [decide_order(p, b) for p in partners]
+    assert [v.holds for v in verdicts] == [True, True, True, False, False] * 2
+    assert len(allowances) == 1
+    assert all(vars(dec)[name] is arr for name, arr in cached.items())
+    assert not any(arr.flags.writeable for arr in cached.values())
+    # the same bytes as deciding each partner against a fresh, uncached B
+    fresh = [decide_order(p, HermitianObservable(b.matrix.copy())) for p in partners] * 2
+    assert [_verdict_bytes(v) for v in verdicts] == [_verdict_bytes(v) for v in fresh]
+
+
 # ---------------------------------------------------------------------------
 # witness_search
 

@@ -288,7 +288,10 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     Eigenvalues within ``group_tol`` of each other are merged into a single
     group carrying their mean (clipped into the group's range), with the
     group's eigenvectors as adjacent columns of one eigenvector matrix.  The
-    default tolerance is ``PAIR_TOL_SCALE * max(1, |A|_F)``.  The eigensolver
+    default tolerance is ``PAIR_TOL_SCALE * max(1, |A|_F)``, the default
+    decision tolerance, which the structure routines that count distinct
+    eigenvalues rely on; :func:`~varorder.order.decide_order` groups at
+    rounding level instead.  The eigensolver
     runs at most once per (immutable) observable; grouped decompositions are
     cached on it per grouping, so every tolerance that yields the same group
     ranks returns the same object.

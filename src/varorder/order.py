@@ -78,12 +78,15 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     ``sqrt(2) |A'[g, not g]|_F`` equals ``|PA - AP|_F``) and is scalar there
     (with scalar value the mean of the diagonal of ``A'[g, g]``), and
     finally that the scalar values are 1-Lipschitz across eigenvalue gaps.
-    A single tolerance ``tol`` (default
+    The eigenspaces are ``B``'s eigenvalues grouped at rounding level, gaps
+    of at most ``min(tol, ROUND_RTOL * |B|_F)``, so a cluster of eigenvalues
+    a fraction of ``tol`` apart is never one wide group on which even
+    ``A = B`` is not scalar.  The tolerance ``tol`` (default
     ``PAIR_TOL_SCALE * max(1, |A|_F, |B|_F)``; a given one must be finite and
-    >= 0) controls the eigenvalue grouping, the residue checks, and the
-    Lipschitz slack.  ``B``'s eigenpairs are solved once per observable and
-    its grouped decompositions cached per grouping, however many partners it
-    is decided against.
+    >= 0) bounds the residue checks and the Lipschitz slack.  ``B``'s
+    eigenpairs are solved once per observable and its grouped decompositions
+    cached per grouping, with the arrays that depend on the grouping alone,
+    however many partners it is decided against.
 
     On failure the witness is the eigenbasis candidate of the offending
     eigenspace with the largest variance for ``A`` (ties to the lowest
@@ -92,7 +95,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     """
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
-    dec = eigendecompose(b, group_tol=tol)
+    dec = eigendecompose(b, group_tol=min(tol, ROUND_RTOL * b.frobenius_norm))
     v, lams, labels, same = dec.vectors, dec.eigenvalues, dec.labels, dec._same_group
 
     # Per-eigenspace checks: commutation and scalarity of A on each group.

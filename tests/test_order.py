@@ -1,9 +1,12 @@
 """The order decision procedure, its certificates, witnesses, and oracle."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varorder import (
     DensityState,
@@ -163,6 +166,70 @@ def test_zero_tol_is_valid():
     assert decide_order(PAULI_Z, PAULI_Z, 0.0).holds
     assert decide_order(PAULI_Z, PAULI_Z, 0).holds
     assert not decide_order(2.0 * PAULI_Z.matrix, PAULI_Z, 0.0).holds
+
+
+# ---------------------------------------------------------------------------
+# sub-tol eigenvalue clusters: B's eigenspaces are grouped at rounding level
+
+
+def _in_haar_basis(seed, *spectra) -> list[HermitianObservable]:
+    """``U diag(s) U*`` for each spectrum ``s``, with one Haar unitary ``U``."""
+    u = random_unitary(len(spectra[0]), seed=seed).matrix
+    return [HermitianObservable((u * np.asarray(s)) @ u.conj().T) for s in spectra]
+
+
+def _certificate_rebuild_error(a, b, table) -> float:
+    """How far ``sum_k f(w_k) v_k v_k*`` over ``numpy.linalg.eigh(B)`` is from ``A``,
+    with each eigenvalue matched to its nearest table point within ``n * tol``."""
+    w, v = np.linalg.eigh(b.matrix)
+    xs, ys = table.locations, table.values
+    idx = np.abs(w[:, None] - xs).argmin(axis=1)
+    assert np.abs(xs[idx] - w).max() <= b.dim * default_pair_tol(a, b)
+    return float(np.linalg.norm((v * ys[idx]) @ v.conj().T - a.matrix))
+
+
+@pytest.mark.parametrize("spacing", [0.5, 0.9])
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_a_sub_tol_cluster_is_decided_on_its_eigenvectors(n, spacing):
+    # n - 1 eigenvalues a fraction of tol = 1e-8 apart, and one at 1: chaining
+    # gaps <= tol made the cluster one group on which even A = B is not
+    # scalar, and no witness could clear the floor (InternalConsistencyError)
+    (b,) = _in_haar_basis(n, np.append(np.arange(n - 1) * spacing * 1e-8, 1.0))
+    gap, tol = spacing * 1e-8, default_pair_tol(b)
+    assert gap < tol < (n - 2) * gap  # each gap below tol, the chain wider than it
+    for factor in (1.0, -1.0, 0.5):
+        a = HermitianObservable(factor * b.matrix)
+        verdict = decide_order(a, b)
+        assert verdict.holds
+        assert _certificate_rebuild_error(a, b, verdict.certificate) <= default_pair_tol(a, b)
+    stretched = HermitianObservable(1.5 * b.matrix)
+    verdict = decide_order(stretched, b)
+    assert not verdict.holds
+    assert _margin(stretched, b, verdict.witness) > FAIL_MARGIN_TOL
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    n=st.integers(2, 64),
+    clusters=st.integers(1, 4),
+    spacing=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_lipschitz_images_of_a_clustered_b_hold_and_rebuild(n, clusters, spacing, seed):
+    # clusters of eigenvalues spacing * 1e-8 apart (at most the default tol;
+    # exact repeats at 0), around centres at least 0.05 apart, and A = f(B)
+    # with every slope of f in [-1, 1]
+    rng = np.random.default_rng(seed)
+    sizes = np.bincount(rng.integers(0, clusters, n), minlength=clusters)
+    centres = np.cumsum(rng.uniform(0.05, 1.0, clusters)) - 1.0
+    lams = np.concatenate([c + np.arange(k) * spacing * 1e-8 for c, k in zip(centres, sizes)])
+    f = np.concatenate(([rng.uniform(-1.0, 1.0)], rng.uniform(-1.0, 1.0, n - 1) * np.diff(lams)))
+    b, a = _in_haar_basis(rng, lams, f.cumsum())
+    verdict = decide_order(a, b)
+    assert verdict.holds
+    # bench/check.py's bound: the residues of at most n eigenspaces, tol each
+    tol = default_pair_tol(a, b)
+    assert _certificate_rebuild_error(a, b, verdict.certificate) <= 2.0 * math.sqrt(n) * tol
 
 
 # ---------------------------------------------------------------------------

@@ -221,9 +221,9 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
     (:func:`_best_angle`) is taken only when a fresh evaluation shows a strict
     gain.  The direction is the gradient plus ``beta`` times the last
     circle's tangent, or the gradient alone when that does not point uphill
-    and on every ``2n - 2``-th step.  A restart retires when its gradient
-    norm falls below ``CHECK_TOL`` or a step gains at most
-    ``ROUND_RTOL * (|A|_F^2 + |B|_F^2)``.
+    and on every ``2n - 2``-th step.  With ``s2 = |A|_F^2 + |B|_F^2``, the
+    scale of the objective, a restart retires when its gradient norm falls
+    below ``CHECK_TOL * min(1, s2)`` or a step gains at most ``ROUND_RTOL * s2``.
 
     Returns the best state and its value; ties across restarts resolve to the
     lowest restart index.  Deterministic for a fixed ``cfg.seed``.  It calls
@@ -235,7 +235,9 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
     rng = as_rng(cfg.seed)
     am, bm = a.matrix, b.matrix
     ops = np.stack([am, bm, am @ am, bm @ bm]).transpose(0, 2, 1)  # x @ ops: Ax, Bx, A^2x, B^2x
-    floor = ROUND_RTOL * (a.frobenius_norm**2 + b.frobenius_norm**2)
+    s2 = a.frobenius_norm**2 + b.frobenius_norm**2
+    floor = ROUND_RTOL * s2
+    stop = (CHECK_TOL * min(1.0, s2)) ** 2  # on the squared gradient norm
 
     x = complex_gaussian(rng, cfg.restarts, a.dim)
     x /= np.linalg.norm(x, axis=1)[:, None]
@@ -254,7 +256,7 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
         g = 2.0 * (px[2] - px[3] - 2.0 * (e[0, :, None] * px[0] - e[1, :, None] * px[1]))
         g -= np.einsum("ki,ki->k", xl.conj(), g)[:, None] * xl
         gg = np.einsum("ki,ki->k", g.conj(), g).real
-        keep &= gg >= CHECK_TOL**2
+        keep &= gg >= stop
         if not keep.all():
             x[live], val[live] = xl, vl
             live, xl, vl, px, g, gg = live[keep], xl[keep], vl[keep], px[:, keep], g[keep], gg[keep]

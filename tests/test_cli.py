@@ -77,6 +77,26 @@ def test_check_order_oracle_cross_check(files):
     assert oracle["best_value"] <= 1e-6
 
 
+@pytest.mark.parametrize("stretch, code", [(2.0, 1), (0.5, 0)], ids=["fails", "holds"])
+def test_check_order_oracle_agrees_in_variance_units(files, stretch, code):
+    # at scale 1e-3 the failing pair's gap is 7.5e-7, below the absolute
+    # ORACLE_AGREE_TOL: a correct "fails" used to be reported as exit 3
+    _, matrix = files
+    res = run_cli(
+        "check-order",
+        matrix("a.json", [0.0, stretch * 1e-3]),
+        matrix("b.json", [0.0, 1e-3]),
+        "--oracle-trials",
+        "4",
+    )
+    assert res.returncode == code
+    report = json.loads(res.stdout)
+    assert report["holds"] is (code == 0)
+    assert report["oracle"]["agrees"] is True
+    if code:
+        assert report["oracle"]["best_value"] == pytest.approx(report["margin"], rel=1e-9, abs=0.0)
+
+
 def test_check_order_inconsistency_exit_code(files):
     # a deliberately loose tolerance lets the decision pass while the
     # oracle still finds the 3/4 violation: reported as inconsistency

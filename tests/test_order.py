@@ -330,6 +330,15 @@ def test_search_finds_the_scaling_gap():
     np.testing.assert_allclose(np.abs(state.vector), [2**-0.5, 2**-0.5], atol=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1.0, 1e3])
+def test_search_finds_the_stretched_gap_at_every_scale(scale):
+    # the gradient stop is in variance units: an absolute stop of CHECK_TOL
+    # retired every restart before its first step at scale 1e-6 (0.545 s^2)
+    a, b = np.diag([0.0, 2.0, 3.0]) * scale, np.diag([0.0, 1.0, 3.0]) * scale
+    _, best = witness_search(a, b)
+    assert best == pytest.approx(0.75 * scale**2, rel=1e-9, abs=0.0)
+
+
 def test_search_stays_below_tolerance_when_order_holds():
     b = random_hermitian(5, seed=73)
     a, _ = _lipschitz_image(b, seed=74)

@@ -7,13 +7,16 @@ generator through.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .errors import ValidationError
 from .functions import FunctionTable
 from .linalg import HermitianObservable, UnitaryMap
 
-RngLike = int | np.random.Generator | None
+if TYPE_CHECKING:  # for annotations only: importing varorder loads no numpy.random
+    RngLike = int | np.random.Generator | None
 
 
 def as_rng(seed: RngLike) -> np.random.Generator:

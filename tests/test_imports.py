@@ -1,6 +1,9 @@
 """Every module-level import in src/varorder/, tests/ and tools/ is used by its module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import varorder
@@ -38,3 +41,19 @@ def test_no_unused_module_imports():
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import json\nimport numpy as np\nfrom .errors import A, B\nnp.eye(A)\n")
     assert _unused_imports(tree) == ["json (line 1)", "B (line 3)"]
+
+
+def test_importing_varorder_loads_no_numpy_module_that_numpy_did_not():
+    # numpy 2 loads numpy.random on first use only; varorder used to force it
+    # at import, a cost every ``python -m varorder`` process paid
+    probe = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import varorder\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert out.strip() == "[]"

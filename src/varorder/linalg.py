@@ -171,6 +171,7 @@ class SpectralDecomposition:
 
     @cached_property
     def _rank_floats(self) -> np.ndarray:
+        """``ranks`` as a float array."""
         return _freeze(np.array(self.ranks, dtype=np.float64))
 
     @cached_property

@@ -9,7 +9,9 @@ each checkout, the two in alternating order (base first on odd seeds), and
 every end-to-end metric is kept with its median, quartiles and the number of
 pairs the change wins.  Then each checkout times its own layers in a fresh
 process (``--layers DIR``): CPU seconds per call, the minimum over repeats,
-with one BLAS thread on one CPU.  The ``witness_search`` oracle is timed at
+with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
+observable against a ``B`` whose decomposition is already cached, as when one
+``B`` meets many partners.  The ``witness_search`` oracle is timed at
 the ``cli`` workload's setting, n = 8 with 32 restarts, on one holding and
 one failing pair.
 """
@@ -81,6 +83,7 @@ def layer_timings(checkout: Path) -> dict:
             "FunctionTable.from_values": per_call(lambda _: FunctionTable.from_values(lams, vals), calls),
             "_margin_at": per_call(lambda _: _margin_at(a, b, probe), calls),
             "decide_order_fresh": per_call(lambda _: decide_order(raw_a, raw_b), calls),
+            "decide_order_cached_b": per_call(lambda _: decide_order(a, b), calls),
         }
     holding = pair(ORACLE_DIM, ORACLE_DIM)
     failing = (pair(ORACLE_DIM, ORACLE_DIM + 1)[1], holding[1])  # an independent A: the order fails

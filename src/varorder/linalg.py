@@ -158,21 +158,17 @@ class SpectralDecomposition:
         """Group index of each eigenvector column (nondecreasing)."""
         return _freeze(np.repeat(np.arange(len(self.ranks)), self.ranks))
 
-    # Arrays that depend on the grouping alone, for deciding any partner against it.
+    # Arrays that depend on the grouping alone, for deciding any partner
+    # against it: one property per stage of decide_order, so a partner that
+    # fails on an eigenspace never builds the Lipschitz allowance.
     @cached_property
-    def _vh(self) -> np.ndarray:
-        """``V*``."""
-        return _freeze(self.vectors.conj().T)
-
-    @cached_property
-    def _same_group(self) -> np.ndarray:
-        """Whether columns ``j`` and ``k`` of ``V`` lie in one group."""
-        return _freeze(self.labels[:, None] == self.labels[None, :])
-
-    @cached_property
-    def _rank_floats(self) -> np.ndarray:
-        """``ranks`` as a float array."""
-        return _freeze(np.array(self.ranks, dtype=np.float64))
+    def _eigenspace_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``V*``, whether columns ``j`` and ``k`` of ``V`` lie in one group, and
+        ``ranks`` as floats."""
+        labels = self.labels
+        vh = _freeze(self.vectors.conj().T)
+        same = _freeze(labels[:, None] == labels[None, :])
+        return vh, same, _freeze(np.array(self.ranks, dtype=np.float64))
 
     @cached_property
     def _allowance(self) -> np.ndarray:

@@ -96,12 +96,13 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
     dec = eigendecompose(b, group_tol=min(tol, ROUND_RTOL * b.frobenius_norm))
-    v, lams, labels, same = dec.vectors, dec.eigenvalues, dec.labels, dec._same_group
+    v, lams, labels = dec.vectors, dec.eigenvalues, dec.labels
+    vh, same, rank_floats = dec._eigenspace_arrays
 
     # Per-eigenspace checks: commutation and scalarity of A on each group.
-    ap = dec._vh @ a.matrix @ v
+    ap = vh @ a.matrix @ v
     diag = ap.diagonal().real
-    scalars = np.bincount(labels, weights=diag) / dec._rank_floats
+    scalars = np.bincount(labels, weights=diag) / rank_floats
     dev = np.abs(ap - np.diag(scalars[labels])) ** 2
     comm = np.sqrt(2.0 * np.bincount(labels, weights=np.where(same, 0.0, dev).sum(axis=0)))
     scal = np.sqrt(np.bincount(labels, weights=np.where(same, dev, 0.0).sum(axis=0)))

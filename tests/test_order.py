@@ -272,7 +272,7 @@ def test_decisions_at_n_128():
     assert _margin(c, b, verdict.witness) > FAIL_MARGIN_TOL
 
 
-PARTNER_FREE = ("_vh", "_same_group", "_rank_floats", "_allowance")
+PARTNER_FREE = ("_eigenspace_arrays", "_allowance")
 
 
 def _verdict_bytes(verdict) -> tuple:
@@ -311,7 +311,8 @@ def test_a_cached_b_builds_its_partner_free_arrays_once(monkeypatch):
     assert [v.holds for v in verdicts] == [True, True, True, False, False] * 2
     assert len(allowances) == 1
     assert all(vars(dec)[name] is arr for name, arr in cached.items())
-    assert not any(arr.flags.writeable for arr in cached.values())
+    arrays = [*cached["_eigenspace_arrays"], cached["_allowance"]]
+    assert len(arrays) == 4 and not any(arr.flags.writeable for arr in arrays)
     # the same bytes as deciding each partner against a fresh, uncached B
     fresh = [decide_order(p, HermitianObservable(b.matrix.copy())) for p in partners] * 2
     assert [_verdict_bytes(v) for v in verdicts] == [_verdict_bytes(v) for v in fresh]

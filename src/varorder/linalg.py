@@ -162,13 +162,13 @@ class SpectralDecomposition:
     # against it: one property per stage of decide_order, so a partner that
     # fails on an eigenspace never builds the Lipschitz allowance.
     @cached_property
-    def _eigenspace_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``V*``, whether columns ``j`` and ``k`` of ``V`` lie in one group, and
-        ``ranks`` as floats."""
+    def _eigenspace_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether columns ``j`` and ``k`` of ``V`` lie in one group, and ``ranks`` as
+        floats.  ``V*`` is not kept: it would double the eigenvector memory held
+        per grouping to save one conjugate copy per partner."""
         labels = self.labels
-        vh = _freeze(self.vectors.conj().T)
         same = _freeze(labels[:, None] == labels[None, :])
-        return vh, same, _freeze(np.array(self.ranks, dtype=np.float64))
+        return same, _freeze(np.array(self.ranks, dtype=np.float64))
 
     @cached_property
     def _allowance(self) -> np.ndarray:

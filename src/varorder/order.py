@@ -97,13 +97,17 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     tol = resolve_tol(tol, a, b)
     dec = eigendecompose(b, group_tol=min(tol, ROUND_RTOL * b.frobenius_norm))
     v, lams, labels = dec.vectors, dec.eigenvalues, dec.labels
-    vh, same, rank_floats = dec._eigenspace_arrays
+    same, rank_floats = dec._eigenspace_arrays
 
     # Per-eigenspace checks: commutation and scalarity of A on each group.
-    ap = vh @ a.matrix @ v
+    ap = v.conj().T @ a.matrix @ v
     diag = ap.diagonal().real
     scalars = np.bincount(labels, weights=diag) / rank_floats
-    dev = np.abs(ap - np.diag(scalars[labels])) ** 2
+    # A' less its group scalars, subtracted on a copy's diagonal: no n x n real
+    # matrix of scalars, and no complex cast of one
+    dev = ap.copy()
+    dev.reshape(-1)[:: len(labels) + 1] -= scalars[labels]
+    dev = np.abs(dev) ** 2
     comm = np.sqrt(2.0 * np.bincount(labels, weights=np.where(same, 0.0, dev).sum(axis=0)))
     scal = np.sqrt(np.bincount(labels, weights=np.where(same, dev, 0.0).sum(axis=0)))
     bad = ((comm > tol) | (scal > tol)).nonzero()[0]

@@ -312,7 +312,7 @@ def test_a_cached_b_builds_its_partner_free_arrays_once(monkeypatch):
     assert len(allowances) == 1
     assert all(vars(dec)[name] is arr for name, arr in cached.items())
     arrays = [*cached["_eigenspace_arrays"], cached["_allowance"]]
-    assert len(arrays) == 4 and not any(arr.flags.writeable for arr in arrays)
+    assert len(arrays) == 3 and not any(arr.flags.writeable for arr in arrays)
     # the same bytes as deciding each partner against a fresh, uncached B
     fresh = [decide_order(p, HermitianObservable(b.matrix.copy())) for p in partners] * 2
     assert [_verdict_bytes(v) for v in verdicts] == [_verdict_bytes(v) for v in fresh]

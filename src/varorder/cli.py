@@ -24,11 +24,12 @@ from .errors import (
     ValidationError,
     VarOrderError,
 )
-from .linalg import HermitianObservable, UnitaryMap, resolve_tol
+from .linalg import HermitianObservable, UnitaryMap
 from .order import (
     OracleConfig,
     canonical_representative,
     decide_order,
+    decision_tol,
     extract_function,
     witness_search,
 )
@@ -130,7 +131,7 @@ def emit(report: dict) -> None:
 def cmd_check_order(args) -> int:
     a = HermitianObservable(load_matrix(args.a))
     b = HermitianObservable(load_matrix(args.b))
-    tol = resolve_tol(args.tol, a, b)
+    tol = decision_tol(args.tol, a, b)
     verdict = decide_order(a, b, tol)
     report = {
         "holds": verdict.holds,
@@ -240,7 +241,7 @@ def cmd_verify_automorphism(args) -> int:
     if report.counterexample is not None:
         ca, cb = report.counterexample
         payload["counterexample"] = {
-            "trial": report.counterexample_trial,
+            "trial": report.trials - 1,  # the counterexample ends the run
             "a": matrix_report(ca),
             "b": matrix_report(cb),
         }

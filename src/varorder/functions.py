@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
 from .tolerances import LIP_TOL, PAIR_TOL_SCALE
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _check_points(xs: np.ndarray, empty: str, what: str) -> None:
@@ -29,12 +34,15 @@ class FunctionTable:
     """A real function given on finitely many points.
 
     ``points`` is a tuple of ``(x, f(x))`` pairs with finite values and finite,
-    strictly increasing first coordinates.  When ``lipschitz_bound`` is supplied, construction
-    verifies ``|f(x) - f(y)| <= bound * |x - y| + LIP_TOL`` on all pairs.
+    strictly increasing first coordinates; construction also stores them as the
+    frozen arrays ``locations`` and ``values``.  When ``lipschitz_bound`` is supplied,
+    construction verifies ``|f(x) - f(y)| <= bound * |x - y| + LIP_TOL`` on all pairs.
     """
 
     points: tuple[tuple[float, float], ...]
     lipschitz_bound: float | None = None
+    locations: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = tuple((float(x), float(y)) for x, y in self.points)
@@ -42,7 +50,10 @@ class FunctionTable:
         _check_points(xs, "function table needs at least one point", "table point locations")
         if not all(math.isfinite(y) for _, y in pts):
             raise ValidationError("table values must be finite")
+        ys = np.array([y for _, y in pts])
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "locations", _freeze(xs))
+        object.__setattr__(self, "values", _freeze(ys))
         if self.lipschitz_bound is not None:
             bad = _lipschitz_violation(pts, float(self.lipschitz_bound), LIP_TOL)
             if bad is not None:
@@ -62,14 +73,6 @@ class FunctionTable:
         if len(xs) != len(ys):
             raise ValidationError(f"{len(xs)} locations but {len(ys)} values")
         return cls(tuple(zip(xs, ys)), lipschitz_bound)
-
-    @property
-    def locations(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
 
     def lipschitz_constant(self) -> float:
         """Smallest constant c with |f(x)-f(y)| <= c|x-y| on the table points."""
@@ -94,24 +97,16 @@ class FunctionTable:
     __call__ = value_at
 
 
-def _lipschitz_allowance(xs, c: float) -> np.ndarray:
-    """``c |x_j - x_k|`` above the diagonal (``j < k``), ``+inf`` elsewhere."""
-    idx = np.arange(len(xs))
-    allowance = c * np.abs(xs[:, None] - xs)
-    allowance[idx[:, None] >= idx] = np.inf
-    return allowance
-
-
-def _lipschitz_excess(ys, allowance: np.ndarray) -> np.ndarray:
-    """``|y_j - y_k|`` minus a :func:`_lipschitz_allowance`: ``-inf`` on and below the
-    diagonal for finite ``ys``."""
-    return np.abs(ys[:, None] - ys) - allowance
+def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
+    """``|y_j - y_k| - c |x_j - x_k|`` for every pair ``(j, k)``: symmetric, and 0 on
+    the diagonal for finite ``c``."""
+    return np.abs(ys[:, None] - ys) - c * np.abs(xs[:, None] - xs)
 
 
 def _lipschitz_violation(pts, c: float, tol: float):
     xs, ys = np.array(pts).T
     with np.errstate(invalid="ignore"):  # c = inf: inf * 0 on the diagonal, overwritten
-        excess = _lipschitz_excess(ys, _lipschitz_allowance(xs, c))
+        excess = _lipschitz_excess(xs, ys, c)
     excess[np.tri(len(pts), dtype=bool)] = -np.inf  # a non-finite value gives NaN there too
     j, k = divmod(int(np.nanargmax(excess)), len(pts))  # the first worst pair
     if not (excess[j, k] > tol or c >= 0):  # a negative c fails on any pair; a NaN c on none

@@ -1,13 +1,13 @@
 """Hermitian matrices, spectral decompositions, and the functional calculus.
 
 All heavy objects are immutable: construction validates the defining
-invariants and freezes the underlying arrays.  ``HermitianObservable`` stores
-an array computed from its input; ``SpectralDecomposition`` and ``UnitaryMap``
-copy only input arrays that something could still write to, and share ones
-that are already frozen (as :func:`eigendecompose` passes the observable's own
-eigenvectors).  Derived values computed on first use (``eigenpairs``,
-``frobenius_norm``, ``labels``, and the arrays :func:`~varorder.order.decide_order`
-reads that depend on the grouping alone) are stored on the object.  Every
+invariants, freezes the underlying arrays, and stores every value derived from
+them.  ``HermitianObservable`` stores an array computed from its input;
+``SpectralDecomposition`` and ``UnitaryMap`` copy only input arrays that
+something could still write to, and share ones that are already frozen (as
+:func:`eigendecompose` passes the observable's own eigenvectors).  The one value
+left to first use is ``HermitianObservable.eigenpairs``, since an observable on
+the ``A`` side of a decision is never solved.  Every
 eigensolve in the package goes through :func:`_eigh`, which calls LAPACK
 through ``numpy.linalg.eigh``; its answers stay on the checked path
 (:func:`eigendecompose` verifies each grouped reconstruction).  The cyclic
@@ -32,15 +32,13 @@ from .errors import (
     NotHermitianError,
     ValidationError,
 )
-from .functions import FunctionTable, _check_points, _lipschitz_allowance
+from .functions import FunctionTable, _check_points, _freeze
 from .tolerances import CHECK_TOL, PAIR_TOL_SCALE, ROUND_RTOL
 
 JACOBI_MAX_SWEEPS = 100
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+# A bound on dim * max |M| far enough below sqrt(float64 max) ~ 1.3e154 that squared
+# norms and second moments <M^2>, and sums of a few of them, stay finite.
+MAX_SCALE = 1e153
 
 
 def _frozen(obj, dtype) -> np.ndarray:
@@ -69,10 +67,17 @@ def as_complex_matrix(obj) -> np.ndarray:
 
 def _hermitian_part(obj, error: Callable[[float, float], Exception]) -> np.ndarray:
     """``(M + M*) / 2``; raises ``error(dev, bound)`` when ``dev = max |M - M*|`` exceeds
-    ``bound = CHECK_TOL * max(1, |M|_max)``."""
+    ``bound = CHECK_TOL * max(1, |M|_max)``, and :class:`ValidationError` when
+    ``n |M|_max`` is not below ``MAX_SCALE``, past which sums of squares overflow."""
     m = as_complex_matrix(obj)
     mh = m.conj().T
-    bound = CHECK_TOL * max(1.0, float(np.abs(m).max()))
+    scale = float(np.abs(m).max())
+    if not m.shape[0] * scale < MAX_SCALE:
+        raise ValidationError(
+            f"matrix too large: dim * max |M| = {m.shape[0] * scale:.3e} is not below "
+            f"{MAX_SCALE:.0e}, so its Frobenius norm could overflow"
+        )
+    bound = CHECK_TOL * max(1.0, scale)
     dev = float(np.abs(m - mh).max())
     if dev > bound:
         raise error(dev, bound)
@@ -81,9 +86,10 @@ def _hermitian_part(obj, error: Callable[[float, float], Exception]) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class HermitianObservable:
-    """A Hermitian matrix; the input is symmetrized once it passes validation."""
+    """A Hermitian matrix, symmetrized once it passes validation; its Frobenius norm is finite."""
 
     matrix: np.ndarray
+    frobenius_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _hermitian_part(self.matrix, lambda dev, bound: NotHermitianError(
@@ -91,14 +97,11 @@ class HermitianObservable:
             f"exceeds {CHECK_TOL:.0e} * max(1, |M|_max) = {bound:.3e}"
         ))
         object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "frobenius_norm", float(np.linalg.norm(m)))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
 
     @classmethod
     def from_diag(cls, values) -> "HermitianObservable":
@@ -132,12 +135,17 @@ class SpectralDecomposition:
 
     ``vectors`` is unitary with each group's columns kept together, in the
     order of the strictly increasing group ``eigenvalues``; ``ranks`` gives
-    the number of columns per group.
+    the number of columns per group.  Construction stores what depends on the
+    grouping alone: ``labels`` (each column's group), ``same_group`` (whether
+    columns ``j`` and ``k`` share one) and ``ranks`` as floats, ``rank_floats``.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     ranks: tuple[int, ...]
+    labels: np.ndarray = field(init=False, repr=False)
+    same_group: np.ndarray = field(init=False, repr=False)
+    rank_floats: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lams = _frozen(self.eigenvalues, np.float64)
@@ -152,28 +160,10 @@ class SpectralDecomposition:
         _check_points(
             lams, "a spectral decomposition needs at least one group", "group eigenvalues"
         )
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Group index of each eigenvector column (nondecreasing)."""
-        return _freeze(np.repeat(np.arange(len(self.ranks)), self.ranks))
-
-    # Arrays that depend on the grouping alone, for deciding any partner
-    # against it: one property per stage of decide_order, so a partner that
-    # fails on an eigenspace never builds the Lipschitz allowance.
-    @cached_property
-    def _eigenspace_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Whether columns ``j`` and ``k`` of ``V`` lie in one group, and ``ranks`` as
-        floats.  ``V*`` is not kept: it would double the eigenvector memory held
-        per grouping to save one conjugate copy per partner."""
-        labels = self.labels
-        same = _freeze(labels[:, None] == labels[None, :])
-        return same, _freeze(np.array(self.ranks, dtype=np.float64))
-
-    @cached_property
-    def _allowance(self) -> np.ndarray:
-        """The 1-Lipschitz allowance ``|lam_j - lam_k|`` between groups ``j < k``."""
-        return _freeze(_lipschitz_allowance(self.eigenvalues, 1.0))
+        labels = _freeze(np.repeat(np.arange(len(self.ranks)), self.ranks))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "same_group", _freeze(labels[:, None] == labels[None, :]))
+        object.__setattr__(self, "rank_floats", _freeze(np.array(self.ranks, dtype=np.float64)))
 
     def group_indices(self, groups) -> tuple[int, ...]:
         """``groups`` as ints, each in ``range(len(ranks))`` or a :class:`ValidationError`."""

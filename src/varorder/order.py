@@ -69,6 +69,12 @@ def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
     return w, var_a - var_b
 
 
+def decision_tol(tol: float | None, a: HermitianObservable, b: HermitianObservable) -> float:
+    """``resolve_tol(tol, a, b)`` floored at ``ROUND_RTOL * max(|A|_F, |B|_F)``, so that
+    rounding residues never fail a decision (at ``tol = 0`` they failed even ``A = B``)."""
+    return max(resolve_tol(tol, a, b), ROUND_RTOL * max(a.frobenius_norm, b.frobenius_norm))
+
+
 def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     """Decide whether ``A`` is below ``B`` in the variance order.
 
@@ -79,14 +85,13 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     (with scalar value the mean of the diagonal of ``A'[g, g]``), and
     finally that the scalar values are 1-Lipschitz across eigenvalue gaps.
     The eigenspaces are ``B``'s eigenvalues grouped at rounding level, gaps
-    of at most ``min(tol, ROUND_RTOL * |B|_F)``, so a cluster of eigenvalues
-    a fraction of ``tol`` apart is never one wide group on which even
-    ``A = B`` is not scalar.  The tolerance ``tol`` (default
+    of at most ``ROUND_RTOL * |B|_F``, so a cluster of eigenvalues a fraction
+    of ``tol`` apart is never one wide group on which even ``A = B`` is not
+    scalar.  The tolerance, :func:`decision_tol` of ``tol`` (default
     ``PAIR_TOL_SCALE * max(1, |A|_F, |B|_F)``; a given one must be finite and
-    >= 0) bounds the residue checks and the Lipschitz slack.  ``B``'s
+    >= 0), bounds the residue checks and the Lipschitz slack.  ``B``'s
     eigenpairs are solved once per observable and its grouped decompositions
-    cached per grouping, with the arrays that depend on the grouping alone,
-    however many partners it is decided against.
+    cached per grouping, however many partners it is decided against.
 
     On failure the witness is the eigenbasis candidate of the offending
     eigenspace with the largest variance for ``A`` (ties to the lowest
@@ -94,15 +99,14 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     is recomputed from scratch and must exceed ``FAIL_MARGIN_TOL``.
     """
     a, b = _as_pair(A, B)
-    tol = resolve_tol(tol, a, b)
-    dec = eigendecompose(b, group_tol=min(tol, ROUND_RTOL * b.frobenius_norm))
-    v, lams, labels = dec.vectors, dec.eigenvalues, dec.labels
-    same, rank_floats = dec._eigenspace_arrays
+    tol = decision_tol(tol, a, b)
+    dec = eigendecompose(b, group_tol=ROUND_RTOL * b.frobenius_norm)
+    v, lams, labels, same = dec.vectors, dec.eigenvalues, dec.labels, dec.same_group
 
     # Per-eigenspace checks: commutation and scalarity of A on each group.
     ap = v.conj().T @ a.matrix @ v
     diag = ap.diagonal().real
-    scalars = np.bincount(labels, weights=diag) / rank_floats
+    scalars = np.bincount(labels, weights=diag) / dec.rank_floats
     # A' less its group scalars, subtracted on a copy's diagonal: no n x n real
     # matrix of scalars, and no complex cast of one
     dev = ap.copy()
@@ -130,8 +134,9 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
         )
 
     # Pairwise Lipschitz check on the induced eigenvalue table; the worst
-    # excess wins, ties to the first pair in (j, k) order.
-    excess = _lipschitz_excess(scalars, dec._allowance) - tol
+    # excess wins, ties to the first pair in (j, k) order: the excess is
+    # symmetric and -tol <= 0 on the diagonal, so a positive one is first met at j < k.
+    excess = _lipschitz_excess(lams, scalars, 1.0) - tol
     worst = int(excess.argmax())
     if excess.flat[worst] > 0:
         j, k = divmod(worst, len(lams))

@@ -8,7 +8,7 @@ deliberate and cross-checked both here and in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,13 +18,12 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .functions import _check_points
+from .functions import _check_points, _freeze
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
     _as_observable,
     _eigh,
-    _freeze,
     _frozen,
     _hermitian_part,
     resolve_tol,
@@ -167,9 +166,15 @@ def _clean_atoms(pairs, merge_tol: float) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True, eq=False)
 class BornMeasure:
-    """A finitely supported probability measure on the real line."""
+    """A finitely supported probability measure on the real line.
+
+    ``atoms`` are ``(location, mass)`` pairs; construction also stores them as the
+    frozen arrays ``locations`` and ``masses``.
+    """
 
     atoms: tuple[tuple[float, float], ...]
+    locations: np.ndarray = field(init=False, repr=False)
+    masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = tuple((float(t), float(p)) for t, p in self.atoms)
@@ -182,19 +187,13 @@ class BornMeasure:
         if abs(total - 1.0) > CHECK_TOL:
             raise ValidationError(f"atom masses sum to {total!r}, not 1 within {CHECK_TOL:.0e}")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "locations", _freeze(locs))
+        object.__setattr__(self, "masses", _freeze(masses))
 
     @classmethod
     def normalized(cls, pairs, merge_tol: float = ROUND_RTOL) -> "BornMeasure":
         """Sort, merge near-coincident atoms, drop dust, and renormalize."""
         return cls(_clean_atoms(pairs, merge_tol))
-
-    @property
-    def locations(self) -> np.ndarray:
-        return np.array([a[0] for a in self.atoms])
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([a[1] for a in self.atoms])
 
     def mean(self) -> float:
         return float(np.dot(self.locations, self.masses))

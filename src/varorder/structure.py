@@ -300,12 +300,12 @@ class AutomorphismSpec:
 
 @dataclass(frozen=True, eq=False)
 class AutomorphismReport:
-    """Outcome of sampling-based automorphism verification."""
+    """Outcome of sampling-based automorphism verification: the number of
+    ``trials`` run, the last of which found the ``counterexample`` if there is one."""
 
     passed: bool
     trials: int
     counterexample: tuple[HermitianObservable, HermitianObservable] | None = None
-    counterexample_trial: int | None = None
 
 
 def _sampling_dim(dim: int) -> int:
@@ -345,7 +345,7 @@ def verify_automorphism(
         fb = _as_observable(phi(b))
         for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
             if decide_order(x, y).holds != decide_order(fx, fy).holds:
-                return AutomorphismReport(False, t + 1, (a, b), t)
+                return AutomorphismReport(False, t + 1, (a, b))
     return AutomorphismReport(True, trials)
 
 

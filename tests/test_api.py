@@ -28,7 +28,6 @@ OPTIONS = {
     "order.state_order_violation(tol=)",
     "order.witness_search(cfg=)",
     "structure.AutomorphismReport.__init__(counterexample=)",
-    "structure.AutomorphismReport.__init__(counterexample_trial=)",
     "structure.joint_upper_bound(tol=)",
     "structure.q_matrix(method=)",
     "structure.three_point_class_candidates(tol=)",
@@ -84,5 +83,5 @@ def public_options() -> list[str]:
 
 def test_public_options_are_pinned():
     found = public_options()
-    assert len(found) == len(set(found)) == 40
+    assert len(found) == len(set(found)) == 39
     assert set(found) == OPTIONS

@@ -116,6 +116,35 @@ def test_check_order_inconsistency_exit_code(files):
     assert report["oracle"]["agrees"] is False
 
 
+def test_check_order_at_tol_zero_holds_for_a_equal_to_b(files):
+    # tol 0 used to count the rounding residues of V* B V as failing
+    # eigenspaces and exit 3; the report gives the tol the decision used
+    from varorder.sampling import random_hermitian
+
+    _, matrix = files
+    b = random_hermitian(4, seed=3, scale=1e3)
+    path = matrix("b.json", b.matrix)
+    res = run_cli("check-order", path, path, "--tol", "0")
+    assert res.returncode == 0
+    report = json.loads(res.stdout)
+    assert report["holds"] is True
+    assert report["tol"] == 1e-12 * b.frobenius_norm
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e308])
+@pytest.mark.parametrize("command", ["check-order", "max-deviation"])
+def test_an_overflowing_norm_is_an_input_error(files, command, entry):
+    # check-order used to hold at tol inf, and max-deviation printed NaN
+    _, matrix = files
+    big = matrix("big.json", [entry, -entry, 0.0])
+    args = [big, matrix("b.json", [0.0, 1.0, 2.0])] if command == "check-order" else [big]
+    res = run_cli(command, *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: matrix too large: dim * max |M| = ")
+    assert "Warning" not in res.stderr
+
+
 @pytest.mark.parametrize(
     "command, tol",
     [

@@ -14,7 +14,7 @@ from varorder import (
     SpectralDecomposition,
     ValidationError,
 )
-from varorder.functions import _lipschitz_allowance, _lipschitz_excess, _lipschitz_violation
+from varorder.functions import _lipschitz_excess, _lipschitz_violation
 from varorder.sampling import random_lipschitz_table
 
 
@@ -80,6 +80,15 @@ def test_from_values_needs_one_value_per_location():
         FunctionTable.from_values([0.0, 1.0, 2.0], [5.0, 6.0])
     with pytest.raises(ValidationError, match="1 locations but 2 values"):
         FunctionTable.from_values([0.0], [5.0, 6.0])
+
+
+def test_a_table_stores_its_arrays_frozen():
+    t = FunctionTable(((0.0, 5.0), (1.0, 6.0), (3.0, 4.0)))
+    assert t.locations.tolist() == [0.0, 1.0, 3.0] and t.values.tolist() == [5.0, 6.0, 4.0]
+    for name in ("locations", "values"):
+        # built once, to validate the table, and read back on every use
+        assert vars(t)[name] is getattr(t, name)
+        assert getattr(t, name).dtype == np.float64 and not getattr(t, name).flags.writeable
 
 
 def test_stored_bound_is_checked():
@@ -257,10 +266,13 @@ def test_lipschitz_excess_over_an_allowance_matches_the_one_expression(seed, c):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     xs, ys = np.sort(rng.uniform(-10.0, 10.0, n)), rng.uniform(-10.0, 10.0, n)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     with np.errstate(invalid="ignore"):  # c = inf: inf * 0 on the diagonal
-        # the excess as one expression, before the allowance was split out
-        idx = np.arange(n)
-        expected = np.abs(ys[:, None] - ys) - c * np.abs(xs[:, None] - xs)
-        expected[idx[:, None] >= idx] = -np.inf
-        got = _lipschitz_excess(ys, _lipschitz_allowance(xs, c))
-    assert got.tobytes() == expected.tobytes()
+        # the excess over an allowance c |x_j - x_k| that is +inf on and below the diagonal
+        allowance = c * np.abs(xs[:, None] - xs)
+        allowance[~upper] = np.inf
+        expected = np.abs(ys[:, None] - ys) - allowance
+        got = _lipschitz_excess(xs, ys, c)
+    # bitwise the same above the diagonal, and symmetric
+    assert got[upper].tobytes() == expected[upper].tobytes()
+    assert got.tobytes() == got.T.tobytes()

@@ -6,6 +6,9 @@ Two solvers are cross-checked in both directions: the cyclic Jacobi
 which serves as the independent oracle.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -291,9 +294,52 @@ def test_an_empty_decomposition_is_rejected():
 
 def test_frobenius_norm_is_computed_once_and_stored():
     obs = random_hermitian(4, seed=7, scale=2.0)
-    assert "frobenius_norm" not in vars(obs)
-    assert obs.frobenius_norm == float(np.linalg.norm(obs.matrix))
-    assert vars(obs)["frobenius_norm"] == obs.frobenius_norm
+    # set by the constructor, beside the matrix it is computed from
+    assert vars(obs)["frobenius_norm"] == float(np.linalg.norm(obs.matrix))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obs.frobenius_norm = 0.0
+
+
+def test_a_decomposition_stores_its_grouping_arrays_frozen():
+    dec = SpectralDecomposition([0.0, 1.0, 3.0], np.eye(4), (2, 1, 1))
+    assert dec.labels.tolist() == [0, 0, 1, 2]
+    assert dec.rank_floats.tolist() == [2.0, 1.0, 1.0] and dec.rank_floats.dtype == np.float64
+    expected = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=bool)
+    np.testing.assert_array_equal(dec.same_group, expected)
+    for name in ("labels", "same_group", "rank_floats"):
+        assert vars(dec)[name] is getattr(dec, name)
+        assert not getattr(dec, name).flags.writeable
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e308])
+def test_an_observable_whose_frobenius_norm_overflows_is_refused(entry):
+    # used to construct with an infinite norm: the default tol became inf and
+    # every comparison answered True, or NaN once (M + M*) / 2 overflowed
+    for m in (np.diag([entry, -entry, 0.0]), np.diag([entry, -entry])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="matrix too large"):
+                HermitianObservable(m)
+    with pytest.raises(ValidationError):
+        loewner_leq(np.diag([entry, -entry, 0.0]), np.eye(3))
+    with pytest.raises(ValidationError):
+        maximal_deviation(np.diag([entry, -entry]))
+
+
+def test_the_size_limit_is_on_dim_times_the_largest_entry():
+    # dim * max |M| below MAX_SCALE = 1e153 keeps |M|_F^2 + |N|_F^2 finite
+    assert linalg.MAX_SCALE == 1e153
+    assert HermitianObservable(np.diag([4.9e152, 0.0])).frobenius_norm == 4.9e152
+    with pytest.raises(ValidationError, match="matrix too large"):
+        HermitianObservable(np.diag([5e152, 0.0]))
+
+
+def test_a_pair_at_scale_1e150_still_decides():
+    b = random_hermitian(4, seed=8, scale=1e150)
+    w, v = b.eigenpairs
+    a = HermitianObservable((v * np.sin(w / 1e150) * 1e150) @ v.conj().T)
+    assert decide_order(a, b).holds
+    assert not decide_order(HermitianObservable(1.5 * b.matrix), b).holds
 
 
 @pytest.fixture

@@ -272,7 +272,7 @@ def test_decisions_at_n_128():
     assert _margin(c, b, verdict.witness) > FAIL_MARGIN_TOL
 
 
-PARTNER_FREE = ("_eigenspace_arrays", "_allowance")
+PARTNER_FREE = ("labels", "same_group", "rank_floats")
 
 
 def _verdict_bytes(verdict) -> tuple:
@@ -285,8 +285,9 @@ def _verdict_bytes(verdict) -> tuple:
 
 
 def test_a_cached_b_builds_its_partner_free_arrays_once(monkeypatch):
-    b = random_hermitian(5, seed=41, scale=2.0)
-    a = _lipschitz_image(b, seed=42)[0]
+    b0 = random_hermitian(5, seed=41, scale=2.0)
+    a = _lipschitz_image(b0, seed=42)[0]
+    b = HermitianObservable(b0.matrix)  # nothing cached yet
     # holding and failing partners whose norms span 1e-1..1e3, so the
     # default tol differs from call to call while B's grouping does not
     partners = [
@@ -296,26 +297,89 @@ def test_a_cached_b_builds_its_partner_free_arrays_once(monkeypatch):
         random_hermitian(5, seed=43, scale=0.05),
         random_hermitian(5, seed=44, scale=300.0),
     ]
-    allowances = []
-    build = linalg._lipschitz_allowance
+    built = []
+    post_init = linalg.SpectralDecomposition.__post_init__
 
-    def counted(*args):
-        allowances.append(args)
-        return build(*args)
+    def counted(dec):
+        built.append(dec)
+        post_init(dec)
 
-    monkeypatch.setattr(linalg, "_lipschitz_allowance", counted)
+    monkeypatch.setattr(linalg.SpectralDecomposition, "__post_init__", counted)
     verdicts = [decide_order(p, b) for p in partners]
-    dec = eigendecompose(b)
+    (dec,) = built
     cached = {name: vars(dec)[name] for name in PARTNER_FREE}
     verdicts += [decide_order(p, b) for p in partners]
     assert [v.holds for v in verdicts] == [True, True, True, False, False] * 2
-    assert len(allowances) == 1
+    assert built == [dec]
     assert all(vars(dec)[name] is arr for name, arr in cached.items())
-    arrays = [*cached["_eigenspace_arrays"], cached["_allowance"]]
-    assert len(arrays) == 3 and not any(arr.flags.writeable for arr in arrays)
+    assert not any(arr.flags.writeable for arr in cached.values())
     # the same bytes as deciding each partner against a fresh, uncached B
     fresh = [decide_order(p, HermitianObservable(b.matrix.copy())) for p in partners] * 2
     assert [_verdict_bytes(v) for v in verdicts] == [_verdict_bytes(v) for v in fresh]
+
+
+def _sweep_b(rng) -> HermitianObservable:
+    """A random ``B`` at n = 2..8 and scale 1e-6..1e6: distinct, repeated or scalar spectrum."""
+    n, scale = int(rng.integers(2, 9)), 10.0 ** rng.uniform(-6.0, 6.0)
+    kind = rng.integers(3)
+    if kind == 0:
+        lams = rng.standard_normal(n)
+    elif kind == 1:
+        lams = rng.integers(-2, 3, n).astype(float)
+    else:
+        lams = np.full(n, rng.standard_normal())
+    (b,) = _in_haar_basis(int(rng.integers(1 << 30)), scale * lams)
+    return b
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tol_zero_decides_the_rounding_level_pairs(seed):
+    # tol = 0 used to make every rounding residue of V* A V a failing
+    # eigenspace that no witness could clear: decide_order(B, B, tol=0)
+    # raised InternalConsistencyError for every B.  The floor
+    # ROUND_RTOL * max(|A|_F, |B|_F) holds each exact pair below.
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        b = _sweep_b(rng)
+        s = float(np.abs(b.eigenpairs[0]).max())
+        w, v = b.eigenpairs
+        partners = [
+            b.matrix,
+            -b.matrix,
+            0.5 * b.matrix,
+            b.matrix + 1e6 * s * np.eye(b.dim),
+            (v * (s * np.sin(w / s))) @ v.conj().T,
+            np.zeros((b.dim, b.dim)),
+        ]
+        for a in partners:
+            assert decide_order(a, b, tol=0.0).holds
+        if s > 1e-2 and np.ptp(w) > 1e-8 * s:
+            verdict = decide_order(1.5 * b.matrix, b, tol=0.0)
+            assert not verdict.holds
+            assert _margin(HermitianObservable(1.5 * b.matrix), b, verdict.witness) > FAIL_MARGIN_TOL
+
+
+def test_the_decision_tol_is_floored_at_rounding_level():
+    a, b = HermitianObservable.from_diag([0.0, 3e6]), HermitianObservable.from_diag([0.0, 4e6])
+    assert order.decision_tol(0.0, a, b) == 1e-12 * 4e6
+    assert order.decision_tol(1.0, a, b) == 1.0
+    # the default is always above the floor
+    assert order.decision_tol(None, a, b) == default_pair_tol(a, b)
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e308])
+def test_an_overflowing_norm_is_refused_by_every_comparison(entry):
+    # each used to answer: decide_order held with the certificate
+    # ((0, 1e200), (1, -1e200), (2, 0)) at the default tol, now inf
+    big, small = np.diag([entry, -entry, 0.0]), np.diag([0.0, 1.0, 2.0])
+    calls = [
+        lambda: decide_order(big, small),
+        lambda: class_equal(big, big / 2),
+        lambda: check_state_order(big, small, trials=4),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="matrix too large"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,14 @@ def test_born_measure_examples():
     np.testing.assert_allclose(uniform.masses, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
 
+def test_a_measure_stores_its_arrays_frozen():
+    mu = BornMeasure(((0.0, 0.25), (2.0, 0.75)))
+    assert mu.locations.tolist() == [0.0, 2.0] and mu.masses.tolist() == [0.25, 0.75]
+    for name in ("locations", "masses"):
+        assert vars(mu)[name] is getattr(mu, name)
+        assert not getattr(mu, name).flags.writeable
+
+
 def test_born_measure_validation():
     with pytest.raises(ValidationError):
         BornMeasure(((0.0, -0.1), (1.0, 1.1)))  # negative mass

@@ -318,6 +318,21 @@ def test_permutation_conjugation_passes():
     assert verify_automorphism(spec, trials=20, dim=4, seed=2).passed
 
 
+def test_the_counterexample_comes_from_the_last_trial_run():
+    # the map is the identity on the first three trials' pairs (two calls per
+    # trial), then sends everything to 0, which is below everything
+    calls = []
+
+    def late(obs):
+        calls.append(obs)
+        return obs if len(calls) <= 6 else HermitianObservable(np.zeros((3, 3)))
+
+    report = verify_automorphism(late, trials=30, dim=3, seed=5)
+    assert not report.passed and report.trials == 4
+    # so the CLI's "trial", trials - 1, indexes the trial that drew the pair
+    assert report.counterexample == (calls[6], calls[7])
+
+
 def test_antiunitary_map_passes():
     u = random_unitary(3, seed=190, antiunitary=True)
     spec = AutomorphismSpec(1.5, u)
@@ -334,7 +349,7 @@ def test_quadratic_corruption_fails_with_counterexample():
     report = verify_automorphism(corrupted, trials=30, dim=3, seed=4)
     assert not report.passed
     a, b = report.counterexample
-    assert report.counterexample_trial is not None
+    assert 1 <= report.trials <= 30
     # the recorded pair really breaks the equivalence
     pre = decide_order(a, b).holds
     post = decide_order(corrupted(a), corrupted(b)).holds

@@ -15,16 +15,24 @@ observable against a ``B`` whose decomposition is already cached, as when one
 ``B`` meets many partners.  The ``witness_search`` oracle is timed at
 the ``cli`` workload's setting, n = 8 with 32 restarts, on one holding and
 one failing pair.
+
+Last, each checkout digests its own outputs in a fresh process
+(``--digest DIR``): every op of ``DIGEST_WORKLOADS`` at ``DIGEST_SECONDS``
+run lengths, for each of ``DIGEST_SEEDS``, and the first ``DIGEST_CLI_CHUNKS``
+chunks of the ``cli`` workload run in process, hashed per workload with
+sha256.  Equal digests mean the change answers every op with the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,6 +44,10 @@ REPEATS = 7
 # the host's speed swings for seconds at a time; alternating processes keep
 # one slow window from landing on one checkout's layers only
 LAYER_ROUNDS = 3
+DIGEST_WORKLOADS = ("fresh-small", "fresh-large", "pool-order")
+DIGEST_SEEDS = (1, 2, 3)
+DIGEST_SECONDS = 20.0
+DIGEST_CLI_CHUNKS = 3
 
 
 def layer_timings(checkout: Path) -> dict:
@@ -99,6 +111,52 @@ def layer_timings(checkout: Path) -> dict:
     return out
 
 
+def _verdict_bytes(out) -> bytes:
+    """A decision's outcome as bytes: holds, margin, certificate or witness, or the error."""
+    if isinstance(out, Exception):
+        return f"{type(out).__name__}: {out}".encode()
+    payload = ([(x.hex(), y.hex()) for x, y in out.certificate.points] if out.holds
+               else out.witness.vector.tobytes().hex())
+    return repr((out.holds, out.margin.hex(), payload)).encode()
+
+
+def _cli_bytes(out) -> bytes:
+    """A command's exit code and stdout, less the oracle's best value."""
+    try:
+        report = json.loads(out.stdout)
+    except json.JSONDecodeError:
+        return repr((out.code, out.stdout)).encode()
+    report.get("oracle", {}).pop("best_value", None)
+    return repr((out.code, json.dumps(report, sort_keys=True))).encode()
+
+
+def output_digest(checkout: Path) -> dict:
+    """sha256 of ``checkout``'s answer to every op of each digested workload."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout)]
+    from bench import harness, workloads
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in DIGEST_WORKLOADS:
+            wl, h = workloads.make(name, checkout, Path(tmp)), hashlib.sha256()
+            for seed in DIGEST_SEEDS:
+                ops, k = harness.run_length(wl, DIGEST_SECONDS), 0
+                while ops > 0:
+                    chunk = wl.chunk(seed, k)
+                    for item in chunk[:ops]:
+                        h.update(_verdict_bytes(wl.run(item)))
+                    ops, k = ops - len(chunk), k + 1
+            out[name] = h.hexdigest()
+        wl, h = workloads.make("cli", checkout, Path(tmp)), hashlib.sha256()
+        for seed in DIGEST_SEEDS:
+            for k in range(DIGEST_CLI_CHUNKS):
+                for item in wl.chunk(seed, k):
+                    h.update(_cli_bytes(wl.run_inprocess(item)))
+                wl.release(k)
+        out["cli"] = h.hexdigest()
+    return out
+
+
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -153,6 +211,7 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--layers", type=Path, help=argparse.SUPPRESS)  # child mode: time one checkout
+    p.add_argument("--digest", type=Path, help=argparse.SUPPRESS)  # child mode: hash one's outputs
     args = p.parse_args(argv)
     for var in BLAS_VARS:
         os.environ[var] = "1"
@@ -160,19 +219,27 @@ def main(argv=None) -> int:
     if args.layers:
         print(json.dumps(layer_timings(args.layers)))
         return 0
+    if args.digest:
+        print(json.dumps(output_digest(args.digest.resolve())))
+        return 0
     if args.base is None or args.out is None:
         p.error("--base and --out are required")
 
-    def layers(checkout: Path) -> dict:
-        cmd = [sys.executable, str(Path(__file__).resolve()), "--layers", str(checkout.resolve())]
+    def child(mode: str, checkout: Path) -> dict:
+        cmd = [sys.executable, str(Path(__file__).resolve()), mode, str(checkout.resolve())]
         return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+
+    def digests() -> dict:
+        base, change = child("--digest", args.base), child("--digest", HERE)
+        return {name: {"base": base[name], "change": change[name], "equal": base[name] == change[name]}
+                for name in base}
 
     def fastest_layers() -> dict:
         runs = {"base": [], "change": []}
         sides = [("base", args.base), ("change", HERE)]
         for k in range(LAYER_ROUNDS):
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
-                runs[side].append(layers(checkout))
+                runs[side].append(child("--layers", checkout))
         return {side: {n: {name: min(r[n][name] for r in rs) for name in rs[0][n]} for n in rs[0]}
                 for side, rs in runs.items()}
 
@@ -183,6 +250,7 @@ def main(argv=None) -> int:
         "order": "base first on odd seeds, change first on even seeds",
         "workloads": compare(args.base.resolve(), args.seeds, args.seconds),
         "layers_us_per_call": fastest_layers(),
+        "digest": digests(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -36,10 +36,8 @@ from .linalg import (
 )
 from .order import (
     FAIL_MARGIN_TOL,
-    OracleConfig,
     OrderVerdict,
     canonical_representative,
-    check_state_order,
     class_equal,
     decide_order,
     extract_function,

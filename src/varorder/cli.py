@@ -26,7 +26,6 @@ from .errors import (
 )
 from .linalg import HermitianObservable, UnitaryMap
 from .order import (
-    OracleConfig,
     canonical_representative,
     decide_order,
     decision_tol,
@@ -47,10 +46,10 @@ from .structure import (
 from .tolerances import ORACLE_AGREE_TOL
 
 
-def _numeric(data, what: str, kind=np.float64):
-    """``data`` as a ``kind`` array; malformed input is a :class:`ValidationError`."""
+def _numeric(data, what: str):
+    """``data`` as a float array; malformed input is a :class:`ValidationError`."""
     try:
-        return np.asarray(data, dtype=kind)
+        return np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
 
@@ -63,10 +62,10 @@ def _pairs_to_complex(data, shape_hint: str) -> np.ndarray:
 
 
 def _dim(data) -> int:
-    n = _numeric(data["dim"], "dim", np.int64)
-    if n.ndim != 0:
-        raise ValidationError(f"malformed dim: expected an integer, got {data['dim']!r}")
-    return int(n)
+    n = data["dim"]
+    if type(n) is not int:  # no float, string or bool (JSON true) is read as a dimension
+        raise ValidationError(f"malformed dim: expected an integer, got {n!r}")
+    return n
 
 
 def _load_json(path: str):
@@ -146,14 +145,13 @@ def cmd_check_order(args) -> int:
     }
     code = 0 if verdict.holds else 1
     if args.oracle_trials:
-        cfg = OracleConfig(restarts=args.oracle_trials, seed=args.seed)
-        _, best = witness_search(a, b, cfg)
+        _, best = witness_search(a, b, restarts=args.oracle_trials, seed=args.seed)
         # in variance units: never looser than ORACLE_AGREE_TOL, tighter below scale 1
         s2 = a.frobenius_norm**2 + b.frobenius_norm**2
         agrees = verdict.holds == (best <= ORACLE_AGREE_TOL * min(1.0, s2))
         report["oracle"] = {
-            "restarts": cfg.restarts,
-            "seed": cfg.seed,
+            "restarts": args.oracle_trials,
+            "seed": args.seed,
             "best_value": best,
             "agrees": agrees,
         }

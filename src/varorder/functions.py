@@ -35,12 +35,11 @@ class FunctionTable:
 
     ``points`` is a tuple of ``(x, f(x))`` pairs with finite values and finite,
     strictly increasing first coordinates; construction also stores them as the
-    frozen arrays ``locations`` and ``values``.  When ``lipschitz_bound`` is supplied,
-    construction verifies ``|f(x) - f(y)| <= bound * |x - y| + LIP_TOL`` on all pairs.
+    frozen arrays ``locations`` and ``values``.  :class:`LipschitzExtension` checks
+    that a table is c-Lipschitz.
     """
 
     points: tuple[tuple[float, float], ...]
-    lipschitz_bound: float | None = None
     locations: np.ndarray = field(init=False, repr=False)
     values: np.ndarray = field(init=False, repr=False)
 
@@ -54,25 +53,17 @@ class FunctionTable:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "locations", _freeze(xs))
         object.__setattr__(self, "values", _freeze(ys))
-        if self.lipschitz_bound is not None:
-            bad = _lipschitz_violation(pts, float(self.lipschitz_bound), LIP_TOL)
-            if bad is not None:
-                (x0, y0), (x1, y1) = bad
-                raise ValidationError(
-                    f"table is not {self.lipschitz_bound}-Lipschitz: "
-                    f"|f({x0}) - f({x1})| = {abs(y0 - y1)!r} > bound * {abs(x0 - x1)!r}"
-                )
 
     @classmethod
     def from_mapping(cls, mapping) -> "FunctionTable":
         return cls(tuple(sorted((float(k), float(v)) for k, v in mapping.items())))
 
     @classmethod
-    def from_values(cls, xs, ys, lipschitz_bound: float | None = None) -> "FunctionTable":
+    def from_values(cls, xs, ys) -> "FunctionTable":
         xs, ys = (np.asarray(v, dtype=np.float64).tolist() for v in (xs, ys))
         if len(xs) != len(ys):
             raise ValidationError(f"{len(xs)} locations but {len(ys)} values")
-        return cls(tuple(zip(xs, ys)), lipschitz_bound)
+        return cls(tuple(zip(xs, ys)))
 
     def lipschitz_constant(self) -> float:
         """Smallest constant c with |f(x)-f(y)| <= c|x-y| on the table points."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -320,18 +320,16 @@ def _table_value(f, lam: float, tol: float) -> float:
 
 def apply_function(
     decomposition: SpectralDecomposition,
-    f: FunctionTable | Mapping | Callable[[float], float],
+    f: FunctionTable | Callable[[float], float],
 ) -> HermitianObservable:
     """Functional calculus: ``V diag(f(lam)) V*`` over the grouped eigenvalues.
 
-    ``f`` may be a :class:`FunctionTable`, a mapping from eigenvalue to value (made
-    a table by :meth:`FunctionTable.from_mapping`), or a plain callable; each eigenvalue
-    is matched to its nearest table point within ``PAIR_TOL_SCALE * max(1, max |lam|)``.
+    ``f`` is a :class:`FunctionTable` (a mapping from eigenvalue to value becomes one
+    through :meth:`FunctionTable.from_mapping`), whose nearest point to each eigenvalue
+    must lie within ``PAIR_TOL_SCALE * max(1, max |lam|)``, or a plain callable.
     """
     lams = decomposition.eigenvalues
     tol = _tol_at(float(np.abs(lams).max()))
-    if isinstance(f, Mapping):
-        f = FunctionTable.from_mapping(f)
     values = [_table_value(f, float(lam), tol) for lam in lams]
     return HermitianObservable(decomposition.assemble(values))
 

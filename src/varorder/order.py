@@ -153,20 +153,6 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     return OrderVerdict(holds=True, certificate=table, witness=None, margin=0.0)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Settings for :func:`witness_search`: ``restarts`` random starting states,
-    at most ``steps`` conjugate-gradient steps each, and the ``seed`` that draws them."""
-
-    restarts: int = 32
-    steps: int = 500
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.steps < 0:
-            raise ValidationError(f"oracle needs restarts >= 1 and steps >= 0, got {self}")
-
-
 # The line search's grid over phi = 2 theta in [0, 2 pi), and the gain basis
 # (cos phi - 1, sin phi, cos 2 phi - 1, sin 2 phi) on it: zero at phi = 0.
 _PHI = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
@@ -218,15 +204,17 @@ def _best_angle(c: np.ndarray) -> np.ndarray:
     return phi
 
 
-def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, float]:
+def witness_search(
+    A, B, *, restarts: int = 32, steps: int = 500, seed=0
+) -> tuple[PureState, float]:
     """Maximize ``var_x(A) - var_x(B)`` over the unit sphere.
 
     Riemannian conjugate gradient (Polak-Ribiere+; Absil, Mahony & Sepulchre,
     *Optimization Algorithms on Matrix Manifolds*, 2008, ch. 4 and 8) from
-    ``cfg.restarts`` random unit vectors, all advancing in lockstep as one
-    batch, for at most ``cfg.steps`` steps.  A step follows the great circle
-    through ``x`` in the search direction, on which the objective is a
-    trigonometric polynomial of degree 2 in twice the angle
+    ``restarts`` (>= 1) random unit vectors drawn from ``seed``, all advancing
+    in lockstep as one batch, for at most ``steps`` (>= 0) steps.  A step
+    follows the great circle through ``x`` in the search direction, on which
+    the objective is a trigonometric polynomial of degree 2 in twice the angle
     (:func:`_circle_coefficients`); the circle's best point
     (:func:`_best_angle`) is taken only when a fresh evaluation shows a strict
     gain.  The direction is the gradient plus ``beta`` times the last
@@ -236,31 +224,34 @@ def witness_search(A, B, cfg: OracleConfig | None = None) -> tuple[PureState, fl
     below ``CHECK_TOL * min(1, s2)`` or a step gains at most ``ROUND_RTOL * s2``.
 
     Returns the best state and its value; ties across restarts resolve to the
-    lowest restart index.  Deterministic for a fixed ``cfg.seed``.  It calls
+    lowest restart index.  Deterministic for a fixed ``seed``.  It calls
     no eigensolver and no decision routine, so it checks :func:`decide_order`
     independently.
     """
     a, b = _as_pair(A, B)
-    cfg = cfg or OracleConfig()
-    rng = as_rng(cfg.seed)
+    if restarts < 1 or steps < 0:
+        raise ValidationError(
+            f"oracle needs restarts >= 1 and steps >= 0, got restarts={restarts!r}, steps={steps!r}"
+        )
+    rng = as_rng(seed)
     am, bm = a.matrix, b.matrix
     ops = np.stack([am, bm, am @ am, bm @ bm]).transpose(0, 2, 1)  # x @ ops: Ax, Bx, A^2x, B^2x
     s2 = a.frobenius_norm**2 + b.frobenius_norm**2
     floor = ROUND_RTOL * s2
     stop = (CHECK_TOL * min(1.0, s2)) ** 2  # on the squared gradient norm
 
-    x = complex_gaussian(rng, cfg.restarts, a.dim)
+    x = complex_gaussian(rng, restarts, a.dim)
     x /= np.linalg.norm(x, axis=1)[:, None]
     val = _variances(am, x) - _variances(bm, x)
     # the live restarts' state; a row is written back to ``x`` when it retires
-    live = np.arange(cfg.restarts)
+    live = np.arange(restarts)
     xl, vl = x.copy(), val.copy()
-    keep = np.ones(cfg.restarts, dtype=bool)
+    keep = np.ones(restarts, dtype=bool)
     tangent = g_prev = gg_prev = None
     # steepest ascent again every ``cycle`` steps: the real dimension of the
     # sphere with the phase (on which the gap does not depend) taken out
     cycle = max(1, 2 * a.dim - 2)
-    for step in range(cfg.steps):
+    for step in range(steps):
         px = xl @ ops
         e = np.einsum("ki,ski->sk", xl.conj(), px[:2]).real
         g = 2.0 * (px[2] - px[3] - 2.0 * (e[0, :, None] * px[0] - e[1, :, None] * px[1]))
@@ -357,7 +348,11 @@ def canonical_representative(A) -> HermitianObservable:
 def state_order_violation(
     A, B, trials: int, seed=0, tol: float = FAIL_MARGIN_TOL
 ) -> DensityState | None:
-    """First sampled density matrix with ``var(A) > var(B) + tol``, if any."""
+    """Monte Carlo falsifier: the first sampled density state with ``var(A) > var(B) + tol``.
+
+    Samples ``trials`` Wishart-style density matrices; ``None`` when none violates
+    the order, which is evidence, not proof: :func:`decide_order` gives the exact answer.
+    """
     a, b = _as_pair(A, B)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
@@ -371,13 +366,3 @@ def state_order_violation(
         if bad.size:
             return DensityState(rho[int(bad[0])])
     return None
-
-
-def check_state_order(A, B, trials: int, seed=0, tol: float = FAIL_MARGIN_TOL) -> bool:
-    """Monte Carlo falsifier: no sampled density state violates the order.
-
-    Samples Wishart-style density matrices and checks
-    ``var(A) <= var(B) + tol`` at each.  A pass is evidence, not proof; use
-    :func:`decide_order` for the exact answer.
-    """
-    return state_order_violation(A, B, trials, seed=seed, tol=tol) is None

@@ -74,8 +74,7 @@ def random_lipschitz_values(
 def random_lipschitz_table(
     locations, seed: RngLike = None, constant: float = 1.0
 ) -> FunctionTable:
-    vals = random_lipschitz_values(locations, seed, constant)
-    return FunctionTable.from_values(locations, vals, lipschitz_bound=constant)
+    return FunctionTable.from_values(locations, random_lipschitz_values(locations, seed, constant))
 
 
 def random_spectrum(

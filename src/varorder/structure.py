@@ -10,6 +10,7 @@ conjugations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -23,7 +24,7 @@ from .errors import (
     ReconstructionError,
     ValidationError,
 )
-from .functions import FunctionTable
+from .functions import FunctionTable, _check_points
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
@@ -53,7 +54,7 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
     a, b = _as_pair(A, B)
     dec = eigendecompose(a)
     v, labels = dec.vectors, dec.labels
-    blocks = np.where(labels[:, None] == labels[None, :], v.conj().T @ b.matrix @ v, 0.0)
+    blocks = np.where(dec.same_group, v.conj().T @ b.matrix @ v, 0.0)
     blocks = (blocks + blocks.conj().T) / 2.0
     tau = max(
         float(np.abs(_eigh(blocks[np.ix_(labels == j, labels == j)])[0]).max())
@@ -153,13 +154,15 @@ class QMatrix:
             raise DegenerateInputError(f"gap matrix needs n >= 4, got n = {q.shape[0]}")
         if not np.all(np.isfinite(q)):
             raise ValidationError("gap matrix entries must be finite")
-        if np.abs(q - q.T).max() > ROUND_RTOL * max(1.0, np.abs(q).max()):
-            raise ValidationError("gap matrix must be symmetric")
-        if np.abs(np.diag(q)).max() > 0:
-            raise ValidationError("gap matrix diagonal must be zero")
+        # nonnegative first: then |q - q.T| is at most the largest entry and cannot overflow
         if q.min() < 0:
             raise ValidationError("gap matrix entries must be nonnegative")
-        object.__setattr__(self, "values", _freeze((q + q.T) / 2.0))
+        if np.abs(q - q.T).max() > ROUND_RTOL * max(1.0, q.max()):
+            raise ValidationError("gap matrix must be symmetric")
+        if np.diag(q).max() > 0:
+            raise ValidationError("gap matrix diagonal must be zero")
+        # halved before the sum, which overflows above ~9e307; exact for normal entries
+        object.__setattr__(self, "values", _freeze(q / 2.0 + q.T / 2.0))
 
     @property
     def n(self) -> int:
@@ -203,10 +206,12 @@ def q_matrix(spectrum, method: str = "closed") -> QMatrix:
     if n < 4:
         raise DegenerateInputError(f"spectrum needs at least 4 points, got {n}")
     s = np.sort(pts)
+    _check_points(s, "", "sorted spectrum points")  # distinct and finite; n >= 4, so nonempty
+    lo, hi = float(s[0]), float(s[-1])
+    diam = hi - lo  # Python floats: an overflow is inf, with no warning
+    if diam == math.inf:
+        raise ValidationError(f"spectrum diameter {hi!r} - {lo!r} overflows")
     min_gap = float(np.diff(s).min())
-    if min_gap <= 0:
-        raise ValidationError("spectrum points must be distinct")
-    diam = float(s[-1] - s[0])
     dist = np.abs(pts[:, None] - pts[None, :])
     q = np.where(dist < diam, dist, diam - min_gap)
     np.fill_diagonal(q, 0.0)
@@ -353,10 +358,7 @@ def hinge_tables(lams: np.ndarray, pivot: float) -> tuple[FunctionTable, Functio
     """The 1-Lipschitz pair that is flat on opposite sides of ``pivot``."""
     up = [max(x - pivot, 0.0) for x in lams]
     down = [min(x - pivot, 0.0) for x in lams]
-    return (
-        FunctionTable.from_values(lams, up, lipschitz_bound=1.0),
-        FunctionTable.from_values(lams, down, lipschitz_bound=1.0),
-    )
+    return FunctionTable.from_values(lams, up), FunctionTable.from_values(lams, down)
 
 
 def two_spectrum_detector(A, method: str = "spectral") -> bool:

@@ -12,12 +12,10 @@ from varorder import (
     DensityState,
     FunctionTable,
     HermitianObservable,
-    OracleConfig,
     PureState,
     apply_function,
     approx_eigen_sandwich,
     block_shift_upper_bound,
-    check_state_order,
     commutator_norm,
     decide_order,
     eigendecompose,
@@ -25,6 +23,7 @@ from varorder import (
     measure_variance,
     q_matrix,
     reconstruct_metric,
+    state_order_violation,
     superposition_variance,
     two_point_lower_set,
     variance,
@@ -63,7 +62,7 @@ def _rotated_diag(spectrum, seed) -> HermitianObservable:
 def test_criterion_01_short_maps_hold_and_clear_the_oracle():
     # 500 pairs A = f(B), f a random short map of a random B, n <= 8:
     # the decision must hold and the search oracle must stay below 1e-6
-    cfg = OracleConfig(restarts=6, steps=80, seed=0)
+    oracle = {"restarts": 6, "steps": 80, "seed": 0}
     worst = 0.0
     failures = 0
     for i in range(500):
@@ -73,7 +72,7 @@ def test_criterion_01_short_maps_hold_and_clear_the_oracle():
         if not decide_order(a, b).holds:
             failures += 1
             continue
-        _, best = witness_search(a, b, cfg)
+        _, best = witness_search(a, b, **oracle)
         worst = max(worst, best)
         if best > 1e-6:
             failures += 1
@@ -173,7 +172,7 @@ def test_criterion_04_holding_pairs_survive_state_sampling():
             failures += 1
             continue
         checked += 1
-        if not check_state_order(a, b, trials=1000, seed=120_000 + i, tol=1e-9):
+        if state_order_violation(a, b, trials=1000, seed=120_000 + i, tol=1e-9) is not None:
             failures += 1
     ok = failures == 0
     line = _verdict_line(4, ok, f"{checked} holding pairs x 1000 density samples")

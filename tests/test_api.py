@@ -7,8 +7,6 @@ MODULES = ("linalg", "functions", "states", "order", "structure", "sampling")
 
 # A new keyword or defaulted field must be added here on purpose, with a caller that sets it.
 OPTIONS = {
-    "functions.FunctionTable.__init__(lipschitz_bound=)",
-    "functions.FunctionTable.from_values(lipschitz_bound=)",
     "functions.FunctionTable.value_at(tol=)",
     "linalg.UnitaryMap.__init__(antiunitary=)",
     "linalg.eigendecompose(group_tol=)",
@@ -16,17 +14,14 @@ OPTIONS = {
     "linalg.loewner_leq(tol=)",
     "states.BornMeasure.normalized(merge_tol=)",
     "states.superposition_variance(tol=)",
-    "order.OracleConfig.__init__(restarts=)",
-    "order.OracleConfig.__init__(steps=)",
-    "order.OracleConfig.__init__(seed=)",
-    "order.check_state_order(seed=)",
-    "order.check_state_order(tol=)",
     "order.class_equal(tol=)",
     "order.decide_order(tol=)",
     "order.extract_function(tol=)",
     "order.state_order_violation(seed=)",
     "order.state_order_violation(tol=)",
-    "order.witness_search(cfg=)",
+    "order.witness_search(restarts=)",
+    "order.witness_search(steps=)",
+    "order.witness_search(seed=)",
     "structure.AutomorphismReport.__init__(counterexample=)",
     "structure.joint_upper_bound(tol=)",
     "structure.q_matrix(method=)",
@@ -83,5 +78,5 @@ def public_options() -> list[str]:
 
 def test_public_options_are_pinned():
     found = public_options()
-    assert len(found) == len(set(found)) == 39
+    assert len(found) == len(set(found)) == 34
     assert set(found) == OPTIONS

@@ -230,6 +230,23 @@ def test_truncated_json_is_an_input_error(files):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", [2], None], ids=repr)
+def test_dim_must_be_a_json_integer(files, capsys, dim):
+    # _dim used to cast through int64: 2.7 and "2" were read as 2, true as 1
+    from varorder.cli import main
+
+    tmp_path, matrix = files
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+    (tmp_path / "a.json").write_text(json.dumps({"dim": dim, "matrix": rows}))
+    (tmp_path / "x.json").write_text(json.dumps({"dim": dim, "vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    b = matrix("b.json", [0.0, 1.0])
+    for argv in (["check-order", str(tmp_path / "a.json"), b], ["variance", b, str(tmp_path / "x.json")]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"malformed dim: expected an integer, got {dim!r}" in out.err
+
+
 def test_non_hermitian_is_an_input_error(files):
     tmp_path, matrix = files
     res = run_cli(

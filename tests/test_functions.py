@@ -69,9 +69,12 @@ def test_points_must_be_nonempty_finite_and_strictly_increasing(build, points):
 )
 def test_table_values_must_be_finite(values, bound):
     # a NaN excess is no Lipschitz violation, so ((0, nan), (1, 0)) used to pass a bound
-    # of 1, and its LipschitzExtension read NaN even at the table point 1.0
+    # of 1, and its LipschitzExtension read NaN even at the table point 1.0: the table
+    # refuses the value before an extension of bound 1 can run its pair check
     with pytest.raises(ValidationError, match="table values must be finite"):
-        FunctionTable(tuple(zip([0.0, 1.0], values)), lipschitz_bound=bound)
+        table = FunctionTable(tuple(zip([0.0, 1.0], values)))
+        if bound is not None:
+            LipschitzExtension(table, bound)
 
 
 def test_from_values_needs_one_value_per_location():
@@ -89,19 +92,6 @@ def test_a_table_stores_its_arrays_frozen():
         # built once, to validate the table, and read back on every use
         assert vars(t)[name] is getattr(t, name)
         assert getattr(t, name).dtype == np.float64 and not getattr(t, name).flags.writeable
-
-
-def test_stored_bound_is_checked():
-    # slope 2 exceeds the declared bound 1
-    with pytest.raises(ValidationError):
-        FunctionTable(((0.0, 0.0), (1.0, 2.0)), lipschitz_bound=1.0)
-    FunctionTable(((0.0, 0.0), (1.0, 2.0)), lipschitz_bound=2.0)
-    # a NaN bound used to pass, because a NaN excess is no violation
-    for bound in (float("nan"), -1.0):
-        with pytest.raises(ValidationError, match="nonnegative"):
-            FunctionTable(((0.0, 0.0),), lipschitz_bound=bound)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        FunctionTable(((0.0, 0.0), (1.0, 2.0)), lipschitz_bound=float("nan"))
 
 
 def test_from_mapping_sorts_keys():
@@ -195,8 +185,9 @@ def test_direct_extension_checks_the_constant():
     # a NaN constant passes the pair check, which compares nothing, so the sign check catches it
     with pytest.raises(ValidationError, match="nonnegative"):
         LipschitzExtension(t, float("nan"))
-    with pytest.raises(ValidationError, match="nonnegative"):
-        LipschitzExtension(point, -1.0)
+    for c in (float("nan"), -1.0):  # a one-point table has no pair to compare
+        with pytest.raises(ValidationError, match="nonnegative"):
+            LipschitzExtension(point, c)
     # with a pair to compare, a negative constant fails the table check first
     with pytest.raises(PreconditionError, match="not -1.0-Lipschitz"):
         LipschitzExtension(t, -1.0)

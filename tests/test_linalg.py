@@ -408,7 +408,7 @@ def test_apply_square_on_pauli_x_gives_identity():
 
 def test_apply_table_relabels_diagonal():
     dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
-    out = apply_function(dec, {0.0: 0.0, 1.0: 1.0, 3.0: 2.0})
+    out = apply_function(dec, FunctionTable.from_mapping({0.0: 0.0, 1.0: 1.0, 3.0: 2.0}))
     np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0, 2.0]), atol=1e-12)
 
 
@@ -417,11 +417,8 @@ def test_apply_is_a_homomorphism():
     dec = eigendecompose(obs)
     lams = dec.eigenvalues
     f = dict(zip(lams[::-1], lams[::-1] ** 2 - 1.0))  # keys in descending order
-    inner = apply_function(dec, f)
-    # a mapping is applied as the table it makes, bit for bit
-    table = apply_function(dec, FunctionTable.from_mapping(f))
-    np.testing.assert_array_equal(inner.matrix, table.matrix)
-    composed = apply_function(dec, {x: np.cos(f[x]) for x in lams})
+    inner = apply_function(dec, FunctionTable.from_mapping(f))
+    composed = apply_function(dec, FunctionTable.from_mapping({x: np.cos(f[x]) for x in lams}))
     chained = apply_function(eigendecompose(inner), np.cos)
     np.testing.assert_allclose(composed.matrix, chained.matrix, atol=1e-8)
 
@@ -448,11 +445,14 @@ def test_assembling_values_equals_applying_their_table():
 def test_apply_undefined_point_names_eigenvalue():
     dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
     with pytest.raises(DomainError, match=r"of 3\.0 "):
-        apply_function(dec, {0.0: 0.0, 1.0: 1.0})
+        apply_function(dec, FunctionTable.from_mapping({0.0: 0.0, 1.0: 1.0}))
     with pytest.raises(ValidationError, match="at least one point"):
-        apply_function(dec, {})
+        FunctionTable.from_mapping({})
     with pytest.raises(ValidationError, match="strictly increasing"):
-        apply_function(dec, {0.0: 0.0, np.nan: 1.0, 3.0: 2.0})
+        FunctionTable.from_mapping({0.0: 0.0, np.nan: 1.0, 3.0: 2.0})
+    # a mapping is no function: it must be made a table first
+    with pytest.raises(DomainError, match="not callable"):
+        apply_function(dec, {0.0: 0.0, 1.0: 1.0, 3.0: 2.0})
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,12 @@ from varorder import (
     FunctionTable,
     HermitianObservable,
     InternalConsistencyError,
-    OracleConfig,
     OrderVerdict,
     PreconditionError,
     PureState,
     ValidationError,
     apply_function,
     canonical_representative,
-    check_state_order,
     class_equal,
     decide_order,
     eigendecompose,
@@ -45,7 +43,7 @@ def _lipschitz_image(B, seed):
     """A random 1-Lipschitz function of B, with the table used."""
     dec = eigendecompose(B)
     vals = random_lipschitz_values(dec.eigenvalues, seed=seed)
-    table = FunctionTable.from_values(dec.eigenvalues, vals, lipschitz_bound=1.0)
+    table = FunctionTable.from_values(dec.eigenvalues, vals)
     return apply_function(dec, table), table
 
 
@@ -375,7 +373,7 @@ def test_an_overflowing_norm_is_refused_by_every_comparison(entry):
     calls = [
         lambda: decide_order(big, small),
         lambda: class_equal(big, big / 2),
-        lambda: check_state_order(big, small, trials=4),
+        lambda: state_order_violation(big, small, trials=4),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="matrix too large"):
@@ -421,22 +419,21 @@ def test_search_beats_the_known_witness():
 def test_search_is_deterministic():
     a = random_hermitian(4, seed=75)
     b = random_hermitian(4, seed=76)
-    cfg = OracleConfig(restarts=8, steps=200, seed=5)
-    s1, v1 = witness_search(a, b, cfg)
-    s2, v2 = witness_search(a, b, cfg)
+    s1, v1 = witness_search(a, b, restarts=8, steps=200, seed=5)
+    s2, v2 = witness_search(a, b, restarts=8, steps=200, seed=5)
     assert v1 == v2
     np.testing.assert_array_equal(s1.vector, s2.vector)
 
 
 def test_oracle_rejects_empty_or_unseeded_searches():
     # restarts=0 used to die in argmax; a negative seed in numpy's seeding
+    a = HermitianObservable.from_diag([0.0, 1.0])
     for bad in ({"restarts": 0}, {"restarts": -1}, {"steps": -1}):
         with pytest.raises(ValidationError, match=r"restarts >= 1 and steps >= 0"):
-            OracleConfig(**bad)
-    a = HermitianObservable.from_diag([0.0, 1.0])
+            witness_search(a, a, **bad)
     with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
-        witness_search(a, a, OracleConfig(seed=-1))
-    _, best = witness_search(a, a, OracleConfig(restarts=1, steps=0))
+        witness_search(a, a, seed=-1)
+    _, best = witness_search(a, a, restarts=1, steps=0)
     assert best == pytest.approx(0.0, abs=1e-12)
 
 
@@ -469,7 +466,7 @@ def test_more_steps_never_lower_the_best(holding):
     # search repeats a shorter one's steps first
     b = random_hermitian(6, seed=330, scale=3.0)
     a = _lipschitz_image(b, seed=331)[0] if holding else random_hermitian(6, seed=332)
-    bests = [witness_search(a, b, OracleConfig(restarts=4, steps=s, seed=9))[1] for s in (0, 1, 5, 50)]
+    bests = [witness_search(a, b, restarts=4, steps=s, seed=9)[1] for s in (0, 1, 5, 50)]
     assert bests == sorted(bests)
     assert bests[-1] > bests[0]
 
@@ -494,7 +491,7 @@ def test_search_calls_no_eigensolver_and_no_decision(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     a = np.diag([0.0, 2.0, 3.0])  # fresh arrays: no observable with cached eigenpairs
     b = np.diag([0.0, 1.0, 3.0])
-    _, best = witness_search(a, b, OracleConfig(restarts=4, steps=50, seed=0))
+    _, best = witness_search(a, b, restarts=4, steps=50, seed=0)
     assert best >= 0.75 - 1e-9
 
 
@@ -624,13 +621,12 @@ def test_canonical_is_idempotent_and_class_equal():
 def test_state_order_on_holding_pair():
     a = HermitianObservable.from_diag([0.0, 1.0, 2.0])
     b = HermitianObservable.from_diag([0.0, 1.0, 3.0])
-    assert check_state_order(a, b, trials=1000, seed=3)
+    assert state_order_violation(a, b, trials=1000, seed=3) is None
 
 
 def test_state_order_finds_a_violation():
     a = HermitianObservable.from_diag([0.0, 2.0, 3.0])
     b = HermitianObservable.from_diag([0.0, 1.0, 3.0])
-    assert not check_state_order(a, b, trials=1000, seed=3)
     rho = state_order_violation(a, b, trials=1000, seed=3)
     assert isinstance(rho, DensityState)
     assert variance(a, rho) > variance(b, rho) + 1e-9
@@ -639,17 +635,14 @@ def test_state_order_finds_a_violation():
 def test_state_order_trivial_for_scalars():
     scalar = HermitianObservable(1.5 * np.eye(4))
     b = random_hermitian(4, seed=84)
-    assert check_state_order(scalar, b, trials=300, seed=4)
     assert state_order_violation(scalar, b, trials=300, seed=4) is None
 
 
 def test_state_order_rejects_nonpositive_trials():
     a = HermitianObservable.from_diag([0.0, 2.0, 3.0])
     for trials in (0, -3):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"trials must be at least 1, got {trials}"):
             state_order_violation(a, a, trials=trials)
-        with pytest.raises(ValidationError):
-            check_state_order(a, a, trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +673,6 @@ def test_decide_order_memory_stays_below_one_projector_per_eigenspace():
 
 
 def test_decision_agrees_with_oracle():
-    cfg = OracleConfig(restarts=12, steps=200, seed=0)
     for seed in range(10):
         n = 3 + seed % 4
         b = random_hermitian(n, seed=900 + seed, scale=2.0)
@@ -689,5 +681,5 @@ def test_decision_agrees_with_oracle():
         else:
             a = random_hermitian(n, seed=990 + seed, scale=2.0)
         verdict = decide_order(a, b)
-        _, best = witness_search(a, b, cfg)
+        _, best = witness_search(a, b, restarts=12, steps=200, seed=0)
         assert verdict.holds == (best <= 1e-6)

@@ -6,7 +6,6 @@ import pytest
 from varorder import (
     BornMeasure,
     DensityState,
-    OracleConfig,
     DimensionMismatchError,
     HermitianObservable,
     LipschitzExtension,
@@ -394,7 +393,7 @@ def test_variance_matches_measure_variance():
                 atol=1e-9,
             )
         b = random_hermitian(n, seed=70 + n)
-        x, value = witness_search(a, b, OracleConfig(restarts=3, steps=5, seed=n))
+        x, value = witness_search(a, b, restarts=3, steps=5, seed=n)
         born_gap = measure_variance(born_measure(dec, x)) - measure_variance(
             born_measure(eigendecompose(b), x)
         )

@@ -234,6 +234,31 @@ def test_q_matrix_input_validation():
         q_matrix([0.0, 1.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "spectrum",
+    [[np.inf, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, -np.inf], [0.0, np.nan, 2.0, 3.0],
+     [0.0, 1.0, 2.0, 1e308, -1e308]],
+    ids=["inf", "minus-inf", "nan", "diameter-overflows"],
+)
+def test_q_matrix_refuses_a_non_finite_spectrum_before_any_arithmetic(spectrum):
+    # these used to warn (an error under the suite's filter) and then blame the gap matrix
+    match = "overflows" if np.isfinite(spectrum).all() else "finite and strictly increasing"
+    with pytest.raises(ValidationError, match=f"spectrum .*{match}"):
+        q_matrix(spectrum)
+
+
+def test_gap_matrix_symmetrization_does_not_overflow():
+    # (q + q.T) / 2 used to give inf entries above ~9e307
+    for scale in (2e307, 1e307, 1.0, 3e-300):
+        pts = np.array([0.0, 1.0, 3.0, 7.0]) * scale
+        q = q_matrix(pts).values
+        assert np.isfinite(q).all() and np.array_equal(q, q.T)
+        assert q[0, 1] == pts[1] - pts[0] and q[2, 3] == pts[3] - pts[2]
+        assert q[0, 3] == (pts[3] - pts[0]) - (pts[1] - pts[0])  # the diameter less the least gap
+    big = np.full((4, 4), 1.7e308) - np.diag(np.full(4, 1.7e308))
+    assert np.array_equal(QMatrix(big).values, big)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_q_matrix_maximum_hit_at_most_three_times(seed):
     q = q_matrix(random_spectrum(4 + seed % 5, seed=170 + seed)).values

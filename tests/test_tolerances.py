@@ -13,8 +13,6 @@ from varorder import (
     FunctionTable,
     LipschitzExtension,
     PreconditionError,
-    ValidationError,
-    check_state_order,
     order,
     state_order_violation,
     tolerances,
@@ -43,16 +41,14 @@ def test_public_tolerance_defaults_are_unchanged():
         return inspect.signature(fn).parameters[name].default
 
     assert default(FunctionTable.value_at, "tol") == default(FunctionTable.__call__, "tol") == 1e-8
-    assert default(state_order_violation, "tol") == default(check_state_order, "tol") == 1e-9
+    assert default(state_order_violation, "tol") == 1e-9
     assert default(BornMeasure.normalized, "merge_tol") == 1e-12
 
 
 @pytest.mark.parametrize("excess, ok", [(0.5e-9, True), (2e-9, False)])
 def test_lipschitz_slack_is_lip_tol(excess, ok):
-    # LIP_TOL = 1e-9 of slack in |f(x) - f(y)| <= c |x - y|, for a stored bound and an extension
+    # LIP_TOL = 1e-9 of slack in |f(x) - f(y)| <= c |x - y|, in the one Lipschitz check of a table
     pts = ((0.0, 0.0), (1.0, 1.0 + excess))
-    with nullcontext() if ok else pytest.raises(ValidationError):
-        FunctionTable(pts, lipschitz_bound=1.0)
     with nullcontext() if ok else pytest.raises(PreconditionError):
         LipschitzExtension(FunctionTable(pts), 1.0)
 

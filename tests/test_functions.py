@@ -94,6 +94,20 @@ def test_a_table_stores_its_arrays_frozen():
         assert getattr(t, name).dtype == np.float64 and not getattr(t, name).flags.writeable
 
 
+def test_stored_bound_is_checked():
+    # the extension's constant is the table's Lipschitz bound: slope 2 exceeds the bound 1
+    table = FunctionTable(((0.0, 0.0), (1.0, 2.0)))
+    with pytest.raises(PreconditionError):
+        LipschitzExtension(table, 1.0)
+    assert LipschitzExtension(table, 2.0).constant == 2.0
+    # a NaN bound used to pass, because a NaN excess is no violation
+    for bound in (float("nan"), -1.0):  # a one-point table has no pair to compare
+        with pytest.raises(ValidationError, match="nonnegative"):
+            LipschitzExtension(FunctionTable(((0.0, 0.0),)), bound)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        LipschitzExtension(table, float("nan"))
+
+
 def test_from_mapping_sorts_keys():
     t = FunctionTable.from_mapping({3.0: 2.0, 0.0: 0.0, 1.0: 1.0})
     assert t.points == ((0.0, 0.0), (1.0, 1.0), (3.0, 2.0))
@@ -185,9 +199,8 @@ def test_direct_extension_checks_the_constant():
     # a NaN constant passes the pair check, which compares nothing, so the sign check catches it
     with pytest.raises(ValidationError, match="nonnegative"):
         LipschitzExtension(t, float("nan"))
-    for c in (float("nan"), -1.0):  # a one-point table has no pair to compare
-        with pytest.raises(ValidationError, match="nonnegative"):
-            LipschitzExtension(point, c)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        LipschitzExtension(point, -1.0)
     # with a pair to compare, a negative constant fails the table check first
     with pytest.raises(PreconditionError, match="not -1.0-Lipschitz"):
         LipschitzExtension(t, -1.0)

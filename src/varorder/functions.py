@@ -90,8 +90,18 @@ class FunctionTable:
 
 def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
     """``|y_j - y_k| - c |x_j - x_k|`` for every pair ``(j, k)``: symmetric, and 0 on
-    the diagonal for finite ``c``."""
-    return np.abs(ys[:, None] - ys) - c * np.abs(xs[:, None] - xs)
+    the diagonal for finite ``c``.
+
+    Formed in place in two ``n x n`` arrays; at ``c = 1`` the product is skipped,
+    since ``1.0 * g`` is ``g`` bit for bit.
+    """
+    out = ys[:, None] - ys
+    np.abs(out, out)
+    gap = xs[:, None] - xs
+    np.abs(gap, gap)
+    if c != 1.0:
+        np.multiply(gap, c, gap)
+    return np.subtract(out, gap, out)
 
 
 def _lipschitz_violation(pts, c: float, tol: float):

@@ -62,11 +62,15 @@ class OrderVerdict:
 
 
 def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
-    """The state ``w`` along ``vec`` and the gap ``variance(a, w) - variance(b, w)``."""
+    """The state ``w`` along ``vec`` and the gap ``variance(a, w) - variance(b, w)``.
+
+    Recomputed from ``a.matrix`` and ``b.matrix`` at the normalized ``w``, one
+    matrix-vector product per observable, with :func:`variance`'s kernel and
+    clamp, so the gap equals the public two-call form bit for bit.
+    """
     w = PureState.normalized(vec)
-    x = w.vector[None]
-    var_a, var_b = (max(0.0, float(_variances(m, x)[0])) for m in (a.matrix, b.matrix))
-    return w, var_a - var_b
+    x = w.vector
+    return w, max(0.0, float(_variances(a.matrix, x))) - max(0.0, float(_variances(b.matrix, x)))
 
 
 def decision_tol(tol: float | None, a: HermitianObservable, b: HermitianObservable) -> float:
@@ -95,8 +99,14 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
 
     On failure the witness is the eigenbasis candidate of the offending
     eigenspace with the largest variance for ``A`` (ties to the lowest
-    index), or an equal superposition across the offending pair; its margin
-    is recomputed from scratch and must exceed ``FAIL_MARGIN_TOL``.
+    index), or an equal superposition across the offending pair.  Each
+    group's columns are the adjacent range ``lo : lo + ranks[j]`` of ``V``,
+    with ``lo = sum(ranks[:j])``, so a candidate is read by its column index.
+    The margin is recomputed from scratch, independently of ``A'`` and the
+    eigenvalues: ``w`` is normalized and ``var_w(A) - var_w(B)`` taken from
+    ``A.matrix`` and ``B.matrix`` with one matrix-vector product each, equal
+    bit for bit to ``variance(A, w) - variance(B, w)``; it must exceed
+    ``FAIL_MARGIN_TOL``.
     """
     a, b = _as_pair(A, B)
     tol = decision_tol(tol, a, b)
@@ -117,13 +127,16 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     bad = ((comm > tol) | (scal > tol)).nonzero()[0]
     if bad.size:
         j = int(bad[0])
-        cols = labels == j
-        defects = (np.abs(ap[:, cols]) ** 2).sum(axis=0) - diag[cols] ** 2
-        w, margin = _margin_at(a, b, v[:, cols][:, int(np.argmax(defects))])
+        lo = sum(dec.ranks[:j])
+        hi = lo + dec.ranks[j]
+        defects = (np.abs(ap[:, lo:hi]) ** 2).sum(axis=0) - diag[lo:hi] ** 2
+        w, margin = _margin_at(a, b, v[:, lo + int(np.argmax(defects))])
         if margin > FAIL_MARGIN_TOL:
             return OrderVerdict(False, None, w, margin)
         # every basis candidate is itself an eigenvector of A; split the
-        # block across its extreme eigenvectors instead
+        # block across its extreme eigenvectors instead.  Index arrays, not
+        # slices: a strided view in the solve or the product rounds differently
+        cols = np.arange(lo, hi)
         _, wv = _eigh(ap[np.ix_(cols, cols)])
         w2, margin2 = _margin_at(a, b, v[:, cols] @ (wv[:, 0] + wv[:, -1]))
         if margin2 > FAIL_MARGIN_TOL:
@@ -136,12 +149,12 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     # Pairwise Lipschitz check on the induced eigenvalue table; the worst
     # excess wins, ties to the first pair in (j, k) order: the excess is
     # symmetric and -tol <= 0 on the diagonal, so a positive one is first met at j < k.
-    excess = _lipschitz_excess(lams, scalars, 1.0) - tol
+    excess = _lipschitz_excess(lams, scalars, 1.0)
+    excess -= tol
     worst = int(excess.argmax())
     if excess.flat[worst] > 0:
         j, k = divmod(worst, len(lams))
-        first = np.searchsorted(labels, [j, k])
-        w, margin = _margin_at(a, b, v[:, first[0]] + v[:, first[1]])
+        w, margin = _margin_at(a, b, v[:, sum(dec.ranks[:j])] + v[:, sum(dec.ranks[:k])])
         if margin > FAIL_MARGIN_TOL:
             return OrderVerdict(False, None, w, margin)
         raise InternalConsistencyError(

@@ -257,8 +257,10 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
 
     d = q.copy()
     for i, j in pairs:
-        others = [k for k in range(n) if k not in (i, j)]
-        d[i, j] = d[j, i] = min(q[i, k] + q[k, j] for k in others)
+        # on Python floats, so a two-hop sum past the float64 maximum is inf (refused
+        # below) without a numpy overflow warning; q is exactly symmetric, q[k, j] = q[j, k]
+        qi, qj = q[i].tolist(), q[j].tolist()
+        d[i, j] = d[j, i] = min(qi[k] + qj[k] for k in range(n) if k not in (i, j))
 
     repeated = np.flatnonzero(np.bincount(np.ravel(pairs), minlength=n) == 2)
     if len(pairs) == 1:

@@ -257,6 +257,44 @@ def test_fail_margins_recompute(seed):
     assert recomputed > 1e-9
 
 
+def _route_instances():
+    """Failing pairs ``(route, A, B)`` for each witness route of decide_order."""
+    scales = (1e-3, 1.0, 7.3e3)
+    out = [("basis", PAULI_X, PAULI_Z)]
+    for n, s in zip((3, 5, 8), scales):
+        out.append(("basis", random_hermitian(n, seed=400 + n, scale=s),
+                    random_hermitian(n, seed=500 + n, scale=s)))
+    for s in scales:
+        # every eigenbasis vector of B's repeated eigenvalue is an eigenvector of A
+        out.append(("split", HermitianObservable.from_diag(s * np.array([0.0, 2.0, 0.0])),
+                    HermitianObservable.from_diag(s * np.array([1.0, 1.0, 5.0]))))
+        out.append(("split", HermitianObservable.from_diag(s * np.array([3.0, 0.0, 1.0, 5.0])),
+                    HermitianObservable.from_diag(s * np.array([2.0, 4.0, 4.0, 9.0]))))
+        out.append(("pair", HermitianObservable.from_diag(s * np.array([0.0, 2.0, 3.0])),
+                    HermitianObservable.from_diag(s * np.array([0.0, 1.0, 3.0]))))
+        b = random_hermitian(5, seed=600, scale=s)
+        out.append(("pair", HermitianObservable(1.5 * b.matrix), b))
+    return out
+
+
+@pytest.mark.parametrize("route, a, b", _route_instances())
+def test_a_failing_margin_is_the_public_variance_gap_bit_for_bit(monkeypatch, route, a, b):
+    # which route decided: the block split is the only caller of order._eigh, and the
+    # pairwise stage the only caller of order._lipschitz_excess
+    called = set()
+    for name in ("_eigh", "_lipschitz_excess"):
+        def spy(*args, _name=name, _f=getattr(order, name)):
+            called.add(_name)
+            return _f(*args)
+        monkeypatch.setattr(order, name, spy)
+    verdict = decide_order(a, b)
+    taken = "split" if "_eigh" in called else "pair" if "_lipschitz_excess" in called else "basis"
+    assert (verdict.holds, taken) == (False, route)
+    w = verdict.witness
+    assert verdict.margin == variance(a, w) - variance(b, w)
+    assert verdict.margin > FAIL_MARGIN_TOL
+
+
 def test_decisions_at_n_128():
     b = random_hermitian(128, seed=128, scale=2.0)
     a, _ = _lipschitz_image(b, seed=129)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varorder import (
     BornMeasure,
@@ -50,10 +52,21 @@ def test_pure_state_norm_enforced():
         PureState.normalized([0.0, 0.0])
 
 
-@pytest.mark.parametrize("entry", [complex(0.0, np.inf), complex(np.nan, 0.0)])
+@pytest.mark.parametrize(
+    "entry", [complex(0.0, np.inf), complex(np.nan, 0.0), np.inf, -np.inf, np.nan]
+)
 def test_pure_state_entries_must_be_finite_in_both_parts(entry):
     with pytest.raises(ValidationError, match="finite"):
         PureState(np.array([entry, 0.0]))
+
+
+# 1e200: finite entries whose squared norm overflows; the complex inner product is NaN there
+@pytest.mark.parametrize("factor", [1.0 + 2e-12, 1.0 - 2e-12, 1e200])
+def test_pure_state_refuses_a_norm_off_one(factor):
+    x = random_pure_vector(6, np.random.default_rng(47))
+    assert PureState(x).dim == 6
+    with pytest.raises(ValidationError, match="norm"):
+        PureState(factor * x)
 
 
 def test_density_state_invariants():
@@ -398,6 +411,29 @@ def test_variance_matches_measure_variance():
             born_measure(eigendecompose(b), x)
         )
         assert value == pytest.approx(born_gap, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 128),
+    k=st.integers(-19, 19),  # scale 2**k, about 1e-6 to 1e6
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_vector_variance_matches_the_stacked_form_and_the_born_measure(n, k, seed):
+    rng = np.random.default_rng(seed)
+    a0 = random_hermitian(n, rng)
+    a = HermitianObservable(2.0**k * a0.matrix)  # exact: a power of two
+    x = random_pure_vector(n, rng)
+    one = _variances(a.matrix, x)
+    assert np.ndim(one) == 0
+    bound = 4 * n * np.finfo(float).eps * a.frobenius_norm**2
+    assert abs(one - _variances(a.matrix, x[None])[0]) <= bound
+    # measure_variance checks its two formulas against the absolute CHECK_TOL, which
+    # their rounding exceeds above scale ~1e2, so the Born route is taken at A / 2**k
+    # and scaled back by 4**k, exact in floating point
+    born = 4.0**k * measure_variance(born_measure(eigendecompose(a0), PureState(x)))
+    assert abs(max(0.0, one) - born) <= bound
+    assert variance(a, PureState(x)) == max(0.0, float(one))
 
 
 def test_variance_shift_and_negation_invariance():

@@ -1,6 +1,7 @@
 """Joint upper bounds, two-point lower sets, gap matrices, automorphisms."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,17 @@ def test_reconstruct_rejects_flat_gap_matrix():
     q = np.ones((4, 4)) - np.eye(4)
     with pytest.raises(ReconstructionError):
         reconstruct_metric(QMatrix(q))
+
+
+def test_reconstruct_refuses_an_overflowing_two_hop_sum_without_a_warning():
+    # the diameter pair's two-hop sums 1e308 + 1e308 pass the float64 maximum
+    q = np.full((4, 4), 1e308)
+    np.fill_diagonal(q, 0.0)
+    q[0, 1] = q[1, 0] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError):
+            reconstruct_metric(QMatrix(q))
 
 
 def test_qmatrix_type_validation():

@@ -21,7 +21,13 @@ Last, each checkout digests its own outputs in a fresh process
 (``--digest DIR``): every op of ``DIGEST_WORKLOADS`` at ``DIGEST_SECONDS``
 run lengths, for each of ``DIGEST_SEEDS``, and the first ``DIGEST_CLI_CHUNKS``
 chunks of the ``cli`` workload run in process, hashed per workload with
-sha256.  Equal digests mean the change answers every op with the same bytes.
+sha256 twice.  ``digest`` hashes every byte of each answer, the margin's hex
+included; equal digests mean the change answers every op with the same bytes.
+``answers`` hashes the same bytes less the margin (for ``cli``, less each
+report's ``margin`` field), so it stays equal when only a margin's rounding
+moves and tells whether the verdicts, certificates, witnesses, exit codes and
+errors did.  ``margins`` then gives, per workload, how many margins differ
+and the largest relative change, ``|change - base| / |base|``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -116,50 +123,86 @@ def layer_timings(checkout: Path) -> dict:
     return out
 
 
-def _verdict_bytes(out) -> bytes:
-    """A decision's outcome as bytes: holds, margin, certificate or witness, or the error."""
+def _verdict_bytes(out, margin: bool) -> bytes:
+    """A decision's outcome as bytes: holds, margin (if ``margin``), certificate or
+    witness, or the error."""
     if isinstance(out, Exception):
         return f"{type(out).__name__}: {out}".encode()
     payload = ([(x.hex(), y.hex()) for x, y in out.certificate.points] if out.holds
                else out.witness.vector.tobytes().hex())
-    return repr((out.holds, out.margin.hex(), payload)).encode()
+    return repr((out.holds, out.margin.hex() if margin else None, payload)).encode()
 
 
-def _cli_bytes(out) -> bytes:
-    """A command's exit code and stdout, less the oracle's best value."""
+def _cli_report(out) -> dict | None:
+    """A command's JSON report less the oracle's best value, or None when stdout is not JSON."""
     try:
         report = json.loads(out.stdout)
     except json.JSONDecodeError:
-        return repr((out.code, out.stdout)).encode()
+        return None
     report.get("oracle", {}).pop("best_value", None)
+    return report
+
+
+def _cli_bytes(out, report: dict | None, margin: bool) -> bytes:
+    """A command's exit code and stdout, less the oracle's best value and, unless
+    ``margin``, the report's margin."""
+    if report is None:
+        return repr((out.code, out.stdout)).encode()
+    if not margin:
+        report = {key: value for key, value in report.items() if key != "margin"}
     return repr((out.code, json.dumps(report, sort_keys=True))).encode()
 
 
 def output_digest(checkout: Path) -> dict:
-    """sha256 of ``checkout``'s answer to every op of each digested workload."""
+    """sha256 of ``checkout``'s answer to every op of each digested workload, with
+    (``digest``) and without (``answers``) the margins, and the margins themselves."""
     sys.path[:0] = [str(checkout / "src"), str(checkout)]
     from bench import harness, workloads
 
-    out = {}
+    out = {"digest": {}, "answers": {}, "margins": {}}
+
+    def record(name: str, answers: list) -> None:
+        # ``answers`` holds (bytes with the margin, bytes without it, margin) per op
+        for key, pos in (("digest", 0), ("answers", 1)):
+            h = hashlib.sha256()
+            for item in answers:
+                h.update(item[pos])
+            out[key][name] = h.hexdigest()
+        out["margins"][name] = [item[2] for item in answers]
+
     with tempfile.TemporaryDirectory() as tmp:
         for name in DIGEST_WORKLOADS:
-            wl, h = workloads.make(name, checkout, Path(tmp)), hashlib.sha256()
+            wl, answers = workloads.make(name, checkout, Path(tmp)), []
             for seed in DIGEST_SEEDS:
                 ops, k = harness.run_length(wl, DIGEST_SECONDS), 0
                 while ops > 0:
                     chunk = wl.chunk(seed, k)
                     for item in chunk[:ops]:
-                        h.update(_verdict_bytes(wl.run(item)))
+                        res = wl.run(item)
+                        answers.append((_verdict_bytes(res, True), _verdict_bytes(res, False),
+                                        None if isinstance(res, Exception) else res.margin))
                     ops, k = ops - len(chunk), k + 1
-            out[name] = h.hexdigest()
-        wl, h = workloads.make("cli", checkout, Path(tmp)), hashlib.sha256()
+            record(name, answers)
+        wl, answers = workloads.make("cli", checkout, Path(tmp)), []
         for seed in DIGEST_SEEDS:
             for k in range(DIGEST_CLI_CHUNKS):
                 for item in wl.chunk(seed, k):
-                    h.update(_cli_bytes(wl.run_inprocess(item)))
+                    res = wl.run_inprocess(item)
+                    report = _cli_report(res)
+                    answers.append((_cli_bytes(res, report, True), _cli_bytes(res, report, False),
+                                    (report or {}).get("margin")))
                 wl.release(k)
-        out["cli"] = h.hexdigest()
+        record("cli", answers)
     return out
+
+
+def margin_changes(base: list, change: list) -> dict:
+    """How many of two runs' margins differ, and the largest relative change among them."""
+    pairs = [(p, c) for p, c in zip(base, change) if p is not None and c is not None]
+    moved = [(p, c) for p, c in pairs if p != c]
+    return {"margins": len(pairs), "changed": len(moved),
+            "max_rel_change": max((abs(c - p) / abs(p) if p else math.inf for p, c in moved),
+                                  default=0.0)}
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -236,8 +279,12 @@ def main(argv=None) -> int:
 
     def digests() -> dict:
         base, change = child("--digest", args.base), child("--digest", HERE)
-        return {name: {"base": base[name], "change": change[name], "equal": base[name] == change[name]}
-                for name in base}
+        out = {key: {name: {"base": b, "change": change[key][name], "equal": b == change[key][name]}
+                     for name, b in base[key].items()}
+               for key in ("digest", "answers")}
+        out["margins"] = {name: margin_changes(m, change["margins"][name])
+                          for name, m in base["margins"].items()}
+        return out
 
     def fastest_layers() -> dict:
         runs = {"base": [], "change": []}
@@ -255,7 +302,7 @@ def main(argv=None) -> int:
         "order": "base first on odd seeds, change first on even seeds",
         "workloads": compare(args.base.resolve(), args.seeds, args.seconds),
         "layers_us_per_call": fastest_layers(),
-        "digest": digests(),
+        **digests(),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -24,11 +24,10 @@ from .errors import (
     ValidationError,
     VarOrderError,
 )
-from .linalg import HermitianObservable, UnitaryMap
+from .linalg import HermitianObservable, UnitaryMap, resolve_tol
 from .order import (
     canonical_representative,
     decide_order,
-    decision_tol,
     extract_function,
     witness_search,
 )
@@ -130,7 +129,7 @@ def emit(report: dict) -> None:
 def cmd_check_order(args) -> int:
     a = HermitianObservable(load_matrix(args.a))
     b = HermitianObservable(load_matrix(args.b))
-    tol = decision_tol(args.tol, a, b)
+    tol = resolve_tol(args.tol, a, b)
     verdict = decide_order(a, b, tol)
     report = {
         "holds": verdict.holds,

@@ -123,15 +123,17 @@ class LipschitzExtension:
     takes the pointwise minimum of the cones ``f(x_i) + c|x - x_i|``.  It is
     the upper extension; negate the table values (and the result) to obtain
     the lower one.  Construction raises :class:`PreconditionError` naming a
-    violating pair when the table is not c-Lipschitz to within ``LIP_TOL``.
+    violating pair when the table is not c-Lipschitz to within
+    ``LIP_TOL * max(1, max |x|, max |f(x)|)`` over the table.
     """
 
     table: FunctionTable
     constant: float
 
     def __post_init__(self):
-        c = self.constant
-        bad = _lipschitz_violation(self.table.points, float(c), LIP_TOL)
+        c, t = self.constant, self.table
+        slack = LIP_TOL * max(1.0, np.abs(t.locations).max(), np.abs(t.values).max())
+        bad = _lipschitz_violation(t.points, float(c), slack)
         if bad is not None:
             (x0, y0), (x1, y1) = bad
             raise PreconditionError(

@@ -275,16 +275,17 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     Eigenvalues within ``group_tol`` of each other are merged into a single
     group carrying their mean (clipped into the group's range), with the
     group's eigenvectors as adjacent columns of one eigenvector matrix.  The
-    default tolerance is ``PAIR_TOL_SCALE * max(1, |A|_F)``, the default
-    decision tolerance, which the structure routines that count distinct
-    eigenvalues rely on; :func:`~varorder.order.decide_order` groups at
-    rounding level instead.  The eigensolver
+    default threshold is ``resolve_tol(None, A)``, the default comparison
+    tolerance, which the structure routines that count distinct eigenvalues
+    rely on; :func:`~varorder.order.decide_order` groups at rounding level
+    instead.  A given ``group_tol`` is a grouping threshold, not a comparison
+    tolerance: it must be finite and >= 0, and is not floored.  The eigensolver
     runs at most once per (immutable) observable; grouped decompositions are
-    cached on it per grouping, so every tolerance that yields the same group
+    cached on it per grouping, so every threshold that yields the same group
     ranks returns the same object.
     """
     obs = _as_observable(A)
-    group_tol = resolve_tol(group_tol, obs)
+    group_tol = resolve_tol(None, obs) if group_tol is None else _checked_tol(group_tol)
     w, v = obs.eigenpairs
     splits = w[1:] - w[:-1] > group_tol  # a new group starts after each True
     cache = obs.__dict__.setdefault("_spectral_cache", {})
@@ -298,7 +299,7 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
         lam_cols = lams[dec.labels]
         spread = float(np.linalg.norm(w - lam_cols))
         recon_err = float(np.linalg.norm((v * lam_cols) @ v.conj().T - obs.matrix))
-        allowed = spread + default_pair_tol(obs)
+        allowed = spread + resolve_tol(None, obs)
         if recon_err > allowed:
             raise InternalConsistencyError(
                 f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
@@ -344,22 +345,29 @@ def _tol_at(scale: float) -> float:
     return PAIR_TOL_SCALE * max(1.0, scale)
 
 
-def default_pair_tol(*observables: HermitianObservable) -> float:
-    """The default tolerance: ``PAIR_TOL_SCALE * max(1, |X|_F)`` over the given observables."""
-    return _tol_at(max(x.frobenius_norm for x in observables))
-
-
-def resolve_tol(tol: float | None, *observables: HermitianObservable) -> float:
-    """The given ``tol`` (finite, >= 0) or, for ``None``, ``default_pair_tol(*observables)``."""
-    if tol is None:
-        return default_pair_tol(*observables)
+def _checked_tol(tol: float) -> float:
     if not 0.0 <= tol < math.inf:
         raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol
 
 
+def resolve_tol(tol: float | None, *observables: HermitianObservable) -> float:
+    """The tolerance of every comparison of ``observables``.
+
+    ``None`` gives the default ``PAIR_TOL_SCALE * max(1, max |X|_F)``.  A given
+    ``tol`` must be finite and >= 0 and is floored at ``ROUND_RTOL * max |X|_F``,
+    which the default never is below, so that ``tol = 0`` means "as exact as
+    floating point allows".
+    """
+    scale = max(x.frobenius_norm for x in observables)
+    if tol is None:
+        return _tol_at(scale)
+    return max(_checked_tol(tol), ROUND_RTOL * scale)
+
+
 def loewner_leq(A, B, tol: float | None = None) -> bool:
-    """Spectral-order comparison: smallest eigenvalue of ``B - A`` is ``>= -tol``."""
+    """Spectral-order comparison: smallest eigenvalue of ``B - A`` is ``>= -tol``, with
+    ``tol`` resolved by :func:`resolve_tol` (a given one floored at rounding level)."""
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
     w, _ = _eigh(b.matrix - a.matrix)

@@ -23,7 +23,6 @@ from .linalg import (
     _as_observable,
     _as_pair,
     _eigh,
-    default_pair_tol,
     eigendecompose,
     resolve_tol,
 )
@@ -73,12 +72,6 @@ def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
     return w, max(0.0, float(_variances(a.matrix, x))) - max(0.0, float(_variances(b.matrix, x)))
 
 
-def decision_tol(tol: float | None, a: HermitianObservable, b: HermitianObservable) -> float:
-    """``resolve_tol(tol, a, b)`` floored at ``ROUND_RTOL * max(|A|_F, |B|_F)``, so that
-    rounding residues never fail a decision (at ``tol = 0`` they failed even ``A = B``)."""
-    return max(resolve_tol(tol, a, b), ROUND_RTOL * max(a.frobenius_norm, b.frobenius_norm))
-
-
 def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     """Decide whether ``A`` is below ``B`` in the variance order.
 
@@ -91,11 +84,13 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     The eigenspaces are ``B``'s eigenvalues grouped at rounding level, gaps
     of at most ``ROUND_RTOL * |B|_F``, so a cluster of eigenvalues a fraction
     of ``tol`` apart is never one wide group on which even ``A = B`` is not
-    scalar.  The tolerance, :func:`decision_tol` of ``tol`` (default
-    ``PAIR_TOL_SCALE * max(1, |A|_F, |B|_F)``; a given one must be finite and
-    >= 0), bounds the residue checks and the Lipschitz slack.  ``B``'s
-    eigenpairs are solved once per observable and its grouped decompositions
-    cached per grouping, however many partners it is decided against.
+    scalar.  The tolerance, :func:`~varorder.linalg.resolve_tol` of ``tol``
+    (default ``PAIR_TOL_SCALE * max(1, |A|_F, |B|_F)``; a given one must be
+    finite and >= 0 and is floored at ``ROUND_RTOL * max(|A|_F, |B|_F)``, so
+    rounding residues fail no decision), bounds the residue checks and the
+    Lipschitz slack.  ``B``'s eigenpairs are solved once per observable and its
+    grouped decompositions cached per grouping, however many partners it is
+    decided against.
 
     On failure the witness is the eigenbasis candidate of the offending
     eigenspace with the largest variance for ``A`` (ties to the lowest
@@ -109,7 +104,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     ``FAIL_MARGIN_TOL``.
     """
     a, b = _as_pair(A, B)
-    tol = decision_tol(tol, a, b)
+    tol = resolve_tol(tol, a, b)
     dec = eigendecompose(b, group_tol=ROUND_RTOL * b.frobenius_norm)
     v, lams, labels, same = dec.vectors, dec.eigenvalues, dec.labels, dec.same_group
 
@@ -316,7 +311,9 @@ def extract_function(A, B, tol: float | None = None) -> FunctionTable:
 
 
 def class_equal(A, B, tol: float | None = None) -> bool:
-    """Whether ``B`` equals ``A + cI`` or ``-A + cI`` for some real ``c``."""
+    """Whether ``B`` equals ``A + cI`` or ``-A + cI`` for some real ``c``, within ``tol``
+    in Frobenius norm; ``tol`` is resolved by :func:`~varorder.linalg.resolve_tol` (a
+    given one floored at rounding level)."""
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
     eye = np.eye(a.dim)
@@ -351,7 +348,7 @@ def canonical_representative(A) -> HermitianObservable:
     lmin, lmax = float(lams[0]), float(lams[-1])
     seq1 = [(lam - lmin, rk) for lam, rk in zip(lams, ranks)]
     seq2 = [(lmax - lam, rk) for lam, rk in zip(lams[::-1], ranks[::-1])]
-    tie_tol = default_pair_tol(a)
+    tie_tol = resolve_tol(None, a)
     eye = np.eye(a.dim)
     if _lex_spectrum_key(seq1, seq2, tie_tol) <= 0:
         return HermitianObservable(a.matrix - lmin * eye)

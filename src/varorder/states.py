@@ -54,7 +54,13 @@ class PureState:
 
     @classmethod
     def normalized(cls, vec) -> "PureState":
+        """``vec / numpy.linalg.norm(vec)``; refuses the zero vector, non-finite entries and
+        a norm past the float64 maximum, found first on ``<vec, vec>``, whose overflow
+        raises no numpy warning."""
         x = np.asarray(vec, dtype=np.complex128)
+        if not np.vdot(x, x).real < math.inf:  # inf or NaN
+            what = "norm overflows float64" if np.isfinite(x).all() else "entries must be finite"
+            raise ValidationError(f"state vector {what}")
         nrm = float(np.linalg.norm(x))
         if nrm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
@@ -236,8 +242,9 @@ def measure_variance(mu: BornMeasure) -> float:
 
     Both the moment formula ``m2 - m1^2`` and the double integral
     ``(1/2) integral of (t - s)^2 d(mu x mu)`` are evaluated; they must agree
-    to ``CHECK_TOL`` or an :class:`InternalConsistencyError` is raised.  The moment
-    value is returned.
+    to ``CHECK_TOL * max(1, m2)``, in variance units relative to the second moment
+    ``m2`` whose rounding both carry, or an :class:`InternalConsistencyError` is
+    raised.  The moment value is returned.
     """
     t = mu.locations
     p = mu.masses
@@ -246,7 +253,7 @@ def measure_variance(mu: BornMeasure) -> float:
     moment = m2 - m1 * m1
     diff = t[:, None] - t[None, :]
     double = 0.5 * float(np.einsum("ij,i,j->", diff * diff, p, p))
-    if abs(moment - double) > CHECK_TOL:
+    if abs(moment - double) > CHECK_TOL * max(1.0, m2):
         raise InternalConsistencyError(
             f"variance formulas disagree: moment {moment!r} vs double integral {double!r}"
         )
@@ -304,6 +311,9 @@ def superposition_variance(
 
     The value is computed directly from the state; the closed form
     ``a^2 b^2 (lam - mu)^2 / (a^2 + b^2)^2`` serves as the oracle in tests.
+    Orthogonality, the eigenvector residues and the eigenvalue gap are checked
+    against ``tol``, resolved by :func:`~varorder.linalg.resolve_tol` (a given
+    one floored at rounding level).
     """
     obs = _as_observable(A)
     _check_dims(obs, x)

@@ -68,8 +68,9 @@ def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
     """An observable above both members of a commuting pair.
 
     Raises :class:`PreconditionError` carrying the commutator norm when the
-    pair does not commute to within ``tol``; no joint upper bound exists in
-    that case.
+    pair does not commute to within ``tol``, resolved by
+    :func:`~varorder.linalg.resolve_tol` (a given one floored at rounding
+    level); no joint upper bound exists in that case.
     """
     a, b = _as_observable(A), _as_observable(B)
     tol = resolve_tol(tol, a, b)
@@ -398,8 +399,9 @@ def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianO
     """All classes sharing the two-point lower set of a three-point observable.
 
     For gaps ``t1 <= t2`` between consecutive eigenvalues there are two such
-    classes in general and a third exactly when the gaps tie (within
-    ``tol``); all candidates are returned rather than picking one.
+    classes in general and a third exactly when the gaps tie (within ``tol``,
+    resolved by :func:`~varorder.linalg.resolve_tol`: a given one is floored at
+    rounding level); all candidates are returned rather than picking one.
     """
     a = _as_observable(A)
     dec = eigendecompose(a)

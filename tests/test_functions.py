@@ -1,5 +1,7 @@
 """Function tables and their greatest Lipschitz extension to the line."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,17 @@ def test_direct_extension_checks_the_constant():
     # with a pair to compare, a negative constant fails the table check first
     with pytest.raises(PreconditionError, match="not -1.0-Lipschitz"):
         LipschitzExtension(t, -1.0)
+
+
+@pytest.mark.parametrize("k", range(-20, 31))
+def test_one_steep_slope_is_refused_at_every_scale_above_the_absolute_slack(k):
+    # the slack is LIP_TOL * max(1, max |x|, max |f(x)|): relative from scale 1 up,
+    # LIP_TOL itself below, where an excess of 1e-6 * 2**k under 1e-9 (k <= -10) passes
+    s = 2.0**k
+    t = FunctionTable(((0.0, 0.0), (s, s), (2 * s, s + (1 + 1e-6) * s)))
+    with pytest.raises(PreconditionError) if k >= -9 else nullcontext():
+        LipschitzExtension(t, 1.0)
+    LipschitzExtension(FunctionTable(((0.0, 0.0), (s, s), (2 * s, 2 * s))), 1.0)
 
 
 def test_negation_gives_the_smallest_extension():

@@ -30,7 +30,7 @@ from varorder import (
     linalg,
     maximal_deviation,
 )
-from varorder.linalg import default_pair_tol, loewner_leq
+from varorder.linalg import loewner_leq, resolve_tol
 from varorder.sampling import random_hermitian, random_unitary
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -363,7 +363,7 @@ def test_one_eigensolve_per_observable_across_partner_norms(eigh_calls):
     # 1e-8 * max(1, |A|_F, |B|_F) above B's own default
     for shift in (10.0, 1000.0):
         a = HermitianObservable(b.matrix + shift * np.eye(3))
-        assert default_pair_tol(a, b) > default_pair_tol(b)
+        assert resolve_tol(None, a, b) > resolve_tol(None, b)
         assert decide_order(a, b).holds
     assert eigendecompose(b, group_tol=1e-3) is dec  # same grouping
     assert eigh_calls == [(3, 3)]

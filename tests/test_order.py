@@ -14,6 +14,7 @@ from varorder import (
     FunctionTable,
     HermitianObservable,
     InternalConsistencyError,
+    LipschitzExtension,
     OrderVerdict,
     PreconditionError,
     PureState,
@@ -28,7 +29,7 @@ from varorder import (
     witness_search,
 )
 from varorder import linalg, order
-from varorder.linalg import default_pair_tol, loewner_leq
+from varorder.linalg import loewner_leq, resolve_tol
 from varorder.order import FAIL_MARGIN_TOL, _circle_coefficients, state_order_violation
 from varorder.sampling import random_hermitian, random_lipschitz_values, random_unitary
 from varorder.states import _variances, superposition_variance
@@ -166,6 +167,79 @@ def test_zero_tol_is_valid():
     assert not decide_order(2.0 * PAULI_Z.matrix, PAULI_Z, 0.0).holds
 
 
+def _rotated_back(a: HermitianObservable, seed: int) -> np.ndarray:
+    """``U (U* A U) U*`` for a Haar ``U``: ``A`` up to rounding."""
+    u = random_unitary(a.dim, seed=seed).matrix
+    return u @ (u.conj().T @ a.matrix @ u) @ u.conj().T
+
+
+def _floor(*matrices) -> float:
+    """``ROUND_RTOL * max |X|_F``, the floor on a given tol."""
+    return 1e-12 * max(float(np.linalg.norm(m)) for m in matrices)
+
+
+# Each case runs one comparison at tol = 0 on a pair that is valid up to
+# rounding, its inputs pushed off the valid case by ``push`` times the floor
+# (in the quantity compared with tol); it returns whether the comparison accepted.
+def _class_equal_case(seed: int, push: float) -> bool:
+    a = random_hermitian(4, seed=seed)
+    b = -_rotated_back(a, seed + 100) + 2.5 * np.eye(4)
+    off = np.diag([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0)  # traceless, unit norm
+    return class_equal(a, b + push * _floor(a.matrix, b) * off, tol=0.0)
+
+
+def _loewner_case(seed: int, push: float) -> bool:
+    a = random_hermitian(4, seed=seed)
+    b = _rotated_back(a, seed + 100)
+    b = b - push * _floor(a.matrix, b) * np.eye(4)
+    return loewner_leq(a, b, tol=0.0) and (push > 0 or loewner_leq(b, a, tol=0.0))
+
+
+def _joint_upper_bound_case(seed: int, push: float) -> bool:
+    rng = np.random.default_rng(seed)
+    a, b = _in_haar_basis(seed, *rng.uniform(-3.0, 3.0, size=(2, 4)))  # A not scalar
+    e = random_hermitian(4, seed=seed + 100).matrix
+    e = e / float(np.linalg.norm(a.matrix @ e - e @ a.matrix))  # |[A, e]|_F = 1
+    try:
+        joint_upper_bound(a, b.matrix + push * _floor(a.matrix, b.matrix) * e, tol=0.0)
+    except PreconditionError:
+        return False
+    return True
+
+
+def _superposition_case(seed: int, push: float) -> bool:
+    a = random_hermitian(4, seed=seed)
+    v = eigendecompose(a).vectors
+    x = PureState(v[:, 0])
+    y = PureState.normalized(v[:, 1] + push * _floor(a.matrix) * v[:, 0])  # |<x, y>| ~ push floors
+    try:
+        superposition_variance(a, x, y, 1.0, 1.0, tol=0.0)
+    except PreconditionError:
+        return False
+    return True
+
+
+def _three_point_case(seed: int, push: float) -> bool:
+    # tied gaps: 1.1 - 0.1 and 2.1 - 1.1 differ only by rounding
+    spectrum = np.array([0.1, 1.1, 2.1])
+    spectrum[2] += push * _floor(np.diag(spectrum))
+    (a,) = _in_haar_basis(seed, spectrum)
+    return len(three_point_class_candidates(a, tol=0.0)) == 3
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_class_equal_case, _loewner_case, _joint_upper_bound_case, _superposition_case,
+     _three_point_case],
+)
+def test_zero_tol_accepts_rounding_and_refuses_a_hundred_floors(case):
+    # every comparison floors a given tol at ROUND_RTOL * max |X|_F; before, only
+    # decide_order did, and these five refused most rounding-level inputs at tol = 0
+    for seed in range(10):
+        assert case(seed, 0.0), seed
+        assert not case(seed, 100.0), seed
+
+
 # ---------------------------------------------------------------------------
 # sub-tol eigenvalue clusters: B's eigenspaces are grouped at rounding level
 
@@ -182,7 +256,7 @@ def _certificate_rebuild_error(a, b, table) -> float:
     w, v = np.linalg.eigh(b.matrix)
     xs, ys = table.locations, table.values
     idx = np.abs(w[:, None] - xs).argmin(axis=1)
-    assert np.abs(xs[idx] - w).max() <= b.dim * default_pair_tol(a, b)
+    assert np.abs(xs[idx] - w).max() <= b.dim * resolve_tol(None, a, b)
     return float(np.linalg.norm((v * ys[idx]) @ v.conj().T - a.matrix))
 
 
@@ -193,13 +267,13 @@ def test_a_sub_tol_cluster_is_decided_on_its_eigenvectors(n, spacing):
     # gaps <= tol made the cluster one group on which even A = B is not
     # scalar, and no witness could clear the floor (InternalConsistencyError)
     (b,) = _in_haar_basis(n, np.append(np.arange(n - 1) * spacing * 1e-8, 1.0))
-    gap, tol = spacing * 1e-8, default_pair_tol(b)
+    gap, tol = spacing * 1e-8, resolve_tol(None, b)
     assert gap < tol < (n - 2) * gap  # each gap below tol, the chain wider than it
     for factor in (1.0, -1.0, 0.5):
         a = HermitianObservable(factor * b.matrix)
         verdict = decide_order(a, b)
         assert verdict.holds
-        assert _certificate_rebuild_error(a, b, verdict.certificate) <= default_pair_tol(a, b)
+        assert _certificate_rebuild_error(a, b, verdict.certificate) <= resolve_tol(None, a, b)
     stretched = HermitianObservable(1.5 * b.matrix)
     verdict = decide_order(stretched, b)
     assert not verdict.holds
@@ -226,7 +300,7 @@ def test_lipschitz_images_of_a_clustered_b_hold_and_rebuild(n, clusters, spacing
     verdict = decide_order(a, b)
     assert verdict.holds
     # bench/check.py's bound: the residues of at most n eigenspaces, tol each
-    tol = default_pair_tol(a, b)
+    tol = resolve_tol(None, a, b)
     assert _certificate_rebuild_error(a, b, verdict.certificate) <= 2.0 * math.sqrt(n) * tol
 
 
@@ -301,7 +375,7 @@ def test_decisions_at_n_128():
     verdict = decide_order(a, b)
     assert verdict.holds
     rebuilt = apply_function(eigendecompose(b), verdict.certificate)
-    assert float(np.linalg.norm(rebuilt.matrix - a.matrix)) <= default_pair_tol(a, b)
+    assert float(np.linalg.norm(rebuilt.matrix - a.matrix)) <= resolve_tol(None, a, b)
     c = random_hermitian(128, seed=130, scale=2.0)
     verdict = decide_order(c, b)
     assert not verdict.holds
@@ -395,12 +469,12 @@ def test_tol_zero_decides_the_rounding_level_pairs(seed):
             assert _margin(HermitianObservable(1.5 * b.matrix), b, verdict.witness) > FAIL_MARGIN_TOL
 
 
-def test_the_decision_tol_is_floored_at_rounding_level():
+def test_a_given_tol_is_floored_at_rounding_level():
     a, b = HermitianObservable.from_diag([0.0, 3e6]), HermitianObservable.from_diag([0.0, 4e6])
-    assert order.decision_tol(0.0, a, b) == 1e-12 * 4e6
-    assert order.decision_tol(1.0, a, b) == 1.0
+    assert resolve_tol(0.0, a, b) == 1e-12 * 4e6
+    assert resolve_tol(1.0, a, b) == 1.0
     # the default is always above the floor
-    assert order.decision_tol(None, a, b) == default_pair_tol(a, b)
+    assert resolve_tol(None, a, b) == 1e-8 * 4e6
 
 
 @pytest.mark.parametrize("entry", [1e200, 1e308])
@@ -558,6 +632,19 @@ def test_extract_rejects_with_witness():
     w = err.value.witness
     assert isinstance(w, PureState)
     assert _margin(a, b, w) > 1e-9
+
+
+@pytest.mark.parametrize("k", range(-20, 31))
+def test_certificates_of_exact_pairs_extend_at_every_scale(k):
+    # LipschitzExtension's slack scales with the table, as LIP_TOL * max(1, max |x|,
+    # max |f(x)|); an absolute 1e-9 refused most of these certificates above scale 1e6
+    for seed in range(4):
+        b = HermitianObservable(2.0**k * random_hermitian(6, seed=seed).matrix)
+        image, _ = _lipschitz_image(b, seed)
+        for a in (b.matrix, -b.matrix, 0.5 * b.matrix, image):
+            verdict = decide_order(a, b)
+            assert verdict.holds, (seed, k)
+            LipschitzExtension(verdict.certificate, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """States, Born measures, and the variance identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,22 @@ def test_pure_state_refuses_a_norm_off_one(factor):
     assert PureState(x).dim == 6
     with pytest.raises(ValidationError, match="norm"):
         PureState(factor * x)
+
+
+@pytest.mark.parametrize(
+    "vec, match",
+    [([1e200, 1e200], "norm overflows"), ([1e300j, 1e300], "norm overflows"),
+     ([np.inf, 0.0], "entries must be finite"), ([np.nan, 1.0], "entries must be finite")],
+)
+def test_normalized_refuses_a_nonfinite_norm_without_a_warning(vec, match):
+    # [1e200, 1e200] used to warn of an overflow in dot, divide by inf and then report
+    # "state vector norm 0.0 is not 1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=match):
+            PureState.normalized(vec)
+    big = PureState.normalized([3e150, 4e150]).vector
+    assert big.tolist() == (np.array([3e150, 4e150]) / np.linalg.norm([3e150, 4e150])).tolist()
 
 
 def test_density_state_invariants():
@@ -428,12 +446,24 @@ def test_one_vector_variance_matches_the_stacked_form_and_the_born_measure(n, k,
     assert np.ndim(one) == 0
     bound = 4 * n * np.finfo(float).eps * a.frobenius_norm**2
     assert abs(one - _variances(a.matrix, x[None])[0]) <= bound
-    # measure_variance checks its two formulas against the absolute CHECK_TOL, which
-    # their rounding exceeds above scale ~1e2, so the Born route is taken at A / 2**k
-    # and scaled back by 4**k, exact in floating point
-    born = 4.0**k * measure_variance(born_measure(eigendecompose(a0), PureState(x)))
+    # the Born route at A itself, each eigenvalue its own atom (no grouping)
+    born = measure_variance(born_measure(eigendecompose(a, group_tol=0.0), PureState(x)))
     assert abs(max(0.0, one) - born) <= bound
     assert variance(a, PureState(x)) == max(0.0, float(one))
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize("n", [2, 8, 32, 128])
+def test_measure_variance_checks_its_routes_in_variance_units(n, scale):
+    # the moment and double-integral routes agree to rounding of the second
+    # moment, ~1e-4 absolute at scale 1e6: an absolute CHECK_TOL refused them
+    rng = np.random.default_rng(int(n + np.log10(scale)))
+    a = random_hermitian(n, rng, scale=scale)
+    dec = eigendecompose(a)
+    for _ in range(5):
+        x = PureState(random_pure_vector(n, rng))
+        var = measure_variance(born_measure(dec, x))
+        assert var == pytest.approx(variance(a, x), rel=1e-9)
 
 
 def test_variance_shift_and_negation_invariance():

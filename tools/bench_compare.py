@@ -13,9 +13,8 @@ alternating order: CPU seconds per call, the minimum over repeats and
 processes, with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
 observable against a ``B`` whose decomposition is already cached, as when one
 ``B`` meets many partners.  The ``witness_search`` oracle is timed at
-the ``cli`` workload's setting, n = 8 with 32 restarts, on one holding and
-one failing pair, whether the checkout's oracle takes its settings as keywords
-or as an ``OracleConfig``.
+the ``cli`` workload's setting, n = 8 with 32 restarts (a keyword in both
+checkouts), on one holding and one failing pair.
 
 Last, each checkout digests its own outputs in a fresh process
 (``--digest DIR``): every op of ``DIGEST_WORKLOADS`` at ``DIGEST_SECONDS``
@@ -66,7 +65,6 @@ def layer_timings(checkout: Path) -> dict:
     import varorder
     from varorder.functions import FunctionTable
     from varorder.linalg import HermitianObservable, SpectralDecomposition, eigendecompose, resolve_tol
-    from varorder import order
     from varorder.order import _margin_at, decide_order, witness_search
 
     if not Path(varorder.__file__).resolve().is_relative_to(checkout.resolve()):
@@ -113,11 +111,8 @@ def layer_timings(checkout: Path) -> dict:
         }
     holding = pair(ORACLE_DIM, ORACLE_DIM)
     failing = (pair(ORACLE_DIM, ORACLE_DIM + 1)[1], holding[1])  # an independent A: the order fails
-    # a checkout from before witness_search took its settings as keywords takes an OracleConfig
-    settings = ({"cfg": order.OracleConfig(restarts=ORACLE_RESTARTS)} if hasattr(order, "OracleConfig")
-                else {"restarts": ORACLE_RESTARTS})
     out[f"n={ORACLE_DIM}"] = {
-        f"witness_search_{name}": per_call(lambda _: witness_search(*ab, **settings), 3)
+        f"witness_search_{name}": per_call(lambda _: witness_search(*ab, restarts=ORACLE_RESTARTS), 3)
         for name, ab in (("holding", holding), ("failing", failing))
     }
     return out

@@ -11,6 +11,8 @@ order automorphisms.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -64,7 +66,6 @@ from .structure import (
     QMatrix,
     TwoPointFamily,
     block_shift_upper_bound,
-    hinge_tables,
     joint_upper_bound,
     q_matrix,
     reconstruct_metric,
@@ -74,4 +75,5 @@ from .structure import (
     verify_automorphism,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above; they are not public names
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

@@ -124,7 +124,7 @@ class LipschitzExtension:
     the upper extension; negate the table values (and the result) to obtain
     the lower one.  Construction raises :class:`PreconditionError` naming a
     violating pair when the table is not c-Lipschitz to within
-    ``LIP_TOL * max(1, max |x|, max |f(x)|)`` over the table.
+    ``LIP_TOL * max(max |x|, max |f(x)|)`` over the table, relative at every scale.
     """
 
     table: FunctionTable
@@ -132,7 +132,7 @@ class LipschitzExtension:
 
     def __post_init__(self):
         c, t = self.constant, self.table
-        slack = LIP_TOL * max(1.0, np.abs(t.locations).max(), np.abs(t.values).max())
+        slack = LIP_TOL * max(np.abs(t.locations).max(), np.abs(t.values).max())
         bad = _lipschitz_violation(t.points, float(c), slack)
         if bad is not None:
             (x0, y0), (x1, y1) = bad

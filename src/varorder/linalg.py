@@ -186,10 +186,6 @@ class SpectralDecomposition:
         v = self.vectors
         return (v * np.repeat(np.asarray(values, dtype=np.float64), self.ranks)) @ v.conj().T
 
-    def matrix(self) -> np.ndarray:
-        """Reassemble the source matrix from the grouped decomposition."""
-        return self.assemble(self.eigenvalues)
-
 
 def _offdiag_norm(a: np.ndarray) -> float:
     off = a - np.diag(np.diag(a))

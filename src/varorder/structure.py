@@ -24,7 +24,7 @@ from .errors import (
     ReconstructionError,
     ValidationError,
 )
-from .functions import FunctionTable, _check_points
+from .functions import _check_points
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
@@ -357,42 +357,28 @@ def verify_automorphism(
     return AutomorphismReport(True, trials)
 
 
-def hinge_tables(lams: np.ndarray, pivot: float) -> tuple[FunctionTable, FunctionTable]:
-    """The 1-Lipschitz pair that is flat on opposite sides of ``pivot``."""
-    up = [max(x - pivot, 0.0) for x in lams]
-    down = [min(x - pivot, 0.0) for x in lams]
-    return FunctionTable.from_values(lams, up), FunctionTable.from_values(lams, down)
-
-
 def two_spectrum_detector(A, method: str = "spectral") -> bool:
     """Whether the spectrum has exactly two points.
 
     The ``"spectral"`` method counts eigenvalue groups.  The ``"order"``
-    method answers purely order-theoretically: it samples elements above
-    ``A`` (20 random 1-Lipschitz images plus the flat/identity hinge pair at
-    each interior eigenvalue) and checks they form a chain; with three or
-    more spectrum points the hinge pair is incomparable.
+    method answers from the order below ``A``: with at most two spectrum
+    points every element below ``A`` is ``alpha A + beta``, so the lower set is
+    a chain and only the count is read, with nothing to decide (one point, a
+    scalar, gives ``False``); with three or more, the hinges
+    ``max(A - l1, 0)`` and ``min(A - l1, 0)`` at the second eigenvalue ``l1``
+    are both below ``A``, and the answer is whether :func:`decide_order` finds
+    them comparable (at most two decisions, no sampling).
     """
-    a = _as_observable(A)
-    dec = eigendecompose(a)
-    m = len(dec.ranks)
-    if method == "spectral":
-        return m == 2
-    if method != "order":
+    if method not in ("spectral", "order"):
         raise ValidationError(f"unknown method {method!r}")
-    if m == 1:
-        # everything below a scalar is scalar: the lower set is one class
-        return False
-    rng = as_rng(0)
-    lams = dec.eigenvalues
-    images = [random_lipschitz_values(lams, rng) for _ in range(20)]
-    for i in range(1, m - 1):
-        images += [table.values for table in hinge_tables(lams, float(lams[i]))]
-    members = [HermitianObservable(dec.assemble(vals)) for vals in images]
-    for x, y in combinations(members, 2):
-        if not (decide_order(x, y).holds or decide_order(y, x).holds):
-            return False
-    return True
+    dec = eigendecompose(_as_observable(A))
+    m = len(dec.ranks)
+    if method == "spectral" or m <= 2:
+        return m == 2
+    shifted = dec.eigenvalues - dec.eigenvalues[1]
+    up = HermitianObservable(dec.assemble(np.maximum(shifted, 0.0)))
+    down = HermitianObservable(dec.assemble(np.minimum(shifted, 0.0)))
+    return decide_order(up, down).holds or decide_order(down, up).holds
 
 
 def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianObservable]:

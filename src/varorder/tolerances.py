@@ -2,8 +2,8 @@
 
 PAIR_TOL_SCALE = 1e-8  # eigenvalue units per unit of max(1, |X|_F): default tol, table lookup
 FAIL_MARGIN_TOL = 1e-9  # variance units, absolute: witness margin floor, state-sampling slack
-LIP_TOL = 1e-9  # function-value units per unit of max(1, max |x|, max |f(x)|) over the
-#                 table: slack in |f(x) - f(y)| <= c |x - y|
+LIP_TOL = 1e-9  # relative to max(max |x|, max |f(x)|) over the table: slack in
+#                 |f(x) - f(y)| <= c |x - y|
 GAP_RTOL = 1e-9  # relative to the gap-matrix scale: ties at its maximum, round trips
 CHECK_TOL = 1e-10  # an identity that outside input, or two internal routes, must satisfy;
 #                    the oracle's gradient stop, x min(1, |A|_F^2 + |B|_F^2); the two

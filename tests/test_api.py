@@ -1,7 +1,66 @@
-"""The public options: every optional parameter and dataclass field has a caller that sets it."""
+"""The public surface: every public name and every optional parameter or dataclass field
+is added on purpose, and each option has a caller that sets it."""
 
 import importlib
 import inspect
+
+import varorder
+
+# A new public name must be added here on purpose; helpers stay in their modules.
+NAMES = {
+    "AutomorphismReport",
+    "AutomorphismSpec",
+    "BornMeasure",
+    "DegenerateInputError",
+    "DensityState",
+    "DimensionMismatchError",
+    "DomainError",
+    "EigensolverError",
+    "FAIL_MARGIN_TOL",
+    "FunctionTable",
+    "HermitianObservable",
+    "InternalConsistencyError",
+    "LipschitzExtension",
+    "NotHermitianError",
+    "OrderVerdict",
+    "PreconditionError",
+    "PureState",
+    "QMatrix",
+    "ReconstructionError",
+    "SpectralDecomposition",
+    "TwoPointFamily",
+    "UnitaryMap",
+    "ValidationError",
+    "VarOrderError",
+    "apply_function",
+    "approx_eigen_sandwich",
+    "block_shift_upper_bound",
+    "born_measure",
+    "canonical_representative",
+    "class_equal",
+    "commutator_norm",
+    "decide_order",
+    "eigendecompose",
+    "expectation",
+    "extract_function",
+    "jacobi_eigh",
+    "joint_upper_bound",
+    "loewner_leq",
+    "maximal_deviation",
+    "measure_variance",
+    "pushforward",
+    "q_matrix",
+    "reconstruct_metric",
+    "state_order_violation",
+    "superposition_variance",
+    "three_point_class_candidates",
+    "two_point_lower_set",
+    "two_spectrum_detector",
+    "variance",
+    "variance_defect",
+    "verify_automorphism",
+    "witness_search",
+}
 
 MODULES = ("linalg", "functions", "states", "order", "structure", "sampling")
 
@@ -80,3 +139,15 @@ def test_public_options_are_pinned():
     found = public_options()
     assert len(found) == len(set(found)) == 34
     assert set(found) == OPTIONS
+
+
+def test_public_names_are_pinned():
+    assert len(varorder.__all__) == len(set(varorder.__all__)) == 52
+    assert set(varorder.__all__) == NAMES
+
+
+def test_star_import_binds_no_module():
+    scope = {}
+    exec("from varorder import *", scope)
+    assert not [name for name, obj in scope.items() if inspect.ismodule(obj)]
+    assert set(scope) - {"__builtins__"} == NAMES

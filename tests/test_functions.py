@@ -1,7 +1,5 @@
 """Function tables and their greatest Lipschitz extension to the line."""
 
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,10 +95,13 @@ def test_a_table_stores_its_arrays_frozen():
 
 
 def test_stored_bound_is_checked():
-    # the extension's constant is the table's Lipschitz bound: slope 2 exceeds the bound 1
+    # the extension's constant is the table's Lipschitz bound: slope 2 exceeds the bound 1,
+    # also at scale 1e-10, where a slack floored at 1e-9 used to exceed the whole rise
     table = FunctionTable(((0.0, 0.0), (1.0, 2.0)))
     with pytest.raises(PreconditionError):
         LipschitzExtension(table, 1.0)
+    with pytest.raises(PreconditionError):
+        LipschitzExtension(FunctionTable(((0.0, 0.0), (1e-10, 2e-10))), 1.0)
     assert LipschitzExtension(table, 2.0).constant == 2.0
     # a NaN bound used to pass, because a NaN excess is no violation
     for bound in (float("nan"), -1.0):  # a one-point table has no pair to compare
@@ -210,11 +211,11 @@ def test_direct_extension_checks_the_constant():
 
 @pytest.mark.parametrize("k", range(-20, 31))
 def test_one_steep_slope_is_refused_at_every_scale_above_the_absolute_slack(k):
-    # the slack is LIP_TOL * max(1, max |x|, max |f(x)|): relative from scale 1 up,
-    # LIP_TOL itself below, where an excess of 1e-6 * 2**k under 1e-9 (k <= -10) passes
+    # the slack is LIP_TOL * max(max |x|, max |f(x)|), relative at every scale: an
+    # absolute floor of 1e-9 let the excess 1e-6 * 2**k pass for k <= -10
     s = 2.0**k
     t = FunctionTable(((0.0, 0.0), (s, s), (2 * s, s + (1 + 1e-6) * s)))
-    with pytest.raises(PreconditionError) if k >= -9 else nullcontext():
+    with pytest.raises(PreconditionError):
         LipschitzExtension(t, 1.0)
     LipschitzExtension(FunctionTable(((0.0, 0.0), (s, s), (2 * s, 2 * s))), 1.0)
 

@@ -249,7 +249,7 @@ def test_projector_rejects_out_of_range_groups():
 def test_reconstruction_from_groups(n):
     obs = random_hermitian(n, seed=300 + n, scale=3.0)
     dec = eigendecompose(obs)
-    err = float(np.linalg.norm(dec.matrix() - obs.matrix))
+    err = float(np.linalg.norm(dec.assemble(dec.eigenvalues) - obs.matrix))
     assert err <= 1e-8 * max(1.0, obs.frobenius_norm)
 
 

@@ -636,7 +636,7 @@ def test_extract_rejects_with_witness():
 
 @pytest.mark.parametrize("k", range(-20, 31))
 def test_certificates_of_exact_pairs_extend_at_every_scale(k):
-    # LipschitzExtension's slack scales with the table, as LIP_TOL * max(1, max |x|,
+    # LipschitzExtension's slack scales with the table, as LIP_TOL * max(max |x|,
     # max |f(x)|); an absolute 1e-9 refused most of these certificates above scale 1e6
     for seed in range(4):
         b = HermitianObservable(2.0**k * random_hermitian(6, seed=seed).matrix)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varorder import (
     AutomorphismSpec,
@@ -21,7 +23,6 @@ from varorder import (
     class_equal,
     decide_order,
     eigendecompose,
-    hinge_tables,
     joint_upper_bound,
     q_matrix,
     reconstruct_metric,
@@ -30,6 +31,7 @@ from varorder import (
     two_spectrum_detector,
     verify_automorphism,
 )
+from varorder import structure
 from varorder.sampling import (
     random_commuting_pair,
     random_hermitian,
@@ -434,22 +436,56 @@ def test_detector_order_mode_matches():
         two_spectrum_detector(a, method="exact")
 
 
-def test_hinge_tables_values():
-    lams = np.array([0.0, 1.0, 3.0])
-    up, down = hinge_tables(lams, 1.0)
-    np.testing.assert_allclose(up.values, [0.0, 0.0, 2.0])
-    np.testing.assert_allclose(down.values, [-1.0, 0.0, 0.0])
-    assert up.lipschitz_constant() <= 1.0
-    assert down.lipschitz_constant() <= 1.0
+@settings(deadline=None, max_examples=60)
+@given(
+    labels=st.lists(st.integers(0, 4), min_size=2, max_size=16),
+    shift=st.floats(-3.0, 3.0),
+    k=st.integers(-4, 4),
+    seed=st.integers(0, 10_000),
+)
+def test_detector_order_mode_equals_the_spectral_mode(labels, shift, k, seed):
+    # at most five distinct points among up to 16 eigenvalues, so most spectra repeat
+    # some, rotated out of the diagonal at scale 2**k
+    lams = 2.0**k * (np.array(labels, dtype=float) + shift)
+    a = random_unitary(len(labels), seed=seed).apply(HermitianObservable.from_diag(lams))
+    assert two_spectrum_detector(a, method="order") == two_spectrum_detector(a)
+
+
+def test_detector_order_mode_decides_at_most_the_hinge_pair(monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return decide_order(x, y)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the detector draws no random numbers")
+
+    monkeypatch.setattr(structure, "decide_order", counted)
+    for name in ("as_rng", "random_lipschitz_values"):
+        monkeypatch.setattr(structure, name, no_sampling)
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    for diag, most in (
+        ([2.0, 2.0], 0),
+        ([0.0, 1.0], 0),
+        ([0.0, 1.0, 1.0, 0.0], 0),
+        ([0.0, 1.0, 3.0], 2),
+        ([0.0, 1.0, 3.0, 4.0, 7.0, 7.0, 9.0], 2),
+    ):
+        calls.clear()
+        answer = two_spectrum_detector(HermitianObservable.from_diag(diag), method="order")
+        assert answer == (len(set(diag)) == 2)
+        assert len(calls) <= most
 
 
 def test_hinge_images_are_incomparable():
     # both hinges are short maps of A, yet neither is below the other
     a = HermitianObservable.from_diag([0.0, 1.0, 3.0])
     dec = eigendecompose(a)
-    up, down = hinge_tables(dec.eigenvalues, 1.0)
-    f = apply_function(dec, up)
-    g = apply_function(dec, down)
+    f = apply_function(dec, lambda x: max(x - 1.0, 0.0))
+    g = apply_function(dec, lambda x: min(x - 1.0, 0.0))
+    np.testing.assert_allclose(np.diag(f.matrix).real, [0.0, 0.0, 2.0])
+    np.testing.assert_allclose(np.diag(g.matrix).real, [-1.0, 0.0, 0.0])
     assert decide_order(f, a).holds
     assert decide_order(g, a).holds
     assert not decide_order(f, g).holds

@@ -39,6 +39,8 @@ JACOBI_MAX_SWEEPS = 100
 # A bound on dim * max |M| far enough below sqrt(float64 max) ~ 1.3e154 that squared
 # norms and second moments <M^2>, and sums of a few of them, stay finite.
 MAX_SCALE = 1e153
+# A squared norm below which squares of entries can be subnormal and lose bits.
+MIN_SQUARED_NORM = 2.0**-1000
 
 
 def _frozen(obj, dtype) -> np.ndarray:

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .functions import _check_points, _freeze
 from .linalg import (
+    MIN_SQUARED_NORM,
     HermitianObservable,
     SpectralDecomposition,
     _as_observable,
@@ -56,11 +57,17 @@ class PureState:
     def normalized(cls, vec) -> "PureState":
         """``vec / numpy.linalg.norm(vec)``; refuses the zero vector, non-finite entries and
         a norm past the float64 maximum, found first on ``<vec, vec>``, whose overflow
-        raises no numpy warning."""
+        raises no numpy warning.  Below ``MIN_SQUARED_NORM`` that vector is first scaled by
+        an exact power of two, so a tiny one normalizes as its scaled-up copy does."""
         x = np.asarray(vec, dtype=np.complex128)
-        if not np.vdot(x, x).real < math.inf:  # inf or NaN
+        sq = np.vdot(x, x).real
+        if not sq < math.inf:  # inf or NaN
             what = "norm overflows float64" if np.isfinite(x).all() else "entries must be finite"
             raise ValidationError(f"state vector {what}")
+        if sq < MIN_SQUARED_NORM:  # largest modulus into [1/2, 1]; zero stays zero
+            e = -int(np.frexp(np.abs(x).max(initial=0.0))[1])
+            x, y = np.empty_like(x), x
+            x.real, x.imag = np.ldexp(y.real, e), np.ldexp(y.imag, e)
         nrm = float(np.linalg.norm(x))
         if nrm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
@@ -282,7 +289,8 @@ def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float
 
     Returns ``(D, var, err)`` with ``D = |Ax - lam x|^2`` and
     ``err = |<A> - lam|``, after asserting ``D/2 <= var + err^2 <= 2D``
-    (to ``CHECK_TOL``).
+    to ``CHECK_TOL * max(1, <A^2>)``, in variance units relative to the
+    second moment ``<A^2> = |Ax|^2`` whose rounding the variance carries.
     """
     obs = _as_observable(A)
     _check_dims(obs, state)
@@ -292,7 +300,8 @@ def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float
     var = variance(obs, state)
     err = abs(float(np.vdot(x, ax).real) - float(lam))
     mid = var + err * err
-    if 0.5 * d - mid > CHECK_TOL or mid - 2.0 * d > CHECK_TOL:
+    slack = CHECK_TOL * max(1.0, float(np.vdot(ax, ax).real))
+    if 0.5 * d - mid > slack or mid - 2.0 * d > slack:
         raise InternalConsistencyError(
             f"sandwich violated: D = {d!r}, var + err^2 = {mid!r}"
         )

@@ -214,16 +214,14 @@ def q_matrix(spectrum, method: str = "closed") -> QMatrix:
         raise ValidationError(f"spectrum diameter {hi!r} - {lo!r} overflows")
     min_gap = float(np.diff(s).min())
     dist = np.abs(pts[:, None] - pts[None, :])
-    q = np.where(dist < diam, dist, diam - min_gap)
-    np.fill_diagonal(q, 0.0)
+    q = np.where(dist < diam, dist, diam - min_gap)  # |p - p| is +0.0: a zero diagonal
     if method == "enumerate":
-        q2 = _enumerated_q(pts)
+        q2 = _enumerated_q(pts)  # its self-gaps are +0.0 too
         if np.abs(q - q2).max() > GAP_RTOL * max(1.0, diam):
             raise InternalConsistencyError(
                 "closed-form gap matrix disagrees with the clamp enumeration"
             )
         q = q2
-        np.fill_diagonal(q, 0.0)
     elif method != "closed":
         raise ValidationError(f"unknown method {method!r}")
     return QMatrix(q)
@@ -234,14 +232,14 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
 
     The diameter-clipped entries are exactly those attaining the matrix
     maximum (at most three pairs); they are repaired via two-hop sums
-    through third points, the diameter endpoint is identified from the
-    attainment pattern, and point positions are read off as distances from
-    that endpoint.  Returns ``(distances, spectrum)`` with the distance
-    matrix indexed like ``Q`` and the spectrum sorted ascending, anchored
-    at 0 (the configuration is unique up to reflection and translation).
+    through third points, after which the largest distance is the diameter
+    pair's, and point positions are read off as distances from its smaller
+    index.  Returns ``(distances, spectrum)`` with the distance matrix
+    indexed like ``Q`` and the spectrum sorted ascending, anchored at 0 (the
+    configuration is unique up to reflection and translation).
 
-    Raises :class:`ReconstructionError` when the attainment pattern or the
-    round trip back through :func:`q_matrix` is inconsistent.
+    Raises :class:`ReconstructionError` when the maximum is attained other
+    than 1 to 3 times, or the round trip through :func:`q_matrix` fails.
     """
     qm = Q if isinstance(Q, QMatrix) else QMatrix(Q)
     q = qm.values
@@ -263,20 +261,8 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
         qi, qj = q[i].tolist(), q[j].tolist()
         d[i, j] = d[j, i] = min(qi[k] + qj[k] for k in range(n) if k not in (i, j))
 
-    repeated = np.flatnonzero(np.bincount(np.ravel(pairs), minlength=n) == 2)
-    if len(pairs) == 1:
-        anchor = min(pairs[0])
-    elif len(pairs) == 2:
-        if len(repeated) != 1:
-            raise ReconstructionError("two maximal pairs must share exactly one index")
-        anchor = min(int(repeated[0]), int(np.argmax(d[repeated[0]])))
-    elif len(repeated) != 2:
-        raise ReconstructionError("three maximal pairs must share exactly two indices")
-    else:
-        anchor = int(repeated[0])  # the smaller of the two shared indices
-
-    positions = d[anchor].copy()
-    positions[anchor] = 0.0
+    # the row of the diameter pair's smaller index; + 0.0 reads a -0.0 diagonal as +0.0
+    positions = d[min(divmod(int(np.argmax(d)), n))] + 0.0
 
     try:
         q_check = q_matrix(positions).values

@@ -7,7 +7,7 @@ LIP_TOL = 1e-9  # relative to max(max |x|, max |f(x)|) over the table: slack in
 GAP_RTOL = 1e-9  # relative to the gap-matrix scale: ties at its maximum, round trips
 CHECK_TOL = 1e-10  # an identity that outside input, or two internal routes, must satisfy;
 #                    the oracle's gradient stop, x min(1, |A|_F^2 + |B|_F^2); the two
-#                    Born-measure variance routes, x max(1, second moment)
+#                    Born-measure variance routes and the eigen sandwich, x max(1, second moment)
 ROUND_RTOL = 1e-12  # rounding, relative to the magnitude involved (1 for a unit norm); the
 #                    floor of every given comparison tol, x max |X|_F
 DUST = 1e-14  # probability mass, absolute: lighter Born atoms are dropped

@@ -292,6 +292,19 @@ def test_an_empty_decomposition_is_rejected():
         SpectralDecomposition([], np.zeros((0, 0)), ())
 
 
+@pytest.mark.parametrize(
+    "lams, side, ranks, match",
+    [([0.0, 1.0], 2, (2,), "one positive rank per group"),
+     ([0.0, 1.0], 2, (2, 0), "one positive rank per group"),
+     ([0.0, 1.0], 3, (1, 1), "must sum to the side"),
+     ([0.0, 1.0], 2, (2, 1), "must sum to the side")],
+    ids=["count", "zero-rank", "sum-below", "sum-above"],
+)
+def test_a_decomposition_refuses_ranks_that_do_not_fit(lams, side, ranks, match):
+    with pytest.raises(ValidationError, match=match):
+        SpectralDecomposition(lams, np.eye(side), ranks)
+
+
 def test_frobenius_norm_is_computed_once_and_stored():
     obs = random_hermitian(4, seed=7, scale=2.0)
     # set by the constructor, beside the matrix it is computed from
@@ -515,6 +528,8 @@ def test_loewner_agrees_with_quadratic_forms():
 def test_unitary_map_validates():
     with pytest.raises(ValidationError):
         UnitaryMap(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatchError, match="3 vs 2"):
+        UnitaryMap(np.eye(2)).apply(HermitianObservable.identity(3))
 
 
 def test_unitary_map_rejects_an_empty_matrix():

@@ -719,6 +719,12 @@ def test_canonical_examples():
     tie = canonical_representative(HermitianObservable.from_diag([0.0, 1.0]))
     np.testing.assert_allclose(tie.matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
+    # equal gaps from both ends: the multiplicities decide, the smaller first rank wins
+    for diag, expected in (([0.0, 0.0, 1.0, 2.0], [2.0, 2.0, 1.0, 0.0]),
+                           ([0.0, 1.0, 2.0, 2.0], [0.0, 1.0, 2.0, 2.0])):
+        by_rank = canonical_representative(HermitianObservable.from_diag(diag))
+        np.testing.assert_allclose(by_rank.matrix, np.diag(expected), atol=1e-12)
+
 
 def test_canonical_is_constant_on_classes():
     rng = np.random.default_rng(81)
@@ -808,3 +814,31 @@ def test_decision_agrees_with_oracle():
         verdict = decide_order(a, b)
         _, best = witness_search(a, b, restarts=12, steps=200, seed=0)
         assert verdict.holds == (best <= 1e-6)
+
+
+def _rank_one_residue_pair(c):
+    """``B = diag(0, 1, 2, 3)`` and ``A = B + c tol (E_02 + E_20)``, ``tol`` the default at ``B``."""
+    b = HermitianObservable.from_diag([0.0, 1.0, 2.0, 3.0])
+    e = np.zeros((4, 4))
+    e[0, 2] = e[2, 0] = 1.0
+    return HermitianObservable(b.matrix + c * resolve_tol(None, b) * e), b
+
+
+@pytest.mark.parametrize("c", [2, 10, 100])
+def test_the_oracle_finds_a_rank_one_residue_far_above_the_margin_floor(c):
+    # the oracle's gap grows as c (86 to 4300 floors here), while the margin of decide_order's
+    # basis candidate grows as c**2 and stays under FAIL_MARGIN_TOL
+    a, b = _rank_one_residue_pair(c)
+    _, gap = witness_search(a, b, restarts=32, seed=0)
+    assert gap > 50 * FAIL_MARGIN_TOL
+
+
+@pytest.mark.xfail(
+    strict=True, raises=InternalConsistencyError,
+    reason="ROADMAP item 2: no witness route of decide_order clears the absolute margin floor",
+)
+@pytest.mark.parametrize("c", [2, 10, 100])
+def test_decide_order_fails_a_rank_one_residue_with_a_witness(c):
+    a, b = _rank_one_residue_pair(c)
+    verdict = decide_order(a, b)
+    assert not verdict.holds and verdict.margin > FAIL_MARGIN_TOL

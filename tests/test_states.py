@@ -52,6 +52,8 @@ def test_pure_state_norm_enforced():
         PureState(np.array([1.0, 1.0]))
     with pytest.raises(ValidationError):
         PureState.normalized([0.0, 0.0])
+    with pytest.raises(ValidationError, match="1-dimensional"):
+        PureState(np.array([[1.0, 0.0]]))
 
 
 @pytest.mark.parametrize(
@@ -85,6 +87,30 @@ def test_normalized_refuses_a_nonfinite_norm_without_a_warning(vec, match):
             PureState.normalized(vec)
     big = PureState.normalized([3e150, 4e150]).vector
     assert big.tolist() == (np.array([3e150, 4e150]) / np.linalg.norm([3e150, 4e150])).tolist()
+
+
+def test_normalized_rescales_a_vector_whose_squared_norm_underflows():
+    # [1e-200, 1e-200] used to be refused as the zero vector, and [1e-160, 0] (a subnormal
+    # squared norm) with a norm off by 6e-6
+    unit = PureState.normalized([1.0, 1.0]).vector
+    assert PureState.normalized([1e-200, 1e-200]).vector.tobytes() == unit.tobytes()
+    for tiny in (1e-160, 5e-324):
+        assert PureState.normalized([tiny, 0.0]).vector.tolist() == [1.0, 0.0]
+    for zero in ([0.0, 0.0], [0j, -0.0, 0.0]):
+        with pytest.raises(ValidationError, match="zero vector"):
+            PureState.normalized(zero)
+    # a power of two scales exactly while the entries stay exact, down to the subnormals
+    x = np.array([1.0, 2j, -3.0, 0.5 - 1.5j, 0.25])
+    ref = PureState.normalized(x).vector.tobytes()
+    for k in range(-1070, -499):
+        scaled = np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
+        assert PureState.normalized(scaled).vector.tobytes() == ref, k
+    # at scales 1e-150 to 1e150 it is vec / norm(vec), byte for byte
+    rng = np.random.default_rng(48)
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))
+        v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-150, 150)
+        assert PureState.normalized(v).vector.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
 def test_density_state_invariants():
@@ -180,6 +206,8 @@ def test_a_measure_stores_its_arrays_frozen():
 
 
 def test_born_measure_validation():
+    with pytest.raises(DimensionMismatchError):
+        born_measure(eigendecompose(DIAG01), PureState.basis_vector(3, 0))
     with pytest.raises(ValidationError):
         BornMeasure(((0.0, -0.1), (1.0, 1.1)))  # negative mass
     with pytest.raises(ValidationError):
@@ -216,6 +244,8 @@ def test_normalized_merges_and_drops_dust():
     mu = BornMeasure.normalized([(0.0, 0.5), (0.0, 0.25), (1.0, 0.25), (2.0, 1e-16)])
     assert mu.atoms == ((0.0, 0.75), (1.0, 0.25))
     assert sum(p for _, p in mu.atoms) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValidationError, match="no mass left"):
+        BornMeasure.normalized([(0.0, 1e-16), (1.0, 1e-15)])
 
 
 def test_mean():
@@ -327,6 +357,18 @@ def test_sandwich_on_random_triples():
         assert var + err**2 <= 2.0 * d + 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_sandwich_holds_at_every_eigenvalue_at_large_scales(scale):
+    # the slack was an absolute CHECK_TOL, under the moment-form variance's rounding of
+    # order u <A^2>: states near eigenvectors raised on 2 of 8 at 1e4 and 8 of 8 at 1e6
+    a = random_hermitian(8, seed=1, scale=scale)
+    w, v = a.eigenpairs
+    for k in range(8):
+        x = PureState.normalized(v[:, k] + 1e-9 * v[:, (k + 1) % 8])
+        d, var, err = approx_eigen_sandwich(a, x, w[k])
+        assert d == pytest.approx(1e-18 * (w[(k + 1) % 8] - w[k]) ** 2, rel=1e-6)
+
+
 def test_perturbed_eigenvector_defect_decays_quadratically():
     a = HermitianObservable.from_diag([0.0, 1.0, 3.0])
     v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
@@ -361,6 +403,9 @@ def test_superposition_matches_closed_form_off_diagonal():
 def test_superposition_preconditions():
     with pytest.raises(PreconditionError):
         superposition_variance(DIAG01, PLUS, E2, 1.0, 1.0)  # x not an eigenvector
+    minus = PureState.normalized([1.0, -1.0])  # orthogonal to PLUS; neither is an eigenvector
+    with pytest.raises(PreconditionError, match="x is not an eigenvector"):
+        superposition_variance(DIAG01, PLUS, minus, 1.0, 1.0)
     with pytest.raises(PreconditionError):
         superposition_variance(HermitianObservable.identity(2), E1, E2, 1.0, 1.0)  # same eigenvalue
     with pytest.raises(PreconditionError):

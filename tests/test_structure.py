@@ -160,6 +160,11 @@ def test_family_rejects_out_of_range_indices():
     for indices in ((-1,), (3,), (0, 7)):
         with pytest.raises(ValidationError, match="range\\(3\\)"):
             TwoPointFamily(dec, indices, 1.0)
+    with pytest.raises(ValidationError, match="nonempty"):
+        TwoPointFamily(dec, (), 1.0)
+    for threshold in (0.0, -1.0, np.nan):
+        with pytest.raises(ValidationError, match="threshold must be positive"):
+            TwoPointFamily(dec, (0,), threshold)
 
 
 def test_lower_set_covers_complements_once():
@@ -317,8 +322,70 @@ def test_reconstruction_round_trip(seed):
 def test_reconstruct_rejects_flat_gap_matrix():
     # maximum attained six times: no spectrum generates this
     q = np.ones((4, 4)) - np.eye(4)
-    with pytest.raises(ReconstructionError):
+    with pytest.raises(ReconstructionError, match="attained 6 times"):
         reconstruct_metric(QMatrix(q))
+    with pytest.raises(ReconstructionError, match="no positive entries"):
+        reconstruct_metric(np.zeros((4, 4)))
+
+
+def _with_entries(q, entries):
+    """A copy of ``q`` with ``entries[(i, j)]`` set at ``(i, j)`` and ``(j, i)``."""
+    q = np.array(q, dtype=np.float64)
+    for (i, j), v in entries.items():
+        q[i, j] = q[j, i] = v
+    return q
+
+
+def _gap_matrix(n, entries, rest=1.0):
+    """Zero diagonal, ``rest`` off it, and ``entries``."""
+    return _with_entries(rest * (np.ones((n, n)) - np.eye(n)), entries)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        _gap_matrix(4, {(0, 1): 3.0, (2, 3): 3.0}),  # two maximal pairs with no shared index
+        _gap_matrix(5, {(0, 1): 3.0, (1, 2): 3.0, (0, 2): 3.0}),  # three in a triangle
+        _gap_matrix(5, {(0, 1): 3.0, (0, 2): 3.0, (0, 3): 3.0}),  # three in a star
+        _gap_matrix(4, {(0, 1): 3.0, (0, 2): 3.0}, rest=1.5),  # two sharing index 0
+        _with_entries(q_matrix([0.0, 1.0, 3.0, 7.0]).values, {(1, 2): 2.0 + 1e-6}),
+    ],
+    ids=["disjoint-pairs", "triangle", "star", "shared-index", "perturbed-entry"],
+)
+def test_reconstruct_refuses_what_the_round_trip_does_not_rebuild(q):
+    # no anchor is chosen from the attainment pattern: the round trip back through
+    # q_matrix refuses each of these, whichever row the positions are read from
+    with pytest.raises(ReconstructionError, match="not consistent|degenerate"):
+        reconstruct_metric(q)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    gaps=st.lists(st.integers(2, 9), min_size=2, max_size=10),
+    ties=st.sampled_from([0, 1, 2, 3]),
+    k=st.integers(-20, 20),
+    shift=st.integers(-50, 50),
+    perm_seed=st.integers(0, 10_000),
+)
+def test_reconstruction_with_one_two_or_three_maximal_pairs(gaps, ties, k, shift, perm_seed):
+    # integer gaps with a least gap of 1 inside; an end gap set to 1 adds a maximal pair,
+    # so `ties` picks 1, 2 or 3 pairs.  Points are integers times 2**k: every sum is exact
+    steps = [1 if ties & 1 else gaps[0], 1, *gaps[1:-1], 1 if ties & 2 else gaps[-1]]
+    pts = 2.0**k * (shift + np.concatenate(([0.0], np.cumsum(steps))))
+    shuffled = np.random.default_rng(perm_seed).permutation(pts)
+    q = q_matrix(shuffled)
+    assert np.count_nonzero(np.triu(q.values) == q.values.max()) == 1 + (ties & 1) + (ties >> 1)
+    d, spectrum = reconstruct_metric(q)
+    assert spectrum[0] == 0.0 and not np.signbit(spectrum[0])
+    assert (spectrum == pts - pts[0]).all() or (spectrum == pts[-1] - pts[::-1]).all()
+    assert np.array_equal(d, np.abs(shuffled[:, None] - shuffled))
+
+
+def test_reconstruction_reads_a_negative_zero_diagonal_as_zero():
+    q = np.array(q_matrix([0.0, 1.0, 3.0, 7.0]).values)
+    np.fill_diagonal(q, -0.0)
+    _, spectrum = reconstruct_metric(q)
+    assert spectrum.tolist() == [0.0, 1.0, 3.0, 7.0] and not np.signbit(spectrum).any()
 
 
 def test_reconstruct_refuses_an_overflowing_two_hop_sum_without_a_warning():
@@ -337,6 +404,15 @@ def test_qmatrix_type_validation():
         QMatrix(np.arange(16.0).reshape(4, 4))  # not symmetric
     with pytest.raises(DegenerateInputError):
         QMatrix(np.zeros((3, 3)))
+    good = q_matrix([0.0, 1.0, 3.0, 7.0]).values
+    for bad, match in (
+        (np.zeros((4, 5)), "square"),
+        (_with_entries(good, {(0, 1): np.inf}), "finite"),
+        (_with_entries(good, {(0, 1): -1.0}), "nonnegative"),
+        (good + np.eye(4), "diagonal must be zero"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            QMatrix(bad)
 
 
 # ---------------------------------------------------------------------------

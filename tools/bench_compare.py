@@ -14,7 +14,10 @@ processes, with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
 observable against a ``B`` whose decomposition is already cached, as when one
 ``B`` meets many partners.  The ``witness_search`` oracle is timed at
 the ``cli`` workload's setting, n = 8 with 32 restarts (a keyword in both
-checkouts), on one holding and one failing pair.
+checkouts), on one holding and one failing pair, and the structure routines at
+the ``cli`` workload's sizes: ``q_matrix(method="enumerate")`` on
+``Q_POINTS`` points and ``reconstruct_metric`` on the gap matrix of
+``RECONSTRUCT_POINTS`` distinct points.
 
 Last, each checkout digests its own outputs in a fresh process
 (``--digest DIR``): every op of ``DIGEST_WORKLOADS`` at ``DIGEST_SECONDS``
@@ -48,6 +51,8 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 LAYER_DIMS = (5, 64)
 ORACLE_DIM = 8
 ORACLE_RESTARTS = 32
+Q_POINTS = 12
+RECONSTRUCT_POINTS = 8
 REPEATS = 7
 # the host's speed swings for seconds at a time; alternating processes keep
 # one slow window from landing on one checkout's layers only
@@ -66,6 +71,7 @@ def layer_timings(checkout: Path) -> dict:
     from varorder.functions import FunctionTable
     from varorder.linalg import HermitianObservable, SpectralDecomposition, eigendecompose, resolve_tol
     from varorder.order import _margin_at, decide_order, witness_search
+    from varorder.structure import q_matrix, reconstruct_metric
 
     if not Path(varorder.__file__).resolve().is_relative_to(checkout.resolve()):
         raise SystemExit(f"imported varorder from {varorder.__file__}, not from {checkout}")
@@ -114,6 +120,17 @@ def layer_timings(checkout: Path) -> dict:
     out[f"n={ORACLE_DIM}"] = {
         f"witness_search_{name}": per_call(lambda _: witness_search(*ab, restarts=ORACLE_RESTARTS), 3)
         for name, ab in (("holding", holding), ("failing", failing))
+    }
+
+    def points(n: int):
+        """``n`` distinct points in random order, adjacent gaps between 1 and 2."""
+        rng = np.random.default_rng(n)
+        return rng.permutation(np.cumsum(rng.uniform(1.0, 2.0, n)))
+
+    spectrum, gaps = points(Q_POINTS), q_matrix(points(RECONSTRUCT_POINTS))
+    out["structure"] = {
+        f"q_matrix_enumerate_n={Q_POINTS}": per_call(lambda _: q_matrix(spectrum, "enumerate"), 100),
+        f"reconstruct_metric_n={RECONSTRUCT_POINTS}": per_call(lambda _: reconstruct_metric(gaps), 500),
     }
     return out
 

@@ -138,16 +138,19 @@ class SpectralDecomposition:
     ``vectors`` is unitary with each group's columns kept together, in the
     order of the strictly increasing group ``eigenvalues``; ``ranks`` gives
     the number of columns per group.  Construction stores what depends on the
-    grouping alone: ``labels`` (each column's group), ``same_group`` (whether
-    columns ``j`` and ``k`` share one) and ``ranks`` as floats, ``rank_floats``.
+    grouping alone: ``labels`` (each column's group), ``ranks`` as floats,
+    ``rank_floats``, and ``residue_bins``, the flattened ``n x n`` bin of each
+    entry ``(r, c)`` of a matrix in this basis: ``labels[c]`` when row ``r`` is
+    in column ``c``'s group, ``labels[c] + len(ranks)`` otherwise, so one
+    ``bincount`` sums each group's in-block and off-block entries apart.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     ranks: tuple[int, ...]
     labels: np.ndarray = field(init=False, repr=False)
-    same_group: np.ndarray = field(init=False, repr=False)
     rank_floats: np.ndarray = field(init=False, repr=False)
+    residue_bins: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lams = _frozen(self.eigenvalues, np.float64)
@@ -164,8 +167,9 @@ class SpectralDecomposition:
         )
         labels = _freeze(np.repeat(np.arange(len(self.ranks)), self.ranks))
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "same_group", _freeze(labels[:, None] == labels[None, :]))
         object.__setattr__(self, "rank_floats", _freeze(np.array(self.ranks, dtype=np.float64)))
+        bins = np.where(labels[:, None] == labels, labels, labels + len(self.ranks))
+        object.__setattr__(self, "residue_bins", _freeze(bins).ravel())
 
     def group_indices(self, groups) -> tuple[int, ...]:
         """``groups`` as ints, each in ``range(len(ranks))`` or a :class:`ValidationError`."""
@@ -280,10 +284,16 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     tolerance: it must be finite and >= 0, and is not floored.  The eigensolver
     runs at most once per (immutable) observable; grouped decompositions are
     cached on it per grouping, so every threshold that yields the same group
-    ranks returns the same object.
+    ranks returns the same object.  The observable also remembers its last
+    threshold and that threshold's decomposition, so a repeat call at the same
+    ``group_tol`` (one ``B`` decided against many partners) returns before any
+    array work.
     """
     obs = _as_observable(A)
     group_tol = resolve_tol(None, obs) if group_tol is None else _checked_tol(group_tol)
+    last = obs.__dict__.get("_last_grouping")
+    if last is not None and last[0] == group_tol:
+        return last[1]
     w, v = obs.eigenpairs
     splits = w[1:] - w[:-1] > group_tol  # a new group starts after each True
     cache = obs.__dict__.setdefault("_spectral_cache", {})
@@ -303,6 +313,7 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
                 f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
             )
         cache[key] = dec
+    obs.__dict__["_last_grouping"] = (group_tol, cache[key])
     return cache[key]
 
 

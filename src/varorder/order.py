@@ -81,6 +81,10 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     ``sqrt(2) |A'[g, not g]|_F`` equals ``|PA - AP|_F``) and is scalar there
     (with scalar value the mean of the diagonal of ``A'[g, g]``), and
     finally that the scalar values are 1-Lipschitz across eigenvalue gaps.
+    Both residues of every group come from one ``bincount`` of the squared
+    moduli of ``A'`` less its group scalars over the decomposition's
+    ``residue_bins``, and the first group with either residue above ``tol``
+    is the offending one.
     The eigenspaces are ``B``'s eigenvalues grouped at rounding level, gaps
     of at most ``ROUND_RTOL * |B|_F``, so a cluster of eigenvalues a fraction
     of ``tol`` apart is never one wide group on which even ``A = B`` is not
@@ -90,7 +94,8 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     rounding residues fail no decision), bounds the residue checks and the
     Lipschitz slack.  ``B``'s eigenpairs are solved once per observable and its
     grouped decompositions cached per grouping, however many partners it is
-    decided against.
+    decided against; from the second partner on, :func:`eigendecompose`
+    returns ``B``'s decomposition with no array work.
 
     On failure the witness is the eigenbasis candidate of the offending
     eigenspace with the largest variance for ``A`` (ties to the lowest
@@ -106,7 +111,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
     dec = eigendecompose(b, group_tol=ROUND_RTOL * b.frobenius_norm)
-    v, lams, labels, same = dec.vectors, dec.eigenvalues, dec.labels, dec.same_group
+    v, lams, labels, m = dec.vectors, dec.eigenvalues, dec.labels, len(dec.ranks)
 
     # Per-eigenspace checks: commutation and scalarity of A on each group.
     ap = v.conj().T @ a.matrix @ v
@@ -116,12 +121,14 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     # matrix of scalars, and no complex cast of one
     dev = ap.copy()
     dev.reshape(-1)[:: len(labels) + 1] -= scalars[labels]
-    dev = np.abs(dev) ** 2
-    comm = np.sqrt(2.0 * np.bincount(labels, weights=np.where(same, 0.0, dev).sum(axis=0)))
-    scal = np.sqrt(np.bincount(labels, weights=np.where(same, dev, 0.0).sum(axis=0)))
-    bad = ((comm > tol) | (scal > tol)).nonzero()[0]
+    # one sum for both residues: res[j] the scalar residue of group j (its
+    # in-block entries), res[m + j] its commutation residue (off-block, counted twice)
+    res = np.bincount(dec.residue_bins, weights=(np.abs(dev) ** 2).ravel(), minlength=2 * m)
+    res[m:] *= 2.0
+    np.sqrt(res, out=res)
+    bad = (res > tol).nonzero()[0] % m
     if bad.size:
-        j = int(bad[0])
+        j = int(bad.min())
         lo = sum(dec.ranks[:j])
         hi = lo + dec.ranks[j]
         defects = (np.abs(ap[:, lo:hi]) ** 2).sum(axis=0) - diag[lo:hi] ** 2
@@ -137,7 +144,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
         if margin2 > FAIL_MARGIN_TOL:
             return OrderVerdict(False, None, w2, margin2)
         raise InternalConsistencyError(
-            f"eigenspace residues (commutation {comm[j]:.3e}, scalar {scal[j]:.3e}) exceed "
+            f"eigenspace residues (commutation {res[m + j]:.3e}, scalar {res[j]:.3e}) exceed "
             f"tol {tol:.3e} but no witness clears the margin floor"
         )
 

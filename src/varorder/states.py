@@ -58,7 +58,9 @@ class PureState:
         """``vec / numpy.linalg.norm(vec)``; refuses the zero vector, non-finite entries and
         a norm past the float64 maximum, found first on ``<vec, vec>``, whose overflow
         raises no numpy warning.  Below ``MIN_SQUARED_NORM`` that vector is first scaled by
-        an exact power of two, so a tiny one normalizes as its scaled-up copy does."""
+        an exact power of two, so a tiny one normalizes as its scaled-up copy does.  The
+        norm is then the square root of ``re . re + im . im``, the sum ``numpy.linalg.norm``
+        forms, so the bits are the same without that function's overhead."""
         x = np.asarray(vec, dtype=np.complex128)
         sq = np.vdot(x, x).real
         if not sq < math.inf:  # inf or NaN
@@ -68,7 +70,8 @@ class PureState:
             e = -int(np.frexp(np.abs(x).max(initial=0.0))[1])
             x, y = np.empty_like(x), x
             x.real, x.imag = np.ldexp(y.real, e), np.ldexp(y.imag, e)
-        nrm = float(np.linalg.norm(x))
+        y = x.ravel(order="K")  # numpy.linalg.norm's operand: a copy only if x is strided
+        nrm = math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag))
         if nrm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
         return cls(_freeze(x / nrm))

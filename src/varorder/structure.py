@@ -54,7 +54,7 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
     a, b = _as_pair(A, B)
     dec = eigendecompose(a)
     v, labels = dec.vectors, dec.labels
-    blocks = np.where(dec.same_group, v.conj().T @ b.matrix @ v, 0.0)
+    blocks = np.where(labels[:, None] == labels, v.conj().T @ b.matrix @ v, 0.0)
     blocks = (blocks + blocks.conj().T) / 2.0
     tau = max(
         float(np.abs(_eigh(blocks[np.ix_(labels == j, labels == j)])[0]).max())
@@ -239,7 +239,8 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
     configuration is unique up to reflection and translation).
 
     Raises :class:`ReconstructionError` when the maximum is attained other
-    than 1 to 3 times, or the round trip through :func:`q_matrix` fails.
+    than 1 to 3 times, or the round trip through :func:`q_matrix` is off by
+    more than ``GAP_RTOL * max Q``, relative at every scale.
     """
     qm = Q if isinstance(Q, QMatrix) else QMatrix(Q)
     q = qm.values
@@ -268,7 +269,7 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
         q_check = q_matrix(positions).values
     except (ValidationError, DegenerateInputError) as exc:
         raise ReconstructionError(f"recovered positions are degenerate: {exc}") from exc
-    atol = GAP_RTOL * max(1.0, qmax)
+    atol = GAP_RTOL * qmax
     if np.abs(q_check - q).max() > atol:
         raise ReconstructionError("gap matrix is not consistent with any point configuration")
     dist_check = np.abs(positions[:, None] - positions[None, :])

@@ -32,6 +32,7 @@ from varorder import (
 )
 from varorder.linalg import loewner_leq, resolve_tol
 from varorder.sampling import random_hermitian, random_unitary
+from varorder.tolerances import ROUND_RTOL
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -265,6 +266,32 @@ def test_decomposition_is_cached_per_grouping():
     assert merged.ranks == (2, 2, 1)
 
 
+def test_a_repeat_threshold_returns_its_decomposition_before_any_array_work(monkeypatch):
+    # eigenvalues 0, 1, 1 + 1e-10 and 3: the default threshold (~3e-8) merges the close
+    # pair, decide_order's ROUND_RTOL * |B|_F (~3e-12) keeps it apart
+    u = random_unitary(4, seed=8).matrix
+    b = HermitianObservable((u * [0.0, 1.0, 1.0 + 1e-10, 3.0]) @ u.conj().T)
+    fine = ROUND_RTOL * b.frobenius_norm
+    coarse, split = eigendecompose(b), eigendecompose(b, fine)
+    assert coarse.ranks == (1, 2, 1) and split.ranks == (1, 1, 1, 1)
+    # interleaved thresholds each get their own grouping's one object back
+    for t, dec in ((None, coarse), (fine, split), (None, coarse), (2 * fine, split),
+                   (fine, split), (fine, split), (None, coarse), (1e-3, coarse)):
+        assert eigendecompose(b, t) is dec
+    assert decide_order(b, b).holds and eigendecompose(b, fine) is split
+
+    def refuse(*_):
+        raise AssertionError("array work on a repeat call")
+
+    # a repeat of the last threshold solves nothing, builds nothing and does not
+    # even read the eigenpairs: unpacking None would raise
+    monkeypatch.setattr(linalg, "_eigh", refuse)
+    monkeypatch.setattr(linalg.SpectralDecomposition, "__post_init__", refuse)
+    monkeypatch.setitem(vars(b), "eigenpairs", None)
+    assert eigendecompose(b, fine) is split
+    assert decide_order(b, b).holds and decide_order(2.0 * b.matrix, b).holds is False
+
+
 def test_eigendecompose_shares_the_observables_frozen_eigenvectors():
     obs = random_hermitian(4, seed=6)
     dec = eigendecompose(obs)
@@ -317,9 +344,10 @@ def test_a_decomposition_stores_its_grouping_arrays_frozen():
     dec = SpectralDecomposition([0.0, 1.0, 3.0], np.eye(4), (2, 1, 1))
     assert dec.labels.tolist() == [0, 0, 1, 2]
     assert dec.rank_floats.tolist() == [2.0, 1.0, 1.0] and dec.rank_floats.dtype == np.float64
-    expected = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=bool)
-    np.testing.assert_array_equal(dec.same_group, expected)
-    for name in ("labels", "same_group", "rank_floats"):
+    # entry (r, c): column c's group when row r shares it, that group + 3 otherwise
+    expected = [[0, 0, 4, 5], [0, 0, 4, 5], [3, 3, 1, 5], [3, 3, 4, 2]]
+    assert dec.residue_bins.tolist() == sum(expected, [])
+    for name in ("labels", "rank_floats", "residue_bins"):
         assert vars(dec)[name] is getattr(dec, name)
         assert not getattr(dec, name).flags.writeable
 

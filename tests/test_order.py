@@ -29,11 +29,13 @@ from varorder import (
     witness_search,
 )
 from varorder import linalg, order
+from varorder.functions import _lipschitz_excess
 from varorder.linalg import loewner_leq, resolve_tol
 from varorder.order import FAIL_MARGIN_TOL, _circle_coefficients, state_order_violation
 from varorder.sampling import random_hermitian, random_lipschitz_values, random_unitary
 from varorder.states import _variances, superposition_variance
 from varorder.structure import joint_upper_bound, three_point_class_candidates
+from varorder.tolerances import ROUND_RTOL
 
 PAULI_X = HermitianObservable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 PAULI_Z = HermitianObservable(np.array([[1.0, 0.0], [0.0, -1.0]]))
@@ -382,7 +384,7 @@ def test_decisions_at_n_128():
     assert _margin(c, b, verdict.witness) > FAIL_MARGIN_TOL
 
 
-PARTNER_FREE = ("labels", "same_group", "rank_floats")
+PARTNER_FREE = ("labels", "rank_floats", "residue_bins")
 
 
 def _verdict_bytes(verdict) -> tuple:
@@ -426,6 +428,56 @@ def test_a_cached_b_builds_its_partner_free_arrays_once(monkeypatch):
     # the same bytes as deciding each partner against a fresh, uncached B
     fresh = [decide_order(p, HermitianObservable(b.matrix.copy())) for p in partners] * 2
     assert [_verdict_bytes(v) for v in verdicts] == [_verdict_bytes(v) for v in fresh]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_binned_residues_match_the_masked_column_sums(data):
+    # the pre-bin form of decide_order's residue stage is the reference: masked
+    # column sums, then one bincount per residue kind
+    n = data.draw(st.integers(1, 64), label="n")
+    if data.draw(st.booleans(), label="one group"):
+        ranks = [n]
+    else:
+        cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=8), label="cuts") if n > 1 else set()
+        ranks = np.diff([0, *sorted(cuts), n]).tolist()
+    kind = data.draw(st.sampled_from(["lipschitz", "steep", "perturbed"]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lams = np.cumsum(rng.uniform(1.0, 2.0, len(ranks)))
+    u = random_unitary(n, seed=rng).matrix
+    b = HermitianObservable((u * np.repeat(lams, ranks)) @ u.conj().T)
+    vals = 2.0 * lams if kind == "steep" else np.sin(lams)
+    a_mat = (u * np.repeat(vals, ranks)) @ u.conj().T
+    if kind == "perturbed":
+        a_mat = a_mat + random_hermitian(n, seed=rng, scale=0.1).matrix
+    a = HermitianObservable(a_mat)
+
+    dec = eigendecompose(b, group_tol=ROUND_RTOL * b.frobenius_norm)
+    assert list(dec.ranks) == ranks
+    v, labels, m, tol = dec.vectors, dec.labels, len(ranks), resolve_tol(None, a, b)
+    ap = v.conj().T @ a.matrix @ v
+    scalars = np.bincount(labels, weights=ap.diagonal().real) / dec.rank_floats
+    dev = np.abs(ap - np.diag(scalars[labels])) ** 2
+    same = labels[:, None] == labels
+    old = np.concatenate([np.bincount(labels, weights=np.where(same, dev, 0.0).sum(axis=0)),
+                          np.bincount(labels, weights=np.where(same, 0.0, dev).sum(axis=0))])
+    new = np.bincount(dec.residue_bins, weights=dev.ravel(), minlength=2 * m)
+    assert (np.abs(new - old) <= 4 * n * np.finfo(np.float64).eps * old).all()
+
+    scal, comm = np.sqrt(old[:m]), np.sqrt(2.0 * old[m:])
+    old_bad = ((comm > tol) | (scal > tol)).nonzero()[0]
+    new_bad = (np.sqrt(new * np.repeat([1.0, 2.0], m)) > tol).nonzero()[0] % m
+    assert old_bad[:1].tolist() == sorted(new_bad.tolist())[:1]
+    verdict = decide_order(a, b)
+    if old_bad.size:
+        # the witness lies in the first offending group's eigenspace
+        assert not verdict.holds
+        outside = v[:, labels != old_bad[0]].conj().T @ verdict.witness.vector
+        assert float(np.linalg.norm(outside)) <= 1e-9
+    else:
+        assert verdict.holds == bool((_lipschitz_excess(dec.eigenvalues, scalars, 1.0) <= tol).all())
+    # a 1 x 1 A is a function of B, and a slope of 2 needs two groups to fail
+    assert verdict.holds == (n == 1 or kind == "lipschitz" or (kind == "steep" and m == 1))
 
 
 def _sweep_b(rng) -> HermitianObservable:

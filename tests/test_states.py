@@ -89,6 +89,22 @@ def test_normalized_refuses_a_nonfinite_norm_without_a_warning(vec, match):
     assert big.tolist() == (np.array([3e150, 4e150]) / np.linalg.norm([3e150, 4e150])).tolist()
 
 
+def test_normalized_near_the_float64_limit_is_vec_over_its_norm_without_a_warning():
+    # squared norms from a quarter of the float64 maximum to just below it, on a strided
+    # column and on its contiguous copy: no overflow warning from the norm's dot products,
+    # and the bytes of vec / numpy.linalg.norm(vec)
+    top = np.finfo(np.float64).max
+    rng = np.random.default_rng(49)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(500):
+            n = int(rng.integers(1, 9))
+            m = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            m *= np.sqrt(top * rng.uniform(0.25, 1.0 - 1e-9)) / np.linalg.norm(m[:, 1])
+            for v in (m[:, 1], m[:, 1].copy()):
+                assert PureState.normalized(v).vector.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
 def test_normalized_rescales_a_vector_whose_squared_norm_underflows():
     # [1e-200, 1e-200] used to be refused as the zero vector, and [1e-160, 0] (a subnormal
     # squared norm) with a norm off by 6e-6

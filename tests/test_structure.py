@@ -349,8 +349,13 @@ def _gap_matrix(n, entries, rest=1.0):
         _gap_matrix(5, {(0, 1): 3.0, (0, 2): 3.0, (0, 3): 3.0}),  # three in a star
         _gap_matrix(4, {(0, 1): 3.0, (0, 2): 3.0}, rest=1.5),  # two sharing index 0
         _with_entries(q_matrix([0.0, 1.0, 3.0, 7.0]).values, {(1, 2): 2.0 + 1e-6}),
+        # entry (1, 2) raised by 0.02% at scales 1e-6, 1e-3 and 1: the round trip is
+        # compared within GAP_RTOL * max Q, which is relative below scale 1 too
+        *(_with_entries(q_matrix(np.array([0.0, 1.0, 3.0, 7.0]) * s).values,
+                        {(1, 2): 2.0 * s * 1.0002}) for s in (1e-6, 1e-3, 1.0)),
     ],
-    ids=["disjoint-pairs", "triangle", "star", "shared-index", "perturbed-entry"],
+    ids=["disjoint-pairs", "triangle", "star", "shared-index", "perturbed-entry",
+         "raised-entry-1e-6", "raised-entry-1e-3", "raised-entry-1"],
 )
 def test_reconstruct_refuses_what_the_round_trip_does_not_rebuild(q):
     # no anchor is chosen from the attainment pattern: the round trip back through
@@ -363,7 +368,7 @@ def test_reconstruct_refuses_what_the_round_trip_does_not_rebuild(q):
 @given(
     gaps=st.lists(st.integers(2, 9), min_size=2, max_size=10),
     ties=st.sampled_from([0, 1, 2, 3]),
-    k=st.integers(-20, 20),
+    k=st.integers(-60, 60),
     shift=st.integers(-50, 50),
     perm_seed=st.integers(0, 10_000),
 )

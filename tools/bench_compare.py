@@ -30,6 +30,9 @@ report's ``margin`` field), so it stays equal when only a margin's rounding
 moves and tells whether the verdicts, certificates, witnesses, exit codes and
 errors did.  ``margins`` then gives, per workload, how many margins differ
 and the largest relative change, ``|change - base| / |base|``.
+
+``src_lines`` gives each checkout's ``wc -l src/varorder/*.py``: the line
+count of every module and their total.
 """
 
 from __future__ import annotations
@@ -256,6 +259,13 @@ def compare(base: Path, seeds: int, seconds: float) -> dict:
     return workloads
 
 
+def src_lines(checkout: Path) -> dict:
+    """``wc -l src/varorder/*.py`` of ``checkout``: newlines per module, and the total."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((checkout / "src" / "varorder").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def machine_facts() -> dict:
     import numpy
 
@@ -315,6 +325,7 @@ def main(argv=None) -> int:
         "workloads": compare(args.base.resolve(), args.seeds, args.seconds),
         "layers_us_per_call": fastest_layers(),
         **digests(),
+        "src_lines": {"base": src_lines(args.base), "change": src_lines(HERE)},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -33,7 +33,6 @@ from .linalg import (
     apply_function,
     commutator_norm,
     eigendecompose,
-    jacobi_eigh,
     loewner_leq,
 )
 from .order import (

@@ -282,12 +282,12 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
     rely on; :func:`~varorder.order.decide_order` groups at rounding level
     instead.  A given ``group_tol`` is a grouping threshold, not a comparison
     tolerance: it must be finite and >= 0, and is not floored.  The eigensolver
-    runs at most once per (immutable) observable; grouped decompositions are
-    cached on it per grouping, so every threshold that yields the same group
-    ranks returns the same object.  The observable also remembers its last
-    threshold and that threshold's decomposition, so a repeat call at the same
-    ``group_tol`` (one ``B`` decided against many partners) returns before any
-    array work.
+    runs at most once per (immutable) observable.  The observable keeps one
+    grouping memo, its last threshold and that threshold's decomposition: a
+    repeat call at the same ``group_tol`` (one ``B`` decided against many
+    partners) returns the same object before any array work, and a call at a
+    new threshold regroups the stored eigenpairs, checks the reconstruction and
+    replaces the memo.
     """
     obs = _as_observable(A)
     group_tol = resolve_tol(None, obs) if group_tol is None else _checked_tol(group_tol)
@@ -296,25 +296,21 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
         return last[1]
     w, v = obs.eigenpairs
     splits = w[1:] - w[:-1] > group_tol  # a new group starts after each True
-    cache = obs.__dict__.setdefault("_spectral_cache", {})
-    key = splits.tobytes()
-    if key not in cache:
-        bounds = np.concatenate(([0], splits.nonzero()[0] + 1, [obs.dim]))
-        ranks = bounds[1:] - bounds[:-1]
-        means = np.add.reduceat(w, bounds[:-1]) / ranks
-        lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
-        dec = SpectralDecomposition(lams, v, ranks.tolist())
-        lam_cols = lams[dec.labels]
-        spread = float(np.linalg.norm(w - lam_cols))
-        recon_err = float(np.linalg.norm((v * lam_cols) @ v.conj().T - obs.matrix))
-        allowed = spread + resolve_tol(None, obs)
-        if recon_err > allowed:
-            raise InternalConsistencyError(
-                f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
-            )
-        cache[key] = dec
-    obs.__dict__["_last_grouping"] = (group_tol, cache[key])
-    return cache[key]
+    bounds = np.concatenate(([0], splits.nonzero()[0] + 1, [obs.dim]))
+    ranks = bounds[1:] - bounds[:-1]
+    means = np.add.reduceat(w, bounds[:-1]) / ranks
+    lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
+    dec = SpectralDecomposition(lams, v, ranks.tolist())
+    lam_cols = lams[dec.labels]
+    spread = float(np.linalg.norm(w - lam_cols))
+    recon_err = float(np.linalg.norm((v * lam_cols) @ v.conj().T - obs.matrix))
+    allowed = spread + resolve_tol(None, obs)
+    if recon_err > allowed:
+        raise InternalConsistencyError(
+            f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
+        )
+    obs.__dict__["_last_grouping"] = (group_tol, dec)
+    return dec
 
 
 def _table_value(f, lam: float, tol: float) -> float:

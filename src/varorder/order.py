@@ -93,8 +93,8 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     finite and >= 0 and is floored at ``ROUND_RTOL * max(|A|_F, |B|_F)``, so
     rounding residues fail no decision), bounds the residue checks and the
     Lipschitz slack.  ``B``'s eigenpairs are solved once per observable and its
-    grouped decompositions cached per grouping, however many partners it is
-    decided against; from the second partner on, :func:`eigendecompose`
+    grouping at that threshold, which no partner changes, is memoized on it;
+    from the second partner on, :func:`eigendecompose`
     returns ``B``'s decomposition with no array work.
 
     On failure the witness is the eigenbasis candidate of the offending

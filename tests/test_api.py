@@ -43,7 +43,6 @@ NAMES = {
     "eigendecompose",
     "expectation",
     "extract_function",
-    "jacobi_eigh",
     "joint_upper_bound",
     "loewner_leq",
     "maximal_deviation",
@@ -142,7 +141,7 @@ def test_public_options_are_pinned():
 
 
 def test_public_names_are_pinned():
-    assert len(varorder.__all__) == len(set(varorder.__all__)) == 52
+    assert len(varorder.__all__) == len(set(varorder.__all__)) == 51
     assert set(varorder.__all__) == NAMES
 
 

@@ -26,11 +26,10 @@ from varorder import (
     commutator_norm,
     decide_order,
     eigendecompose,
-    jacobi_eigh,
     linalg,
     maximal_deviation,
 )
-from varorder.linalg import loewner_leq, resolve_tol
+from varorder.linalg import jacobi_eigh, loewner_leq, resolve_tol
 from varorder.sampling import random_hermitian, random_unitary
 from varorder.tolerances import ROUND_RTOL
 
@@ -254,30 +253,34 @@ def test_reconstruction_from_groups(n):
     assert err <= 1e-8 * max(1.0, obs.frobenius_norm)
 
 
-def test_decomposition_is_cached_per_grouping():
+def test_decomposition_is_cached_per_threshold():
     obs = random_hermitian(5, seed=4)  # eigenvalue gaps 0.83, 1.59, 0.92, 1.73
     assert eigendecompose(obs) is eigendecompose(obs)
     assert eigendecompose(obs, group_tol=0.5) is eigendecompose(obs, group_tol=0.5)
-    # 0.5 splits every gap, as the default does: same grouping, same object
-    assert eigendecompose(obs, group_tol=0.5) is eigendecompose(obs)
+    # 0.5 splits every gap, as the default does: the same grouping, built again
+    half, default = eigendecompose(obs, group_tol=0.5), eigendecompose(obs)
+    assert half.ranks == default.ranks == (1, 1, 1, 1, 1)
+    assert half.eigenvalues.tobytes() == default.eigenvalues.tobytes()
+    assert half.vectors.tobytes() == default.vectors.tobytes()
     # 1.0 merges across the 0.83 and 0.92 gaps
-    merged = eigendecompose(obs, group_tol=1.0)
-    assert merged is not eigendecompose(obs)
-    assert merged.ranks == (2, 2, 1)
+    assert eigendecompose(obs, group_tol=1.0).ranks == (2, 2, 1)
 
 
-def test_a_repeat_threshold_returns_its_decomposition_before_any_array_work(monkeypatch):
+def test_a_repeat_threshold_returns_its_decomposition_before_any_array_work(
+    monkeypatch, eigh_calls
+):
     # eigenvalues 0, 1, 1 + 1e-10 and 3: the default threshold (~3e-8) merges the close
     # pair, decide_order's ROUND_RTOL * |B|_F (~3e-12) keeps it apart
     u = random_unitary(4, seed=8).matrix
     b = HermitianObservable((u * [0.0, 1.0, 1.0 + 1e-10, 3.0]) @ u.conj().T)
     fine = ROUND_RTOL * b.frobenius_norm
-    coarse, split = eigendecompose(b), eigendecompose(b, fine)
-    assert coarse.ranks == (1, 2, 1) and split.ranks == (1, 1, 1, 1)
-    # interleaved thresholds each get their own grouping's one object back
-    for t, dec in ((None, coarse), (fine, split), (None, coarse), (2 * fine, split),
-                   (fine, split), (fine, split), (None, coarse), (1e-3, coarse)):
-        assert eigendecompose(b, t) is dec
+    # interleaved thresholds regroup the one eigensolve into their own grouping
+    for t, ranks in ((None, (1, 2, 1)), (fine, (1, 1, 1, 1)), (None, (1, 2, 1)),
+                     (2 * fine, (1, 1, 1, 1)), (fine, (1, 1, 1, 1)), (fine, (1, 1, 1, 1)),
+                     (None, (1, 2, 1)), (1e-3, (1, 2, 1))):
+        assert eigendecompose(b, t).ranks == ranks
+    assert len(eigh_calls) == 1
+    split = eigendecompose(b, fine)
     assert decide_order(b, b).holds and eigendecompose(b, fine) is split
 
     def refuse(*_):
@@ -406,7 +409,7 @@ def test_one_eigensolve_per_observable_across_partner_norms(eigh_calls):
         a = HermitianObservable(b.matrix + shift * np.eye(3))
         assert resolve_tol(None, a, b) > resolve_tol(None, b)
         assert decide_order(a, b).holds
-    assert eigendecompose(b, group_tol=1e-3) is dec  # same grouping
+    assert eigendecompose(b, group_tol=1e-3).ranks == dec.ranks  # same grouping
     assert eigh_calls == [(3, 3)]
 
 

@@ -364,6 +364,18 @@ def test_reconstruct_refuses_what_the_round_trip_does_not_rebuild(q):
         reconstruct_metric(q)
 
 
+def test_reconstruct_refuses_distances_that_do_not_embed_on_a_line():
+    # three entries of the gap matrix of [0, 1, 3, 9] moved by ~1e-8: the positions
+    # read off the repaired distances rebuild Q within GAP_RTOL * max Q (6.1e-9 of
+    # 8e-9), but the repaired distances are 9.1e-9 off those positions' distances,
+    # so the second round trip is the one that refuses
+    q = _with_entries(q_matrix([0.0, 1.0, 3.0, 9.0]).values, {
+        (0, 1): 0.9999999857497572, (0, 2): 2.999999988830583, (1, 2): 2.0000000091465164,
+    })
+    with pytest.raises(ReconstructionError, match="do not embed on a line"):
+        reconstruct_metric(q)
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     gaps=st.lists(st.integers(2, 9), min_size=2, max_size=10),

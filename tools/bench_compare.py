@@ -12,12 +12,16 @@ process (``--layers DIR``), ``LAYER_ROUNDS`` processes per checkout in
 alternating order: CPU seconds per call, the minimum over repeats and
 processes, with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
 observable against a ``B`` whose decomposition is already cached, as when one
-``B`` meets many partners.  The ``witness_search`` oracle is timed at
+``B`` meets many partners, and ``eigendecompose_regroup`` groups one observable at
+its default threshold and at ``decide_order``'s ``ROUND_RTOL * |B|_F`` in turn, as
+``verify_automorphism`` does.  The ``witness_search`` oracle is timed at
 the ``cli`` workload's setting, n = 8 with 32 restarts (a keyword in both
 checkouts), on one holding and one failing pair, and the structure routines at
 the ``cli`` workload's sizes: ``q_matrix(method="enumerate")`` on
-``Q_POINTS`` points and ``reconstruct_metric`` on the gap matrix of
-``RECONSTRUCT_POINTS`` distinct points.
+``Q_POINTS`` points, ``reconstruct_metric`` on the gap matrix of
+``RECONSTRUCT_POINTS`` distinct points, and ``verify_automorphism`` of a scaled
+unitary conjugation at dimension ``AUTOMORPHISM_DIM`` over
+``AUTOMORPHISM_TRIALS`` trials.
 
 Last, each checkout digests its own outputs in a fresh process
 (``--digest DIR``): every op of ``DIGEST_WORKLOADS`` at ``DIGEST_SECONDS``
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -56,6 +61,8 @@ ORACLE_DIM = 8
 ORACLE_RESTARTS = 32
 Q_POINTS = 12
 RECONSTRUCT_POINTS = 8
+AUTOMORPHISM_DIM = 3
+AUTOMORPHISM_TRIALS = 50
 REPEATS = 7
 # the host's speed swings for seconds at a time; alternating processes keep
 # one slow window from landing on one checkout's layers only
@@ -74,7 +81,9 @@ def layer_timings(checkout: Path) -> dict:
     from varorder.functions import FunctionTable
     from varorder.linalg import HermitianObservable, SpectralDecomposition, eigendecompose, resolve_tol
     from varorder.order import _margin_at, decide_order, witness_search
-    from varorder.structure import q_matrix, reconstruct_metric
+    from varorder.sampling import random_unitary
+    from varorder.structure import AutomorphismSpec, q_matrix, reconstruct_metric, verify_automorphism
+    from varorder.tolerances import ROUND_RTOL
 
     if not Path(varorder.__file__).resolve().is_relative_to(checkout.resolve()):
         raise SystemExit(f"imported varorder from {varorder.__file__}, not from {checkout}")
@@ -112,6 +121,10 @@ def layer_timings(checkout: Path) -> dict:
             "resolve_tol": per_call(lambda _: resolve_tol(None, a, b), calls),
             "eigendecompose_fresh": per_call(eigendecompose, calls, lambda: HermitianObservable(raw_b)),
             "eigendecompose_cached": per_call(lambda _: eigendecompose(b), calls),
+            "eigendecompose_regroup": per_call(
+                lambda t: eigendecompose(b, t), calls,
+                itertools.cycle((None, ROUND_RTOL * b.frobenius_norm)).__next__,
+            ),
             "SpectralDecomposition": per_call(lambda _: SpectralDecomposition(lams, vecs, ranks), calls),
             "FunctionTable.from_values": per_call(lambda _: FunctionTable.from_values(lams, vals), calls),
             "_margin_at": per_call(lambda _: _margin_at(a, b, probe), calls),
@@ -131,9 +144,13 @@ def layer_timings(checkout: Path) -> dict:
         return rng.permutation(np.cumsum(rng.uniform(1.0, 2.0, n)))
 
     spectrum, gaps = points(Q_POINTS), q_matrix(points(RECONSTRUCT_POINTS))
+    phi = AutomorphismSpec(2.0, random_unitary(AUTOMORPHISM_DIM, seed=AUTOMORPHISM_DIM))
     out["structure"] = {
         f"q_matrix_enumerate_n={Q_POINTS}": per_call(lambda _: q_matrix(spectrum, "enumerate"), 100),
         f"reconstruct_metric_n={RECONSTRUCT_POINTS}": per_call(lambda _: reconstruct_metric(gaps), 500),
+        f"verify_automorphism_dim={AUTOMORPHISM_DIM}": per_call(
+            lambda _: verify_automorphism(phi, AUTOMORPHISM_TRIALS, AUTOMORPHISM_DIM), 3
+        ),
     }
     return out
 

@@ -5,9 +5,10 @@ invariants, freezes the underlying arrays, and stores every value derived from
 them.  ``HermitianObservable`` stores an array computed from its input;
 ``SpectralDecomposition`` and ``UnitaryMap`` copy only input arrays that
 something could still write to, and share ones that are already frozen (as
-:func:`eigendecompose` passes the observable's own eigenvectors).  The one value
-left to first use is ``HermitianObservable.eigenpairs``, since an observable on
-the ``A`` side of a decision is never solved.  Every
+:func:`eigendecompose` passes the observable's own eigenvectors, and its own
+eigenvalues when no group merges).  The one value left to first use is
+``HermitianObservable.eigenpairs``, since an observable on the ``A`` side of a
+decision is never solved.  Every
 eigensolve in the package goes through :func:`_eigh`, which calls LAPACK
 through ``numpy.linalg.eigh``; its answers stay on the checked path
 (:func:`eigendecompose` verifies each grouped reconstruction).  The cyclic
@@ -55,13 +56,28 @@ def _frozen(obj, dtype) -> np.ndarray:
     return _freeze(np.array(obj, dtype))
 
 
-def as_complex_matrix(obj) -> np.ndarray:
-    """Coerce to a nonempty square complex128 array with finite entries."""
+def _frobenius(x: np.ndarray) -> float:
+    """``numpy.linalg.norm(x)`` bit for bit, without its call overhead: the square root
+    of ``re . re + im . im`` (``x . x`` when ``x`` is real), the sum that function forms."""
+    y = x.ravel(order="K")  # numpy.linalg.norm's operand: a copy only if x is strided
+    if y.dtype.kind == "c":
+        return math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag))
+    return math.sqrt(y.dot(y))
+
+
+def _square_matrix(obj) -> np.ndarray:
+    """Coerce to a nonempty square complex128 array."""
     m = np.asarray(obj, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise ValidationError("expected a nonempty matrix")
+    return m
+
+
+def as_complex_matrix(obj) -> np.ndarray:
+    """Coerce to a nonempty square complex128 array with finite entries."""
+    m = _square_matrix(obj)
     if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValidationError("matrix entries must be finite")
     return m
@@ -69,12 +85,16 @@ def as_complex_matrix(obj) -> np.ndarray:
 
 def _hermitian_part(obj, error: Callable[[float, float], Exception]) -> np.ndarray:
     """``(M + M*) / 2``; raises ``error(dev, bound)`` when ``dev = max |M - M*|`` exceeds
-    ``bound = CHECK_TOL * max(1, |M|_max)``, and :class:`ValidationError` when
-    ``n |M|_max`` is not below ``MAX_SCALE``, past which sums of squares overflow."""
-    m = as_complex_matrix(obj)
+    ``bound = CHECK_TOL * max(1, |M|_max)``, and :class:`ValidationError` when an entry
+    is not finite or ``n |M|_max`` is not below ``MAX_SCALE``, past which sums of
+    squares overflow.  The finiteness test runs only once ``|M|_max`` fails the size
+    test, as it does when it is NaN or inf, to tell the two refusals apart."""
+    m = _square_matrix(obj)
     mh = m.conj().T
     scale = float(np.abs(m).max())
     if not m.shape[0] * scale < MAX_SCALE:
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix entries must be finite")
         raise ValidationError(
             f"matrix too large: dim * max |M| = {m.shape[0] * scale:.3e} is not below "
             f"{MAX_SCALE:.0e}, so its Frobenius norm could overflow"
@@ -99,7 +119,7 @@ class HermitianObservable:
             f"exceeds {CHECK_TOL:.0e} * max(1, |M|_max) = {bound:.3e}"
         ))
         object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "frobenius_norm", float(np.linalg.norm(m)))
+        object.__setattr__(self, "frobenius_norm", _frobenius(m))
 
     @property
     def dim(self) -> int:
@@ -138,8 +158,8 @@ class SpectralDecomposition:
     ``vectors`` is unitary with each group's columns kept together, in the
     order of the strictly increasing group ``eigenvalues``; ``ranks`` gives
     the number of columns per group.  Construction stores what depends on the
-    grouping alone: ``labels`` (each column's group), ``ranks`` as floats,
-    ``rank_floats``, and ``residue_bins``, the flattened ``n x n`` bin of each
+    grouping alone: ``labels`` (each column's group), ``rank_floats`` (the
+    ranks as floats) and ``residue_bins``, the flattened ``n x n`` bin of each
     entry ``(r, c)`` of a matrix in this basis: ``labels[c]`` when row ``r`` is
     in column ``c``'s group, ``labels[c] + len(ranks)`` otherwise, so one
     ``bincount`` sums each group's in-block and off-block entries apart.
@@ -156,7 +176,7 @@ class SpectralDecomposition:
         lams = _frozen(self.eigenvalues, np.float64)
         object.__setattr__(self, "eigenvalues", lams)
         object.__setattr__(self, "vectors", _frozen(self.vectors, np.complex128))
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", tuple(map(int, self.ranks)))
         if lams.shape != (len(self.ranks),) or min(self.ranks, default=1) < 1:
             raise ValidationError("need one positive rank per group eigenvalue")
         n = sum(self.ranks)
@@ -194,8 +214,7 @@ class SpectralDecomposition:
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    return _frobenius(a - np.diag(np.diag(a)))
 
 
 def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: float) -> None:
@@ -250,7 +269,7 @@ def jacobi_eigh(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray
     v = np.eye(n, dtype=np.complex128)
     if n == 1:
         return np.array([a[0, 0].real]), v
-    target = ROUND_RTOL * float(np.linalg.norm(a))
+    target = ROUND_RTOL * _frobenius(a)
     skip = target / (2.0 * n)
     for _ in range(max_sweeps):
         if _offdiag_norm(a) <= target:
@@ -276,7 +295,9 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
 
     Eigenvalues within ``group_tol`` of each other are merged into a single
     group carrying their mean (clipped into the group's range), with the
-    group's eigenvectors as adjacent columns of one eigenvector matrix.  The
+    group's eigenvectors as adjacent columns of one eigenvector matrix; when no
+    adjacent gap is within ``group_tol``, every group is one eigenpair and the
+    eigenvalues are the group values as they are, the same bits.  The
     default threshold is ``resolve_tol(None, A)``, the default comparison
     tolerance, which the structure routines that count distinct eigenvalues
     rely on; :func:`~varorder.order.decide_order` groups at rounding level
@@ -296,14 +317,18 @@ def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
         return last[1]
     w, v = obs.eigenpairs
     splits = w[1:] - w[:-1] > group_tol  # a new group starts after each True
-    bounds = np.concatenate(([0], splits.nonzero()[0] + 1, [obs.dim]))
-    ranks = bounds[1:] - bounds[:-1]
-    means = np.add.reduceat(w, bounds[:-1]) / ranks
-    lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
-    dec = SpectralDecomposition(lams, v, ranks.tolist())
-    lam_cols = lams[dec.labels]
-    spread = float(np.linalg.norm(w - lam_cols))
-    recon_err = float(np.linalg.norm((v * lam_cols) @ v.conj().T - obs.matrix))
+    if splits.all():  # no merge: each group's mean, clipped, is its one eigenvalue
+        dec = SpectralDecomposition(w, v, (1,) * obs.dim)
+        lam_cols, spread = w, 0.0
+    else:
+        bounds = np.concatenate(([0], splits.nonzero()[0] + 1, [obs.dim]))
+        ranks = bounds[1:] - bounds[:-1]
+        means = np.add.reduceat(w, bounds[:-1]) / ranks
+        lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
+        dec = SpectralDecomposition(lams, v, ranks.tolist())
+        lam_cols = lams[dec.labels]
+        spread = _frobenius(w - lam_cols)
+    recon_err = _frobenius((v * lam_cols) @ v.conj().T - obs.matrix)
     allowed = spread + resolve_tol(None, obs)
     if recon_err > allowed:
         raise InternalConsistencyError(
@@ -343,7 +368,7 @@ def apply_function(
 def commutator_norm(A, B) -> float:
     """Frobenius norm of ``AB - BA``."""
     a, b = _as_pair(A, B)
-    return float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix))
+    return _frobenius(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 def _tol_at(scale: float) -> float:

@@ -25,6 +25,7 @@ from .linalg import (
     SpectralDecomposition,
     _as_observable,
     _eigh,
+    _frobenius,
     _frozen,
     _hermitian_part,
     resolve_tol,
@@ -42,10 +43,10 @@ class PureState:
         x = _frozen(self.vector, np.complex128)
         if x.ndim != 1 or x.size == 0:
             raise ValidationError(f"state vector must be 1-dimensional, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValidationError("state vector entries must be finite")
-        nrm = math.sqrt(np.vdot(x, x).real)
+        nrm = math.sqrt(np.vdot(x, x).real)  # NaN or inf when an entry is not finite
         if not abs(nrm - 1.0) <= ROUND_RTOL:  # an overflowing vdot gives NaN, refused too
+            if not np.isfinite(x).all():
+                raise ValidationError("state vector entries must be finite")
             raise ValidationError(f"state vector norm {nrm!r} is not 1 within {ROUND_RTOL:.0e}")
         object.__setattr__(self, "vector", x)
 
@@ -59,8 +60,8 @@ class PureState:
         a norm past the float64 maximum, found first on ``<vec, vec>``, whose overflow
         raises no numpy warning.  Below ``MIN_SQUARED_NORM`` that vector is first scaled by
         an exact power of two, so a tiny one normalizes as its scaled-up copy does.  The
-        norm is then the square root of ``re . re + im . im``, the sum ``numpy.linalg.norm``
-        forms, so the bits are the same without that function's overhead."""
+        norm is then :func:`~varorder.linalg._frobenius`, ``numpy.linalg.norm``'s bits
+        without that function's overhead."""
         x = np.asarray(vec, dtype=np.complex128)
         sq = np.vdot(x, x).real
         if not sq < math.inf:  # inf or NaN
@@ -70,8 +71,7 @@ class PureState:
             e = -int(np.frexp(np.abs(x).max(initial=0.0))[1])
             x, y = np.empty_like(x), x
             x.real, x.imag = np.ldexp(y.real, e), np.ldexp(y.imag, e)
-        y = x.ravel(order="K")  # numpy.linalg.norm's operand: a copy only if x is strided
-        nrm = math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag))
+        nrm = _frobenius(x)
         if nrm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
         return cls(_freeze(x / nrm))
@@ -284,7 +284,7 @@ def variance_defect(A, state: PureState) -> float:
     x = state.vector
     ax = obs.matrix @ x
     e = np.vdot(x, ax).real
-    return float(np.linalg.norm(ax - e * x) ** 2)
+    return _frobenius(ax - e * x) ** 2
 
 
 def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float, float]:
@@ -299,7 +299,7 @@ def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float
     _check_dims(obs, state)
     x = state.vector
     ax = obs.matrix @ x
-    d = float(np.linalg.norm(ax - float(lam) * x) ** 2)
+    d = _frobenius(ax - float(lam) * x) ** 2
     var = variance(obs, state)
     err = abs(float(np.vdot(x, ax).real) - float(lam))
     mid = var + err * err

@@ -11,8 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varorder import (
+    DensityState,
     DimensionMismatchError,
     DomainError,
     EigensolverError,
@@ -153,12 +156,17 @@ def test_rejects_non_finite():
         HermitianObservable(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("entry", [complex(0.0, np.inf), complex(np.nan, 0.0), complex(-np.inf, 1.0)])
+@pytest.mark.parametrize(
+    "entry",
+    [complex(0.0, np.inf), complex(np.nan, 0.0), complex(-np.inf, 1.0), complex(1.0, np.nan)],
+)
 def test_finiteness_covers_both_parts_of_an_entry(entry):
-    m = np.eye(2, dtype=np.complex128)
+    # observables and density matrices test finiteness only once max |M| comes out NaN or inf
+    m = np.eye(2, dtype=np.complex128) / 2
     m[0, 1] = entry
-    with pytest.raises(ValidationError, match="finite"):
-        linalg.as_complex_matrix(m)
+    for build in (linalg.as_complex_matrix, HermitianObservable, DensityState):
+        with pytest.raises(ValidationError, match="matrix entries must be finite"):
+            build(m)
 
 
 def test_accepts_tiny_asymmetry_and_symmetrizes():
@@ -251,6 +259,56 @@ def test_reconstruction_from_groups(n):
     dec = eigendecompose(obs)
     err = float(np.linalg.norm(dec.assemble(dec.eigenvalues) - obs.matrix))
     assert err <= 1e-8 * max(1.0, obs.frobenius_norm)
+
+
+def _reference_grouping(w, group_tol):
+    """The grouping as a closed formula: means of the runs of gaps within ``group_tol``,
+    clipped into each run, and each entry's residue bin by ``np.where``."""
+    splits = w[1:] - w[:-1] > group_tol
+    bounds = np.concatenate(([0], splits.nonzero()[0] + 1, [w.size]))
+    ranks = bounds[1:] - bounds[:-1]
+    means = np.add.reduceat(w, bounds[:-1]) / ranks
+    lams = np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1])
+    labels = np.repeat(np.arange(ranks.size), ranks)
+    bins = np.where(labels[:, None] == labels, labels, labels + ranks.size)
+    return {"eigenvalues": lams, "ranks": tuple(ranks.tolist()), "labels": labels,
+            "rank_floats": ranks.astype(np.float64), "residue_bins": bins.ravel()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 64),
+    kind=st.sampled_from(["distinct", "clusters", "one-group"]),
+    exponent=st.integers(-6, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_grouping_is_bit_exact_with_and_without_a_merge(n, kind, exponent, seed):
+    # gaps between 1 and 2 all stay split; exact repeats, rotated, differ only by
+    # rounding and merge at both thresholds, in clusters of 2 to n or in one group
+    rng = np.random.default_rng(seed)
+    if kind == "distinct":
+        spectrum = np.cumsum(rng.uniform(1.0, 2.0, n))
+    elif kind == "clusters":
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(int(rng.integers(2, max(n, 2) + 1)), n - sum(sizes)))
+        spectrum = np.repeat(np.cumsum(rng.uniform(1.0, 2.0, len(sizes))), sizes)
+    else:
+        spectrum = np.full(n, rng.uniform(-2.0, 2.0))
+    u = random_unitary(n, seed=seed).matrix
+    obs = HermitianObservable((u * (spectrum * 10.0**exponent)) @ u.conj().T)
+    w, _ = obs.eigenpairs
+    for group_tol in (resolve_tol(None, obs), ROUND_RTOL * obs.frobenius_norm):
+        dec = eigendecompose(obs, group_tol)
+        ref = _reference_grouping(w, group_tol)
+        assert dec.ranks == ref["ranks"]
+        if kind == "distinct":
+            assert dec.ranks == (1,) * n
+        elif kind == "one-group":
+            assert dec.ranks == (n,)
+        for name in ("eigenvalues", "labels", "rank_floats", "residue_bins"):
+            got = getattr(dec, name)
+            assert got.dtype == ref[name].dtype and got.tobytes() == ref[name].tobytes(), name
 
 
 def test_decomposition_is_cached_per_threshold():
@@ -355,10 +413,11 @@ def test_a_decomposition_stores_its_grouping_arrays_frozen():
         assert not getattr(dec, name).flags.writeable
 
 
-@pytest.mark.parametrize("entry", [1e200, 1e308])
+@pytest.mark.parametrize("entry", [1e200, 1e308, 1e308 + 1e308j])
 def test_an_observable_whose_frobenius_norm_overflows_is_refused(entry):
     # used to construct with an infinite norm: the default tol became inf and
-    # every comparison answered True, or NaN once (M + M*) / 2 overflowed
+    # every comparison answered True, or NaN once (M + M*) / 2 overflowed; a finite
+    # entry is too large, not "not finite", even where dim * max |M| is inf
     for m in (np.diag([entry, -entry, 0.0]), np.diag([entry, -entry])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

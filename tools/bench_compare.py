@@ -14,9 +14,12 @@ processes, with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
 observable against a ``B`` whose decomposition is already cached, as when one
 ``B`` meets many partners, and ``eigendecompose_regroup`` groups one observable at
 its default threshold and at ``decide_order``'s ``ROUND_RTOL * |B|_F`` in turn, as
-``verify_automorphism`` does.  The ``witness_search`` oracle is timed at
-the ``cli`` workload's setting, n = 8 with 32 restarts (a keyword in both
-checkouts), on one holding and one failing pair, and the structure routines at
+``verify_automorphism`` does.  The ``_repeated`` layers take a ``B`` whose two
+lowest eigenvalues are equal, like the benchmark's ``repeated`` pairs, so its
+grouping merges one pair where the other ``B`` merges none.  The
+``witness_search`` oracle is timed at the ``cli`` workload's setting, n = 8
+with 32 restarts (a keyword in both checkouts), on one holding and one
+failing pair, and the structure routines at
 the ``cli`` workload's sizes: ``q_matrix(method="enumerate")`` on
 ``Q_POINTS`` points, ``reconstruct_metric`` on the gap matrix of
 ``RECONSTRUCT_POINTS`` distinct points, and ``verify_automorphism`` of a scaled
@@ -82,6 +85,7 @@ def layer_timings(checkout: Path) -> dict:
     from varorder.linalg import HermitianObservable, SpectralDecomposition, eigendecompose, resolve_tol
     from varorder.order import _margin_at, decide_order, witness_search
     from varorder.sampling import random_unitary
+    from varorder.states import PureState
     from varorder.structure import AutomorphismSpec, q_matrix, reconstruct_metric, verify_automorphism
     from varorder.tolerances import ROUND_RTOL
 
@@ -99,18 +103,23 @@ def layer_timings(checkout: Path) -> dict:
             best = min(best, time.process_time() - t0)
         return 1e6 * best / calls
 
-    def pair(n: int, seed: int):
-        """A random ``B`` at dimension ``n`` and ``A = sin(B)``, for which the decision holds."""
+    def pair(n: int, seed: int, repeated: bool = False):
+        """A random ``B`` at dimension ``n`` and ``A = sin(B)``, for which the decision holds;
+        with ``repeated``, ``B``'s second eigenvalue is set to its first."""
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         raw_b = g + g.conj().T
         w, v = HermitianObservable(raw_b).eigenpairs
+        if repeated:
+            w = np.r_[w[0], w[0], w[2:]]
+            raw_b = (v * w) @ v.conj().T
         return (v * np.sin(w)) @ v.conj().T, raw_b
 
     out = {}
     for n in LAYER_DIMS:
         calls = 2000 if n < 16 else 200
         raw_a, raw_b = pair(n, n)
+        rep_a, rep_b = pair(n, n, repeated=True)
         a, b = HermitianObservable(raw_a), HermitianObservable(raw_b)
         dec = eigendecompose(b)
         lams, vecs, ranks = np.array(dec.eigenvalues), np.array(dec.vectors), dec.ranks
@@ -120,6 +129,8 @@ def layer_timings(checkout: Path) -> dict:
             "HermitianObservable": per_call(lambda _: HermitianObservable(raw_b), calls),
             "resolve_tol": per_call(lambda _: resolve_tol(None, a, b), calls),
             "eigendecompose_fresh": per_call(eigendecompose, calls, lambda: HermitianObservable(raw_b)),
+            "eigendecompose_fresh_repeated": per_call(
+                eigendecompose, calls, lambda: HermitianObservable(rep_b)),
             "eigendecompose_cached": per_call(lambda _: eigendecompose(b), calls),
             "eigendecompose_regroup": per_call(
                 lambda t: eigendecompose(b, t), calls,
@@ -128,7 +139,9 @@ def layer_timings(checkout: Path) -> dict:
             "SpectralDecomposition": per_call(lambda _: SpectralDecomposition(lams, vecs, ranks), calls),
             "FunctionTable.from_values": per_call(lambda _: FunctionTable.from_values(lams, vals), calls),
             "_margin_at": per_call(lambda _: _margin_at(a, b, probe), calls),
+            "PureState.normalized": per_call(lambda _: PureState.normalized(probe), calls),
             "decide_order_fresh": per_call(lambda _: decide_order(raw_a, raw_b), calls),
+            "decide_order_fresh_repeated": per_call(lambda _: decide_order(rep_a, rep_b), calls),
             "decide_order_cached_b": per_call(lambda _: decide_order(a, b), calls),
         }
     holding = pair(ORACLE_DIM, ORACLE_DIM)

@@ -75,14 +75,6 @@ def _square_matrix(obj) -> np.ndarray:
     return m
 
 
-def as_complex_matrix(obj) -> np.ndarray:
-    """Coerce to a nonempty square complex128 array with finite entries."""
-    m = _square_matrix(obj)
-    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
-        raise ValidationError("matrix entries must be finite")
-    return m
-
-
 def _hermitian_part(obj, error: Callable[[float, float], Exception]) -> np.ndarray:
     """``(M + M*) / 2``; raises ``error(dev, bound)`` when ``dev = max |M - M*|`` exceeds
     ``bound = CHECK_TOL * max(1, |M|_max)``, and :class:`ValidationError` when an entry
@@ -416,9 +408,12 @@ class UnitaryMap:
     antiunitary: bool = field(default=False)
 
     def __post_init__(self):
-        u = as_complex_matrix(self.matrix)
-        dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-        if dev > CHECK_TOL:
+        u = _square_matrix(self.matrix)
+        with np.errstate(invalid="ignore"):  # an entry that is not finite makes dev NaN or inf
+            dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+        if not dev <= CHECK_TOL:
+            if not np.isfinite(u).all():  # a complex entry is finite when both parts are
+                raise ValidationError("matrix entries must be finite")
             raise ValidationError(f"matrix is not unitary: max |U*U - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", _frozen(u, np.complex128))
 

@@ -22,7 +22,6 @@ from .linalg import (
     HermitianObservable,
     _as_observable,
     _as_pair,
-    _eigh,
     eigendecompose,
     resolve_tol,
 )
@@ -72,6 +71,37 @@ def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
     return w, max(0.0, float(_variances(a.matrix, x))) - max(0.0, float(_variances(b.matrix, x)))
 
 
+def _pair_state(ap: np.ndarray, diag: np.ndarray, lams: np.ndarray):
+    """The best two-level state over the column pairs ``(q, p)``, ``q != p``, of ``V``.
+
+    With ``z = A'[q, p]`` and ``eta``, ``beta`` half the differences of ``diag`` and of
+    ``lams``, the compressions of ``A`` and ``B`` to the pair have Bloch vectors
+    ``h = (Re z, -Im z, eta)`` and ``b = (0, 0, beta)``.  Leakage only adds to ``A``'s
+    variance, so the gap at Bloch vector ``n`` is at least ``|h|^2 - beta^2 + n.Mn``
+    with ``M = bb^T - hh^T``, whose maximum ``bound / 2`` is at ``M``'s top eigenvector
+    ``(-eta conj(z), lam + |z|^2)`` (its first two components as one complex number).
+    Returns that state in ``V``'s basis at the first pair in row-major order with the
+    largest bound, and the bound halved.
+    """
+    zz = np.abs(ap) ** 2
+    eta = (diag[:, None] - diag) / 2
+    b2 = ((lams[:, None] - lams) / 2) ** 2
+    t = zz + eta**2 - b2
+    root = np.sqrt((b2 - eta**2) ** 2 + zz * (2 * (b2 + eta**2) + zz))
+    # bound = t + root, taken where t < 0 as the same value's quotient free of cancellation
+    bound = np.divide(4 * b2 * zz, root - t, out=t + root, where=t < 0)
+    bound.reshape(-1)[:: len(diag) + 1] = -1.0  # (q, q) is no pair
+    q, p = divmod(int(bound.argmax()), len(diag))
+    # M's top eigenvalue 2 beta^2 |z|^2 / bound, also free of cancellation
+    lam = 2 * b2[q, p] * zz[q, p] / bound[q, p] if bound[q, p] > 0 else 0.0
+    x, y = -eta[q, p] * ap[q, p].conjugate(), lam + zz[q, p]
+    r = np.hypot(abs(x), y)
+    # (r + y) e_q + x e_p has Bloch vector (x, y) / r; (x, y) is 0 only when z is
+    state = np.zeros(len(diag), dtype=np.complex128)
+    state[q], state[p] = (r + y, x) if r else (1.0, 1.0)
+    return state, bound[q, p] / 2
+
+
 def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     """Decide whether ``A`` is below ``B`` in the variance order.
 
@@ -97,11 +127,13 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     from the second partner on, :func:`eigendecompose`
     returns ``B``'s decomposition with no array work.
 
-    On failure the witness is the eigenbasis candidate of the offending
-    eigenspace with the largest variance for ``A`` (ties to the lowest
-    index), or an equal superposition across the offending pair.  Each
-    group's columns are the adjacent range ``lo : lo + ranks[j]`` of ``V``,
-    with ``lo = sum(ranks[:j])``, so a candidate is read by its column index.
+    On failure the witness is, in the residue stage, the eigenbasis candidate
+    of the offending eigenspace with the largest variance for ``A`` (ties to
+    the lowest index), or the best two-level state of :func:`_pair_state`
+    when that candidate's margin does not clear the floor; in the Lipschitz
+    stage, an equal superposition across the offending pair.  Each group's
+    columns are the adjacent range ``lo : lo + ranks[j]`` of ``V``, with
+    ``lo = sum(ranks[:j])``, so a candidate is read by its column index.
     The margin is recomputed from scratch, independently of ``A'`` and the
     eigenvalues: ``w`` is normalized and ``var_w(A) - var_w(B)`` taken from
     ``A.matrix`` and ``B.matrix`` with one matrix-vector product each, equal
@@ -135,37 +167,29 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
         w, margin = _margin_at(a, b, v[:, lo + int(np.argmax(defects))])
         if margin > FAIL_MARGIN_TOL:
             return OrderVerdict(False, None, w, margin)
-        # every basis candidate is itself an eigenvector of A; split the
-        # block across its extreme eigenvectors instead.  Index arrays, not
-        # slices: a strided view in the solve or the product rounds differently
-        cols = np.arange(lo, hi)
-        _, wv = _eigh(ap[np.ix_(cols, cols)])
-        w2, margin2 = _margin_at(a, b, v[:, cols] @ (wv[:, 0] + wv[:, -1]))
-        if margin2 > FAIL_MARGIN_TOL:
-            return OrderVerdict(False, None, w2, margin2)
-        raise InternalConsistencyError(
-            f"eigenspace residues (commutation {res[m + j]:.3e}, scalar {res[j]:.3e}) exceed "
-            f"tol {tol:.3e} but no witness clears the margin floor"
-        )
-
-    # Pairwise Lipschitz check on the induced eigenvalue table; the worst
-    # excess wins, ties to the first pair in (j, k) order: the excess is
-    # symmetric and -tol <= 0 on the diagonal, so a positive one is first met at j < k.
-    excess = _lipschitz_excess(lams, scalars, 1.0)
-    excess -= tol
-    worst = int(excess.argmax())
-    if excess.flat[worst] > 0:
+        # a basis candidate's margin is its leakage, second order in the residue
+        vec = v @ _pair_state(ap, diag, lams[labels])[0]
+    else:
+        # Pairwise Lipschitz check on the induced eigenvalue table; the worst
+        # excess wins, ties to the first pair in (j, k) order: the excess is
+        # symmetric and -tol <= 0 on the diagonal, so a positive one is first met at j < k.
+        excess = _lipschitz_excess(lams, scalars, 1.0)
+        excess -= tol
+        worst = int(excess.argmax())
+        if not excess.flat[worst] > 0:
+            table = FunctionTable.from_values(lams, scalars)
+            return OrderVerdict(holds=True, certificate=table, witness=None, margin=0.0)
         j, k = divmod(worst, len(lams))
-        w, margin = _margin_at(a, b, v[:, sum(dec.ranks[:j])] + v[:, sum(dec.ranks[:k])])
-        if margin > FAIL_MARGIN_TOL:
-            return OrderVerdict(False, None, w, margin)
-        raise InternalConsistencyError(
-            f"Lipschitz excess {excess.flat[worst]:.3e} at eigenvalues ({lams[j]!r}, {lams[k]!r}) "
-            "but the superposition witness does not clear the margin floor"
-        )
-
-    table = FunctionTable.from_values(lams, scalars)
-    return OrderVerdict(holds=True, certificate=table, witness=None, margin=0.0)
+        vec = v[:, sum(dec.ranks[:j])] + v[:, sum(dec.ranks[:k])]
+    w, margin = _margin_at(a, b, vec)
+    if margin > FAIL_MARGIN_TOL:
+        return OrderVerdict(False, None, w, margin)
+    raise InternalConsistencyError(
+        f"eigenspace residues (commutation {res[m + j]:.3e}, scalar {res[j]:.3e}) exceed "
+        f"tol {tol:.3e} but no witness clears the margin floor" if bad.size else
+        f"Lipschitz excess {excess.flat[worst]:.3e} at eigenvalues ({lams[j]!r}, {lams[k]!r}) "
+        "but the superposition witness does not clear the margin floor"
+    )
 
 
 # The line search's grid over phi = 2 theta in [0, 2 pi), and the gain basis

@@ -161,10 +161,11 @@ def test_rejects_non_finite():
     [complex(0.0, np.inf), complex(np.nan, 0.0), complex(-np.inf, 1.0), complex(1.0, np.nan)],
 )
 def test_finiteness_covers_both_parts_of_an_entry(entry):
-    # observables and density matrices test finiteness only once max |M| comes out NaN or inf
+    # observables and density matrices test finiteness only once max |M| comes out NaN or
+    # inf, and unitary maps only once max |U*U - I| does
     m = np.eye(2, dtype=np.complex128) / 2
     m[0, 1] = entry
-    for build in (linalg.as_complex_matrix, HermitianObservable, DensityState):
+    for build in (UnitaryMap, HermitianObservable, DensityState):
         with pytest.raises(ValidationError, match="matrix entries must be finite"):
             build(m)
 

@@ -17,6 +17,12 @@ its default threshold and at ``decide_order``'s ``ROUND_RTOL * |B|_F`` in turn, 
 ``verify_automorphism`` does.  The ``_repeated`` layers take a ``B`` whose two
 lowest eigenvalues are equal, like the benchmark's ``repeated`` pairs, so its
 grouping merges one pair where the other ``B`` merges none.  The
+``decide_order_fails_*`` layers time one failing decision per witness route,
+each on fresh arrays against the first ``B``: an independent ``A`` (an
+eigenbasis column), ``A = 1.5 B`` (the Lipschitz stage's superposition), and,
+against the repeated ``B``, an ``A`` diagonal in that ``B``'s own eigenbasis but
+not scalar on the repeated eigenspace, so that every eigenbasis column is an
+eigenvector of ``A`` and the residue stage's fallback decides.  The
 ``witness_search`` oracle is timed at the ``cli`` workload's setting, n = 8
 with 32 restarts (a keyword in both checkouts), on one holding and one
 failing pair, and the structure routines at
@@ -125,6 +131,17 @@ def layer_timings(checkout: Path) -> dict:
         lams, vecs, ranks = np.array(dec.eigenvalues), np.array(dec.vectors), dec.ranks
         vals = np.sin(lams)
         probe = vecs[:, 0] + vecs[:, 1]
+        rep_w, rep_v = HermitianObservable(rep_b).eigenpairs
+        split = np.sin(rep_w)
+        split[1] = split[0] + 1.0
+        fails = {
+            "basis": (pair(n, n + 1)[1], raw_b),
+            "lipschitz": (1.5 * raw_b, raw_b),
+            "fallback": ((rep_v * split) @ rep_v.conj().T, rep_b),
+        }
+        for route, ab in fails.items():
+            if decide_order(*ab).holds:
+                raise SystemExit(f"the {route} pair at n={n} does not fail")
         out[f"n={n}"] = {
             "HermitianObservable": per_call(lambda _: HermitianObservable(raw_b), calls),
             "resolve_tol": per_call(lambda _: resolve_tol(None, a, b), calls),
@@ -143,6 +160,8 @@ def layer_timings(checkout: Path) -> dict:
             "decide_order_fresh": per_call(lambda _: decide_order(raw_a, raw_b), calls),
             "decide_order_fresh_repeated": per_call(lambda _: decide_order(rep_a, rep_b), calls),
             "decide_order_cached_b": per_call(lambda _: decide_order(a, b), calls),
+            **{f"decide_order_fails_{route}": per_call(lambda _, ab=ab: decide_order(*ab), calls)
+               for route, ab in fails.items()},
         }
     holding = pair(ORACLE_DIM, ORACLE_DIM)
     failing = (pair(ORACLE_DIM, ORACLE_DIM + 1)[1], holding[1])  # an independent A: the order fails

@@ -133,12 +133,8 @@ def cmd_check_order(args) -> int:
     verdict = decide_order(a, b, tol)
     report = {
         "holds": verdict.holds,
-        "certificate": (
-            [[x, y] for x, y in verdict.certificate.points] if verdict.holds else None
-        ),
-        "witness": (
-            complex_pairs(verdict.witness.vector) if verdict.witness is not None else None
-        ),
+        "certificate": [list(p) for p in verdict.certificate.points] if verdict.holds else None,
+        "witness": None if verdict.holds else complex_pairs(verdict.witness.vector),
         "margin": verdict.margin,
         "tol": tol,
     }
@@ -165,16 +161,10 @@ def cmd_extract_function(args) -> int:
     b = HermitianObservable(load_matrix(args.b))
     try:
         table = extract_function(a, b, args.tol)
-    except PreconditionError as exc:
-        witness = getattr(exc, "witness", None)
-        emit(
-            {
-                "error": str(exc),
-                "witness": complex_pairs(witness.vector) if witness is not None else None,
-            }
-        )
+    except PreconditionError as exc:  # only a failing order: the error carries its witness
+        emit({"error": str(exc), "witness": complex_pairs(exc.witness.vector)})
         return 1
-    emit({"points": [[x, y] for x, y in table.points]})
+    emit({"points": [list(p) for p in table.points]})
     return 0
 
 

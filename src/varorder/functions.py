@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,51 +29,60 @@ def _check_points(xs: np.ndarray, empty: str, what: str) -> None:
         raise ValidationError(f"{what} must be finite and strictly increasing")
 
 
+def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second coordinates of ``(x, y)`` pairs as two new float64 arrays."""
+    pairs = tuple(pairs)
+    xy = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2)
+    return xy[:, 0].copy(), xy[:, 1].copy()
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionTable:
     """A real function given on finitely many points.
 
-    ``points`` is a tuple of ``(x, f(x))`` pairs with finite values and finite,
-    strictly increasing first coordinates; construction also stores them as the
-    frozen arrays ``locations`` and ``values``.  :class:`LipschitzExtension` checks
+    It stores the frozen float64 arrays ``locations``, finite and strictly
+    increasing, and ``values``, finite; ``points`` reads them back as a tuple of
+    ``(x, f(x))`` pairs of Python floats.  :class:`LipschitzExtension` checks
     that a table is c-Lipschitz.
     """
 
-    points: tuple[tuple[float, float], ...]
-    locations: np.ndarray = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
+    locations: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.points)
-        xs = np.array([x for x, _ in pts])
+    def __init__(self, points):
+        self._store(*_split_pairs(points))
+
+    def _store(self, xs: np.ndarray, ys: np.ndarray) -> None:
         _check_points(xs, "function table needs at least one point", "table point locations")
-        if not all(math.isfinite(y) for _, y in pts):
+        if not np.isfinite(ys).all():
             raise ValidationError("table values must be finite")
-        ys = np.array([y for _, y in pts])
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "locations", _freeze(xs))
         object.__setattr__(self, "values", _freeze(ys))
 
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.locations.tolist(), self.values.tolist()))
+
     @classmethod
     def from_mapping(cls, mapping) -> "FunctionTable":
-        return cls(tuple(sorted((float(k), float(v)) for k, v in mapping.items())))
+        return cls(sorted((float(k), float(v)) for k, v in mapping.items()))
 
     @classmethod
     def from_values(cls, xs, ys) -> "FunctionTable":
-        xs, ys = (np.asarray(v, dtype=np.float64).tolist() for v in (xs, ys))
+        xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise ValidationError(f"locations {xs.shape} and values {ys.shape} must be 1-D")
         if len(xs) != len(ys):
             raise ValidationError(f"{len(xs)} locations but {len(ys)} values")
-        return cls(tuple(zip(xs, ys)))
+        table = cls.__new__(cls)
+        table._store(xs, ys)
+        return table
 
     def lipschitz_constant(self) -> float:
         """Smallest constant c with |f(x)-f(y)| <= c|x-y| on the table points."""
         xs, ys = self.locations, self.values
-        if len(xs) < 2:
-            return 0.0
-        dx = np.abs(xs[:, None] - xs[None, :])
-        dy = np.abs(ys[:, None] - ys[None, :])
-        mask = dx > 0
-        return float((dy[mask] / dx[mask]).max())
+        j, k = np.triu_indices(len(xs), 1)  # the pairs j < k, where x_k - x_j > 0
+        return float(np.max(np.abs(ys[k] - ys[j]) / (xs[k] - xs[j]), initial=0.0))
 
     def value_at(self, x: float, tol: float = PAIR_TOL_SCALE) -> float:
         """Value at the table point nearest to ``x`` (within ``tol``)."""
@@ -81,9 +90,9 @@ class FunctionTable:
         i = int(np.argmin(np.abs(xs - x)))
         if not abs(xs[i] - x) <= tol:  # a NaN ``x`` matches nothing
             raise DomainError(
-                f"no table point within {tol:.3e} of {x!r} (nearest is {xs[i]!r})"
+                f"no table point within {tol:.3e} of {x!r} (nearest is {float(xs[i])!r})"
             )
-        return self.points[i][1]
+        return float(self.values[i])
 
     __call__ = value_at
 
@@ -104,15 +113,15 @@ def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
     return np.subtract(out, gap, out)
 
 
-def _lipschitz_violation(pts, c: float, tol: float):
-    xs, ys = np.array(pts).T
+def _lipschitz_violation(xs: np.ndarray, ys: np.ndarray, c: float, tol: float):
+    """The first worst pair of points, as Python floats, whose excess passes ``tol``; or None."""
     with np.errstate(invalid="ignore"):  # c = inf: inf * 0 on the diagonal, overwritten
         excess = _lipschitz_excess(xs, ys, c)
-    excess[np.tri(len(pts), dtype=bool)] = -np.inf  # a non-finite value gives NaN there too
-    j, k = divmod(int(np.nanargmax(excess)), len(pts))  # the first worst pair
+    excess[np.tri(len(xs), dtype=bool)] = -np.inf  # a non-finite value gives NaN there too
+    j, k = divmod(int(np.nanargmax(excess)), len(xs))  # the first worst pair
     if not (excess[j, k] > tol or c >= 0):  # a negative c fails on any pair; a NaN c on none
         raise ValidationError("Lipschitz constant must be nonnegative")
-    return (pts[j], pts[k]) if excess[j, k] > tol else None
+    return tuple(zip(xs[[j, k]].tolist(), ys[[j, k]].tolist())) if excess[j, k] > tol else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +142,7 @@ class LipschitzExtension:
     def __post_init__(self):
         c, t = self.constant, self.table
         slack = LIP_TOL * max(np.abs(t.locations).max(), np.abs(t.values).max())
-        bad = _lipschitz_violation(t.points, float(c), slack)
+        bad = _lipschitz_violation(t.locations, t.values, float(c), slack)
         if bad is not None:
             (x0, y0), (x1, y1) = bad
             raise PreconditionError(

@@ -187,8 +187,8 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     raise InternalConsistencyError(
         f"eigenspace residues (commutation {res[m + j]:.3e}, scalar {res[j]:.3e}) exceed "
         f"tol {tol:.3e} but no witness clears the margin floor" if bad.size else
-        f"Lipschitz excess {excess.flat[worst]:.3e} at eigenvalues ({lams[j]!r}, {lams[k]!r}) "
-        "but the superposition witness does not clear the margin floor"
+        f"Lipschitz excess {excess.flat[worst]:.3e} at eigenvalues ({float(lams[j])!r}, "
+        f"{float(lams[k])!r}) but the superposition witness does not clear the margin floor"
     )
 
 

@@ -60,15 +60,16 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_lipschitz_values(
     locations, seed: RngLike = None, constant: float = 1.0
 ) -> np.ndarray:
-    """Random values on sorted locations with slopes bounded by ``constant``."""
-    rng = as_rng(seed)
+    """Random values on sorted locations with slopes bounded by ``constant``: a first value
+    in [-1, 1], then the cumulative sum of slopes in ``[-constant, constant]`` times gaps."""
     xs = np.asarray(locations, dtype=np.float64)
-    vals = np.empty_like(xs)
+    if xs.ndim != 1 or not xs.size:
+        raise ValidationError(f"locations must be nonempty and 1-dimensional, got shape {xs.shape}")
+    rng = as_rng(seed)
+    vals = np.empty(len(xs))
     vals[0] = rng.uniform(-1.0, 1.0)
-    for i in range(1, len(xs)):
-        slope = rng.uniform(-constant, constant)
-        vals[i] = vals[i - 1] + slope * (xs[i] - xs[i - 1])
-    return vals
+    vals[1:] = rng.uniform(-constant, constant, len(xs) - 1) * np.diff(xs)
+    return np.cumsum(vals, out=vals)
 
 
 def random_lipschitz_table(

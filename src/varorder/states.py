@@ -8,7 +8,7 @@ deliberate and cross-checked both here and in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .functions import _check_points, _freeze
+from .functions import _check_points, _freeze, _split_pairs
 from .linalg import (
     MIN_SQUARED_NORM,
     HermitianObservable,
@@ -99,7 +99,7 @@ class DensityState:
         w, _ = _eigh(m)
         if w[0] < -CHECK_TOL:
             raise ValidationError(
-                f"density matrix has eigenvalue {w[0]!r} below the floor {-CHECK_TOL:.0e}"
+                f"density matrix has eigenvalue {float(w[0])!r} below the floor {-CHECK_TOL:.0e}"
             )
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -173,56 +173,54 @@ def variance(A, state: State) -> float:
     return max(0.0, float(_variances(obs.matrix, state.matrix[None])[0]))
 
 
-def _clean_atoms(pairs, merge_tol: float) -> tuple[tuple[float, float], ...]:
-    pairs = sorted((float(t), float(p)) for t, p in pairs)
-    merged: list[list[float]] = []
-    for t, p in pairs:
-        if merged and t - merged[-1][0] <= merge_tol:
-            # fold into the previous atom at the mass-weighted location
-            t0, p0 = merged[-1]
-            tot = p0 + p
-            if tot > 0:
-                merged[-1][0] = (t0 * p0 + t * p) / tot
-            merged[-1][1] = tot
-        else:
-            merged.append([t, p])
-    kept = [(t, p) for t, p in merged if not p < DUST]  # a NaN mass is kept, to be refused
-    total = sum(p for _, p in kept)
-    if total <= 0:
-        raise ValidationError("measure has no mass left after dropping empty atoms")
-    return tuple((t, p / total) for t, p in kept)
-
-
 @dataclass(frozen=True, eq=False)
 class BornMeasure:
     """A finitely supported probability measure on the real line.
 
-    ``atoms`` are ``(location, mass)`` pairs; construction also stores them as the
-    frozen arrays ``locations`` and ``masses``.
+    It stores the frozen float64 arrays ``locations`` and ``masses``; ``atoms``
+    reads them back as a tuple of ``(location, mass)`` pairs of Python floats.
     """
 
-    atoms: tuple[tuple[float, float], ...]
-    locations: np.ndarray = field(init=False, repr=False)
-    masses: np.ndarray = field(init=False, repr=False)
+    locations: np.ndarray
+    masses: np.ndarray
 
-    def __post_init__(self):
-        atoms = tuple((float(t), float(p)) for t, p in self.atoms)
-        locs = np.array([a[0] for a in atoms])
+    def __init__(self, atoms):
+        locs, masses = _split_pairs(atoms)
         _check_points(locs, "measure needs at least one atom", "atom locations")
-        masses = np.array([a[1] for a in atoms])
         if not (masses >= 0).all():  # a NaN mass fails too
             raise ValidationError("atom masses must be nonnegative")
         total = float(masses.sum())
         if abs(total - 1.0) > CHECK_TOL:
             raise ValidationError(f"atom masses sum to {total!r}, not 1 within {CHECK_TOL:.0e}")
-        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "locations", _freeze(locs))
         object.__setattr__(self, "masses", _freeze(masses))
 
+    @property
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.locations.tolist(), self.masses.tolist()))
+
     @classmethod
     def normalized(cls, pairs, merge_tol: float = ROUND_RTOL) -> "BornMeasure":
-        """Sort, merge near-coincident atoms, drop dust, and renormalize."""
-        return cls(_clean_atoms(pairs, merge_tol))
+        """Sort, refuse masses below -DUST, merge near-coincident atoms, drop dust, renormalize."""
+        pairs = sorted((float(t), float(p)) for t, p in pairs)
+        if any(p < -DUST for _, p in pairs):  # refused before a merge can hide it
+            raise ValidationError("atom masses must be nonnegative")
+        merged: list[list[float]] = []
+        for t, p in pairs:
+            if merged and t - merged[-1][0] <= merge_tol:
+                # fold into the previous atom at the mass-weighted location
+                t0, p0 = merged[-1]
+                tot = p0 + p
+                if tot > 0:
+                    merged[-1][0] = (t0 * p0 + t * p) / tot
+                merged[-1][1] = tot
+            else:
+                merged.append([t, p])
+        kept = [(t, p) for t, p in merged if not p < DUST]  # a NaN mass is kept, to be refused
+        total = sum(p for _, p in kept)
+        if total <= 0:
+            raise ValidationError("measure has no mass left after dropping empty atoms")
+        return cls((t, p / total) for t, p in kept)
 
     def mean(self) -> float:
         return float(np.dot(self.locations, self.masses))
@@ -334,7 +332,7 @@ def superposition_variance(
     if alpha == 0.0 or beta == 0.0:
         raise PreconditionError("superposition coefficients must both be nonzero")
     tol = resolve_tol(tol, obs)
-    overlap = abs(np.vdot(x.vector, y.vector))
+    overlap = float(abs(np.vdot(x.vector, y.vector)))
     if overlap > tol:
         raise PreconditionError(f"states are not orthogonal: |<x, y>| = {overlap!r}")
     for name, s in (("x", x), ("y", y)):

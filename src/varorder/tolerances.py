@@ -10,6 +10,6 @@ CHECK_TOL = 1e-10  # an identity that outside input, or two internal routes, mus
 #                    Born-measure variance routes and the eigen sandwich, x max(1, second moment)
 ROUND_RTOL = 1e-12  # rounding, relative to the magnitude involved (1 for a unit norm); the
 #                    floor of every given comparison tol, x max |X|_F
-DUST = 1e-14  # probability mass, absolute: lighter Born atoms are dropped
+DUST = 1e-14  # probability mass, absolute: lighter Born atoms are dropped, below -DUST refused
 ORACLE_AGREE_TOL = 1e-6  # variance units, x min(1, |A|_F^2 + |B|_F^2): an oracle best this
 #                          small agrees with "holds"

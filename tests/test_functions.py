@@ -15,7 +15,7 @@ from varorder import (
     ValidationError,
 )
 from varorder.functions import _lipschitz_excess, _lipschitz_violation
-from varorder.sampling import random_lipschitz_table
+from varorder.sampling import random_lipschitz_table, random_lipschitz_values
 
 
 def test_table_requires_increasing_locations():
@@ -94,6 +94,42 @@ def test_a_table_stores_its_arrays_frozen():
         assert getattr(t, name).dtype == np.float64 and not getattr(t, name).flags.writeable
 
 
+# Python floats, numpy scalars and ints, a negative zero, a subnormal and the float64 extremes
+GIVEN_PAIRS = (
+    (-1.7976931348623157e308, 1 / 3),
+    (-0.0, np.float64(-0.0)),
+    (5e-324, -2),
+    (np.float64(0.1), 2.0**-1074 * 3),
+    (7, 1.7976931348623157e308),
+)
+
+
+def test_a_table_stores_only_its_arrays_and_reads_the_pairs_back_bit_for_bit():
+    t = FunctionTable(GIVEN_PAIRS)
+    assert set(vars(t)) == {"locations", "values"}
+    # the same Python floats as float() of each coordinate, negative zeros included
+    assert [[type(v) for v in p] for p in t.points] == [[float, float]] * len(GIVEN_PAIRS)
+    assert [[v.hex() for v in p] for p in t.points] == [
+        [float(v).hex() for v in p] for p in GIVEN_PAIRS
+    ]
+    xs, ys = zip(*GIVEN_PAIRS)
+    u = FunctionTable.from_values(xs, ys)
+    for name in ("locations", "values"):
+        assert getattr(u, name).tobytes() == getattr(t, name).tobytes()
+        assert getattr(u, name).dtype == np.float64 and not getattr(u, name).flags.writeable
+    assert u.points == t.points
+    # a table is no view of the arrays it was built from
+    given = np.array(xs, dtype=np.float64)
+    assert not np.shares_memory(FunctionTable.from_values(given, ys).locations, given)
+
+
+def test_from_values_refuses_arrays_that_are_not_one_dimensional():
+    with pytest.raises(ValidationError, match=r"locations \(2, 1\) and values \(2,\)"):
+        FunctionTable.from_values([[0.0], [1.0]], [5.0, 6.0])
+    with pytest.raises(ValidationError, match="must be 1-D"):
+        FunctionTable.from_values(0.0, 5.0)
+
+
 def test_stored_bound_is_checked():
     # the extension's constant is the table's Lipschitz bound: slope 2 exceeds the bound 1,
     # also at scale 1e-10, where a slack floored at 1e-9 used to exceed the whole rise
@@ -130,6 +166,15 @@ def test_value_at_matches_nearby_location():
         t.value_at(0.5)
     with pytest.raises(DomainError):  # a NaN used to return the first table value
         t.value_at(np.nan)
+
+
+def test_value_at_names_the_nearest_point_as_a_python_float():
+    # under numpy 2 a numpy scalar's repr reads "np.float64(1.0)"
+    t = FunctionTable.from_values(np.array([0.0, 1.0]), np.array([0.0, 5.0]))
+    assert isinstance(t.value_at(1.0), float)
+    with pytest.raises(DomainError) as err:
+        t.value_at(0.75)
+    assert str(err.value) == "no table point within 1.000e-08 of 0.75 (nearest is 1.0)"
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +320,8 @@ def test_vectorised_lipschitz_check_picks_the_loops_pair(xs, data, c, lip_tol):
     )
     ys = data.draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
     pts = tuple(zip(map(float, sorted(xs)), ys))
-    assert _lipschitz_violation(pts, c, lip_tol) == _loop_violation(pts, c, lip_tol)
+    got = _lipschitz_violation(*np.array(pts).T, c, lip_tol)
+    assert got == _loop_violation(pts, c, lip_tol)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, 1.0, 2.5, np.inf, np.nan])
@@ -294,3 +340,37 @@ def test_lipschitz_excess_over_an_allowance_matches_the_one_expression(seed, c):
     # bitwise the same above the diagonal, and symmetric
     assert got[upper].tobytes() == expected[upper].tobytes()
     assert got.tobytes() == got.T.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# random_lipschitz_values
+
+
+def _loop_lipschitz_values(xs, rng, constant):
+    # the loop that one uniform draw of all slopes and one cumsum replaced, kept as its oracle
+    vals = np.empty_like(xs)
+    vals[0] = rng.uniform(-1.0, 1.0)
+    for i in range(1, len(xs)):
+        slope = rng.uniform(-constant, constant)
+        vals[i] = vals[i - 1] + slope * (xs[i] - xs[i - 1])
+    return vals
+
+
+@pytest.mark.parametrize("constant", [0.0, 1e-300, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_random_lipschitz_values_match_the_loop_bit_for_bit(n, constant):
+    for scale in (1e-8, 1.0, 1e7):
+        xs = np.sort(np.random.default_rng(n).uniform(-scale, scale, n))
+        loop_rng, rng = np.random.default_rng(n + 1), np.random.default_rng(n + 1)
+        expected = _loop_lipschitz_values(xs, loop_rng, constant)
+        assert random_lipschitz_values(xs, rng, constant).tobytes() == expected.tobytes()
+        # the same draws in the same order: the generator ends in the same state
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("locations", [[], [[0.0, 1.0], [2.0, 3.0]], 1.0],
+                         ids=["empty", "2-d", "0-d"])
+def test_random_lipschitz_values_refuse_locations_that_are_no_nonempty_line(locations):
+    # an empty array used to raise IndexError, and a 2-D one came back as a 2-D array
+    with pytest.raises(ValidationError, match="nonempty and 1-dimensional"):
+        random_lipschitz_values(locations, seed=0)

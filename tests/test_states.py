@@ -267,6 +267,29 @@ def test_normalized_merges_and_drops_dust():
         BornMeasure.normalized([(0.0, 1e-16), (1.0, 1e-15)])
 
 
+@pytest.mark.parametrize("pairs", [
+    [(0, 0.5), (1, 0.5), (2, -0.3)],  # the negative atom used to be dropped as dust
+    [(0, 1), (0, -0.4)],  # used to merge into one atom of mass 1
+    [(0, 1), (1e-13, -0.4)],  # used to merge into one atom at -6.7e-14, outside the support
+])
+def test_normalized_refuses_negative_masses_before_merging(pairs):
+    with pytest.raises(ValidationError, match="atom masses must be nonnegative"):
+        BornMeasure.normalized(pairs)
+
+
+def test_normalized_drops_rounding_level_negative_dust():
+    mu = BornMeasure.normalized([(0.0, 1.0), (1.0, -1e-15)])
+    assert mu.atoms == ((0.0, 1.0),)
+
+
+def test_a_measure_stores_only_its_arrays_and_reads_the_atoms_back_bit_for_bit():
+    given = ((-0.0, 0.125), (np.float64(0.1), 1 / 3), (7, np.float64(0.5 - 1 / 3 + 0.375)))
+    mu = BornMeasure(given)
+    assert set(vars(mu)) == {"locations", "masses"}
+    assert [[type(v) for v in a] for a in mu.atoms] == [[float, float]] * len(given)
+    assert [[v.hex() for v in a] for a in mu.atoms] == [[float(v).hex() for v in a] for a in given]
+
+
 def test_mean():
     mu = BornMeasure(((0.0, 0.25), (2.0, 0.75)))
     assert mu.mean() == pytest.approx(1.5)

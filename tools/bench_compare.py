@@ -12,7 +12,9 @@ process (``--layers DIR``), ``LAYER_ROUNDS`` processes per checkout in
 alternating order: CPU seconds per call, the minimum over repeats and
 processes, with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
 observable against a ``B`` whose decomposition is already cached, as when one
-``B`` meets many partners, and ``eigendecompose_regroup`` groups one observable at
+``B`` meets many partners, and ``decide_order_cached_b_fails`` does the same for
+an independent ``A``, for which the order fails, as in most of ``pool-order``'s
+decisions; ``eigendecompose_regroup`` groups one observable at
 its default threshold and at ``decide_order``'s ``ROUND_RTOL * |B|_F`` in turn, as
 ``verify_automorphism`` does.  The ``_repeated`` layers take a ``B`` whose two
 lowest eigenvalues are equal, like the benchmark's ``repeated`` pairs, so its
@@ -127,6 +129,7 @@ def layer_timings(checkout: Path) -> dict:
         raw_a, raw_b = pair(n, n)
         rep_a, rep_b = pair(n, n, repeated=True)
         a, b = HermitianObservable(raw_a), HermitianObservable(raw_b)
+        a_fails = HermitianObservable(pair(n, n + 1)[1])  # independent of b
         dec = eigendecompose(b)
         lams, vecs, ranks = np.array(dec.eigenvalues), np.array(dec.vectors), dec.ranks
         vals = np.sin(lams)
@@ -139,7 +142,7 @@ def layer_timings(checkout: Path) -> dict:
             "lipschitz": (1.5 * raw_b, raw_b),
             "fallback": ((rep_v * split) @ rep_v.conj().T, rep_b),
         }
-        for route, ab in fails.items():
+        for route, ab in {**fails, "cached_b": (a_fails, b)}.items():
             if decide_order(*ab).holds:
                 raise SystemExit(f"the {route} pair at n={n} does not fail")
         out[f"n={n}"] = {
@@ -160,6 +163,7 @@ def layer_timings(checkout: Path) -> dict:
             "decide_order_fresh": per_call(lambda _: decide_order(raw_a, raw_b), calls),
             "decide_order_fresh_repeated": per_call(lambda _: decide_order(rep_a, rep_b), calls),
             "decide_order_cached_b": per_call(lambda _: decide_order(a, b), calls),
+            "decide_order_cached_b_fails": per_call(lambda _: decide_order(a_fails, b), calls),
             **{f"decide_order_fails_{route}": per_call(lambda _, ab=ab: decide_order(*ab), calls)
                for route, ab in fails.items()},
         }

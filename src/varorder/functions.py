@@ -32,7 +32,10 @@ def _check_points(xs: np.ndarray, empty: str, what: str) -> None:
 def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
     """The first and the second coordinates of ``(x, y)`` pairs as two new float64 arrays."""
     pairs = tuple(pairs)
-    xy = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2)
+    try:
+        xy = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2)
+    except ValueError as exc:  # a pair of other than two numbers, or ragged pairs
+        raise ValidationError("expected (x, y) pairs of two numbers each") from exc
     return xy[:, 0].copy(), xy[:, 1].copy()
 
 
@@ -80,7 +83,7 @@ class FunctionTable:
 
     def lipschitz_constant(self) -> float:
         """Smallest constant c with |f(x)-f(y)| <= c|x-y| on the table points."""
-        xs, ys = self.locations, self.values
+        xs, ys = self.locations / 2, self.values / 2  # halves: no difference overflows
         j, k = np.triu_indices(len(xs), 1)  # the pairs j < k, where x_k - x_j > 0
         return float(np.max(np.abs(ys[k] - ys[j]) / (xs[k] - xs[j]), initial=0.0))
 
@@ -90,7 +93,7 @@ class FunctionTable:
         i = int(np.argmin(np.abs(xs - x)))
         if not abs(xs[i] - x) <= tol:  # a NaN ``x`` matches nothing
             raise DomainError(
-                f"no table point within {tol:.3e} of {x!r} (nearest is {float(xs[i])!r})"
+                f"no table point within {tol:.3e} of {float(x)!r} (nearest is {float(xs[i])!r})"
             )
         return float(self.values[i])
 

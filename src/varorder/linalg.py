@@ -3,15 +3,14 @@
 All heavy objects are immutable: construction validates the defining
 invariants, freezes the underlying arrays, and stores every value derived from
 them.  ``HermitianObservable`` stores an array computed from its input;
-``SpectralDecomposition`` and ``UnitaryMap`` copy only input arrays that
-something could still write to, and share ones that are already frozen (as
-:func:`eigendecompose` passes the observable's own eigenvectors, and its own
-eigenvalues when no group merges).  The one value left to first use is
+``UnitaryMap`` copies its input array only if something could still write to it.
+A ``SpectralDecomposition`` is built from an observable, not from arrays, and
+shares its frozen eigenvectors.  The one value left to first use is
 ``HermitianObservable.eigenpairs``, since an observable on the ``A`` side of a
 decision is never solved.  Every
 eigensolve in the package goes through :func:`_eigh`, which calls LAPACK
 through ``numpy.linalg.eigh``; its answers stay on the checked path
-(:func:`eigendecompose` verifies each grouped reconstruction).  The cyclic
+(each :class:`SpectralDecomposition` verifies its grouped reconstruction).  The cyclic
 Jacobi iteration :func:`jacobi_eigh` is kept as an independent solver that the
 tests compare :func:`_eigh` against; no decision procedure calls it.
 """
@@ -33,7 +32,7 @@ from .errors import (
     NotHermitianError,
     ValidationError,
 )
-from .functions import FunctionTable, _check_points, _freeze
+from .functions import FunctionTable, _freeze
 from .tolerances import CHECK_TOL, PAIR_TOL_SCALE, ROUND_RTOL
 
 JACOBI_MAX_SWEEPS = 100
@@ -145,42 +144,54 @@ def _as_pair(A, B) -> tuple[HermitianObservable, HermitianObservable]:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Grouped eigendecomposition ``B = V diag(lam) V*``.
+    """Grouped eigendecomposition ``B = V diag(lam) V*`` of an observable.
 
-    ``vectors`` is unitary with each group's columns kept together, in the
-    order of the strictly increasing group ``eigenvalues``; ``ranks`` gives
-    the number of columns per group.  Construction stores what depends on the
-    grouping alone: ``labels`` (each column's group), ``rank_floats`` (the
-    ranks as floats) and ``residue_bins``, the flattened ``n x n`` bin of each
-    entry ``(r, c)`` of a matrix in this basis: ``labels[c]`` when row ``r`` is
-    in column ``c``'s group, ``labels[c] + len(ranks)`` otherwise, so one
-    ``bincount`` sums each group's in-block and off-block entries apart.
+    Eigenvalues of ``observable.eigenpairs`` within ``group_tol`` (finite and >= 0,
+    not floored) of each other merge into one group carrying their mean, clipped
+    into the group's range; with no merge the group ``eigenvalues`` are the
+    observable's own, the same bits.  ``vectors`` is the observable's frozen
+    eigenvector matrix, each group's columns adjacent, in the order of the strictly
+    increasing group eigenvalues; ``ranks`` gives the number of columns per group.
+    Construction checks the grouped reconstruction and stores what depends on the
+    grouping alone: ``labels`` (each column's group), ``rank_floats`` (the ranks as
+    floats) and ``residue_bins``, the flattened ``n x n`` bin of each entry
+    ``(r, c)`` of a matrix in this basis: ``labels[c]`` when row ``r`` is in column
+    ``c``'s group, ``labels[c] + len(ranks)`` otherwise, so one ``bincount`` sums
+    each group's in-block and off-block entries apart.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     ranks: tuple[int, ...]
-    labels: np.ndarray = field(init=False, repr=False)
-    rank_floats: np.ndarray = field(init=False, repr=False)
-    residue_bins: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(repr=False)
+    rank_floats: np.ndarray = field(repr=False)
+    residue_bins: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        lams = _frozen(self.eigenvalues, np.float64)
+    def __init__(self, observable: HermitianObservable, group_tol: float):
+        w, v = observable.eigenpairs
+        splits = w[1:] - w[:-1] > _checked_tol(group_tol)  # a new group starts after each True
+        if splits.all():  # no merge: each group's mean, clipped, is its one eigenvalue
+            lams, ranks, lam_cols, spread = w, (1,) * len(w), w, 0.0
+        else:
+            bounds = np.concatenate(([0], splits.nonzero()[0] + 1, [len(w)]))
+            ranks = tuple((bounds[1:] - bounds[:-1]).tolist())
+            means = np.add.reduceat(w, bounds[:-1]) / ranks
+            lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
+            lam_cols = np.repeat(lams, ranks)
+            spread = _frobenius(w - lam_cols)
+        recon_err = _frobenius((v * lam_cols) @ v.conj().T - observable.matrix)
+        allowed = spread + resolve_tol(None, observable)
+        if not recon_err <= allowed:  # a NaN eigenpair fails too
+            raise InternalConsistencyError(
+                f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
+            )
+        labels = _freeze(np.repeat(np.arange(len(ranks)), ranks))
+        bins = np.where(labels[:, None] == labels, labels, labels + len(ranks))
         object.__setattr__(self, "eigenvalues", lams)
-        object.__setattr__(self, "vectors", _frozen(self.vectors, np.complex128))
-        object.__setattr__(self, "ranks", tuple(map(int, self.ranks)))
-        if lams.shape != (len(self.ranks),) or min(self.ranks, default=1) < 1:
-            raise ValidationError("need one positive rank per group eigenvalue")
-        n = sum(self.ranks)
-        if self.vectors.shape != (n, n):
-            raise ValidationError("group ranks must sum to the side of the eigenvector matrix")
-        _check_points(
-            lams, "a spectral decomposition needs at least one group", "group eigenvalues"
-        )
-        labels = _freeze(np.repeat(np.arange(len(self.ranks)), self.ranks))
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rank_floats", _freeze(np.array(self.ranks, dtype=np.float64)))
-        bins = np.where(labels[:, None] == labels, labels, labels + len(self.ranks))
+        object.__setattr__(self, "rank_floats", _freeze(np.array(ranks, dtype=np.float64)))
         object.__setattr__(self, "residue_bins", _freeze(bins).ravel())
 
     def group_indices(self, groups) -> tuple[int, ...]:
@@ -283,49 +294,23 @@ def jacobi_eigh(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray
 
 
 def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
-    """Grouped spectral decomposition of a Hermitian observable.
+    """The :class:`SpectralDecomposition` of a Hermitian observable at ``group_tol``.
 
-    Eigenvalues within ``group_tol`` of each other are merged into a single
-    group carrying their mean (clipped into the group's range), with the
-    group's eigenvectors as adjacent columns of one eigenvector matrix; when no
-    adjacent gap is within ``group_tol``, every group is one eigenpair and the
-    eigenvalues are the group values as they are, the same bits.  The
-    default threshold is ``resolve_tol(None, A)``, the default comparison
-    tolerance, which the structure routines that count distinct eigenvalues
-    rely on; :func:`~varorder.order.decide_order` groups at rounding level
-    instead.  A given ``group_tol`` is a grouping threshold, not a comparison
-    tolerance: it must be finite and >= 0, and is not floored.  The eigensolver
-    runs at most once per (immutable) observable.  The observable keeps one
-    grouping memo, its last threshold and that threshold's decomposition: a
-    repeat call at the same ``group_tol`` (one ``B`` decided against many
-    partners) returns the same object before any array work, and a call at a
-    new threshold regroups the stored eigenpairs, checks the reconstruction and
-    replaces the memo.
+    The default threshold is ``resolve_tol(None, A)``, the default comparison
+    tolerance, which the structure routines that count distinct eigenvalues rely
+    on; :func:`~varorder.order.decide_order` groups at rounding level instead.
+    The observable keeps one grouping memo, its last threshold and that
+    threshold's decomposition: a repeat call at the same ``group_tol`` (one ``B``
+    decided against many partners) returns the same object before any array
+    work, and a call at a new threshold regroups the stored eigenpairs (the
+    eigensolver runs at most once per observable) and replaces the memo.
     """
     obs = _as_observable(A)
-    group_tol = resolve_tol(None, obs) if group_tol is None else _checked_tol(group_tol)
+    group_tol = resolve_tol(None, obs) if group_tol is None else group_tol
     last = obs.__dict__.get("_last_grouping")
     if last is not None and last[0] == group_tol:
         return last[1]
-    w, v = obs.eigenpairs
-    splits = w[1:] - w[:-1] > group_tol  # a new group starts after each True
-    if splits.all():  # no merge: each group's mean, clipped, is its one eigenvalue
-        dec = SpectralDecomposition(w, v, (1,) * obs.dim)
-        lam_cols, spread = w, 0.0
-    else:
-        bounds = np.concatenate(([0], splits.nonzero()[0] + 1, [obs.dim]))
-        ranks = bounds[1:] - bounds[:-1]
-        means = np.add.reduceat(w, bounds[:-1]) / ranks
-        lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
-        dec = SpectralDecomposition(lams, v, ranks.tolist())
-        lam_cols = lams[dec.labels]
-        spread = _frobenius(w - lam_cols)
-    recon_err = _frobenius((v * lam_cols) @ v.conj().T - obs.matrix)
-    allowed = spread + resolve_tol(None, obs)
-    if recon_err > allowed:
-        raise InternalConsistencyError(
-            f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
-        )
+    dec = SpectralDecomposition(obs, group_tol)
     obs.__dict__["_last_grouping"] = (group_tol, dec)
     return dec
 

@@ -332,8 +332,8 @@ def verify_automorphism(
     for t in range(trials):
         b = random_hermitian(dim, rng)
         if t % 2 == 0:
-            dec = eigendecompose(b)
-            a = HermitianObservable(dec.assemble(random_lipschitz_values(dec.eigenvalues, rng)))
+            w, v = b.eigenpairs
+            a = HermitianObservable((v * random_lipschitz_values(w, rng)) @ v.conj().T)
         else:
             a = random_hermitian(dim, rng)
         fa = _as_observable(phi(a))

@@ -1,5 +1,7 @@
 """Function tables and their greatest Lipschitz extension to the line."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from varorder import (
     FunctionTable,
     LipschitzExtension,
     PreconditionError,
-    SpectralDecomposition,
     ValidationError,
 )
 from varorder.functions import _lipschitz_excess, _lipschitz_violation
@@ -34,13 +35,12 @@ def test_table_requires_points():
         FunctionTable(())
 
 
-# One point-set check (nonempty, finite, strictly increasing) for table locations, atom
-# locations and group eigenvalues.  An infinity used to pass all three and a NaN the last
-# two; measure_variance then read 0.0 on a measure with a NaN or infinite atom.
+# One point-set check (nonempty, finite, strictly increasing) for table locations and
+# atom locations.  An infinity used to pass both and a NaN the second; measure_variance
+# then read 0.0 on a measure with a NaN or infinite atom.
 POINT_SETS = {
     "table": lambda xs: FunctionTable(tuple((x, 0.0) for x in xs)),
     "measure": lambda xs: BornMeasure(tuple((x, 1.0 / len(xs)) for x in xs)),
-    "decomposition": lambda xs: SpectralDecomposition(xs, np.eye(len(xs)), (1,) * len(xs)),
 }
 BAD_POINTS = {
     "nan-first": [np.nan, 0.0, 1.0],
@@ -172,9 +172,30 @@ def test_value_at_names_the_nearest_point_as_a_python_float():
     # under numpy 2 a numpy scalar's repr reads "np.float64(1.0)"
     t = FunctionTable.from_values(np.array([0.0, 1.0]), np.array([0.0, 5.0]))
     assert isinstance(t.value_at(1.0), float)
-    with pytest.raises(DomainError) as err:
-        t.value_at(0.75)
-    assert str(err.value) == "no table point within 1.000e-08 of 0.75 (nearest is 1.0)"
+    for x in (0.75, np.float64(0.75)):  # the argument too, when it is a numpy scalar
+        with pytest.raises(DomainError) as err:
+            t.value_at(x)
+        assert str(err.value) == "no table point within 1.000e-08 of 0.75 (nearest is 1.0)"
+
+
+def test_lipschitz_constant_of_a_table_whose_differences_overflow():
+    # 1e308 - (-1e308) used to overflow: nan, with overflow and invalid-value warnings
+    t = FunctionTable(((-1e308, -1e308), (1e308, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert t.lipschitz_constant() == 1.0
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)), ((0.0, 0.5), (1.0, 0.25, 0.25))],
+    ids=["three-numbers", "ragged"],
+)
+@pytest.mark.parametrize("build", [FunctionTable, BornMeasure], ids=["table", "measure"])
+def test_pairs_of_other_than_two_numbers_are_refused(build, pairs):
+    # numpy's ValueError ("cannot reshape array ...", "inhomogeneous shape") used to escape
+    with pytest.raises(ValidationError, match="pairs of two numbers each"):
+        build(pairs)
 
 
 # ---------------------------------------------------------------------------

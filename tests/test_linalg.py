@@ -7,6 +7,7 @@ which serves as the independent oracle.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -348,7 +349,7 @@ def test_a_repeat_threshold_returns_its_decomposition_before_any_array_work(
     # a repeat of the last threshold solves nothing, builds nothing and does not
     # even read the eigenpairs: unpacking None would raise
     monkeypatch.setattr(linalg, "_eigh", refuse)
-    monkeypatch.setattr(linalg.SpectralDecomposition, "__post_init__", refuse)
+    monkeypatch.setattr(linalg.SpectralDecomposition, "__init__", refuse)
     monkeypatch.setitem(vars(b), "eigenpairs", None)
     assert eigendecompose(b, fine) is split
     assert decide_order(b, b).holds and decide_order(2.0 * b.matrix, b).holds is False
@@ -363,37 +364,6 @@ def test_eigendecompose_shares_the_observables_frozen_eigenvectors():
     assert dec.labels is dec.labels
 
 
-def test_a_decomposition_copies_arrays_the_caller_can_still_write():
-    lams, vecs = np.array([0.0, 1.0]), np.eye(2, dtype=np.complex128)
-    view = vecs.view()
-    view.setflags(write=False)  # read-only, but writable through ``vecs``
-    decs = [SpectralDecomposition(lams, vecs, (1, 1)), SpectralDecomposition(lams, view, (1, 1))]
-    lams[0], vecs[0, 0] = -5.0, 9.0
-    for dec in decs:
-        assert dec.eigenvalues.tolist() == [0.0, 1.0]
-        np.testing.assert_array_equal(dec.vectors, np.eye(2))
-        assert not np.shares_memory(dec.vectors, vecs)
-
-
-def test_an_empty_decomposition_is_rejected():
-    # used to construct with ranks () and diameter 0.0, then fail in apply_function
-    with pytest.raises(ValidationError, match="at least one group"):
-        SpectralDecomposition([], np.zeros((0, 0)), ())
-
-
-@pytest.mark.parametrize(
-    "lams, side, ranks, match",
-    [([0.0, 1.0], 2, (2,), "one positive rank per group"),
-     ([0.0, 1.0], 2, (2, 0), "one positive rank per group"),
-     ([0.0, 1.0], 3, (1, 1), "must sum to the side"),
-     ([0.0, 1.0], 2, (2, 1), "must sum to the side")],
-    ids=["count", "zero-rank", "sum-below", "sum-above"],
-)
-def test_a_decomposition_refuses_ranks_that_do_not_fit(lams, side, ranks, match):
-    with pytest.raises(ValidationError, match=match):
-        SpectralDecomposition(lams, np.eye(side), ranks)
-
-
 def test_frobenius_norm_is_computed_once_and_stored():
     obs = random_hermitian(4, seed=7, scale=2.0)
     # set by the constructor, beside the matrix it is computed from
@@ -403,7 +373,7 @@ def test_frobenius_norm_is_computed_once_and_stored():
 
 
 def test_a_decomposition_stores_its_grouping_arrays_frozen():
-    dec = SpectralDecomposition([0.0, 1.0, 3.0], np.eye(4), (2, 1, 1))
+    dec = SpectralDecomposition(HermitianObservable.from_diag([0.0, 0.0, 1.0, 3.0]), 0.0)
     assert dec.labels.tolist() == [0, 0, 1, 2]
     assert dec.rank_floats.tolist() == [2.0, 1.0, 1.0] and dec.rank_floats.dtype == np.float64
     # entry (r, c): column c's group when row r shares it, that group + 3 otherwise
@@ -487,6 +457,15 @@ def test_group_tol_must_be_finite_and_nonnegative(tol):
         eigendecompose(random_hermitian(3, seed=5), group_tol=tol)
     zero = eigendecompose(HermitianObservable.from_diag([0.0, 0.0, 1.0]), group_tol=0)
     assert zero.ranks == (2, 1)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("build", [SpectralDecomposition, eigendecompose],
+                         ids=["SpectralDecomposition", "eigendecompose"])
+def test_a_grouping_threshold_is_refused_unless_finite_and_nonnegative(build, tol):
+    message = f"tolerance must be finite and >= 0, got {tol!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(random_hermitian(3, seed=5), tol)
 
 
 def test_diameter():

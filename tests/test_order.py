@@ -417,13 +417,13 @@ def test_a_cached_b_builds_its_partner_free_arrays_once(monkeypatch):
         random_hermitian(5, seed=44, scale=300.0),
     ]
     built = []
-    post_init = linalg.SpectralDecomposition.__post_init__
+    init = linalg.SpectralDecomposition.__init__
 
-    def counted(dec):
+    def counted(dec, *args):
         built.append(dec)
-        post_init(dec)
+        init(dec, *args)
 
-    monkeypatch.setattr(linalg.SpectralDecomposition, "__post_init__", counted)
+    monkeypatch.setattr(linalg.SpectralDecomposition, "__init__", counted)
     verdicts = [decide_order(p, b) for p in partners]
     (dec,) = built
     cached = {name: vars(dec)[name] for name in PARTNER_FREE}

@@ -141,6 +141,14 @@ def test_density_state_invariants():
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
 
 
+def test_density_state_refuses_a_matrix_that_is_not_hermitian():
+    # unit trace and eigenvalues 0.45 and 0.55 of its Hermitian part: only the
+    # Hermitian check refuses it
+    with pytest.raises(ValidationError) as err:
+        DensityState(np.array([[0.5, 0.1], [0.0, 0.5]]))
+    assert str(err.value) == "density matrix is not Hermitian: max |M - M*| = 1.000e-01"
+
+
 def test_density_state_rejects_an_empty_matrix():
     # used to leak numpy's ValueError from max() over a zero-size array
     with pytest.raises(ValidationError):

@@ -31,7 +31,7 @@ from varorder import (
     two_spectrum_detector,
     verify_automorphism,
 )
-from varorder import structure
+from varorder import linalg, structure
 from varorder.sampling import (
     random_commuting_pair,
     random_hermitian,
@@ -448,6 +448,23 @@ def test_permutation_conjugation_passes():
     perm = np.eye(4)[:, [2, 0, 3, 1]]
     spec = AutomorphismSpec(1.0, UnitaryMap(perm))
     assert verify_automorphism(spec, trials=20, dim=4, seed=2).passed
+
+
+def test_verify_automorphism_groups_each_observable_at_one_threshold(monkeypatch):
+    # A = f(B) is built from B's eigenpairs: B used to be grouped at the default
+    # threshold for f, then again at decide_order's rounding level
+    thresholds = {}
+    init = linalg.SpectralDecomposition.__init__
+
+    def spied(dec, observable, group_tol):
+        thresholds.setdefault(observable, set()).add(group_tol)
+        init(dec, observable, group_tol)
+
+    monkeypatch.setattr(linalg.SpectralDecomposition, "__init__", spied)
+    spec = AutomorphismSpec(2.0, random_unitary(3, seed=194))
+    assert verify_automorphism(spec, trials=20, dim=3, seed=6).passed
+    assert len(thresholds) >= 40  # A, B and their images, each trial
+    assert all(len(ts) == 1 for ts in thresholds.values())
 
 
 def test_the_counterexample_comes_from_the_last_trial_run():

@@ -53,18 +53,23 @@ def _numeric(data, what: str):
         raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
-def _pairs_to_complex(data, shape_hint: str) -> np.ndarray:
-    arr = _numeric(data, shape_hint)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ValidationError(f"malformed {shape_hint}: entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def _dim(data) -> int:
     n = data["dim"]
     if type(n) is not int:  # no float, string or bool (JSON true) is read as a dimension
         raise ValidationError(f"malformed dim: expected an integer, got {n!r}")
     return n
+
+
+def _complex_field(data: dict, key: str, path: str) -> np.ndarray:
+    """``data[key]``'s ``[re, im]`` pairs as a complex ``(dim,)`` or ``(dim, dim)`` array."""
+    arr = _numeric(data[key], key)
+    if arr.ndim < 1 or arr.shape[-1] != 2:
+        raise ValidationError(f"malformed {key}: entries must be [re, im] pairs")
+    z = arr[..., 0] + 1j * arr[..., 1]
+    n = _dim(data)
+    if z.shape != ((n,) if key == "vector" else (n, n)):
+        raise ValidationError(f"{path}: {key} shape {z.shape} does not match dim {n}")
+    return z
 
 
 def _load_json(path: str):
@@ -76,28 +81,21 @@ def load_matrix(path: str) -> np.ndarray:
     data = _load_json(path)
     if not isinstance(data, dict) or "matrix" not in data or "dim" not in data:
         raise ValidationError(f"{path}: expected an object with 'dim' and 'matrix'")
-    m = _pairs_to_complex(data["matrix"], "matrix")
-    n = _dim(data)
-    if m.shape != (n, n):
-        raise ValidationError(f"{path}: matrix shape {m.shape} does not match dim {n}")
-    return m
+    return _complex_field(data, "matrix", path)
+
+
+def _observable(path: str) -> HermitianObservable:
+    return HermitianObservable(load_matrix(path))
 
 
 def load_state(path: str):
     data = _load_json(path)
     if not isinstance(data, dict) or "dim" not in data:
         raise ValidationError(f"{path}: expected an object with 'dim'")
-    n = _dim(data)
-    if "vector" in data:
-        x = _pairs_to_complex(data["vector"], "vector")
-        if x.shape != (n,):
-            raise ValidationError(f"{path}: vector shape {x.shape} does not match dim {n}")
-        return PureState(x)
-    if "density" in data:
-        m = _pairs_to_complex(data["density"], "density")
-        if m.shape != (n, n):
-            raise ValidationError(f"{path}: density shape {m.shape} does not match dim {n}")
-        return DensityState(m)
+    _dim(data)  # a malformed dim is reported before a missing or malformed field
+    for key, state in (("vector", PureState), ("density", DensityState)):
+        if key in data:
+            return state(_complex_field(data, key, path))
     raise ValidationError(f"{path}: state needs a 'vector' or 'density' field")
 
 
@@ -112,9 +110,7 @@ def load_spectrum(arg: str) -> list[float]:
 
 
 def complex_pairs(m: np.ndarray):
-    if m.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in m]
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_report(obs: HermitianObservable) -> dict:
@@ -127,13 +123,12 @@ def emit(report: dict) -> None:
 
 
 def cmd_check_order(args) -> int:
-    a = HermitianObservable(load_matrix(args.a))
-    b = HermitianObservable(load_matrix(args.b))
+    a, b = _observable(args.a), _observable(args.b)
     tol = resolve_tol(args.tol, a, b)
     verdict = decide_order(a, b, tol)
     report = {
         "holds": verdict.holds,
-        "certificate": [list(p) for p in verdict.certificate.points] if verdict.holds else None,
+        "certificate": verdict.certificate.points if verdict.holds else None,
         "witness": None if verdict.holds else complex_pairs(verdict.witness.vector),
         "margin": verdict.margin,
         "tol": tol,
@@ -157,34 +152,32 @@ def cmd_check_order(args) -> int:
 
 
 def cmd_extract_function(args) -> int:
-    a = HermitianObservable(load_matrix(args.a))
-    b = HermitianObservable(load_matrix(args.b))
+    a, b = _observable(args.a), _observable(args.b)
     try:
         table = extract_function(a, b, args.tol)
     except PreconditionError as exc:  # only a failing order: the error carries its witness
         emit({"error": str(exc), "witness": complex_pairs(exc.witness.vector)})
         return 1
-    emit({"points": [list(p) for p in table.points]})
+    emit({"points": table.points})
     return 0
 
 
 def cmd_variance(args) -> int:
-    obs = HermitianObservable(load_matrix(args.observable))
+    obs = _observable(args.observable)
     state = load_state(args.state)
     emit({"variance": variance(obs, state)})
     return 0
 
 
 def cmd_joint_upper_bound(args) -> int:
-    a = HermitianObservable(load_matrix(args.a))
-    b = HermitianObservable(load_matrix(args.b))
+    a, b = _observable(args.a), _observable(args.b)
     bound = joint_upper_bound(a, b, args.tol)
     emit(matrix_report(bound))
     return 0
 
 
 def cmd_lower_set(args) -> int:
-    a = HermitianObservable(load_matrix(args.a))
+    a = _observable(args.a)
     families = [
         {
             "eigenvalues": list(f.eigenvalues),
@@ -199,7 +192,7 @@ def cmd_lower_set(args) -> int:
 
 def cmd_q_matrix(args) -> int:
     qm = q_matrix(load_spectrum(args.spectrum), method=args.method)
-    emit({"n": qm.n, "q": [[float(v) for v in row] for row in qm.values]})
+    emit({"n": qm.n, "q": qm.values.tolist()})
     return 0
 
 
@@ -208,20 +201,18 @@ def cmd_reconstruct_metric(args) -> int:
     if not isinstance(data, dict) or "q" not in data:
         raise ValidationError(f"{args.q}: expected an object with a 'q' field")
     d, spectrum = reconstruct_metric(QMatrix(_numeric(data["q"], "gap matrix")))
-    emit(
-        {
-            "distances": [[float(v) for v in row] for row in d],
-            "spectrum": [float(v) for v in spectrum],
-        }
-    )
+    emit({"distances": d.tolist(), "spectrum": spectrum.tolist()})
     return 0
 
 
 def cmd_verify_automorphism(args) -> int:
-    if args.unitary is not None:
-        u = UnitaryMap(load_matrix(args.unitary), antiunitary=args.antiunitary)
+    if args.unitary is None:
+        m = np.eye(_sampling_dim(3 if args.dim is None else args.dim))
     else:
-        u = UnitaryMap(np.eye(_sampling_dim(args.dim)), antiunitary=args.antiunitary)
+        m = load_matrix(args.unitary)
+    if args.dim not in (None, len(m)):  # without --unitary, len(m) is args.dim
+        raise ValidationError(f"--dim {args.dim} differs from {args.unitary}'s dimension {len(m)}")
+    u = UnitaryMap(m, antiunitary=args.antiunitary)
     spec = AutomorphismSpec(args.alpha, u)
     report = verify_automorphism(spec, args.trials, u.dim, seed=args.seed)
     payload = {"passed": report.passed, "trials": report.trials, "counterexample": None}
@@ -237,13 +228,13 @@ def cmd_verify_automorphism(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    a = HermitianObservable(load_matrix(args.a))
+    a = _observable(args.a)
     emit(matrix_report(canonical_representative(a)))
     return 0
 
 
 def cmd_max_deviation(args) -> int:
-    a = HermitianObservable(load_matrix(args.a))
+    a = _observable(args.a)
     emit({"maximal_deviation": maximal_deviation(a)})
     return 0
 
@@ -255,70 +246,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    a = argparse.ArgumentParser(add_help=False)  # the arguments of each command on one A ...
+    a.add_argument("a", metavar="A.json")
+    ab = argparse.ArgumentParser(add_help=False, parents=[a])  # ... and on a pair A, B
+    ab.add_argument("b", metavar="B.json")
+    ab.add_argument("--tol", type=float, default=None)
 
-    p = sub.add_parser("check-order", help="decide whether A is below B in the variance order")
-    p.add_argument("a", metavar="A.json")
-    p.add_argument("b", metavar="B.json")
-    p.add_argument("--tol", type=float, default=None)
+    p = sub.add_parser("check-order", parents=[ab],
+                       help="decide whether A is below B in the variance order")
     p.add_argument("--oracle-trials", type=int, default=0, metavar="N",
                    help="also run the gradient oracle with N restarts")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check_order)
 
-    p = sub.add_parser("extract-function", help="certificate table when the order holds")
-    p.add_argument("a", metavar="A.json")
-    p.add_argument("b", metavar="B.json")
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_extract_function)
+    sub.add_parser("extract-function", parents=[ab], help="certificate table when the order holds")
 
     p = sub.add_parser("variance", help="variance of an observable in a state")
     p.add_argument("observable", metavar="OBS.json")
     p.add_argument("state", metavar="STATE.json")
-    p.set_defaults(func=cmd_variance)
 
-    p = sub.add_parser("joint-upper-bound", help="common upper bound of a commuting pair")
-    p.add_argument("a", metavar="A.json")
-    p.add_argument("b", metavar="B.json")
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_joint_upper_bound)
-
-    p = sub.add_parser("lower-set", help="two-point threshold families below A")
-    p.add_argument("a", metavar="A.json")
-    p.set_defaults(func=cmd_lower_set)
+    sub.add_parser("joint-upper-bound", parents=[ab], help="common upper bound of a commuting pair")
+    sub.add_parser("lower-set", parents=[a], help="two-point threshold families below A")
 
     p = sub.add_parser("q-matrix", help="pairwise gap matrix of a spectrum")
     p.add_argument("spectrum", metavar="SPECTRUM", help="comma-separated values or a JSON file")
     p.add_argument("--method", choices=("closed", "enumerate"), default="closed")
-    p.set_defaults(func=cmd_q_matrix)
 
     p = sub.add_parser("reconstruct-metric", help="recover distances and spectrum from a gap matrix")
     p.add_argument("q", metavar="Q.json")
-    p.set_defaults(func=cmd_reconstruct_metric)
 
     p = sub.add_parser("verify-automorphism", help="sampling check of an order automorphism")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--unitary", metavar="U.json", default=None)
     p.add_argument("--antiunitary", action="store_true")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, default=None)  # 3 without --unitary
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify_automorphism)
 
-    p = sub.add_parser("canonical", help="canonical representative of the class of A")
-    p.add_argument("a", metavar="A.json")
-    p.set_defaults(func=cmd_canonical)
-
-    p = sub.add_parser("max-deviation", help="largest standard deviation over all states")
-    p.add_argument("a", metavar="A.json")
-    p.set_defaults(func=cmd_max_deviation)
-
+    sub.add_parser("canonical", parents=[a], help="canonical representative of the class of A")
+    sub.add_parser("max-deviation", parents=[a], help="largest standard deviation over all states")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]  # x-y runs cmd_x_y
     try:
-        return args.func(args)
+        return command(args)
     except (InternalConsistencyError, EigensolverError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -32,10 +32,14 @@ def _check_points(xs: np.ndarray, empty: str, what: str) -> None:
 def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
     """The first and the second coordinates of ``(x, y)`` pairs as two new float64 arrays."""
     pairs = tuple(pairs)
+    message = "expected (x, y) pairs of two numbers each"
     try:
-        xy = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2)
-    except ValueError as exc:  # a pair of other than two numbers, or ragged pairs
-        raise ValidationError("expected (x, y) pairs of two numbers each") from exc
+        xy = np.array(pairs, dtype=np.float64)
+    except ValueError as exc:  # ragged pairs
+        raise ValidationError(message) from exc
+    if pairs and xy.shape[1:] != (2,):  # a pair of other than two numbers, or nested deeper
+        raise ValidationError(message)
+    xy = xy.reshape(len(pairs), 2)  # no pairs: the caller names what is empty
     return xy[:, 0].copy(), xy[:, 1].copy()
 
 
@@ -85,7 +89,12 @@ class FunctionTable:
         """Smallest constant c with |f(x)-f(y)| <= c|x-y| on the table points."""
         xs, ys = self.locations / 2, self.values / 2  # halves: no difference overflows
         j, k = np.triu_indices(len(xs), 1)  # the pairs j < k, where x_k - x_j > 0
-        return float(np.max(np.abs(ys[k] - ys[j]) / (xs[k] - xs[j]), initial=0.0))
+        rise = np.abs(ys[k] - ys[j])
+        # halves of a subnormal gap can round together: 0 / 0 is slope 0, rise / 0 is inf,
+        # and so is a slope past the float64 maximum
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slopes = np.where(rise > 0, rise / (xs[k] - xs[j]), 0.0)
+        return float(np.max(slopes, initial=0.0))
 
     def value_at(self, x: float, tol: float = PAIR_TOL_SCALE) -> float:
         """Value at the table point nearest to ``x`` (within ``tol``)."""

@@ -453,6 +453,22 @@ def test_verify_automorphism_with_unitary_file(files):
     assert res.returncode == 0
 
 
+def test_verify_automorphism_refuses_a_dim_other_than_the_unitarys(files, capsys):
+    # --dim 7 used to be ignored: the 3 x 3 unitary was verified at dimension 3 with exit 0
+    from varorder.cli import main
+
+    _, matrix = files
+    perm = matrix("u.json", np.eye(3)[:, [1, 2, 0]])
+    assert main(["verify-automorphism", "--unitary", perm, "--dim", "7", "--trials", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --dim 7 differs from {perm}'s dimension 3\n"
+    # a --dim equal to the unitary's, and any --dim (default 3) without --unitary, still runs
+    for argv in (["--unitary", perm, "--dim", "3"], ["--dim", "4"], []):
+        assert main(["verify-automorphism", "--trials", "2", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_canonical(files):
     _, matrix = files
     res = run_cli("canonical", matrix("a.json", [1.0, 2.0, 4.0]))
@@ -470,6 +486,18 @@ def test_max_deviation(files):
     assert json.loads(res.stdout)["maximal_deviation"] == pytest.approx(1.5)
 
 
+def test_complex_pairs_gives_the_floats_of_a_per_entry_loop():
+    # one tolist() replaced a float() per entry: the same floats, signed zeros included
+    from varorder.cli import complex_pairs
+
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m[0, 0], m[1, 2] = complex(-0.0, -0.0), complex(0.0, -0.0)
+    loop = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    assert json.dumps(complex_pairs(m)) == json.dumps(loop)
+    assert json.dumps(complex_pairs(m[0])) == json.dumps(loop[0])
+
+
 def test_reports_reparse_as_json(files):
     _, matrix = files
     for args in (
@@ -481,3 +509,102 @@ def test_reports_reparse_as_json(files):
         report = json.loads(out)
         assert report == json.loads(json.dumps(report))
         assert "version" in report
+
+
+# ---------------------------------------------------------------------------
+# every subcommand's bytes
+
+# Inputs whose answers are exact in floating point: diagonal matrices (LAPACK
+# returns their eigenpairs exactly), dyadic states and integer spectra, so the
+# pinned bytes hold on every numpy and LAPACK build.
+_INPUTS = {
+    "a.json": {"dim": 3, "matrix": np.diag([0.0, 1.0, 2.0])},
+    "b.json": {"dim": 3, "matrix": np.diag([0.0, 1.0, 3.0])},
+    "c.json": {"dim": 3, "matrix": np.diag([0.0, 2.0, 3.0])},
+    "d.json": {"dim": 3, "matrix": np.diag([1.0, 1.0, 5.0])},
+    "e.json": {"dim": 3, "matrix": np.diag([2.0, 0.0, 3.0])},
+    "f.json": {"dim": 3, "matrix": np.diag([1.0, 2.0, 4.0])},
+    "obs.json": {"dim": 2, "matrix": np.diag([0.0, 2.0])},
+    "u.json": {"dim": 3, "matrix": np.eye(3)[:, [1, 2, 0]]},
+    "shape.json": {"dim": 3, "matrix": np.eye(2)},
+    "bad-matrix.json": {"dim": 2, "matrix": [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 2},
+    "vector.json": {"dim": 2, "vector": [[0.5, 0.5], [0.5, -0.5]]},
+    "bad-vector.json": {"dim": 2, "vector": [[1.0], [0.0]]},
+    "density.json": {"dim": 2, "density": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    "bad-density.json": {"dim": 3, "density": [[[1.0, 0.0]]]},
+    "no-payload.json": {"dim": 2},
+    "spectrum.json": [0, 1, 3, 7],
+    "q.json": {"q": [[0, 1, 3, 6], [1, 0, 2, 6], [3, 2, 0, 4], [6, 6, 4, 0]]},
+}
+
+
+def _m(*diag):
+    """A diagonal matrix's ``[re, im]`` rows, as a report writes them."""
+    return [[[d if i == j else 0.0, 0.0] for j in range(len(diag))] for i, d in enumerate(diag)]
+
+
+_CERTIFICATE = [[0.0, 0.0], [1.0, 1.0], [3.0, 2.0]]
+_WITNESS = [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0], [0.0, 0.0]]
+_Q = [[0.0, 1.0, 3.0, 6.0], [1.0, 0.0, 2.0, 6.0], [3.0, 2.0, 0.0, 4.0], [6.0, 6.0, 4.0, 0.0]]
+_PASSED = {"passed": True, "trials": 4, "counterexample": None}
+_PINNED = [
+    (["check-order", "a.json", "b.json"], 0,
+     {"holds": True, "certificate": _CERTIFICATE, "witness": None, "margin": 0.0,
+      "tol": 3.16227766016838e-08}),
+    (["check-order", "c.json", "b.json", "--tol", "0.5"], 1,
+     {"holds": False, "certificate": None, "witness": _WITNESS, "margin": 0.75, "tol": 0.5}),
+    (["extract-function", "a.json", "b.json"], 0, {"points": _CERTIFICATE}),
+    (["extract-function", "c.json", "b.json"], 1,
+     {"error": "A is not below B in the variance order (witness margin 0.75)", "witness": _WITNESS}),
+    (["variance", "obs.json", "vector.json"], 0, {"variance": 1.0}),
+    (["variance", "obs.json", "density.json"], 0, {"variance": 1.0}),
+    (["variance", "obs.json", "no-payload.json"], 2,
+     "error: no-payload.json: state needs a 'vector' or 'density' field\n"),
+    (["variance", "obs.json", "bad-vector.json"], 2,
+     "error: malformed vector: entries must be [re, im] pairs\n"),
+    (["variance", "obs.json", "bad-density.json"], 2,
+     "error: bad-density.json: density shape (1, 1) does not match dim 3\n"),
+    (["joint-upper-bound", "d.json", "e.json"], 0, {"dim": 3, "matrix": _m(19.0, 17.0, 37.0)}),
+    (["lower-set", "a.json"], 0,
+     {"families": [{"eigenvalues": [lam], "threshold": 1.0,
+                    "projector": _m(*(float(i == k) for i in range(3)))}
+                   for k, lam in enumerate([0.0, 1.0, 2.0])]}),
+    (["q-matrix", "0,1,3,7"], 0, {"n": 4, "q": _Q}),
+    (["q-matrix", "spectrum.json", "--method", "enumerate"], 0, {"n": 4, "q": _Q}),
+    (["reconstruct-metric", "q.json"], 0,
+     {"distances": [[0.0, 1.0, 3.0, 7.0], *_Q[1:3], [7.0, 6.0, 4.0, 0.0]],
+      "spectrum": [0.0, 1.0, 3.0, 7.0]}),
+    (["verify-automorphism", "--trials", "4", "--alpha", "2"], 0, _PASSED),
+    (["verify-automorphism", "--trials", "4", "--unitary", "u.json", "--antiunitary"], 0, _PASSED),
+    (["canonical", "f.json"], 0, {"dim": 3, "matrix": _m(0.0, 1.0, 3.0)}),
+    (["max-deviation", "b.json"], 0, {"maximal_deviation": 1.5}),
+    (["max-deviation", "shape.json"], 2,
+     "error: shape.json: matrix shape (2, 2) does not match dim 3\n"),
+    (["max-deviation", "bad-matrix.json"], 2,
+     "error: malformed matrix: entries must be [re, im] pairs\n"),
+]
+
+
+def test_every_subcommand_writes_its_pinned_bytes(tmp_path, monkeypatch, capsys):
+    # a report (a dict) is pinned as the exact stdout that emit prints for it; an input
+    # error (a string) as the exact stderr, with nothing on stdout
+    from varorder import __version__
+    from varorder.cli import main
+
+    for name, data in _INPUTS.items():
+        if isinstance(data, dict) and isinstance(data.get("matrix"), np.ndarray):
+            data = {**data, "matrix": [[[z.real, 0.0] for z in row] for row in data["matrix"]]}
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert {argv[0] for argv, _, _ in _PINNED} == set(
+        "check-order extract-function variance joint-upper-bound lower-set q-matrix "
+        "reconstruct-metric verify-automorphism canonical max-deviation".split()
+    )
+    for argv, code, expected in _PINNED:
+        got = main(argv)
+        out = capsys.readouterr()
+        if isinstance(expected, str):
+            assert (got, out.out, out.err) == (code, "", expected), argv
+        else:
+            stdout = json.dumps({**expected, "version": __version__}, indent=2) + "\n"
+            assert (got, out.out, out.err) == (code, stdout, ""), argv

@@ -39,15 +39,18 @@ unitary conjugation at dimension ``AUTOMORPHISM_DIM`` over
 
 Last, each checkout digests its own outputs in a fresh process
 (``--digest DIR``): every op of ``DIGEST_WORKLOADS`` at ``DIGEST_SECONDS``
-run lengths, for each of ``DIGEST_SEEDS``, and the first ``DIGEST_CLI_CHUNKS``
-chunks of the ``cli`` workload run in process, hashed per workload with
+run lengths, for each of ``DIGEST_SEEDS``, the first ``DIGEST_CLI_CHUNKS``
+chunks of the ``cli`` workload run in process, and ``EVERY_SUBCOMMAND``, a fixed
+set that runs each of the ten subcommands, its verdicts and its input errors in
+process through ``varorder.cli.main``, hashed per workload (or set) with
 sha256 twice.  ``digest`` hashes every byte of each answer, the margin's hex
 included; equal digests mean the change answers every op with the same bytes.
-``answers`` hashes the same bytes less the margin (for ``cli``, less each
+``answers`` hashes the same bytes less the margin (for the CLI, less each
 report's ``margin`` field), so it stays equal when only a margin's rounding
 moves and tells whether the verdicts, certificates, witnesses, exit codes and
-errors did.  ``margins`` then gives, per workload, how many margins differ
-and the largest relative change, ``|change - base| / |base|``.
+errors did; a command whose stdout is not JSON is hashed with its stderr.
+``margins`` then gives, per workload, how many margins differ and the largest
+relative change, ``|change - base| / |base|``.
 
 ``src_lines`` gives each checkout's ``wc -l src/varorder/*.py``: the line
 count of every module and their total.
@@ -85,6 +88,8 @@ DIGEST_WORKLOADS = ("fresh-small", "fresh-large", "pool-order")
 DIGEST_SEEDS = (1, 2, 3)
 DIGEST_SECONDS = 20.0
 DIGEST_CLI_CHUNKS = 3
+EVERY_SUBCOMMAND = "every-subcommand"
+EVERY_SUBCOMMAND_SEED = 24
 
 
 def layer_timings(checkout: Path) -> dict:
@@ -222,12 +227,83 @@ def _cli_report(out) -> dict | None:
 
 def _cli_bytes(out, report: dict | None, margin: bool) -> bytes:
     """A command's exit code and stdout, less the oracle's best value and, unless
-    ``margin``, the report's margin."""
+    ``margin``, the report's margin; with stderr when stdout is not JSON."""
     if report is None:
-        return repr((out.code, out.stdout)).encode()
+        return repr((out.code, out.stdout, out.stderr)).encode()
     if not margin:
         report = {key: value for key, value in report.items() if key != "margin"}
     return repr((out.code, json.dumps(report, sort_keys=True))).encode()
+
+
+def _every_subcommand_inputs(d: Path) -> list[list[str]]:
+    """Write ``EVERY_SUBCOMMAND``'s input files to ``d`` and return its argv lists, relative
+    to ``d``: each of the ten subcommands on valid input, each verdict and route, and the
+    input errors the JSON readers refuse."""
+    import numpy as np
+
+    rng = np.random.default_rng(EVERY_SUBCOMMAND_SEED)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def pairs(z) -> list:
+        z = np.asarray(z, dtype=complex)
+        return np.stack((z.real, z.imag), axis=-1).tolist()
+
+    def write(name: str, data) -> str:
+        (d / name).write_text(json.dumps(data), encoding="utf-8")
+        return name
+
+    def matrix(name: str, m, dim=None) -> str:
+        return write(name, {"dim": len(m) if dim is None else dim, "matrix": pairs(m)})
+
+    argv = []
+    for n in (3, 8):
+        g = gaussian(n, n)
+        w, v = np.linalg.eigh(g + g.conj().T)
+        # B, A = sin(B) below it, and C = B^2, which commutes with A
+        b, a, c = (matrix(f"{name}{n}.json", (v * f) @ v.conj().T)
+                   for name, f in (("b", w), ("a", np.sin(w)), ("c", w**2)))
+        g = gaussian(n, n)
+        other = matrix(f"other{n}.json", g + g.conj().T)  # independent of B: the order fails
+        x, g = gaussian(n), gaussian(n, n)
+        vector = write(f"vector{n}.json", {"dim": n, "vector": pairs(x / np.linalg.norm(x))})
+        rho = g @ g.conj().T
+        density = write(f"density{n}.json", {"dim": n, "density": pairs(rho / np.trace(rho).real)})
+        argv += [
+            ["check-order", a, b], ["check-order", other, b], ["check-order", b, a],
+            ["check-order", a, b, "--oracle-trials", "4", "--seed", "5"],
+            ["check-order", other, b, "--oracle-trials", "4", "--seed", "5"],
+            ["check-order", other, b, "--tol", "1e-3"],
+            ["extract-function", a, b], ["extract-function", other, b],
+            ["variance", b, vector], ["variance", b, density],
+            ["joint-upper-bound", a, c], ["joint-upper-bound", other, b],
+            ["canonical", a], ["max-deviation", other],
+        ]
+    unitary = matrix("unitary.json", np.linalg.qr(gaussian(3, 3))[0])
+    spectrum = write("spectrum.json", np.cumsum(rng.uniform(1.0, 2.0, 12)).tolist())
+    q = [[0, 1, 3, 6], [1, 0, 2, 6], [3, 2, 0, 4], [6, 6, 4, 0]]  # the gap matrix of 0, 1, 3, 7
+    argv += [
+        ["verify-automorphism", "--unitary", unitary, "--alpha", "0.5", "--trials", "10", "--seed", "3"],
+        ["verify-automorphism", "--unitary", unitary, "--antiunitary", "--trials", "10"],
+        ["verify-automorphism", "--dim", "4", "--trials", "10"],
+        ["lower-set", "b3.json"],  # n = 3 only: at n = 8 its report is 0.8 MB
+        ["q-matrix", "0,1,3,7,12"], ["q-matrix", spectrum, "--method", "enumerate"],
+        ["reconstruct-metric", write("q.json", {"q": q})],
+        # input errors: a field not of [re, im] pairs, a shape other than dim, no state field,
+        # a dim that is no integer, a non-Hermitian matrix, a missing file, bad gap matrices
+        ["max-deviation", write("pairs.json", {"dim": 2, "matrix": [[[1, 0, 0], [0, 0, 0]]] * 2})],
+        ["max-deviation", matrix("shape.json", np.eye(2), dim=3)],
+        ["variance", "b3.json", write("no-field.json", {"dim": 3})],
+        ["variance", "b3.json", write("short.json", {"dim": 3, "vector": [[1, 0], [0, 0]]})],
+        ["variance", "b3.json", write("flat.json", {"dim": 3, "density": [[1, 0]]})],
+        ["canonical", matrix("dim.json", np.eye(2), dim=True)],
+        ["canonical", matrix("upper.json", [[0, 1], [0, 0]])],
+        ["canonical", "missing.json"],
+        ["q-matrix", "0,1,1,3"],
+        ["reconstruct-metric", write("asymmetric.json", {"q": [[0, 1, 2, 3]] * 4})],
+    ]
+    return argv
 
 
 def output_digest(checkout: Path) -> dict:
@@ -270,6 +346,19 @@ def output_digest(checkout: Path) -> dict:
                                     (report or {}).get("margin")))
                 wl.release(k)
         record("cli", answers)
+        d, answers = Path(tmp) / "every", []
+        d.mkdir()
+        cwd = os.getcwd()
+        os.chdir(d)  # relative paths: error messages name the same files in either checkout
+        try:
+            for argv in _every_subcommand_inputs(d):
+                res = wl.run_inprocess(workloads.CliItem(argv, None))
+                report = _cli_report(res)
+                answers.append((_cli_bytes(res, report, True), _cli_bytes(res, report, False),
+                                (report or {}).get("margin")))
+        finally:
+            os.chdir(cwd)
+        record(EVERY_SUBCOMMAND, answers)
     return out
 
 

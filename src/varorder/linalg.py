@@ -1,18 +1,17 @@
 """Hermitian matrices, spectral decompositions, and the functional calculus.
 
 All heavy objects are immutable: construction validates the defining
-invariants, freezes the underlying arrays, and stores every value derived from
-them.  ``HermitianObservable`` stores an array computed from its input;
-``UnitaryMap`` copies its input array only if something could still write to it.
-A ``SpectralDecomposition`` is built from an observable, not from arrays, and
-shares its frozen eigenvectors.  The one value left to first use is
-``HermitianObservable.eigenpairs``, since an observable on the ``A`` side of a
-decision is never solved.  Every
-eigensolve in the package goes through :func:`_eigh`, which calls LAPACK
-through ``numpy.linalg.eigh``; its answers stay on the checked path
-(each :class:`SpectralDecomposition` verifies its grouped reconstruction).  The cyclic
-Jacobi iteration :func:`jacobi_eigh` is kept as an independent solver that the
-tests compare :func:`_eigh` against; no decision procedure calls it.
+invariants and stores every value derived from them.  One ownership rule covers
+every validated type: it stores only arrays it computed or copied, frozen, so no
+caller holds them; a ``SpectralDecomposition`` is built from an observable, not
+from arrays, and shares that observable's frozen eigenpairs.  The one value left
+to first use is ``HermitianObservable.eigenpairs``, since an observable on the
+``A`` side of a decision is never solved.  Every eigensolve in the package goes
+through :func:`_eigh`, which calls LAPACK through ``numpy.linalg.eigh``; its
+answers stay on the checked path (each :class:`SpectralDecomposition` verifies
+its grouped reconstruction).  The cyclic Jacobi iteration :func:`jacobi_eigh` is
+kept as an independent solver that the tests compare :func:`_eigh` against; no
+decision procedure calls it.
 """
 
 from __future__ import annotations
@@ -41,18 +40,6 @@ JACOBI_MAX_SWEEPS = 100
 MAX_SCALE = 1e153
 # A squared norm below which squares of entries can be subnormal and lose bits.
 MIN_SQUARED_NORM = 2.0**-1000
-
-
-def _frozen(obj, dtype) -> np.ndarray:
-    """``obj`` as a read-only ``dtype`` array: ``obj`` itself when it already is one
-    that nothing can write to (read-only down to the array owning its memory),
-    otherwise a frozen copy."""
-    a = obj
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        a = a.base
-    if a is None and obj.dtype == dtype:
-        return obj
-    return _freeze(np.array(obj, dtype))
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -394,13 +381,13 @@ class UnitaryMap:
 
     def __post_init__(self):
         u = _square_matrix(self.matrix)
-        with np.errstate(invalid="ignore"):  # an entry that is not finite makes dev NaN or inf
+        with np.errstate(invalid="ignore", over="ignore"):  # dev NaN or inf: refused below
             dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
         if not dev <= CHECK_TOL:
             if not np.isfinite(u).all():  # a complex entry is finite when both parts are
                 raise ValidationError("matrix entries must be finite")
             raise ValidationError(f"matrix is not unitary: max |U*U - I| = {dev:.3e}")
-        object.__setattr__(self, "matrix", _frozen(u, np.complex128))
+        object.__setattr__(self, "matrix", _freeze(np.array(u)))
 
     @property
     def dim(self) -> int:

@@ -26,7 +26,6 @@ from .linalg import (
     _as_observable,
     _eigh,
     _frobenius,
-    _frozen,
     _hermitian_part,
     resolve_tol,
 )
@@ -40,7 +39,7 @@ class PureState:
     vector: np.ndarray
 
     def __post_init__(self):
-        x = _frozen(self.vector, np.complex128)
+        x = _freeze(np.array(self.vector, dtype=np.complex128))
         if x.ndim != 1 or x.size == 0:
             raise ValidationError(f"state vector must be 1-dimensional, got shape {x.shape}")
         nrm = math.sqrt(np.vdot(x, x).real)  # NaN or inf when an entry is not finite
@@ -74,10 +73,12 @@ class PureState:
         nrm = _frobenius(x)
         if nrm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
-        return cls(_freeze(x / nrm))
+        return cls(x / nrm)
 
     @classmethod
     def basis_vector(cls, dim: int, index: int) -> "PureState":
+        if index not in range(dim):
+            raise ValidationError(f"basis index {index} is not in range({dim})")
         x = np.zeros(dim, dtype=np.complex128)
         x[index] = 1.0
         return cls(x)

@@ -323,7 +323,10 @@ def verify_automorphism(
     the map for both orderings of each pair.  Accepts an
     :class:`AutomorphismSpec` or any callable sending Hermitian observables
     to Hermitian observables, so ill-formed maps can be refuted; stops at
-    the first counterexample.
+    the first counterexample.  A pass is evidence, not proof.  In dimension 2
+    the order compares only collinear traceless parts, so maps that are not a
+    positive scale times an (anti)unitary conjugation (Theorem 2's form) can
+    pass too.
     """
     _sampling_dim(dim)
     if trials < 1:

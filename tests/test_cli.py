@@ -469,6 +469,15 @@ def test_verify_automorphism_refuses_a_dim_other_than_the_unitarys(files, capsys
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def test_verify_automorphism_refuses_a_unitary_whose_product_overflows(files):
+    # U*U used to overflow with a RuntimeWarning printed before the error
+    _, matrix = files
+    res = run_cli("verify-automorphism", "--unitary", matrix("u.json", [1e200, 1.0]))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: matrix is not unitary: max |U*U - I| = inf\n"
+
+
 def test_canonical(files):
     _, matrix = files
     res = run_cli("canonical", matrix("a.json", [1.0, 2.0, 4.0]))

@@ -1,6 +1,7 @@
 """Function tables and their greatest Lipschitz extension to the line."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +157,23 @@ def test_lipschitz_constant():
     t = FunctionTable.from_mapping({0.0: 0.0, 2.0: 1.0})
     assert t.lipschitz_constant() == pytest.approx(0.5)
     assert FunctionTable(((1.0, 4.0),)).lipschitz_constant() == 0.0
+
+
+def test_lipschitz_constant_is_the_exact_constant_within_rounding():
+    # the constant is taken over neighbouring points; the exact referee takes every pair
+    rng = np.random.default_rng(25)
+    for trial in range(300):
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        xs = np.unique(rng.uniform(-1.0, 1.0, int(rng.integers(1, 16)))) * scale
+        noise = 1e-17 if trial % 2 else 1.0  # near-linear tables, then random ones
+        ys = 0.7 * xs + rng.normal(0.0, noise, len(xs)) * scale
+        fx, fy = [Fraction(x) for x in xs.tolist()], [Fraction(y) for y in ys.tolist()]
+        exact = max(
+            (abs(fy[k] - fy[j]) / (fx[k] - fx[j]) for k in range(len(fx)) for j in range(k)),
+            default=Fraction(0),
+        )
+        c = FunctionTable.from_values(xs, ys).lipschitz_constant()
+        assert abs(Fraction(c) - exact) <= 4 * Fraction(2.0**-52) * exact, trial
 
 
 def test_value_at_matches_nearby_location():

@@ -615,6 +615,18 @@ def test_unitary_map_leaves_the_callers_array_writable_and_keeps_a_copy():
     u[0, 0] = -1.0
     np.testing.assert_array_equal(umap.matrix, np.eye(2))
     assert not umap.matrix.flags.writeable
+    # a read-only complex128 input used to be shared as it was
+    u.setflags(write=False)
+    assert not np.shares_memory(UnitaryMap(u).matrix, u)
+
+
+def test_unitary_map_refuses_a_finite_matrix_whose_product_overflows():
+    # U*U used to overflow with a RuntimeWarning before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            UnitaryMap(np.diag([1e200, 1.0]))
+    assert str(err.value) == "matrix is not unitary: max |U*U - I| = inf"
 
 
 def test_unitary_apply_conjugates():

@@ -56,6 +56,23 @@ def test_pure_state_norm_enforced():
         PureState(np.array([[1.0, 0.0]]))
 
 
+def test_a_pure_state_keeps_a_frozen_copy_of_its_vector():
+    # a read-only complex128 vector used to be shared as it was
+    for writeable in (True, False):
+        x = np.array([1.0, 0.0], dtype=np.complex128)
+        x.setflags(write=writeable)
+        state = PureState(x)
+        assert not np.shares_memory(state.vector, x)
+        assert not state.vector.flags.writeable
+
+
+@pytest.mark.parametrize("index", [-1, 3, 1.5])
+def test_basis_vector_refuses_an_index_outside_range_dim(index):
+    # -1 used to count from the end and give e_2, and 3 and 1.5 raised a bare IndexError
+    with pytest.raises(ValidationError, match=rf"^basis index {index} is not in range\(3\)$"):
+        PureState.basis_vector(3, index)
+
+
 @pytest.mark.parametrize(
     "entry",
     [complex(0.0, np.inf), complex(np.nan, 0.0), np.inf, -np.inf, np.nan, complex(1.0, np.nan)],

@@ -507,6 +507,29 @@ def test_quadratic_corruption_fails_with_counterexample():
     assert pre != post or swap_pre != swap_post
 
 
+def test_a_map_outside_theorem_2s_form_passes_in_dimension_2():
+    # In dimension 2, A <= B exactly when A's traceless part is c times B's with
+    # |c| <= 1, so the order compares only collinear traceless parts.  Writing
+    # A = a0 I + ax sx + ay sy + az sz, negating ax when ax * az > 0 treats each
+    # line +-a by one linear map, so it keeps the order both ways.
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+
+    def phi(obs):
+        m = obs.matrix
+        ax, az = np.trace(m @ sx).real / 2.0, np.trace(m @ sz).real / 2.0
+        return HermitianObservable(m - 2.0 * ax * sx if ax * az > 0 else m)
+
+    for seed in range(5):
+        assert verify_automorphism(phi, 200, 2, seed=seed).passed
+    # A scaled (anti)unitary conjugation psi, even up to the class of each image,
+    # phi(X) = +-psi(X) + cI, would put phi(sx + sz) + s phi(sx - sz) in the class
+    # of phi(2 sx) for one of s = +-1; phi does so for neither.
+    plus, minus = phi(HermitianObservable(sx + sz)), phi(HermitianObservable(sx - sz))
+    for s in (1.0, -1.0):
+        assert not class_equal(plus.matrix + s * minus.matrix, phi(HermitianObservable(2.0 * sx)))
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         AutomorphismSpec(0.0, UnitaryMap(np.eye(2)))

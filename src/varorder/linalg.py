@@ -4,7 +4,9 @@ All heavy objects are immutable: construction validates the defining
 invariants and stores every value derived from them.  One ownership rule covers
 every validated type: it stores only arrays it computed or copied, frozen, so no
 caller holds them; a ``SpectralDecomposition`` is built from an observable, not
-from arrays, and shares that observable's frozen eigenpairs.  The one value left
+from arrays, shares that observable's frozen eigenpairs, keeps the adjoint ``V*``
+and, up to dimension 16, shares the grouping arrays of its rank pattern, built
+once per pattern in a bounded memo.  The one value left
 to first use is ``HermitianObservable.eigenpairs``, since an observable on the
 ``A`` side of a decision is never solved.  Every eigensolve in the package goes
 through :func:`_eigh`, which calls LAPACK through ``numpy.linalg.eigh``; its
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -81,7 +84,7 @@ def _hermitian_part(obj, error: Callable[[float, float], Exception]) -> np.ndarr
     dev = float(np.abs(m - mh).max())
     if dev > bound:
         raise error(dev, bound)
-    return (m + mh) / 2.0
+    return (m + mh) * 0.5  # exact, as / 2.0 is, and cheaper
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +92,14 @@ class HermitianObservable:
     """A Hermitian matrix, symmetrized once it passes validation; its Frobenius norm is finite."""
 
     matrix: np.ndarray
-    frobenius_norm: float = field(init=False, repr=False)
+    frobenius_norm: float = field(repr=False)
 
-    def __post_init__(self):
-        m = _hermitian_part(self.matrix, lambda dev, bound: NotHermitianError(
+    def __init__(self, matrix):
+        m = _hermitian_part(matrix, lambda dev, bound: NotHermitianError(
             f"matrix is not Hermitian: max |M - M*| = {dev:.3e} "
             f"exceeds {CHECK_TOL:.0e} * max(1, |M|_max) = {bound:.3e}"
         ))
-        object.__setattr__(self, "matrix", _freeze(m))
-        object.__setattr__(self, "frobenius_norm", _frobenius(m))
+        vars(self).update(matrix=_freeze(m), frobenius_norm=_frobenius(m))
 
     @property
     def dim(self) -> int:
@@ -129,6 +131,15 @@ def _as_pair(A, B) -> tuple[HermitianObservable, HermitianObservable]:
     return a, b
 
 
+@lru_cache(maxsize=64)  # kept for n <= 16: 64 patterns of at most 8 n^2 = 2 KB of residue_bins
+def _grouping(ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """``labels``, ``rank_floats``, ``residue_bins`` and ``offsets`` of ``ranks``, frozen."""
+    labels = _freeze(np.repeat(np.arange(len(ranks)), ranks))
+    bins = np.where(labels[:, None] == labels, labels, labels + len(ranks))
+    rank_floats = _freeze(np.array(ranks, dtype=np.float64))
+    return labels, rank_floats, _freeze(bins).ravel(), (0, *accumulate(ranks[:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Grouped eigendecomposition ``B = V diag(lam) V*`` of an observable.
@@ -139,20 +150,25 @@ class SpectralDecomposition:
     observable's own, the same bits.  ``vectors`` is the observable's frozen
     eigenvector matrix, each group's columns adjacent, in the order of the strictly
     increasing group eigenvalues; ``ranks`` gives the number of columns per group.
-    Construction checks the grouped reconstruction and stores what depends on the
-    grouping alone: ``labels`` (each column's group), ``rank_floats`` (the ranks as
-    floats) and ``residue_bins``, the flattened ``n x n`` bin of each entry
-    ``(r, c)`` of a matrix in this basis: ``labels[c]`` when row ``r`` is in column
-    ``c``'s group, ``labels[c] + len(ranks)`` otherwise, so one ``bincount`` sums
-    each group's in-block and off-block entries apart.
+    Construction checks the grouped reconstruction and keeps ``adjoint``, the frozen
+    ``V*`` that check forms.  What depends on ``ranks`` alone is, up to ``n = 16``,
+    built once per rank pattern and shared by every decomposition with that pattern
+    (a memo of 64 patterns): ``labels`` (each column's group), ``rank_floats`` (the
+    ranks as floats), ``offsets`` (each group's first column, as ints) and
+    ``residue_bins``, the flattened ``n x n`` bin of each entry ``(r, c)`` of a matrix
+    in this basis: ``labels[c]`` when row ``r`` is in column ``c``'s group,
+    ``labels[c] + len(ranks)`` otherwise, so one ``bincount`` sums each group's
+    in-block and off-block entries apart.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     ranks: tuple[int, ...]
+    adjoint: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     rank_floats: np.ndarray = field(repr=False)
     residue_bins: np.ndarray = field(repr=False)
+    offsets: tuple[int, ...] = field(repr=False)
 
     def __init__(self, observable: HermitianObservable, group_tol: float):
         w, v = observable.eigenpairs
@@ -166,20 +182,17 @@ class SpectralDecomposition:
             lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
             lam_cols = np.repeat(lams, ranks)
             spread = _frobenius(w - lam_cols)
-        recon_err = _frobenius((v * lam_cols) @ v.conj().T - observable.matrix)
+        vh = _freeze(v.conj()).T
+        recon_err = _frobenius((v * lam_cols) @ vh - observable.matrix)
         allowed = spread + resolve_tol(None, observable)
         if not recon_err <= allowed:  # a NaN eigenpair fails too
             raise InternalConsistencyError(
                 f"spectral reconstruction off by {recon_err:.3e} (allowed {allowed:.3e})"
             )
-        labels = _freeze(np.repeat(np.arange(len(ranks)), ranks))
-        bins = np.where(labels[:, None] == labels, labels, labels + len(ranks))
-        object.__setattr__(self, "eigenvalues", lams)
-        object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rank_floats", _freeze(np.array(ranks, dtype=np.float64)))
-        object.__setattr__(self, "residue_bins", _freeze(bins).ravel())
+        grouping = _grouping if len(w) <= 16 else _grouping.__wrapped__  # built afresh past 16
+        labels, rank_floats, bins, offsets = grouping(ranks)
+        vars(self).update(eigenvalues=lams, vectors=v, ranks=ranks, adjoint=vh, labels=labels,
+                          rank_floats=rank_floats, residue_bins=bins, offsets=offsets)
 
     def group_indices(self, groups) -> tuple[int, ...]:
         """``groups`` as ints, each in ``range(len(ranks))`` or a :class:`ValidationError`."""
@@ -199,8 +212,8 @@ class SpectralDecomposition:
 
     def assemble(self, values) -> np.ndarray:
         """``V diag(values) V*`` with one value per group."""
-        v = self.vectors
-        return (v * np.repeat(np.asarray(values, dtype=np.float64), self.ranks)) @ v.conj().T
+        cols = np.repeat(np.asarray(values, dtype=np.float64), self.ranks)
+        return (self.vectors * cols) @ self.adjoint
 
 
 def _offdiag_norm(a: np.ndarray) -> float:

@@ -106,15 +106,15 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     """Decide whether ``A`` is below ``B`` in the variance order.
 
     The procedure eigendecomposes ``B = V diag(lam) V*`` and works on
-    ``A' = V* A V``.  On each eigenspace ``g``, with orthogonal projection
-    ``P``, it checks that ``A`` commutes with ``P`` (the residue
-    ``sqrt(2) |A'[g, not g]|_F`` equals ``|PA - AP|_F``) and is scalar there
-    (with scalar value the mean of the diagonal of ``A'[g, g]``), and
-    finally that the scalar values are 1-Lipschitz across eigenvalue gaps.
-    Both residues of every group come from one ``bincount`` of the squared
-    moduli of ``A'`` less its group scalars over the decomposition's
-    ``residue_bins``, and the first group with either residue above ``tol``
-    is the offending one.
+    ``A' = V* A V``, formed with the decomposition's stored adjoint ``V*``.  On
+    each eigenspace ``g``, with orthogonal projection ``P``, it checks that ``A``
+    commutes with ``P`` (the residue ``sqrt(2) |A'[g, not g]|_F`` equals
+    ``|PA - AP|_F``) and is scalar there (with scalar value the mean of the
+    diagonal of ``A'[g, g]``), and finally that the scalar values are
+    1-Lipschitz across eigenvalue gaps.  Both residues of every group come from
+    one ``bincount`` of the squared moduli of ``A'`` less its group scalars over
+    the decomposition's ``residue_bins``, and the first group with either
+    residue above ``tol`` is the offending one.
     The eigenspaces are ``B``'s eigenvalues grouped at rounding level, gaps
     of at most ``ROUND_RTOL * |B|_F``, so a cluster of eigenvalues a fraction
     of ``tol`` apart is never one wide group on which even ``A = B`` is not
@@ -124,8 +124,9 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     rounding residues fail no decision), bounds the residue checks and the
     Lipschitz slack.  ``B``'s eigenpairs are solved once per observable and its
     grouping at that threshold, which no partner changes, is memoized on it;
-    from the second partner on, :func:`eigendecompose`
-    returns ``B``'s decomposition with no array work.
+    from the second partner on, :func:`eigendecompose` returns ``B``'s
+    decomposition with no array work, and a fresh ``B`` of dimension at most 16
+    shares the grouping arrays of a rank pattern seen before.
 
     On failure the witness is, in the residue stage, the eigenbasis candidate
     of the offending eigenspace with the largest variance for ``A`` (ties to
@@ -133,7 +134,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     when that candidate's margin does not clear the floor; in the Lipschitz
     stage, an equal superposition across the offending pair.  Each group's
     columns are the adjacent range ``lo : lo + ranks[j]`` of ``V``, with
-    ``lo = sum(ranks[:j])``, so a candidate is read by its column index.
+    ``lo = offsets[j]``, so a candidate is read by its column index.
     The margin is recomputed from scratch, independently of ``A'`` and the
     eigenvalues: ``w`` is normalized and ``var_w(A) - var_w(B)`` taken from
     ``A.matrix`` and ``B.matrix`` with one matrix-vector product each, equal
@@ -146,7 +147,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     v, lams, labels, m = dec.vectors, dec.eigenvalues, dec.labels, len(dec.ranks)
 
     # Per-eigenspace checks: commutation and scalarity of A on each group.
-    ap = v.conj().T @ a.matrix @ v
+    ap = dec.adjoint @ a.matrix @ v
     diag = ap.diagonal().real
     scalars = np.bincount(labels, weights=diag) / dec.rank_floats
     # A' less its group scalars, subtracted on a copy's diagonal: no n x n real
@@ -158,10 +159,10 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     res = np.bincount(dec.residue_bins, weights=(np.abs(dev) ** 2).ravel(), minlength=2 * m)
     res[m:] *= 2.0
     np.sqrt(res, out=res)
-    bad = (res > tol).nonzero()[0] % m
-    if bad.size:
-        j = int(bad.min())
-        lo = sum(dec.ranks[:j])
+    over = (res > tol).nonzero()[0]
+    if over.size:
+        j = int((over % m).min())
+        lo = dec.offsets[j]
         hi = lo + dec.ranks[j]
         defects = (np.abs(ap[:, lo:hi]) ** 2).sum(axis=0) - diag[lo:hi] ** 2
         w, margin = _margin_at(a, b, v[:, lo + int(np.argmax(defects))])
@@ -180,13 +181,13 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
             table = FunctionTable.from_values(lams, scalars)
             return OrderVerdict(holds=True, certificate=table, witness=None, margin=0.0)
         j, k = divmod(worst, len(lams))
-        vec = v[:, sum(dec.ranks[:j])] + v[:, sum(dec.ranks[:k])]
+        vec = v[:, dec.offsets[j]] + v[:, dec.offsets[k]]
     w, margin = _margin_at(a, b, vec)
     if margin > FAIL_MARGIN_TOL:
         return OrderVerdict(False, None, w, margin)
     raise InternalConsistencyError(
         f"eigenspace residues (commutation {res[m + j]:.3e}, scalar {res[j]:.3e}) exceed "
-        f"tol {tol:.3e} but no witness clears the margin floor" if bad.size else
+        f"tol {tol:.3e} but no witness clears the margin floor" if over.size else
         f"Lipschitz excess {excess.flat[worst]:.3e} at eigenvalues ({float(lams[j])!r}, "
         f"{float(lams[k])!r}) but the superposition witness does not clear the margin floor"
     )

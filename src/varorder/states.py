@@ -77,7 +77,9 @@ class PureState:
 
     @classmethod
     def basis_vector(cls, dim: int, index: int) -> "PureState":
-        if index not in range(dim):
+        """The basis state ``e_index``, for an ``int`` or numpy integer ``index`` in ``range(dim)``."""
+        integral = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
+        if not (integral and index in range(dim)):
             raise ValidationError(f"basis index {index} is not in range({dim})")
         x = np.zeros(dim, dtype=np.complex128)
         x[index] = 1.0
@@ -235,7 +237,7 @@ def born_measure(decomposition: SpectralDecomposition, state: State) -> BornMeas
             f"decomposition dimension {v.shape[0]} does not match state {state.dim}"
         )
     if isinstance(state, PureState):
-        weights = np.abs(v.conj().T @ state.vector) ** 2
+        weights = np.abs(decomposition.adjoint @ state.vector) ** 2
     else:
         weights = np.einsum("ij,ij->j", v.conj(), state.matrix @ v).real
     masses = np.maximum(np.bincount(decomposition.labels, weights=weights), 0.0)

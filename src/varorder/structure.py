@@ -54,14 +54,14 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
     a, b = _as_pair(A, B)
     dec = eigendecompose(a)
     v, labels = dec.vectors, dec.labels
-    blocks = np.where(labels[:, None] == labels, v.conj().T @ b.matrix @ v, 0.0)
+    blocks = np.where(labels[:, None] == labels, dec.adjoint @ b.matrix @ v, 0.0)
     blocks = (blocks + blocks.conj().T) / 2.0
     tau = max(
         float(np.abs(_eigh(blocks[np.ix_(labels == j, labels == j)])[0]).max())
         for j in range(len(dec.ranks))
     )
     beta = 4.0 * tau + dec.diameter + 1.0
-    return HermitianObservable(v @ (blocks + np.diag(beta * (labels + 1.0))) @ v.conj().T)
+    return HermitianObservable(v @ (blocks + np.diag(beta * (labels + 1.0))) @ dec.adjoint)
 
 
 def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:

@@ -384,6 +384,68 @@ def test_a_decomposition_stores_its_grouping_arrays_frozen():
         assert not getattr(dec, name).flags.writeable
 
 
+GROUPING_ARRAYS = ("labels", "rank_floats", "residue_bins")
+
+
+@pytest.mark.parametrize(
+    "spectrum, ranks",
+    [([0.0, 1.0, 3.0, 4.0], (1, 1, 1, 1)), ([0.0, 1.0, 1.0, 4.0], (1, 2, 1)), ([2.0] * 4, (4,))],
+    ids=["no-merge", "one-merged-pair", "single-group"],
+)
+def test_equal_ranks_share_one_frozen_set_of_grouping_arrays(spectrum, ranks):
+    # two observables, in different bases and at different scales, with one rank pattern
+    first, second = (
+        SpectralDecomposition(HermitianObservable(
+            (u * (s * np.array(spectrum))) @ u.conj().T), 1e-6 * s)
+        for u, s in ((random_unitary(4, seed=11).matrix, 1.0), (random_unitary(4, seed=12).matrix, 3e3))
+    )
+    assert first.ranks == second.ranks == ranks
+    for name in (*GROUPING_ARRAYS, "offsets"):
+        assert getattr(first, name) is getattr(second, name)
+    # the arrays the constructor built per decomposition before they were shared
+    labels = np.repeat(np.arange(len(ranks)), ranks)
+    bins = np.where(labels[:, None] == labels, labels, labels + len(ranks)).ravel()
+    for name, ref in zip(GROUPING_ARRAYS, (labels, np.array(ranks, dtype=np.float64), bins)):
+        got = getattr(first, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0
+    # each group's first column, as Python ints: a single group starts at 0
+    assert first.offsets == tuple(int(k) for k in np.cumsum((0, *ranks[:-1])))
+    assert all(type(k) is int for k in first.offsets)
+
+
+def test_the_adjoint_is_the_frozen_conjugate_transpose_of_the_vectors():
+    for obs in (random_hermitian(5, seed=13), HermitianObservable.from_diag([1.0, 1.0, 2.0])):
+        dec = eigendecompose(obs)
+        assert dec.adjoint.tobytes() == dec.vectors.conj().T.tobytes()
+        assert dec.adjoint.shape == dec.vectors.shape[::-1]
+        assert not dec.adjoint.flags.writeable and not dec.adjoint.base.flags.writeable
+        assert vars(dec)["adjoint"] is dec.adjoint
+
+
+def test_the_grouping_memo_is_bounded():
+    # every rank pattern of dimension 8: 2^7 = 128 of them, twice the memo's bound; an
+    # entry's residue_bins is 8 n^2 bytes, and only n <= 16 is kept, so 64 * 2 KB at most
+    cache = linalg._grouping
+    assert cache.cache_info().maxsize == 64
+    for bits in range(2**7):
+        starts = [0] + [k + 1 for k in range(7) if bits >> k & 1]
+        spectrum = np.repeat(np.arange(len(starts), dtype=np.float64), np.diff(starts + [8]))
+        dec = SpectralDecomposition(HermitianObservable.from_diag(spectrum), 0.5)
+        assert len(dec.ranks) == len(starts)
+        assert cache.cache_info().currsize <= 64
+    assert cache.cache_info().currsize == 64
+    # past n = 16 each decomposition builds its own arrays, and the memo is untouched
+    before = cache.cache_info()
+    first, second = (SpectralDecomposition(random_hermitian(17, seed=s), 0.0) for s in (14, 15))
+    assert first.ranks == second.ranks == (1,) * 17
+    assert first.residue_bins is not second.residue_bins
+    assert first.residue_bins.tobytes() == second.residue_bins.tobytes()
+    assert cache.cache_info()[:2] == before[:2] and cache.cache_info().currsize == 64
+
+
 @pytest.mark.parametrize("entry", [1e200, 1e308, 1e308 + 1e308j])
 def test_an_observable_whose_frobenius_norm_overflows_is_refused(entry):
     # used to construct with an infinite norm: the default tol became inf and

@@ -437,6 +437,31 @@ def test_a_cached_b_builds_its_partner_free_arrays_once(monkeypatch):
     assert [_verdict_bytes(v) for v in verdicts] == [_verdict_bytes(v) for v in fresh]
 
 
+B6 = random_hermitian(6, seed=45)
+
+
+@pytest.mark.parametrize("route, a, b", [("holds", _lipschitz_image(B6, 46)[0], B6), *_route_instances()])
+def test_fresh_arrays_and_a_cached_b_give_the_same_bytes_on_every_route(monkeypatch, route, a, b):
+    # the fresh side builds B's decomposition, adjoint and grouping arrays in the call;
+    # the cached side reads the ones B's first partner left on it
+    cached_b = HermitianObservable(b.matrix.copy())
+    assert decide_order(cached_b, cached_b).holds
+    dec = eigendecompose(cached_b, ROUND_RTOL * cached_b.frobenius_norm)
+    called = set()
+    for name in ("_pair_state", "_lipschitz_excess"):
+        def spy(*args, _name=name, _f=getattr(order, name)):
+            called.add(_name)
+            return _f(*args)
+        monkeypatch.setattr(order, name, spy)
+    fresh = decide_order(a.matrix.copy(), b.matrix.copy())
+    taken = ("holds" if fresh.holds else "two-level" if "_pair_state" in called
+             else "pair" if "_lipschitz_excess" in called else "basis")
+    assert taken == route
+    cached = decide_order(a, cached_b)
+    assert eigendecompose(cached_b, ROUND_RTOL * cached_b.frobenius_norm) is dec
+    assert _verdict_bytes(cached) == _verdict_bytes(fresh)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_binned_residues_match_the_masked_column_sums(data):

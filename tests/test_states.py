@@ -66,11 +66,18 @@ def test_a_pure_state_keeps_a_frozen_copy_of_its_vector():
         assert not state.vector.flags.writeable
 
 
-@pytest.mark.parametrize("index", [-1, 3, 1.5])
+@pytest.mark.parametrize("index", [-1, 3, 1.5, True, False, 2.0])
 def test_basis_vector_refuses_an_index_outside_range_dim(index):
-    # -1 used to count from the end and give e_2, and 3 and 1.5 raised a bare IndexError
+    # -1 used to count from the end and give e_2, and 3, 1.5 and 2.0 raised a bare
+    # IndexError; True and False passed the range test and numpy read them as masks
+    # that set every entry or none
     with pytest.raises(ValidationError, match=rf"^basis index {index} is not in range\(3\)$"):
         PureState.basis_vector(3, index)
+
+
+@pytest.mark.parametrize("index", [1, np.int64(1)], ids=["int", "np.int64"])
+def test_basis_vector_takes_an_int_or_a_numpy_integer(index):
+    assert PureState.basis_vector(3, index).vector.tolist() == [0.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize(

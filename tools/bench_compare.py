@@ -73,7 +73,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-LAYER_DIMS = (5, 64)
+# each layer dimension and its calls per repeat, fewer where a call costs more, so
+# that one checkout's layer pass stays under a minute
+LAYER_CALLS = {5: 2000, 64: 200, 128: 25}
 ORACLE_DIM = 8
 ORACLE_RESTARTS = 32
 Q_POINTS = 12
@@ -93,7 +95,7 @@ EVERY_SUBCOMMAND_SEED = 24
 
 
 def layer_timings(checkout: Path) -> dict:
-    """Per-call CPU microseconds of each layer of ``checkout``'s varorder, at each of ``LAYER_DIMS``."""
+    """Per-call CPU microseconds of each layer of ``checkout``'s varorder at each ``LAYER_CALLS`` dimension."""
     sys.path.insert(0, str(checkout / "src"))
     import numpy as np
     import varorder
@@ -138,8 +140,7 @@ def layer_timings(checkout: Path) -> dict:
         return obs
 
     out = {}
-    for n in LAYER_DIMS:
-        calls = 2000 if n < 16 else 200
+    for n, calls in LAYER_CALLS.items():
         raw_a, raw_b = pair(n, n)
         rep_a, rep_b = pair(n, n, repeated=True)
         a, b = HermitianObservable(raw_a), HermitianObservable(raw_b)

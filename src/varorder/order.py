@@ -22,6 +22,7 @@ from .linalg import (
     HermitianObservable,
     _as_observable,
     _as_pair,
+    _checked_tol,
     eigendecompose,
     resolve_tol,
 )
@@ -60,15 +61,14 @@ class OrderVerdict:
 
 
 def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
-    """The state ``w`` along ``vec`` and the gap ``variance(a, w) - variance(b, w)``.
-
-    Recomputed from ``a.matrix`` and ``b.matrix`` at the normalized ``w``, one
-    matrix-vector product per observable, with :func:`variance`'s kernel and
-    clamp, so the gap equals the public two-call form bit for bit.
-    """
+    """The failing verdict at the state ``w`` along ``vec``, or ``None`` when its margin
+    ``variance(a, w) - variance(b, w)`` does not clear ``FAIL_MARGIN_TOL``.  The margin is
+    recomputed from ``a.matrix`` and ``b.matrix`` with :func:`variance`'s kernel and clamp,
+    one matrix-vector product each, so it equals the public two-call form bit for bit."""
     w = PureState.normalized(vec)
     x = w.vector
-    return w, max(0.0, float(_variances(a.matrix, x))) - max(0.0, float(_variances(b.matrix, x)))
+    margin = max(0.0, float(_variances(a.matrix, x))) - max(0.0, float(_variances(b.matrix, x)))
+    return OrderVerdict(False, None, w, margin) if margin > FAIL_MARGIN_TOL else None
 
 
 def _pair_state(ap: np.ndarray, diag: np.ndarray, lams: np.ndarray):
@@ -102,95 +102,94 @@ def _pair_state(ap: np.ndarray, diag: np.ndarray, lams: np.ndarray):
     return state, bound[q, p] / 2
 
 
-def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
-    """Decide whether ``A`` is below ``B`` in the variance order.
+def _residue_stage(ap: np.ndarray, labels: np.ndarray, residue_bins: np.ndarray,
+                   rank_floats: np.ndarray, tol: float):
+    """Whether ``A`` commutes with each eigenspace of ``B`` and is scalar there, read
+    from ``A' = V* A V``.
 
-    The procedure eigendecomposes ``B = V diag(lam) V*`` and works on
-    ``A' = V* A V``, formed with the decomposition's stored adjoint ``V*``.  On
-    each eigenspace ``g``, with orthogonal projection ``P``, it checks that ``A``
-    commutes with ``P`` (the residue ``sqrt(2) |A'[g, not g]|_F`` equals
-    ``|PA - AP|_F``) and is scalar there (with scalar value the mean of the
-    diagonal of ``A'[g, g]``), and finally that the scalar values are
-    1-Lipschitz across eigenvalue gaps.  Both residues of every group come from
-    one ``bincount`` of the squared moduli of ``A'`` less its group scalars over
-    the decomposition's ``residue_bins``, and the first group with either
-    residue above ``tol`` is the offending one.
-    The eigenspaces are ``B``'s eigenvalues grouped at rounding level, gaps
-    of at most ``ROUND_RTOL * |B|_F``, so a cluster of eigenvalues a fraction
-    of ``tol`` apart is never one wide group on which even ``A = B`` is not
-    scalar.  The tolerance, :func:`~varorder.linalg.resolve_tol` of ``tol``
-    (default ``PAIR_TOL_SCALE * max(1, |A|_F, |B|_F)``; a given one must be
-    finite and >= 0 and is floored at ``ROUND_RTOL * max(|A|_F, |B|_F)``, so
-    rounding residues fail no decision), bounds the residue checks and the
-    Lipschitz slack.  ``B``'s eigenpairs are solved once per observable and its
-    grouping at that threshold, which no partner changes, is memoized on it;
-    from the second partner on, :func:`eigendecompose` returns ``B``'s
-    decomposition with no array work, and a fresh ``B`` of dimension at most 16
-    shares the grouping arrays of a rank pattern seen before.
-
-    On failure the witness is, in the residue stage, the eigenbasis candidate
-    of the offending eigenspace with the largest variance for ``A`` (ties to
-    the lowest index), or the best two-level state of :func:`_pair_state`
-    when that candidate's margin does not clear the floor; in the Lipschitz
-    stage, an equal superposition across the offending pair.  Each group's
-    columns are the adjacent range ``lo : lo + ranks[j]`` of ``V``, with
-    ``lo = offsets[j]``, so a candidate is read by its column index.
-    The margin is recomputed from scratch, independently of ``A'`` and the
-    eigenvalues: ``w`` is normalized and ``var_w(A) - var_w(B)`` taken from
-    ``A.matrix`` and ``B.matrix`` with one matrix-vector product each, equal
-    bit for bit to ``variance(A, w) - variance(B, w)``; it must exceed
-    ``FAIL_MARGIN_TOL``.
+    Group ``j`` is the ``rank_floats[j]`` columns ``labels == j`` of ``V``, which are
+    adjacent: ``offsets[j] : offsets[j] + ranks[j]``.  Its scalar is the mean of ``A'``'s
+    diagonal there, its scalar residue ``|A'[g, g] - scalar I|_F``, and its commutation
+    residue ``sqrt(2) |A'[not g, g]|_F = |PA - AP|_F``, ``P`` its projection.  One
+    ``bincount`` of the squared moduli of ``A'`` less its group scalars sums both: bin
+    ``labels[c]`` of ``residue_bins`` holds entry ``(r, c)`` when ``labels[r] == labels[c]``,
+    bin ``labels[c] + m`` otherwise.  Returns the ``m`` scalars, the residues as the rows
+    (scalar, commutation) of a ``(2, m)`` array, and the lowest group with either residue
+    above ``tol``, or ``None``.
     """
-    a, b = _as_pair(A, B)
-    tol = resolve_tol(tol, a, b)
-    dec = eigendecompose(b, group_tol=ROUND_RTOL * b.frobenius_norm)
-    v, lams, labels, m = dec.vectors, dec.eigenvalues, dec.labels, len(dec.ranks)
-
-    # Per-eigenspace checks: commutation and scalarity of A on each group.
-    ap = dec.adjoint @ a.matrix @ v
-    diag = ap.diagonal().real
-    scalars = np.bincount(labels, weights=diag) / dec.rank_floats
+    m = len(rank_floats)
+    scalars = np.bincount(labels, weights=ap.diagonal().real) / rank_floats
     # A' less its group scalars, subtracted on a copy's diagonal: no n x n real
     # matrix of scalars, and no complex cast of one
     dev = ap.copy()
     dev.reshape(-1)[:: len(labels) + 1] -= scalars[labels]
-    # one sum for both residues: res[j] the scalar residue of group j (its
-    # in-block entries), res[m + j] its commutation residue (off-block, counted twice)
-    res = np.bincount(dec.residue_bins, weights=(np.abs(dev) ** 2).ravel(), minlength=2 * m)
-    res[m:] *= 2.0
+    res = np.bincount(residue_bins, weights=(np.abs(dev) ** 2).ravel(), minlength=2 * m)
+    res[m:] *= 2.0  # the bins hold one of the two off-block halves
     np.sqrt(res, out=res)
     over = (res > tol).nonzero()[0]
-    if over.size:
-        j = int((over % m).min())
-        lo = dec.offsets[j]
-        hi = lo + dec.ranks[j]
+    return scalars, res.reshape(2, m), int((over % m).min()) if over.size else None
+
+
+def _lipschitz_stage(lams: np.ndarray, scalars: np.ndarray, tol: float):
+    """The worst pair ``(j, k, excess)`` of ``excess = |scalars[j] - scalars[k]| -
+    |lams[j] - lams[k]| - tol`` if positive, else ``None``: the scalars are 1-Lipschitz in
+    the eigenvalues within ``tol``.  Ties go to the first pair in ``(j, k)`` order; the
+    excess is symmetric and ``-tol <= 0`` on the diagonal, so that pair has ``j < k``."""
+    excess = _lipschitz_excess(lams, scalars, 1.0)
+    excess -= tol
+    worst = int(excess.argmax())
+    if not excess.flat[worst] > 0:
+        return None
+    return *divmod(worst, len(lams)), excess.flat[worst]
+
+
+def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
+    """Decide whether ``A`` is below ``B`` in the variance order.
+
+    By Theorem 1, ``A`` is below ``B`` exactly when ``A = f(B)`` for a 1-Lipschitz
+    ``f`` on ``B``'s spectrum: :func:`_residue_stage` checks that ``A`` commutes with
+    each eigenspace of ``B = V diag(lam) V*`` and is scalar there, and
+    :func:`_lipschitz_stage` that those scalars are 1-Lipschitz in the eigenvalues,
+    grouped at gaps of at most ``ROUND_RTOL * |B|_F``; a holding verdict's certificate
+    is their table.  Both stages are bounded by :func:`~varorder.linalg.resolve_tol`
+    of ``tol``: by default ``PAIR_TOL_SCALE * max(1, |A|_F, |B|_F)``; a given one must
+    be finite and >= 0 and is floored at ``ROUND_RTOL * max(|A|_F, |B|_F)``.
+
+    A failing verdict's witness is the offending eigenspace's column of ``V`` with the
+    largest variance for ``A`` (ties to the lowest), else :func:`_pair_state`'s best
+    two-level state; past the residue stage, the equal superposition of the offending
+    eigenvalue pair's first columns.  Its margin, recomputed by :func:`_margin_at`, must
+    exceed ``FAIL_MARGIN_TOL``; when no route's does, ``InternalConsistencyError`` is raised.
+    """
+    a, b = _as_pair(A, B)
+    tol = resolve_tol(tol, a, b)
+    dec = eigendecompose(b, group_tol=ROUND_RTOL * b.frobenius_norm)
+    v, lams = dec.vectors, dec.eigenvalues
+    ap = dec.adjoint @ a.matrix @ v
+    scalars, res, g = _residue_stage(ap, dec.labels, dec.residue_bins, dec.rank_floats, tol)
+    if g is not None:
+        lo, hi, diag = dec.offsets[g], dec.offsets[g] + dec.ranks[g], ap.diagonal().real
         defects = (np.abs(ap[:, lo:hi]) ** 2).sum(axis=0) - diag[lo:hi] ** 2
-        w, margin = _margin_at(a, b, v[:, lo + int(np.argmax(defects))])
-        if margin > FAIL_MARGIN_TOL:
-            return OrderVerdict(False, None, w, margin)
-        # a basis candidate's margin is its leakage, second order in the residue
-        vec = v @ _pair_state(ap, diag, lams[labels])[0]
-    else:
-        # Pairwise Lipschitz check on the induced eigenvalue table; the worst
-        # excess wins, ties to the first pair in (j, k) order: the excess is
-        # symmetric and -tol <= 0 on the diagonal, so a positive one is first met at j < k.
-        excess = _lipschitz_excess(lams, scalars, 1.0)
-        excess -= tol
-        worst = int(excess.argmax())
-        if not excess.flat[worst] > 0:
-            table = FunctionTable.from_values(lams, scalars)
-            return OrderVerdict(holds=True, certificate=table, witness=None, margin=0.0)
-        j, k = divmod(worst, len(lams))
-        vec = v[:, dec.offsets[j]] + v[:, dec.offsets[k]]
-    w, margin = _margin_at(a, b, vec)
-    if margin > FAIL_MARGIN_TOL:
-        return OrderVerdict(False, None, w, margin)
-    raise InternalConsistencyError(
-        f"eigenspace residues (commutation {res[m + j]:.3e}, scalar {res[j]:.3e}) exceed "
-        f"tol {tol:.3e} but no witness clears the margin floor" if over.size else
-        f"Lipschitz excess {excess.flat[worst]:.3e} at eigenvalues ({float(lams[j])!r}, "
-        f"{float(lams[k])!r}) but the superposition witness does not clear the margin floor"
-    )
+        # a basis column's margin is its leakage, second order in the residue
+        verdict = (_margin_at(a, b, v[:, lo + int(np.argmax(defects))])
+                   or _margin_at(a, b, v @ _pair_state(ap, diag, lams[dec.labels])[0]))
+        if verdict is None:
+            raise InternalConsistencyError(
+                f"eigenspace residues (commutation {res[1, g]:.3e}, scalar {res[0, g]:.3e}) exceed "
+                f"tol {tol:.3e} but no witness clears the margin floor"
+            )
+        return verdict
+    worst = _lipschitz_stage(lams, scalars, tol)
+    if worst is None:
+        return OrderVerdict(True, FunctionTable.from_values(lams, scalars), None, 0.0)
+    j, k, excess = worst
+    superposition = _margin_at(a, b, v[:, dec.offsets[j]] + v[:, dec.offsets[k]])
+    if superposition is None:
+        raise InternalConsistencyError(
+            f"Lipschitz excess {excess:.3e} at eigenvalues ({float(lams[j])!r}, "
+            f"{float(lams[k])!r}) but the superposition witness does not clear the margin floor"
+        )
+    return superposition
 
 
 # The line search's grid over phi = 2 theta in [0, 2 pi), and the gain basis
@@ -396,6 +395,7 @@ def state_order_violation(
     the order, which is evidence, not proof: :func:`decide_order` gives the exact answer.
     """
     a, b = _as_pair(A, B)
+    tol = _checked_tol(tol)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     rng = as_rng(seed)

@@ -35,7 +35,9 @@ from varorder.linalg import loewner_leq, resolve_tol
 from varorder.order import (
     FAIL_MARGIN_TOL,
     _circle_coefficients,
+    _lipschitz_stage,
     _pair_state,
+    _residue_stage,
     state_order_violation,
 )
 from varorder.sampling import random_hermitian, random_lipschitz_values, random_unitary
@@ -167,6 +169,8 @@ def test_nonfinite_or_negative_tol_is_rejected(tol):
         superposition_variance(PAULI_Z, E1, E2, 1.0, 1.0, tol)
     with pytest.raises(ValidationError):
         three_point_class_candidates(HermitianObservable.from_diag([0.0, 1.0, 3.0]), tol)
+    with pytest.raises(ValidationError):
+        state_order_violation(a, b, 50, tol=tol)
 
 
 def test_zero_tol_is_valid():
@@ -493,13 +497,13 @@ def test_binned_residues_match_the_masked_column_sums(data):
     same = labels[:, None] == labels
     old = np.concatenate([np.bincount(labels, weights=np.where(same, dev, 0.0).sum(axis=0)),
                           np.bincount(labels, weights=np.where(same, 0.0, dev).sum(axis=0))])
-    new = np.bincount(dec.residue_bins, weights=dev.ravel(), minlength=2 * m)
+    _, res, first = _residue_stage(ap, labels, dec.residue_bins, dec.rank_floats, tol)
+    new = (res**2 / [[1.0], [2.0]]).ravel()  # back to the binned sums of squares
     assert (np.abs(new - old) <= 4 * n * np.finfo(np.float64).eps * old).all()
 
     scal, comm = np.sqrt(old[:m]), np.sqrt(2.0 * old[m:])
     old_bad = ((comm > tol) | (scal > tol)).nonzero()[0]
-    new_bad = (np.sqrt(new * np.repeat([1.0, 2.0], m)) > tol).nonzero()[0] % m
-    assert old_bad[:1].tolist() == sorted(new_bad.tolist())[:1]
+    assert old_bad[:1].tolist() == ([] if first is None else [first])
     verdict = decide_order(a, b)
     if old_bad.size:
         # the witness lies in the first offending group's eigenspace
@@ -510,6 +514,69 @@ def test_binned_residues_match_the_masked_column_sums(data):
         assert verdict.holds == bool((_lipschitz_excess(dec.eigenvalues, scalars, 1.0) <= tol).all())
     # a 1 x 1 A is a function of B, and a slope of 2 needs two groups to fail
     assert verdict.holds == (n == 1 or kind == "lipschitz" or (kind == "steep" and m == 1))
+
+
+def _grouped(ranks):
+    """``labels``, ``residue_bins`` and ``rank_floats`` of adjacent groups of ``ranks`` columns."""
+    labels = np.repeat(np.arange(len(ranks)), ranks)
+    bins = np.where(labels[:, None] == labels, labels, labels + len(ranks)).ravel()
+    return labels, bins, np.array(ranks, dtype=float)
+
+
+def test_residue_stage_on_a_scalar_group():
+    ap = np.array([[3.0, 0.0], [0.0, 3.0]], dtype=complex)
+    scalars, res, first = _residue_stage(ap, *_grouped([2]), 0.0)
+    assert (scalars.tolist(), res.tolist(), first) == ([3.0], [[0.0], [0.0]], None)
+
+
+def test_residue_stage_on_a_rank_one_residue():
+    # z between two rank-one groups: no scalar residue, and each group's
+    # commutation residue is sqrt(2) |z| = sqrt(50)
+    ap = np.array([[1.0, 3 + 4j], [3 - 4j, -2.0]])
+    scalars, res, first = _residue_stage(ap, *_grouped([1, 1]), 1.0)
+    assert (scalars.tolist(), res.tolist(), first) == ([1.0, -2.0], [[0.0, 0.0], [50**0.5] * 2], 0)
+    assert _residue_stage(ap, *_grouped([1, 1]), 50**0.5)[2] is None
+
+
+def test_residue_stage_returns_the_lowest_offending_group():
+    # group 2 (columns 2 and 3) is not scalar, and z couples it to group 1: group 2's
+    # scalar residue comes first in the residue array, but group 1 is the lower group
+    ap = np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex)
+    ap[1, 2], ap[2, 1] = 1j, -1j
+    _, res, first = _residue_stage(ap, *_grouped([1, 1, 2]), 0.1)
+    assert (res > 0.1).tolist() == [[False, False, True], [False, True, True]]
+    assert first == 1
+
+
+def test_lipschitz_stage_at_and_past_slope_one():
+    lams, tol = np.array([0.0, 1.0, 3.0]), 2.0**-20
+    for scalars in ([0.0, 1.0, 3.0], [3.0, 2.0, 0.0], [0.0, 1.0 + tol, 3.0]):
+        assert _lipschitz_stage(lams, np.array(scalars), tol) is None
+    past = np.nextafter(1.0 + tol, 2.0)
+    assert _lipschitz_stage(lams, np.array([0.0, past, 3.0]), tol) == (0, 1, past - 1.0 - tol)
+
+
+def test_lipschitz_stage_ties_go_to_the_first_pair():
+    # slope 2 on (0, 1) and on (2, 3), the same excess 1; every other pair holds
+    worst = _lipschitz_stage(np.array([0.0, 1.0, 5.0, 6.0]), np.array([0.0, 2.0, 4.0, 6.0]), 0.0)
+    assert worst == (0, 1, 1.0)
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.diag([0.0, 1e-5 + 2e-8]),
+     "Lipschitz excess 1.000e-08 at eigenvalues (0.0, 1e-05) but the superposition witness "
+     "does not clear the margin floor"),
+    ([[0.0, 1e-6], [1e-6, 1e-5]],
+     "eigenspace residues (commutation 1.414e-06, scalar 0.000e+00) exceed tol 1.000e-08 "
+     "but no witness clears the margin floor"),
+])
+def test_each_stage_names_its_exit_below_the_margin_floor(a, message):
+    # no witness route clears FAIL_MARGIN_TOL on these pairs at scale 1e-5; a margin
+    # floor relative below unit scale will turn both exits into failing verdicts, and
+    # this test changes with it
+    with pytest.raises(InternalConsistencyError) as info:
+        decide_order(a, np.diag([0.0, 1e-5]))
+    assert str(info.value) == message
 
 
 def _sweep_b(rng) -> HermitianObservable:

@@ -29,6 +29,21 @@ def _check_points(xs: np.ndarray, empty: str, what: str) -> None:
         raise ValidationError(f"{what} must be finite and strictly increasing")
 
 
+def _checked_int(value, low: int, high: float, message: str) -> int:
+    """``value`` as an ``int``: an ``int`` or numpy integer, never a ``bool``, with
+    ``low <= value < high``; a count, index or seed.  Else :class:`ValidationError`."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value < high:
+        return int(value)
+    raise ValidationError(message)
+
+
+def _checked_tol(tol: float) -> float:
+    """``tol`` when it is finite and >= 0 (a NaN fails both); else :class:`ValidationError`."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
     """The first and the second coordinates of ``(x, y)`` pairs as two new float64 arrays."""
     pairs = tuple(pairs)
@@ -99,10 +114,10 @@ class FunctionTable:
         return float(np.max(slopes, initial=0.0))
 
     def value_at(self, x: float, tol: float = PAIR_TOL_SCALE) -> float:
-        """Value at the table point nearest to ``x`` (within ``tol``)."""
+        """Value at the table point nearest to ``x`` (within ``tol``, finite and >= 0)."""
         xs = self.locations
         i = int(np.argmin(np.abs(xs - x)))
-        if not abs(xs[i] - x) <= tol:  # a NaN ``x`` matches nothing
+        if not abs(xs[i] - x) <= _checked_tol(tol):  # a NaN ``x`` matches nothing
             raise DomainError(
                 f"no table point within {tol:.3e} of {float(x)!r} (nearest is {float(xs[i])!r})"
             )

@@ -34,7 +34,7 @@ from .errors import (
     NotHermitianError,
     ValidationError,
 )
-from .functions import FunctionTable, _freeze
+from .functions import FunctionTable, _checked_int, _checked_tol, _freeze
 from .tolerances import CHECK_TOL, PAIR_TOL_SCALE, ROUND_RTOL
 
 JACOBI_MAX_SWEEPS = 100
@@ -196,10 +196,8 @@ class SpectralDecomposition:
 
     def group_indices(self, groups) -> tuple[int, ...]:
         """``groups`` as ints, each in ``range(len(ranks))`` or a :class:`ValidationError`."""
-        groups = tuple(int(j) for j in groups)
-        if not all(0 <= j < len(self.ranks) for j in groups):
-            raise ValidationError(f"group indices {groups} are not all in range({len(self.ranks)})")
-        return groups
+        message = f"group indices {groups} are not all in range({len(self.ranks)})"
+        return tuple(_checked_int(j, 0, len(self.ranks), message) for j in groups)
 
     def projector(self, *groups: int) -> np.ndarray:
         """Orthogonal projector onto the eigenspaces of the given group indices."""
@@ -350,12 +348,6 @@ def commutator_norm(A, B) -> float:
 
 def _tol_at(scale: float) -> float:
     return PAIR_TOL_SCALE * max(1.0, scale)
-
-
-def _checked_tol(tol: float) -> float:
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
-    return tol
 
 
 def resolve_tol(tol: float | None, *observables: HermitianObservable) -> float:

@@ -8,21 +8,17 @@ certificate or a pure state whose variances witness the failure, never both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InternalConsistencyError,
-    PreconditionError,
-    ValidationError,
-)
-from .functions import FunctionTable, _lipschitz_excess
+from .errors import InternalConsistencyError, PreconditionError
+from .functions import FunctionTable, _checked_int, _checked_tol, _lipschitz_excess
 from .linalg import (
     HermitianObservable,
     _as_observable,
     _as_pair,
-    _checked_tol,
     eigendecompose,
     resolve_tol,
 )
@@ -268,10 +264,9 @@ def witness_search(
     independently.
     """
     a, b = _as_pair(A, B)
-    if restarts < 1 or steps < 0:
-        raise ValidationError(
-            f"oracle needs restarts >= 1 and steps >= 0, got restarts={restarts!r}, steps={steps!r}"
-        )
+    message = f"oracle needs restarts >= 1 and steps >= 0, got restarts={restarts!r}, steps={steps!r}"
+    restarts = _checked_int(restarts, 1, math.inf, message)
+    steps = _checked_int(steps, 0, math.inf, message)
     rng = as_rng(seed)
     am, bm = a.matrix, b.matrix
     ops = np.stack([am, bm, am @ am, bm @ bm]).transpose(0, 2, 1)  # x @ ops: Ax, Bx, A^2x, B^2x
@@ -396,8 +391,7 @@ def state_order_violation(
     """
     a, b = _as_pair(A, B)
     tol = _checked_tol(tol)
-    if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
+    trials = _checked_int(trials, 1, math.inf, f"trials must be at least 1, got {trials}")
     rng = as_rng(seed)
     for start in range(0, trials, 256):
         count = min(256, trials - start)

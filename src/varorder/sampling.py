@@ -7,12 +7,13 @@ generator through.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .functions import FunctionTable
+from .functions import FunctionTable, _checked_int
 from .linalg import HermitianObservable, UnitaryMap
 
 if TYPE_CHECKING:  # for annotations only: importing varorder loads no numpy.random
@@ -20,10 +21,8 @@ if TYPE_CHECKING:  # for annotations only: importing varorder loads no numpy.ran
 
 
 def as_rng(seed: RngLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not (seed is None or isinstance(seed, np.random.Generator)):
+        seed = _checked_int(seed, 0, math.inf, f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
 

@@ -18,7 +18,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .functions import _check_points, _freeze, _split_pairs
+from .functions import _check_points, _checked_int, _checked_tol, _freeze, _split_pairs
 from .linalg import (
     MIN_SQUARED_NORM,
     HermitianObservable,
@@ -78,9 +78,7 @@ class PureState:
     @classmethod
     def basis_vector(cls, dim: int, index: int) -> "PureState":
         """The basis state ``e_index``, for an ``int`` or numpy integer ``index`` in ``range(dim)``."""
-        integral = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
-        if not (integral and index in range(dim)):
-            raise ValidationError(f"basis index {index} is not in range({dim})")
+        index = _checked_int(index, 0, dim, f"basis index {index} is not in range({dim})")
         x = np.zeros(dim, dtype=np.complex128)
         x[index] = 1.0
         return cls(x)
@@ -205,6 +203,7 @@ class BornMeasure:
     @classmethod
     def normalized(cls, pairs, merge_tol: float = ROUND_RTOL) -> "BornMeasure":
         """Sort, refuse masses below -DUST, merge near-coincident atoms, drop dust, renormalize."""
+        merge_tol = _checked_tol(merge_tol)
         pairs = sorted((float(t), float(p)) for t, p in pairs)
         if any(p < -DUST for _, p in pairs):  # refused before a merge can hide it
             raise ValidationError("atom masses must be nonnegative")

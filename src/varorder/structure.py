@@ -24,7 +24,7 @@ from .errors import (
     ReconstructionError,
     ValidationError,
 )
-from .functions import _check_points
+from .functions import _check_points, _checked_int
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
@@ -99,8 +99,8 @@ class TwoPointFamily:
         object.__setattr__(self, "indices", self.decomposition.group_indices(self.indices))
         if not self.indices:
             raise ValidationError("family needs a nonempty eigenvalue subset")
-        if not self.threshold > 0:
-            raise ValidationError(f"threshold must be positive, got {self.threshold!r}")
+        if not 0 < self.threshold < math.inf:
+            raise ValidationError(f"threshold must be positive and finite, got {self.threshold!r}")
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -286,8 +286,8 @@ class AutomorphismSpec:
     unitary: UnitaryMap
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValidationError(f"scale must be positive, got {self.scale!r}")
+        if not 0 < self.scale < math.inf:
+            raise ValidationError(f"scale must be positive and finite, got {self.scale!r}")
 
     def __call__(self, A) -> HermitianObservable:
         return HermitianObservable(self.scale * self.unitary.apply(A).matrix)
@@ -304,9 +304,7 @@ class AutomorphismReport:
 
 
 def _sampling_dim(dim: int) -> int:
-    if dim < 2:
-        raise ValidationError(f"dimension must be at least 2, got {dim}")
-    return dim
+    return _checked_int(dim, 2, math.inf, f"dimension must be at least 2, got {dim}")
 
 
 def verify_automorphism(
@@ -328,9 +326,8 @@ def verify_automorphism(
     positive scale times an (anti)unitary conjugation (Theorem 2's form) can
     pass too.
     """
-    _sampling_dim(dim)
-    if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
+    dim = _sampling_dim(dim)
+    trials = _checked_int(trials, 1, math.inf, f"trials must be at least 1, got {trials}")
     rng = as_rng(seed)
     for t in range(trials):
         b = random_hermitian(dim, rng)

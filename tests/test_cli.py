@@ -1,5 +1,12 @@
-"""End-to-end command-line checks: JSON I/O, exit codes, determinism."""
+"""End-to-end command-line checks: JSON I/O, exit codes, determinism.
 
+Most run ``cli.main`` in process (:func:`run_cli`); the few that check what only a
+process shows, ``python -m varorder`` start-up, the exit code that ``SystemExit``
+carries and a stderr with no warning text on it, start one (:func:`run_process`).
+"""
+
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -10,13 +17,28 @@ import pytest
 from varorder import EigensolverError, InternalConsistencyError, VarOrderError
 
 
-def run_cli(*args):
+def run_process(*args):
+    """``python -m varorder *args`` in a new process."""
     return subprocess.run(
         [sys.executable, "-m", "varorder", *args],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_cli(*args):
+    """``main(args)`` in this process, with its exit code and output as :func:`run_process`
+    gives them; a ``SystemExit`` (argparse's usage errors) gives its code."""
+    from varorder.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_matrix(path, rows):
@@ -43,7 +65,7 @@ def files(tmp_path):
 
 def test_check_order_holds(files):
     _, matrix = files
-    res = run_cli("check-order", matrix("a.json", [0.0, 1.0, 2.0]), matrix("b.json", [0.0, 1.0, 3.0]))
+    res = run_process("check-order", matrix("a.json", [0.0, 1.0, 2.0]), matrix("b.json", [0.0, 1.0, 3.0]))
     assert res.returncode == 0
     report = json.loads(res.stdout)
     assert report["holds"] is True
@@ -53,7 +75,7 @@ def test_check_order_holds(files):
 
 def test_check_order_fails_with_witness(files):
     _, matrix = files
-    res = run_cli("check-order", matrix("a.json", [0.0, 2.0, 3.0]), matrix("b.json", [0.0, 1.0, 3.0]))
+    res = run_process("check-order", matrix("a.json", [0.0, 2.0, 3.0]), matrix("b.json", [0.0, 1.0, 3.0]))
     assert res.returncode == 1
     report = json.loads(res.stdout)
     assert report["holds"] is False
@@ -101,7 +123,7 @@ def test_check_order_inconsistency_exit_code(files):
     # a deliberately loose tolerance lets the decision pass while the
     # oracle still finds the 3/4 violation: reported as inconsistency
     _, matrix = files
-    res = run_cli(
+    res = run_process(
         "check-order",
         matrix("a.json", [0.0, 2.0, 3.0]),
         matrix("b.json", [0.0, 1.0, 3.0]),
@@ -138,7 +160,7 @@ def test_an_overflowing_norm_is_an_input_error(files, command, entry):
     _, matrix = files
     big = matrix("big.json", [entry, -entry, 0.0])
     args = [big, matrix("b.json", [0.0, 1.0, 2.0])] if command == "check-order" else [big]
-    res = run_cli(command, *args)
+    res = run_process(command, *args)
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: matrix too large: dim * max |M| = ")
@@ -428,12 +450,14 @@ def test_verify_automorphism_nonpositive_trials_is_an_input_error(files):
         (["verify-automorphism", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
         (["check-order", "--oracle-trials", "2", "--seed", "-1"], "seed must be a nonnegative"),
         (["check-order", "--oracle-trials", "-1"], "oracle needs restarts >= 1"),
+        (["verify-automorphism", "--alpha", "inf"], "scale must be positive and finite, got inf"),
     ],
-    ids=["dim-0", "dim-negative", "automorphism-seed", "oracle-seed", "oracle-trials"],
+    ids=["dim-0", "dim-negative", "automorphism-seed", "oracle-seed", "oracle-trials", "alpha-inf"],
 )
 def test_out_of_range_arguments_are_input_errors(files, capsys, argv, message):
     # these ended in a numpy traceback with exit 1 ("refuted"), or, for
-    # --oracle-trials -1, skipped the oracle and exited 0
+    # --oracle-trials -1, skipped the oracle and exited 0; --alpha inf printed a
+    # RuntimeWarning before its error line
     from varorder.cli import main
 
     _, matrix = files
@@ -472,7 +496,7 @@ def test_verify_automorphism_refuses_a_dim_other_than_the_unitarys(files, capsys
 def test_verify_automorphism_refuses_a_unitary_whose_product_overflows(files):
     # U*U used to overflow with a RuntimeWarning printed before the error
     _, matrix = files
-    res = run_cli("verify-automorphism", "--unitary", matrix("u.json", [1e200, 1.0]))
+    res = run_process("verify-automorphism", "--unitary", matrix("u.json", [1e200, 1.0]))
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr == "error: matrix is not unitary: max |U*U - I| = inf\n"

@@ -248,11 +248,13 @@ def test_projector_algebra_random(n):
 
 
 def test_projector_rejects_out_of_range_groups():
-    # an unknown group index used to select no columns and give a zero projector
+    # an unknown group index used to select no columns and give a zero projector, and
+    # 1.7, "1" and True were each read as group 1
     dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
-    for groups in ((5,), (-1,), (0, 3)):
+    for groups in ((5,), (-1,), (0, 3), (1.7,), ("1",), (True,)):
         with pytest.raises(ValidationError, match="range\\(3\\)"):
             dec.projector(*groups)
+    np.testing.assert_array_equal(dec.projector(np.int64(1)), dec.projector(1))
 
 
 @pytest.mark.parametrize("n", [3, 8, 16])

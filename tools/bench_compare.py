@@ -29,8 +29,7 @@ against the repeated ``B``, an ``A`` diagonal in that ``B``'s own eigenbasis but
 not scalar on the repeated eigenspace, so that every eigenbasis column is an
 eigenvector of ``A`` and the residue stage's fallback decides.  ``_residue_stage``
 and ``_lipschitz_stage``, the two stages of ``decide_order``, are timed on the
-holding pair's arrays in ``B``'s eigenbasis, built before the timed loop; a
-checkout whose ``decide_order`` has no stage functions has no such rows.  The
+holding pair's arrays in ``B``'s eigenbasis, built before the timed loop.  The
 ``witness_search`` oracle is timed at the ``cli`` workload's setting, n = 8
 with 32 restarts (a keyword in both checkouts), on one holding and one
 failing pair, and the structure routines at
@@ -104,8 +103,9 @@ def layer_timings(checkout: Path) -> dict:
     import varorder
     from varorder.functions import FunctionTable
     from varorder.linalg import HermitianObservable, eigendecompose, resolve_tol
-    from varorder import order
-    from varorder.order import _margin_at, decide_order, witness_search
+    from varorder.order import (
+        _lipschitz_stage, _margin_at, _residue_stage, decide_order, witness_search,
+    )
     from varorder.sampling import random_unitary
     from varorder.states import PureState
     from varorder.structure import AutomorphismSpec, q_matrix, reconstruct_metric, verify_automorphism
@@ -186,17 +186,16 @@ def layer_timings(checkout: Path) -> dict:
             **{f"decide_order_fails_{route}": per_call(lambda _, ab=ab: decide_order(*ab), calls)
                for route, ab in fails.items()},
         }
-        if hasattr(order, "_residue_stage"):  # a checkout from before the split has no stages
-            grouped = eigendecompose(b, ROUND_RTOL * b.frobenius_norm)
-            tol = resolve_tol(None, a, b)
-            residue_args = (grouped.vectors.conj().T @ a.matrix @ grouped.vectors, grouped.labels,
-                            grouped.residue_bins, grouped.rank_floats, tol)
-            scalars = order._residue_stage(*residue_args)[0]
-            out[f"n={n}"].update({
-                "_residue_stage": per_call(lambda _: order._residue_stage(*residue_args), calls),
-                "_lipschitz_stage": per_call(
-                    lambda _: order._lipschitz_stage(grouped.eigenvalues, scalars, tol), calls),
-            })
+        grouped = eigendecompose(b, ROUND_RTOL * b.frobenius_norm)
+        tol = resolve_tol(None, a, b)
+        residue_args = (grouped.vectors.conj().T @ a.matrix @ grouped.vectors, grouped.labels,
+                        grouped.residue_bins, grouped.rank_floats, tol)
+        scalars = _residue_stage(*residue_args)[0]
+        out[f"n={n}"].update({
+            "_residue_stage": per_call(lambda _: _residue_stage(*residue_args), calls),
+            "_lipschitz_stage": per_call(
+                lambda _: _lipschitz_stage(grouped.eigenvalues, scalars, tol), calls),
+        })
     holding = pair(ORACLE_DIM, ORACLE_DIM)
     failing = (pair(ORACLE_DIM, ORACLE_DIM + 1)[1], holding[1])  # an independent A: the order fails
     out[f"n={ORACLE_DIM}"] = {

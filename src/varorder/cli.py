@@ -298,7 +298,3 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, VarOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -142,15 +142,17 @@ def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
     return np.subtract(out, gap, out)
 
 
-def _lipschitz_violation(xs: np.ndarray, ys: np.ndarray, c: float, tol: float):
-    """The first worst pair of points, as Python floats, whose excess passes ``tol``; or None."""
-    with np.errstate(invalid="ignore"):  # c = inf: inf * 0 on the diagonal, overwritten
-        excess = _lipschitz_excess(xs, ys, c)
-    excess[np.tri(len(xs), dtype=bool)] = -np.inf  # a non-finite value gives NaN there too
-    j, k = divmod(int(np.nanargmax(excess)), len(xs))  # the first worst pair
-    if not (excess[j, k] > tol or c >= 0):  # a negative c fails on any pair; a NaN c on none
-        raise ValidationError("Lipschitz constant must be nonnegative")
-    return tuple(zip(xs[[j, k]].tolist(), ys[[j, k]].tolist())) if excess[j, k] > tol else None
+def _lipschitz_stage(xs: np.ndarray, ys: np.ndarray, tol: float, c: float = 1.0):
+    """The worst pair ``(j, k, excess)`` of ``excess = |ys[j] - ys[k]| - c |xs[j] - xs[k]|
+    - tol`` if positive, else ``None``: the table is c-Lipschitz within ``tol``.  Ties go
+    to the first pair in ``(j, k)`` order; for finite ``c`` the excess is symmetric and
+    ``-tol <= 0`` on the diagonal, so that pair has ``j < k``."""
+    excess = _lipschitz_excess(xs, ys, c)
+    excess -= tol
+    worst = int(excess.argmax())
+    if not excess.flat[worst] > 0:
+        return None
+    return *divmod(worst, len(xs)), excess.flat[worst]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,21 +173,29 @@ class LipschitzExtension:
     def __post_init__(self):
         c, t = self.constant, self.table
         slack = LIP_TOL * max(np.abs(t.locations).max(), np.abs(t.values).max())
-        bad = _lipschitz_violation(t.locations, t.values, float(c), slack)
-        if bad is not None:
+        # on halves, as in lipschitz_constant: no difference overflows; every table is
+        # inf-Lipschitz, a NaN c compares no pair, and a negative c fails on any pair
+        worst = (_lipschitz_stage(t.locations / 2, t.values / 2, slack / 2, float(c))
+                 if math.isfinite(c) else None)
+        if worst is not None:
+            j, k, _ = worst
+            bad = tuple(zip(t.locations[[j, k]].tolist(), t.values[[j, k]].tolist()))
             (x0, y0), (x1, y1) = bad
             raise PreconditionError(
                 f"table is not {c}-Lipschitz: |f({x0}) - f({x1})| = {abs(y0 - y1)!r} "
                 f"exceeds {c} * |{x0} - {x1}| = {c * abs(x0 - x1)!r}",
                 witness=bad,
             )
+        if not c >= 0:
+            raise ValidationError("Lipschitz constant must be nonnegative")
         object.__setattr__(self, "constant", float(c))
 
     def __call__(self, x):
-        xs = self.table.locations
-        ys = self.table.values
+        xs, ys = self.table.locations / 2, self.table.values / 2
         arr = np.asarray(x, dtype=np.float64)
-        cones = ys + self.constant * np.abs(arr[..., None] - xs)
-        out = cones.min(axis=-1)
+        # on halves, as in the constructor: no distance overflows; c |x - x_i| is 0 where
+        # the distance is, also for c = inf, and a NaN probe stays NaN
+        dist = np.abs(arr[..., None] / 2 - xs)
+        cones = np.multiply(self.constant, dist, out=np.zeros_like(dist), where=dist != 0)
+        out = 2 * (ys + cones).min(axis=-1)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-

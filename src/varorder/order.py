@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, PreconditionError
-from .functions import FunctionTable, _checked_int, _checked_tol, _lipschitz_excess
+from .functions import FunctionTable, _checked_int, _checked_tol, _lipschitz_stage
 from .linalg import (
     HermitianObservable,
     _as_observable,
@@ -124,19 +124,6 @@ def _residue_stage(ap: np.ndarray, labels: np.ndarray, residue_bins: np.ndarray,
     np.sqrt(res, out=res)
     over = (res > tol).nonzero()[0]
     return scalars, res.reshape(2, m), int((over % m).min()) if over.size else None
-
-
-def _lipschitz_stage(lams: np.ndarray, scalars: np.ndarray, tol: float):
-    """The worst pair ``(j, k, excess)`` of ``excess = |scalars[j] - scalars[k]| -
-    |lams[j] - lams[k]| - tol`` if positive, else ``None``: the scalars are 1-Lipschitz in
-    the eigenvalues within ``tol``.  Ties go to the first pair in ``(j, k)`` order; the
-    excess is symmetric and ``-tol <= 0`` on the diagonal, so that pair has ``j < k``."""
-    excess = _lipschitz_excess(lams, scalars, 1.0)
-    excess -= tol
-    worst = int(excess.argmax())
-    if not excess.flat[worst] > 0:
-        return None
-    return *divmod(worst, len(lams)), excess.flat[worst]
 
 
 def decide_order(A, B, tol: float | None = None) -> OrderVerdict:

@@ -26,31 +26,36 @@ def as_rng(seed: RngLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _checked_dim(dim) -> int:
+    return _checked_int(dim, 1, math.inf, f"dimension must be a positive integer, got {dim!r}")
+
+
 def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def random_hermitian(dim: int, seed: RngLike = None, scale: float = 1.0) -> HermitianObservable:
-    rng = as_rng(seed)
+    dim, rng = _checked_dim(dim), as_rng(seed)
     g = complex_gaussian(rng, dim, dim)
     return HermitianObservable(scale * (g + g.conj().T) / 2.0)
 
 
 def random_unitary(dim: int, seed: RngLike = None, antiunitary: bool = False) -> UnitaryMap:
     """Haar-distributed unitary via QR with the standard phase fix."""
-    rng = as_rng(seed)
+    dim, rng = _checked_dim(dim), as_rng(seed)
     q, r = np.linalg.qr(complex_gaussian(rng, dim, dim))
     d = np.diag(r)
     return UnitaryMap(q * (d / np.abs(d)), antiunitary=antiunitary)
 
 
 def random_pure_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    x = complex_gaussian(rng, dim)
+    x = complex_gaussian(rng, _checked_dim(dim))
     return x / np.linalg.norm(x)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Wishart-style density matrix ``G G* / tr(G G*)`` as a plain array."""
+    dim = _checked_dim(dim)
     g = complex_gaussian(rng, dim, dim)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -85,7 +90,7 @@ def random_spectrum(
     min_gap: float = 0.05,
 ) -> np.ndarray:
     """Sorted distinct points in [low, high] with pairwise gaps >= min_gap (1000 draws at most)."""
-    rng = as_rng(seed)
+    n, rng = _checked_dim(n), as_rng(seed)
     for _ in range(1000):
         pts = np.sort(rng.uniform(low, high, size=n))
         if n < 2 or np.diff(pts).min() >= min_gap:
@@ -98,7 +103,7 @@ def random_commuting_pair(
 ) -> tuple[HermitianObservable, HermitianObservable]:
     """Simultaneously diagonalizable pair; A takes values from a pool of
     ``max(2, dim - 1)``, so its spectrum may repeat them."""
-    rng = as_rng(seed)
+    dim, rng = _checked_dim(dim), as_rng(seed)
     u = random_unitary(dim, rng).matrix
     pool = rng.uniform(-3.0, 3.0, size=max(2, dim - 1))
     a_vals = rng.choice(pool, size=dim)

@@ -443,6 +443,32 @@ def test_verify_automorphism_nonpositive_trials_is_an_input_error(files):
 
 
 @pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["check-order", "x.json", "b.json"], [1, 2],
+         "x.json: expected an object with 'dim' and 'matrix'"),
+        (["check-order", "x.json", "b.json"], {"dim": 2},
+         "x.json: expected an object with 'dim' and 'matrix'"),
+        (["variance", "b.json", "x.json"], [[1.0, 0.0], [0.0, 0.0]],
+         "x.json: expected an object with 'dim'"),
+        (["q-matrix", "x.json"], [[0, 1], [3, 7]], "x.json: spectrum file must be a flat JSON array"),
+        (["reconstruct-metric", "x.json"], {"d": [[0, 1], [1, 0]]},
+         "x.json: expected an object with a 'q' field"),
+    ],
+    ids=["matrix-list", "matrix-missing", "state-list", "spectrum-nested", "q-missing"],
+)
+def test_a_malformed_input_file_is_an_input_error(tmp_path, monkeypatch, capsys, argv, data, message):
+    from varorder.cli import main
+
+    write_matrix(tmp_path / "b.json", np.diag([0.0, 1.0]))
+    (tmp_path / "x.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["verify-automorphism", "--dim", "0"], "dimension must be at least 2, got 0"),

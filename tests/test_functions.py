@@ -16,7 +16,8 @@ from varorder import (
     PreconditionError,
     ValidationError,
 )
-from varorder.functions import _lipschitz_excess, _lipschitz_violation
+from varorder import sampling
+from varorder.functions import _lipschitz_excess, _lipschitz_stage
 from varorder.sampling import random_lipschitz_table, random_lipschitz_values
 
 
@@ -308,6 +309,39 @@ def test_direct_extension_checks_the_constant():
         LipschitzExtension(t, -1.0)
 
 
+def test_a_table_whose_differences_overflow_is_checked_without_a_warning():
+    # unhalved, both differences overflowed and inf - inf gave a NaN excess that the
+    # pair scan skipped: this slope-1 table passed the bound 0.5, with two warnings
+    t = FunctionTable(((-1e308, -1e308), (1e308, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="not 0.5-Lipschitz") as err:
+            LipschitzExtension(t, 0.5)
+        assert err.value.witness == t.points
+        assert LipschitzExtension(t, 1.0).constant == 1.0
+
+
+WIDE = ((-1e308, 0.0), (1e308, 0.0))
+
+
+@pytest.mark.parametrize(
+    "points, c, probe, expected",
+    [
+        (((0.0, 0.0), (1.0, 0.5)), np.inf, 0.0, 0.0),  # inf * 0 was NaN at a table point
+        (((0.0, 0.0), (1.0, 0.5)), np.inf, 0.5, np.inf),
+        (WIDE, 0.0, 1e308, 0.0),  # 0 * the overflowed distance was NaN
+        (WIDE, 1.0, 1e308, 0.0),  # the distance overflowed with a warning
+    ],
+    ids=["inf-at-a-point", "inf-between", "zero-far", "one-far"],
+)
+def test_evaluation_at_the_extremes_is_right_and_silent(points, c, probe, expected):
+    ext = LipschitzExtension(FunctionTable(points), c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ext(probe) == expected
+        assert ext(np.array([probe, probe])).tolist() == [expected, expected]
+
+
 @pytest.mark.parametrize("k", range(-20, 31))
 def test_one_steep_slope_is_refused_at_every_scale(k):
     # the slack is LIP_TOL * max(max |x|, max |f(x)|), relative at every scale: an
@@ -364,17 +398,15 @@ TIE_VALUES = [-1.0, 0.0, 0.5, 1.0, 2.0]
     xs=st.lists(st.integers(-5, 5), min_size=1, max_size=7, unique=True),
     data=st.data(),
     c=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-    lip_tol=st.sampled_from([1e-9, 0.0, -0.5]),
+    lip_tol=st.sampled_from([1e-9, 0.0]),
 )
 def test_vectorised_lipschitz_check_picks_the_loops_pair(xs, data, c, lip_tol):
-    # integer locations and few values make equal excesses (ties) common;
-    # non-finite values give NaN or infinite excesses, which must not differ either
-    value = st.one_of(
-        st.sampled_from(TIE_VALUES), st.floats(-10.0, 10.0), st.sampled_from([np.nan, np.inf])
-    )
+    # integer locations and few values make equal excesses (ties) common
+    value = st.one_of(st.sampled_from(TIE_VALUES), st.floats(-10.0, 10.0))
     ys = data.draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
     pts = tuple(zip(map(float, sorted(xs)), ys))
-    got = _lipschitz_violation(*np.array(pts).T, c, lip_tol)
+    worst = _lipschitz_stage(*np.array(pts).T, lip_tol, c)
+    got = None if worst is None else (pts[worst[0]], pts[worst[1]])
     assert got == _loop_violation(pts, c, lip_tol)
 
 
@@ -428,3 +460,21 @@ def test_random_lipschitz_values_refuse_locations_that_are_no_nonempty_line(loca
     # an empty array used to raise IndexError, and a 2-D one came back as a 2-D array
     with pytest.raises(ValidationError, match="nonempty and 1-dimensional"):
         random_lipschitz_values(locations, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# random observables and states: their dimension
+
+
+@pytest.mark.parametrize("dim", [2.5, True, 0, -1], ids=repr)
+@pytest.mark.parametrize(
+    "name",
+    ["random_hermitian", "random_unitary", "random_spectrum", "random_pure_vector",
+     "random_density_matrix", "random_commuting_pair"],
+)
+def test_a_dimension_that_is_no_positive_integer_is_refused(name, dim):
+    # 2.5 and True used to raise a bare TypeError, -1 numpy's ValueError,
+    # and 0 an empty array from random_spectrum, random_pure_vector and random_density_matrix
+    rng = (np.random.default_rng(0),) if name in ("random_pure_vector", "random_density_matrix") else ()
+    with pytest.raises(ValidationError, match=f"dimension must be a positive integer, got {dim!r}"):
+        getattr(sampling, name)(dim, *rng)

@@ -116,8 +116,10 @@ class FunctionTable:
     def value_at(self, x: float, tol: float = PAIR_TOL_SCALE) -> float:
         """Value at the table point nearest to ``x`` (within ``tol``, finite and >= 0)."""
         xs = self.locations
-        i = int(np.argmin(np.abs(xs - x)))
-        if not abs(xs[i] - x) <= _checked_tol(tol):  # a NaN ``x`` matches nothing
+        with np.errstate(over="ignore"):  # a distance past the float64 maximum is inf
+            dist = np.abs(xs - x)
+        i = int(np.argmin(dist))
+        if not dist[i] <= _checked_tol(tol):  # a NaN ``x`` matches nothing
             raise DomainError(
                 f"no table point within {tol:.3e} of {float(x)!r} (nearest is {float(xs[i])!r})"
             )
@@ -138,7 +140,8 @@ def _lipschitz_excess(xs, ys, c: float) -> np.ndarray:
     gap = xs[:, None] - xs
     np.abs(gap, gap)
     if c != 1.0:
-        np.multiply(gap, c, gap)
+        with np.errstate(over="ignore"):  # an allowance past the float64 maximum is inf
+            np.multiply(gap, c, gap)
     return np.subtract(out, gap, out)
 
 
@@ -182,8 +185,8 @@ class LipschitzExtension:
             bad = tuple(zip(t.locations[[j, k]].tolist(), t.values[[j, k]].tolist()))
             (x0, y0), (x1, y1) = bad
             raise PreconditionError(
-                f"table is not {c}-Lipschitz: |f({x0}) - f({x1})| = {abs(y0 - y1)!r} "
-                f"exceeds {c} * |{x0} - {x1}| = {c * abs(x0 - x1)!r}",
+                f"table is not {c}-Lipschitz: |f({x0}) - f({x1})| / 2 = {abs(y0 / 2 - y1 / 2)!r} "
+                f"exceeds {c} * |{x0} - {x1}| / 2 = {c * abs(x0 / 2 - x1 / 2)!r}",
                 witness=bad,
             )
         if not c >= 0:
@@ -196,6 +199,7 @@ class LipschitzExtension:
         # on halves, as in the constructor: no distance overflows; c |x - x_i| is 0 where
         # the distance is, also for c = inf, and a NaN probe stays NaN
         dist = np.abs(arr[..., None] / 2 - xs)
-        cones = np.multiply(self.constant, dist, out=np.zeros_like(dist), where=dist != 0)
-        out = 2 * (ys + cones).min(axis=-1)
+        with np.errstate(over="ignore"):  # a cone or a value past the float64 maximum is inf
+            cones = np.multiply(self.constant, dist, out=np.zeros_like(dist), where=dist != 0)
+            out = 2 * (ys + cones).min(axis=-1)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out

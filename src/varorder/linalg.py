@@ -6,9 +6,9 @@ every validated type: it stores only arrays it computed or copied, frozen, so no
 caller holds them; a ``SpectralDecomposition`` is built from an observable, not
 from arrays, shares that observable's frozen eigenpairs, keeps the adjoint ``V*``
 and, up to dimension 16, shares the grouping arrays of its rank pattern, built
-once per pattern in a bounded memo.  The one value left
-to first use is ``HermitianObservable.eigenpairs``, since an observable on the
-``A`` side of a decision is never solved.  Every eigensolve in the package goes
+once per pattern in a bounded memo.  Left to first use are an observable's
+eigenpairs and its one decomposition, since the ``A`` side of a decision is never
+solved.  Every eigensolve in the package goes
 through :func:`_eigh`, which calls LAPACK through ``numpy.linalg.eigh``; its
 answers stay on the checked path (each :class:`SpectralDecomposition` verifies
 its grouped reconstruction).  The cyclic Jacobi iteration :func:`jacobi_eigh` is
@@ -118,6 +118,11 @@ class HermitianObservable:
         """Ascending eigenvalues and eigenvectors from :func:`_eigh`, solved on first use."""
         w, v = _eigh(self.matrix)
         return _freeze(w), _freeze(v)
+
+    @cached_property
+    def _decomposition(self) -> "SpectralDecomposition":
+        """The decomposition :func:`eigendecompose` returns, built on first use."""
+        return SpectralDecomposition(self, ROUND_RTOL * self.frobenius_norm)
 
 
 def _as_observable(a) -> HermitianObservable:
@@ -291,26 +296,13 @@ def jacobi_eigh(matrix, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray
     return w[order], v[:, order]
 
 
-def eigendecompose(A, group_tol: float | None = None) -> SpectralDecomposition:
-    """The :class:`SpectralDecomposition` of a Hermitian observable at ``group_tol``.
-
-    The default threshold is ``resolve_tol(None, A)``, the default comparison
-    tolerance, which the structure routines that count distinct eigenvalues rely
-    on; :func:`~varorder.order.decide_order` groups at rounding level instead.
-    The observable keeps one grouping memo, its last threshold and that
-    threshold's decomposition: a repeat call at the same ``group_tol`` (one ``B``
-    decided against many partners) returns the same object before any array
-    work, and a call at a new threshold regroups the stored eigenpairs (the
-    eigensolver runs at most once per observable) and replaces the memo.
+def eigendecompose(A) -> SpectralDecomposition:
+    """The observable's one :class:`SpectralDecomposition`, grouped at ``ROUND_RTOL * |A|_F``
+    (eigenvalues merge only where they differ by rounding), built on first use and kept:
+    a repeat call, from :func:`~varorder.order.decide_order` or a structure routine,
+    returns the same object with no array work, so every caller sees the same eigenspaces.
     """
-    obs = _as_observable(A)
-    group_tol = resolve_tol(None, obs) if group_tol is None else group_tol
-    last = obs.__dict__.get("_last_grouping")
-    if last is not None and last[0] == group_tol:
-        return last[1]
-    dec = SpectralDecomposition(obs, group_tol)
-    obs.__dict__["_last_grouping"] = (group_tol, dec)
-    return dec
+    return _as_observable(A)._decomposition
 
 
 def _table_value(f, lam: float, tol: float) -> float:

@@ -146,7 +146,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     """
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
-    dec = eigendecompose(b, group_tol=ROUND_RTOL * b.frobenius_norm)
+    dec = eigendecompose(b)
     v, lams = dec.vectors, dec.eigenvalues
     ap = dec.adjoint @ a.matrix @ v
     scalars, res, g = _residue_stage(ap, dec.labels, dec.residue_bins, dec.rank_floats, tol)

@@ -347,7 +347,7 @@ def verify_automorphism(
 def two_spectrum_detector(A, method: str = "spectral") -> bool:
     """Whether the spectrum has exactly two points.
 
-    The ``"spectral"`` method counts eigenvalue groups.  The ``"order"``
+    The ``"spectral"`` method counts the groups of :func:`eigendecompose`.  The ``"order"``
     method answers from the order below ``A``: with at most two spectrum
     points every element below ``A`` is ``alpha A + beta``, so the lower set is
     a chain and only the count is read, with nothing to decide (one point, a

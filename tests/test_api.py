@@ -67,7 +67,6 @@ MODULES = ("linalg", "functions", "states", "order", "structure", "sampling")
 OPTIONS = {
     "functions.FunctionTable.value_at(tol=)",
     "linalg.UnitaryMap.__init__(antiunitary=)",
-    "linalg.eigendecompose(group_tol=)",
     "linalg.jacobi_eigh(max_sweeps=)",
     "linalg.loewner_leq(tol=)",
     "states.BornMeasure.normalized(merge_tol=)",
@@ -136,7 +135,7 @@ def public_options() -> list[str]:
 
 def test_public_options_are_pinned():
     found = public_options()
-    assert len(found) == len(set(found)) == 34
+    assert len(found) == len(set(found)) == 33
     assert set(found) == OPTIONS
 
 

@@ -14,7 +14,13 @@ import sys
 import numpy as np
 import pytest
 
-from varorder import EigensolverError, InternalConsistencyError, VarOrderError
+from varorder import (
+    AutomorphismReport,
+    EigensolverError,
+    HermitianObservable,
+    InternalConsistencyError,
+    VarOrderError,
+)
 
 
 def run_process(*args):
@@ -187,6 +193,27 @@ def test_nonfinite_or_negative_tol_is_an_input_error(files, command, tol):
     assert res.returncode == 2
     assert res.stdout == ""
     assert "tolerance must be finite and >= 0" in res.stderr
+
+
+def test_an_oracle_violation_on_a_holding_pair_exits_3_in_process(files, monkeypatch):
+    # the stub is the witness_search that cli.main calls: a best value far above
+    # ORACLE_AGREE_TOL disagrees with "holds"
+    from varorder import cli
+
+    calls = []
+
+    def found(a, b, restarts, seed):
+        calls.append((restarts, seed))
+        return None, 0.25
+
+    monkeypatch.setattr(cli, "witness_search", found)
+    _, matrix = files
+    res = run_cli("check-order", matrix("a.json", [0.0, 1.0, 2.0]), matrix("b.json", [0.0, 1.0, 3.0]),
+                  "--oracle-trials", "2", "--seed", "5")
+    assert res.returncode == 3 and calls == [(2, 5)]
+    report = json.loads(res.stdout)
+    assert report["holds"] is True
+    assert report["oracle"] == {"restarts": 2, "seed": 5, "best_value": 0.25, "agrees": False}
 
 
 def test_eigensolver_failure_exits_3(files, monkeypatch, capsys):
@@ -494,6 +521,30 @@ def test_out_of_range_arguments_are_input_errors(files, capsys, argv, message):
     assert out.out == ""
     assert out.err.startswith("error: ")
     assert message in out.err
+
+
+def test_a_counterexample_is_reported_with_its_trial_and_pair(monkeypatch):
+    # the stub is the verify_automorphism that cli.main calls: a report whose third
+    # and last trial found the pair
+    from varorder import cli
+
+    a = HermitianObservable.from_diag([0.0, 1.0, 2.0])
+    b = HermitianObservable(np.array([[1.0, 2j, 0.0], [-2j, 0.0, 0.0], [0.0, 0.0, -1.0]]))
+    monkeypatch.setattr(cli, "verify_automorphism",
+                        lambda *args, **kwargs: AutomorphismReport(False, 3, (a, b)))
+    res = run_cli("verify-automorphism", "--trials", "5")
+    assert res.returncode == 1
+    report = json.loads(res.stdout)
+    assert report["passed"] is False and report["trials"] == 3
+
+    def entries(obs):
+        return [[[z.real, z.imag] for z in row] for row in obs.matrix.tolist()]
+
+    assert report["counterexample"] == {
+        "trial": 2,
+        "a": {"dim": 3, "matrix": entries(a)},
+        "b": {"dim": 3, "matrix": entries(b)},
+    }
 
 
 def test_verify_automorphism_with_unitary_file(files):

@@ -197,6 +197,15 @@ def test_value_at_names_the_nearest_point_as_a_python_float():
         assert str(err.value) == "no table point within 1.000e-08 of 0.75 (nearest is 1.0)"
 
 
+def test_value_at_a_distance_past_the_float64_maximum_is_silent():
+    # |1e308 - (-1e308)| overflowed with a warning before the DomainError
+    t = FunctionTable(((1e308, 1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"of -1e\+308 \(nearest is 1e\+308\)"):
+            t.value_at(-1e308)
+
+
 def test_lipschitz_constant_of_a_table_whose_differences_overflow():
     # 1e308 - (-1e308) used to overflow: nan, with overflow and invalid-value warnings
     t = FunctionTable(((-1e308, -1e308), (1e308, 1e308)))
@@ -319,6 +328,14 @@ def test_a_table_whose_differences_overflow_is_checked_without_a_warning():
             LipschitzExtension(t, 0.5)
         assert err.value.witness == t.points
         assert LipschitzExtension(t, 1.0).constant == 1.0
+        # an allowance c |x - y| / 2 past the float64 maximum is inf, and the pair passes
+        assert LipschitzExtension(t, 1e300).constant == 1e300
+    # the message gives the halves the scan compared: the whole rise and allowance were
+    # "inf exceeds ... inf"
+    assert str(err.value) == (
+        "table is not 0.5-Lipschitz: |f(-1e+308) - f(1e+308)| / 2 = 1e+308 "
+        "exceeds 0.5 * |-1e+308 - 1e+308| / 2 = 5e+307"
+    )
 
 
 WIDE = ((-1e308, 0.0), (1e308, 0.0))
@@ -331,8 +348,10 @@ WIDE = ((-1e308, 0.0), (1e308, 0.0))
         (((0.0, 0.0), (1.0, 0.5)), np.inf, 0.5, np.inf),
         (WIDE, 0.0, 1e308, 0.0),  # 0 * the overflowed distance was NaN
         (WIDE, 1.0, 1e308, 0.0),  # the distance overflowed with a warning
+        (WIDE[:1], 1.0, 1e308, np.inf),  # the doubled value overflowed with a warning
+        (((0.0, 0.0),), 1e300, 1e10, np.inf),  # the cone overflowed with a warning
     ],
-    ids=["inf-at-a-point", "inf-between", "zero-far", "one-far"],
+    ids=["inf-at-a-point", "inf-between", "zero-far", "one-far", "value-far", "cone-far"],
 )
 def test_evaluation_at_the_extremes_is_right_and_silent(points, c, probe, expected):
     ext = LipschitzExtension(FunctionTable(points), c)

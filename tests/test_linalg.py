@@ -32,6 +32,8 @@ from varorder import (
     eigendecompose,
     linalg,
     maximal_deviation,
+    two_point_lower_set,
+    two_spectrum_detector,
 )
 from varorder.linalg import jacobi_eigh, loewner_leq, resolve_tol
 from varorder.sampling import random_hermitian, random_unitary
@@ -188,7 +190,7 @@ def test_matrix_is_immutable():
 
 
 def test_decompose_already_diagonal_groups_degenerate():
-    dec = eigendecompose(HermitianObservable.from_diag([3.0, 1.0, 1.0]), group_tol=1e-9)
+    dec = eigendecompose(HermitianObservable.from_diag([3.0, 1.0, 1.0]))
     assert dec.eigenvalues.tolist() == [1.0, 3.0]
     assert dec.ranks == (2, 1)
 
@@ -212,7 +214,7 @@ def test_decompose_complex_offdiagonal():
 
 def test_decompose_group_tol_merges_near_eigenvalues():
     obs = HermitianObservable.from_diag([0.0, 0.4, 1.0])
-    dec = eigendecompose(obs, group_tol=0.5)
+    dec = SpectralDecomposition(obs, 0.5)
     assert dec.ranks == (2, 1)
     assert dec.eigenvalues[0] == pytest.approx(0.2)  # merged group keeps the mean
 
@@ -220,7 +222,7 @@ def test_decompose_group_tol_merges_near_eigenvalues():
 def test_group_means_stay_inside_their_groups_at_zero_tol():
     # three 0.1s sum to 0.30000000000000004, whose third rounds onto the next group
     obs = HermitianObservable.from_diag([0.1, 0.1, 0.1, np.nextafter(0.1, 1.0)])
-    dec = eigendecompose(obs, group_tol=0.0)
+    dec = SpectralDecomposition(obs, 0.0)
     assert dec.ranks == (3, 1)
     w, _ = obs.eigenpairs
     assert w[0] <= dec.eigenvalues[0] <= w[2] < w[3] == dec.eigenvalues[1]
@@ -303,7 +305,7 @@ def test_grouping_is_bit_exact_with_and_without_a_merge(n, kind, exponent, seed)
     obs = HermitianObservable((u * (spectrum * 10.0**exponent)) @ u.conj().T)
     w, _ = obs.eigenpairs
     for group_tol in (resolve_tol(None, obs), ROUND_RTOL * obs.frobenius_norm):
-        dec = eigendecompose(obs, group_tol)
+        dec = SpectralDecomposition(obs, group_tol)
         ref = _reference_grouping(w, group_tol)
         assert dec.ranks == ref["ranks"]
         if kind == "distinct":
@@ -315,45 +317,53 @@ def test_grouping_is_bit_exact_with_and_without_a_merge(n, kind, exponent, seed)
             assert got.dtype == ref[name].dtype and got.tobytes() == ref[name].tobytes(), name
 
 
-def test_decomposition_is_cached_per_threshold():
+def test_the_observable_keeps_one_decomposition_grouped_at_rounding_level():
     obs = random_hermitian(5, seed=4)  # eigenvalue gaps 0.83, 1.59, 0.92, 1.73
-    assert eigendecompose(obs) is eigendecompose(obs)
-    assert eigendecompose(obs, group_tol=0.5) is eigendecompose(obs, group_tol=0.5)
-    # 0.5 splits every gap, as the default does: the same grouping, built again
-    half, default = eigendecompose(obs, group_tol=0.5), eigendecompose(obs)
-    assert half.ranks == default.ranks == (1, 1, 1, 1, 1)
-    assert half.eigenvalues.tobytes() == default.eigenvalues.tobytes()
-    assert half.vectors.tobytes() == default.vectors.tobytes()
-    # 1.0 merges across the 0.83 and 0.92 gaps
-    assert eigendecompose(obs, group_tol=1.0).ranks == (2, 2, 1)
+    dec = eigendecompose(obs)
+    assert eigendecompose(obs) is dec and vars(obs)["_decomposition"] is dec
+    fine = SpectralDecomposition(obs, ROUND_RTOL * obs.frobenius_norm)
+    assert dec.ranks == fine.ranks == (1, 1, 1, 1, 1)
+    for name in ("eigenvalues", "vectors", "adjoint", "labels", "residue_bins"):
+        assert getattr(dec, name).tobytes() == getattr(fine, name).tobytes(), name
+    # a chosen threshold is the constructor's: 1.0 merges across the 0.83 and 0.92 gaps
+    assert SpectralDecomposition(obs, 1.0).ranks == (2, 2, 1)
+    assert eigendecompose(obs) is dec
 
 
-def test_a_repeat_threshold_returns_its_decomposition_before_any_array_work(
-    monkeypatch, eigh_calls
-):
-    # eigenvalues 0, 1, 1 + 1e-10 and 3: the default threshold (~3e-8) merges the close
-    # pair, decide_order's ROUND_RTOL * |B|_F (~3e-12) keeps it apart
+def test_a_chained_group_below_tol_stays_split_and_rebuilds_its_observable():
+    # gaps of 6e-9, each within the default tol 1e-8, used to chain into one group
+    # 1.8e-8 wide: its mean was off the eigenvalues, and rebuilding A from the
+    # identity table on the spectrum was off by 1.47e-8, more than tol
+    a = HermitianObservable.from_diag([0.0, 6e-9, 1.2e-8, 1.8e-8, 1.0])
+    dec = eigendecompose(a)
+    assert dec.ranks == (1, 1, 1, 1, 1)
+    w, _ = a.eigenpairs
+    rebuilt = apply_function(dec, FunctionTable([(x, x) for x in w.tolist()]))
+    assert np.linalg.norm(rebuilt.matrix - a.matrix) <= resolve_tol(None, a)
+
+
+def test_a_repeat_call_returns_its_decomposition_before_any_array_work(monkeypatch, eigh_calls):
+    # eigenvalues 0, 1, 1 + 1e-10 and 3: the close pair is below the default tol
+    # (~3e-8) and apart by more than rounding, so it is two groups for every caller
     u = random_unitary(4, seed=8).matrix
     b = HermitianObservable((u * [0.0, 1.0, 1.0 + 1e-10, 3.0]) @ u.conj().T)
-    fine = ROUND_RTOL * b.frobenius_norm
-    # interleaved thresholds regroup the one eigensolve into their own grouping
-    for t, ranks in ((None, (1, 2, 1)), (fine, (1, 1, 1, 1)), (None, (1, 2, 1)),
-                     (2 * fine, (1, 1, 1, 1)), (fine, (1, 1, 1, 1)), (fine, (1, 1, 1, 1)),
-                     (None, (1, 2, 1)), (1e-3, (1, 2, 1))):
-        assert eigendecompose(b, t).ranks == ranks
+    dec = eigendecompose(b)
+    assert dec.ranks == (1, 1, 1, 1)
+    # the structure routines and the decision read that one decomposition
+    assert len(two_point_lower_set(b)) == 7 and not two_spectrum_detector(b)
+    assert all(f.decomposition is dec for f in two_point_lower_set(b))
+    assert decide_order(b, b).holds and eigendecompose(b) is dec
     assert len(eigh_calls) == 1
-    split = eigendecompose(b, fine)
-    assert decide_order(b, b).holds and eigendecompose(b, fine) is split
 
     def refuse(*_):
         raise AssertionError("array work on a repeat call")
 
-    # a repeat of the last threshold solves nothing, builds nothing and does not
-    # even read the eigenpairs: unpacking None would raise
+    # a repeat call solves nothing, builds nothing and does not even read the
+    # eigenpairs: unpacking None would raise
     monkeypatch.setattr(linalg, "_eigh", refuse)
     monkeypatch.setattr(linalg.SpectralDecomposition, "__init__", refuse)
     monkeypatch.setitem(vars(b), "eigenpairs", None)
-    assert eigendecompose(b, fine) is split
+    assert eigendecompose(b) is dec
     assert decide_order(b, b).holds and decide_order(2.0 * b.matrix, b).holds is False
 
 
@@ -503,7 +513,7 @@ def test_one_eigensolve_per_observable_across_partner_norms(eigh_calls):
         a = HermitianObservable(b.matrix + shift * np.eye(3))
         assert resolve_tol(None, a, b) > resolve_tol(None, b)
         assert decide_order(a, b).holds
-    assert eigendecompose(b, group_tol=1e-3).ranks == dec.ranks  # same grouping
+    assert eigendecompose(b) is dec
     assert eigh_calls == [(3, 3)]
 
 
@@ -517,19 +527,11 @@ def test_maximal_deviation_reuses_the_eigensolve(eigh_calls):
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
 def test_group_tol_must_be_finite_and_nonnegative(tol):
     # a NaN group_tol used to merge the whole spectrum into one group
-    with pytest.raises(ValidationError):
-        eigendecompose(random_hermitian(3, seed=5), group_tol=tol)
-    zero = eigendecompose(HermitianObservable.from_diag([0.0, 0.0, 1.0]), group_tol=0)
-    assert zero.ranks == (2, 1)
-
-
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
-@pytest.mark.parametrize("build", [SpectralDecomposition, eigendecompose],
-                         ids=["SpectralDecomposition", "eigendecompose"])
-def test_a_grouping_threshold_is_refused_unless_finite_and_nonnegative(build, tol):
     message = f"tolerance must be finite and >= 0, got {tol!r}"
     with pytest.raises(ValidationError, match=re.escape(message)):
-        build(random_hermitian(3, seed=5), tol)
+        SpectralDecomposition(random_hermitian(3, seed=5), tol)
+    zero = SpectralDecomposition(HermitianObservable.from_diag([0.0, 0.0, 1.0]), 0)
+    assert zero.ranks == (2, 1)
 
 
 def test_diameter():

@@ -456,7 +456,7 @@ def test_fresh_arrays_and_a_cached_b_give_the_same_bytes_on_every_route(monkeypa
     # the cached side reads the ones B's first partner left on it
     cached_b = HermitianObservable(b.matrix.copy())
     assert decide_order(cached_b, cached_b).holds
-    dec = eigendecompose(cached_b, ROUND_RTOL * cached_b.frobenius_norm)
+    dec = eigendecompose(cached_b)
     called = set()
     for name in ("_pair_state", "_lipschitz_stage"):
         def spy(*args, _name=name, _f=getattr(order, name)):
@@ -468,7 +468,7 @@ def test_fresh_arrays_and_a_cached_b_give_the_same_bytes_on_every_route(monkeypa
              else "pair" if "_lipschitz_stage" in called else "basis")
     assert taken == route
     cached = decide_order(a, cached_b)
-    assert eigendecompose(cached_b, ROUND_RTOL * cached_b.frobenius_norm) is dec
+    assert eigendecompose(cached_b) is dec
     assert _verdict_bytes(cached) == _verdict_bytes(fresh)
 
 
@@ -494,7 +494,7 @@ def test_binned_residues_match_the_masked_column_sums(data):
         a_mat = a_mat + random_hermitian(n, seed=rng, scale=0.1).matrix
     a = HermitianObservable(a_mat)
 
-    dec = eigendecompose(b, group_tol=ROUND_RTOL * b.frobenius_norm)
+    dec = eigendecompose(b)
     assert list(dec.ranks) == ranks
     v, labels, m, tol = dec.vectors, dec.labels, len(ranks), resolve_tol(None, a, b)
     ap = v.conj().T @ a.matrix @ v

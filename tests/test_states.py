@@ -15,6 +15,7 @@ from varorder import (
     LipschitzExtension,
     PreconditionError,
     PureState,
+    SpectralDecomposition,
     ValidationError,
     approx_eigen_sandwich,
     born_measure,
@@ -566,7 +567,7 @@ def test_one_vector_variance_matches_the_stacked_form_and_the_born_measure(n, k,
     bound = 4 * n * np.finfo(float).eps * a.frobenius_norm**2
     assert abs(one - _variances(a.matrix, x[None])[0]) <= bound
     # the Born route at A itself, each eigenvalue its own atom (no grouping)
-    born = measure_variance(born_measure(eigendecompose(a, group_tol=0.0), PureState(x)))
+    born = measure_variance(born_measure(SpectralDecomposition(a, 0.0), PureState(x)))
     assert abs(max(0.0, one) - born) <= bound
     assert variance(a, PureState(x)) == max(0.0, float(one))
 

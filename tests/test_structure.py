@@ -616,6 +616,19 @@ def test_detector_order_mode_decides_at_most_the_hinge_pair(monkeypatch):
         assert len(calls) <= most
 
 
+def test_spectral_structure_is_scale_covariant():
+    # grouped at ROUND_RTOL * |A|_F, not at the default tol, which is absolute below
+    # scale 1: the gap 1e-3 * 2^k merged from k = -17 on (a two-point spectrum, one
+    # family), and the whole spectrum from k = -30 (a DegenerateInputError)
+    a = np.diag([0.0, 1e-3, 1.0])
+    at = {}
+    for k in range(-40, 41):
+        s = HermitianObservable(2.0**k * a)
+        at[k] = eigendecompose(s).ranks, two_spectrum_detector(s), len(two_point_lower_set(s))
+    assert at[0] == ((1, 1, 1), False, 3)
+    assert set(at.values()) == {at[0]}
+
+
 def test_hinge_images_are_incomparable():
     # both hinges are short maps of A, yet neither is below the other
     a = HermitianObservable.from_diag([0.0, 1.0, 3.0])

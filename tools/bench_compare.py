@@ -14,9 +14,7 @@ processes, with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
 observable against a ``B`` whose decomposition is already cached, as when one
 ``B`` meets many partners, and ``decide_order_cached_b_fails`` does the same for
 an independent ``A``, for which the order fails, as in most of ``pool-order``'s
-decisions; ``eigendecompose_regroup`` groups one observable at
-its default threshold and at ``decide_order``'s ``ROUND_RTOL * |B|_F`` in turn, so
-every call regroups.  ``SpectralDecomposition`` times that class's construction
+decisions.  ``SpectralDecomposition`` times that class's construction
 through the call every checkout shares: ``eigendecompose`` of a new observable
 whose eigenpairs are already solved, so the grouping, the reconstruction check
 and the stored arrays, but no eigensolve.  The ``_repeated`` layers take a ``B`` whose two
@@ -62,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -109,7 +106,6 @@ def layer_timings(checkout: Path) -> dict:
     from varorder.sampling import random_unitary
     from varorder.states import PureState
     from varorder.structure import AutomorphismSpec, q_matrix, reconstruct_metric, verify_automorphism
-    from varorder.tolerances import ROUND_RTOL
 
     if not Path(varorder.__file__).resolve().is_relative_to(checkout.resolve()):
         raise SystemExit(f"imported varorder from {varorder.__file__}, not from {checkout}")
@@ -138,7 +134,7 @@ def layer_timings(checkout: Path) -> dict:
         return (v * np.sin(w)) @ v.conj().T, raw_b
 
     def solved(raw):
-        """A new observable whose eigenpairs are already solved, so no grouping memo yet."""
+        """A new observable whose eigenpairs are already solved, so no decomposition yet."""
         obs = HermitianObservable(raw)
         obs.eigenpairs
         return obs
@@ -171,10 +167,6 @@ def layer_timings(checkout: Path) -> dict:
             "eigendecompose_fresh_repeated": per_call(
                 eigendecompose, calls, lambda: HermitianObservable(rep_b)),
             "eigendecompose_cached": per_call(lambda _: eigendecompose(b), calls),
-            "eigendecompose_regroup": per_call(
-                lambda t: eigendecompose(b, t), calls,
-                itertools.cycle((None, ROUND_RTOL * b.frobenius_norm)).__next__,
-            ),
             "SpectralDecomposition": per_call(eigendecompose, calls, lambda: solved(raw_b)),
             "FunctionTable.from_values": per_call(lambda _: FunctionTable.from_values(lams, vals), calls),
             "_margin_at": per_call(lambda _: _margin_at(a, b, probe), calls),
@@ -186,7 +178,7 @@ def layer_timings(checkout: Path) -> dict:
             **{f"decide_order_fails_{route}": per_call(lambda _, ab=ab: decide_order(*ab), calls)
                for route, ab in fails.items()},
         }
-        grouped = eigendecompose(b, ROUND_RTOL * b.frobenius_norm)
+        grouped = eigendecompose(b)
         tol = resolve_tol(None, a, b)
         residue_args = (grouped.vectors.conj().T @ a.matrix @ grouped.vectors, grouped.labels,
                         grouped.residue_bins, grouped.rank_floats, tol)

@@ -534,6 +534,14 @@ def test_group_tol_must_be_finite_and_nonnegative(tol):
     assert zero.ranks == (2, 1)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("build", [SpectralDecomposition], ids=["SpectralDecomposition"])
+def test_a_grouping_threshold_is_refused_unless_finite_and_nonnegative(build, tol):
+    message = f"tolerance must be finite and >= 0, got {tol!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(random_hermitian(3, seed=5), tol)
+
+
 def test_diameter():
     dec = eigendecompose(HermitianObservable.from_diag([0.0, 1.0, 3.0]))
     assert dec.diameter == pytest.approx(3.0)

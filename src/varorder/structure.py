@@ -37,7 +37,7 @@ from .linalg import (
     eigendecompose,
     resolve_tol,
 )
-from .order import decide_order
+from .order import _residue_stage, decide_order
 from .sampling import as_rng, random_hermitian, random_lipschitz_values
 from .tolerances import GAP_RTOL, ROUND_RTOL
 
@@ -67,19 +67,26 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
 def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
     """An observable above both members of a commuting pair.
 
-    Raises :class:`PreconditionError` carrying the commutator norm when the
+    Raises :class:`PreconditionError` carrying the offending norm when the
     pair does not commute to within ``tol``, resolved by
     :func:`~varorder.linalg.resolve_tol` (a given one floored at rounding
-    level); no joint upper bound exists in that case.
+    level); no joint upper bound exists in that case.  Both ``|AB - BA|_F``
+    and ``B``'s largest commutation residue ``|PB - BP|_F`` over the
+    eigenspace projections ``P`` of ``A`` are checked: the bound keeps only
+    ``B``'s blocks on those eigenspaces, and ``decide_order(B, C)`` bounds the
+    residue, which close eigenvalues of ``A`` leave large at a small commutator.
     """
     a, b = _as_observable(A), _as_observable(B)
     tol = resolve_tol(tol, a, b)
-    comm = commutator_norm(a, b)
-    if comm > tol:
-        raise PreconditionError(
-            f"observables do not commute: |AB - BA|_F = {comm!r} exceeds tol {tol:.3e}",
-            witness=comm,
-        )
+    dec = eigendecompose(a)
+    bp = dec.adjoint @ b.matrix @ dec.vectors
+    res = _residue_stage(bp, dec.labels, dec.residue_bins, dec.rank_floats, tol)[1][1]
+    for name, value in (("|AB - BA|_F", commutator_norm(a, b)), ("|PB - BP|_F", float(res.max()))):
+        if value > tol:
+            raise PreconditionError(
+                f"observables do not commute: {name} = {value!r} exceeds tol {tol:.3e}",
+                witness=value,
+            )
     return block_shift_upper_bound(a, b)
 
 
@@ -348,24 +355,19 @@ def two_spectrum_detector(A, method: str = "spectral") -> bool:
     """Whether the spectrum has exactly two points.
 
     The ``"spectral"`` method counts the groups of :func:`eigendecompose`.  The ``"order"``
-    method answers from the order below ``A``: with at most two spectrum
-    points every element below ``A`` is ``alpha A + beta``, so the lower set is
-    a chain and only the count is read, with nothing to decide (one point, a
-    scalar, gives ``False``); with three or more, the hinges
-    ``max(A - l1, 0)`` and ``min(A - l1, 0)`` at the second eigenvalue ``l1``
-    are both below ``A``, and the answer is whether :func:`decide_order` finds
-    them comparable (at most two decisions, no sampling).
+    method reads the same count from the order below ``A``, so the two agree: with
+    at most two spectrum points every element below ``A`` is ``alpha A + beta``,
+    so the lower set is a chain (one point, a scalar, gives ``False``); with three
+    or more, the hinges ``max(A - l1, 0)`` and ``min(A - l1, 0)`` at the second
+    eigenvalue ``l1`` are both below ``A`` and incomparable, so it is not, and the
+    answer is ``False`` with nothing to decide.  Deciding the hinges instead
+    would hold them comparable across a gap below :func:`decide_order`'s ``tol``
+    that the grouping counts, and find no witness above the margin floor across
+    a gap below about ``2 sqrt(FAIL_MARGIN_TOL)``.
     """
     if method not in ("spectral", "order"):
         raise ValidationError(f"unknown method {method!r}")
-    dec = eigendecompose(_as_observable(A))
-    m = len(dec.ranks)
-    if method == "spectral" or m <= 2:
-        return m == 2
-    shifted = dec.eigenvalues - dec.eigenvalues[1]
-    up = HermitianObservable(dec.assemble(np.maximum(shifted, 0.0)))
-    down = HermitianObservable(dec.assemble(np.minimum(shifted, 0.0)))
-    return decide_order(up, down).holds or decide_order(down, up).holds
+    return len(eigendecompose(_as_observable(A)).ranks) == 2
 
 
 def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianObservable]:

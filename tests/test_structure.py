@@ -1,5 +1,6 @@
 """Joint upper bounds, two-point lower sets, gap matrices, automorphisms."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -21,6 +22,7 @@ from varorder import (
     apply_function,
     block_shift_upper_bound,
     class_equal,
+    commutator_norm,
     decide_order,
     eigendecompose,
     joint_upper_bound,
@@ -85,6 +87,25 @@ def test_joint_upper_bound_verified_on_random_commuting_pairs(seed):
     c = joint_upper_bound(a, b)
     assert decide_order(a, c).holds
     assert decide_order(b, c).holds
+
+
+@pytest.mark.parametrize("gap", [1e-9, 2e-8])
+def test_joint_upper_bound_refuses_a_b_that_mixes_close_eigenspaces(gap):
+    # |AB - BA|_F is about gap * mixing, under tol, but the bound keeps only B's
+    # blocks on A's eigenspaces, so decide_order(B, C) would fail
+    a = HermitianObservable.from_diag([0.0, gap, 1.0])
+    for angle in (0.3, 1.0):
+        u = np.eye(3)
+        u[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+        b = HermitianObservable(u @ np.diag([0.0, 1.0, 2.0]) @ u.T)
+        assert commutator_norm(a, b) < 2e-8  # tol is 1e-8 |B|_F = 2.2e-8
+        with pytest.raises(PreconditionError, match=r"\|PB - BP\|_F = .* exceeds tol") as err:
+            joint_upper_bound(a, b)
+        # the residue is sqrt(2) times B's entry sin cos between the two eigenvectors
+        assert err.value.witness == pytest.approx(math.sqrt(2.0) * math.sin(2.0 * angle) / 2.0)
+    b = HermitianObservable.from_diag([5.0, 2.0, 3.0])  # commutes: a bound above both
+    c = joint_upper_bound(a, b)
+    assert decide_order(a, c).holds and decide_order(b, c).holds
 
 
 def test_block_shift_candidate_never_tops_both_for_noncommuting():
@@ -567,7 +588,10 @@ def test_detector_spectral_mode():
 
 
 def test_detector_order_mode_matches():
-    for diag in ([0.0, 1.0], [2.0, 2.0], [0.0, 1.0, 3.0], [0.0, 2.0, 2.0]):
+    # gaps below tol count as distinct on both routes: the order route decided the
+    # hinges at tol, held them comparable at 1e-9 and found no witness at 1e-6
+    for diag in ([0.0, 1.0], [2.0, 2.0], [0.0, 1.0, 3.0], [0.0, 2.0, 2.0], [0.0, 1e-9, 1.0],
+                 [0.0, 1e-6, 1.0]):
         a = HermitianObservable.from_diag(diag)
         assert two_spectrum_detector(a, method="order") == two_spectrum_detector(a)
     with pytest.raises(ValidationError, match="unknown method 'exact'"):
@@ -607,8 +631,8 @@ def test_detector_order_mode_decides_at_most_the_hinge_pair(monkeypatch):
         ([2.0, 2.0], 0),
         ([0.0, 1.0], 0),
         ([0.0, 1.0, 1.0, 0.0], 0),
-        ([0.0, 1.0, 3.0], 2),
-        ([0.0, 1.0, 3.0, 4.0, 7.0, 7.0, 9.0], 2),
+        ([0.0, 1.0, 3.0], 0),
+        ([0.0, 1.0, 3.0, 4.0, 7.0, 7.0, 9.0], 0),
     ):
         calls.clear()
         answer = two_spectrum_detector(HermitianObservable.from_diag(diag), method="order")

@@ -37,6 +37,10 @@ def _checked_int(value, low: int, high: float, message: str) -> int:
     raise ValidationError(message)
 
 
+def _checked_dim(dim) -> int:
+    return _checked_int(dim, 1, math.inf, f"dimension must be a positive integer, got {dim!r}")
+
+
 def _checked_tol(tol: float) -> float:
     """``tol`` when it is finite and >= 0 (a NaN fails both); else :class:`ValidationError`."""
     if not 0.0 <= tol < math.inf:
@@ -175,9 +179,10 @@ class LipschitzExtension:
 
     def __post_init__(self):
         c, t = self.constant, self.table
+        if not c >= 0:  # a NaN too
+            raise ValidationError("Lipschitz constant must be nonnegative")
         slack = LIP_TOL * max(np.abs(t.locations).max(), np.abs(t.values).max())
-        # on halves, as in lipschitz_constant: no difference overflows; every table is
-        # inf-Lipschitz, a NaN c compares no pair, and a negative c fails on any pair
+        # on halves, as in lipschitz_constant: no difference overflows; every table is inf-Lipschitz
         worst = (_lipschitz_stage(t.locations / 2, t.values / 2, slack / 2, float(c))
                  if math.isfinite(c) else None)
         if worst is not None:
@@ -189,8 +194,6 @@ class LipschitzExtension:
                 f"exceeds {c} * |{x0} - {x1}| / 2 = {c * abs(x0 / 2 - x1 / 2)!r}",
                 witness=bad,
             )
-        if not c >= 0:
-            raise ValidationError("Lipschitz constant must be nonnegative")
         object.__setattr__(self, "constant", float(c))
 
     def __call__(self, x):

@@ -34,7 +34,7 @@ from .errors import (
     NotHermitianError,
     ValidationError,
 )
-from .functions import FunctionTable, _checked_int, _checked_tol, _freeze
+from .functions import FunctionTable, _checked_dim, _checked_int, _checked_tol, _freeze
 from .tolerances import CHECK_TOL, PAIR_TOL_SCALE, ROUND_RTOL
 
 JACOBI_MAX_SWEEPS = 100
@@ -111,7 +111,7 @@ class HermitianObservable:
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianObservable":
-        return cls(np.eye(dim))
+        return cls(np.eye(_checked_dim(dim)))
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +122,7 @@ class HermitianObservable:
     @cached_property
     def _decomposition(self) -> "SpectralDecomposition":
         """The decomposition :func:`eigendecompose` returns, built on first use."""
-        return SpectralDecomposition(self, ROUND_RTOL * self.frobenius_norm)
+        return SpectralDecomposition(self)
 
 
 def _as_observable(a) -> HermitianObservable:
@@ -149,8 +149,8 @@ def _grouping(ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarra
 class SpectralDecomposition:
     """Grouped eigendecomposition ``B = V diag(lam) V*`` of an observable.
 
-    Eigenvalues of ``observable.eigenpairs`` within ``group_tol`` (finite and >= 0,
-    not floored) of each other merge into one group carrying their mean, clipped
+    Eigenvalues of ``observable.eigenpairs`` within ``ROUND_RTOL * |B|_F`` of each
+    other, apart only by rounding, merge into one group carrying their mean, clipped
     into the group's range; with no merge the group ``eigenvalues`` are the
     observable's own, the same bits.  ``vectors`` is the observable's frozen
     eigenvector matrix, each group's columns adjacent, in the order of the strictly
@@ -175,9 +175,9 @@ class SpectralDecomposition:
     residue_bins: np.ndarray = field(repr=False)
     offsets: tuple[int, ...] = field(repr=False)
 
-    def __init__(self, observable: HermitianObservable, group_tol: float):
+    def __init__(self, observable: HermitianObservable):
         w, v = observable.eigenpairs
-        splits = w[1:] - w[:-1] > _checked_tol(group_tol)  # a new group starts after each True
+        splits = w[1:] - w[:-1] > ROUND_RTOL * observable.frobenius_norm  # a group ends at True
         if splits.all():  # no merge: each group's mean, clipped, is its one eigenvalue
             lams, ranks, lam_cols, spread = w, (1,) * len(w), w, 0.0
         else:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .functions import FunctionTable, _checked_int
+from .functions import FunctionTable, _checked_dim, _checked_int
 from .linalg import HermitianObservable, UnitaryMap
 
 if TYPE_CHECKING:  # for annotations only: importing varorder loads no numpy.random
@@ -24,10 +24,6 @@ def as_rng(seed: RngLike) -> np.random.Generator:
     if not (seed is None or isinstance(seed, np.random.Generator)):
         seed = _checked_int(seed, 0, math.inf, f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(seed)
-
-
-def _checked_dim(dim) -> int:
-    return _checked_int(dim, 1, math.inf, f"dimension must be a positive integer, got {dim!r}")
 
 
 def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .functions import _check_points, _checked_int, _checked_tol, _freeze, _split_pairs
+from .functions import _check_points, _checked_dim, _checked_int, _checked_tol, _freeze, _split_pairs
 from .linalg import (
     MIN_SQUARED_NORM,
     HermitianObservable,
@@ -78,6 +78,7 @@ class PureState:
     @classmethod
     def basis_vector(cls, dim: int, index: int) -> "PureState":
         """The basis state ``e_index``, for an ``int`` or numpy integer ``index`` in ``range(dim)``."""
+        dim = _checked_dim(dim)
         index = _checked_int(index, 0, dim, f"basis index {index} is not in range({dim})")
         x = np.zeros(dim, dtype=np.complex128)
         x[index] = 1.0
@@ -115,6 +116,7 @@ class DensityState:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityState":
+        dim = _checked_dim(dim)
         return cls(np.eye(dim) / dim)
 
 

@@ -76,7 +76,7 @@ def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
     ``B``'s blocks on those eigenspaces, and ``decide_order(B, C)`` bounds the
     residue, which close eigenvalues of ``A`` leave large at a small commutator.
     """
-    a, b = _as_observable(A), _as_observable(B)
+    a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
     dec = eigendecompose(a)
     bp = dec.adjoint @ b.matrix @ dec.vectors
@@ -339,8 +339,8 @@ def verify_automorphism(
     for t in range(trials):
         b = random_hermitian(dim, rng)
         if t % 2 == 0:
-            w, v = b.eigenpairs
-            a = HermitianObservable((v * random_lipschitz_values(w, rng)) @ v.conj().T)
+            dec = eigendecompose(b)  # decide_order reads the same decomposition
+            a = HermitianObservable(dec.assemble(random_lipschitz_values(dec.eigenvalues, rng)))
         else:
             a = random_hermitian(dim, rng)
         fa = _as_observable(phi(a))
@@ -351,23 +351,16 @@ def verify_automorphism(
     return AutomorphismReport(True, trials)
 
 
-def two_spectrum_detector(A, method: str = "spectral") -> bool:
-    """Whether the spectrum has exactly two points.
+def two_spectrum_detector(A) -> bool:
+    """Whether the spectrum has exactly two points: the group count of :func:`eigendecompose`.
 
-    The ``"spectral"`` method counts the groups of :func:`eigendecompose`.  The ``"order"``
-    method reads the same count from the order below ``A``, so the two agree: with
-    at most two spectrum points every element below ``A`` is ``alpha A + beta``,
-    so the lower set is a chain (one point, a scalar, gives ``False``); with three
-    or more, the hinges ``max(A - l1, 0)`` and ``min(A - l1, 0)`` at the second
-    eigenvalue ``l1`` are both below ``A`` and incomparable, so it is not, and the
-    answer is ``False`` with nothing to decide.  Deciding the hinges instead
-    would hold them comparable across a gap below :func:`decide_order`'s ``tol``
-    that the grouping counts, and find no witness above the margin floor across
-    a gap below about ``2 sqrt(FAIL_MARGIN_TOL)``.
+    The order below ``A`` gives the same answer: with at most two spectrum points every
+    element below ``A`` is ``alpha A + beta``, so the lower set is a chain (one point, a
+    scalar, gives ``False``); with three or more, the hinges ``max(A - l1, 0)`` and
+    ``min(A - l1, 0)`` at the second eigenvalue ``l1`` are both below ``A`` and
+    incomparable, so it is not.
     """
-    if method not in ("spectral", "order"):
-        raise ValidationError(f"unknown method {method!r}")
-    return len(eigendecompose(_as_observable(A)).ranks) == 2
+    return len(eigendecompose(A).ranks) == 2
 
 
 def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianObservable]:

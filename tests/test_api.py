@@ -83,7 +83,6 @@ OPTIONS = {
     "structure.joint_upper_bound(tol=)",
     "structure.q_matrix(method=)",
     "structure.three_point_class_candidates(tol=)",
-    "structure.two_spectrum_detector(method=)",
     "structure.verify_automorphism(seed=)",
     "sampling.random_commuting_pair(seed=)",
     "sampling.random_hermitian(seed=)",
@@ -135,7 +134,7 @@ def public_options() -> list[str]:
 
 def test_public_options_are_pinned():
     found = public_options()
-    assert len(found) == len(set(found)) == 33
+    assert len(found) == len(set(found)) == 32
     assert set(found) == OPTIONS
 
 

@@ -393,6 +393,14 @@ def test_joint_upper_bound_noncommuting_is_an_input_error(files):
     assert res.returncode == 2
 
 
+def test_joint_upper_bound_of_different_dimensions_is_an_input_error(files):
+    # used to end in numpy's matmul traceback with exit 1, the code of a negative verdict
+    _, matrix = files
+    res = run_cli("joint-upper-bound", matrix("a.json", [1.0, 2.0]), matrix("b.json", [1.0, 2.0, 3.0]))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: dimension mismatch: 2 vs 3\n"
+
+
 # ---------------------------------------------------------------------------
 # lower-set, q-matrix, reconstruct-metric
 

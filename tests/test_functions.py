@@ -308,14 +308,12 @@ def test_direct_extension_checks_the_constant():
     assert err.value.witness == ((0.0, 0.0), (1.0, 5.0))
     assert LipschitzExtension(t, 5).constant == 5.0
     point = FunctionTable.from_mapping({0.0: 0.0})
-    # a NaN constant passes the pair check, which compares nothing, so the sign check catches it
-    with pytest.raises(ValidationError, match="nonnegative"):
-        LipschitzExtension(t, float("nan"))
-    with pytest.raises(ValidationError, match="nonnegative"):
-        LipschitzExtension(point, -1.0)
-    # with a pair to compare, a negative constant fails the table check first
-    with pytest.raises(PreconditionError, match="not -1.0-Lipschitz"):
-        LipschitzExtension(t, -1.0)
+    # the sign check runs before the table scan: a negative constant used to fail that
+    # scan on a table with a pair (a PreconditionError) unless it was tiny, like -1e-300
+    for table in (t, point):
+        for c in (float("nan"), -1.0, -1e-300, -float("inf")):
+            with pytest.raises(ValidationError, match="nonnegative"):
+                LipschitzExtension(table, c)
 
 
 def test_a_table_whose_differences_overflow_is_checked_without_a_warning():

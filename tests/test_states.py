@@ -15,7 +15,6 @@ from varorder import (
     LipschitzExtension,
     PreconditionError,
     PureState,
-    SpectralDecomposition,
     ValidationError,
     approx_eigen_sandwich,
     born_measure,
@@ -79,6 +78,21 @@ def test_basis_vector_refuses_an_index_outside_range_dim(index):
 @pytest.mark.parametrize("index", [1, np.int64(1)], ids=["int", "np.int64"])
 def test_basis_vector_takes_an_int_or_a_numpy_integer(index):
     assert PureState.basis_vector(3, index).vector.tolist() == [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("dim", [2.5, True, -1, 0, "2"])
+@pytest.mark.parametrize(
+    "build",
+    [HermitianObservable.identity, DensityState.maximally_mixed,
+     lambda dim: PureState.basis_vector(dim, 0)],
+    ids=["identity", "maximally_mixed", "basis_vector"],
+)
+def test_a_dimension_is_refused_unless_a_positive_int(build, dim):
+    # these used to raise numpy's bare TypeError or ValueError, refuse an empty matrix,
+    # or read True as dimension 1
+    with pytest.raises(ValidationError, match=rf"^dimension must be a positive integer, got {dim!r}$"):
+        build(dim)
+    assert build(np.int64(2)).dim == 2
 
 
 @pytest.mark.parametrize(
@@ -566,8 +580,8 @@ def test_one_vector_variance_matches_the_stacked_form_and_the_born_measure(n, k,
     assert np.ndim(one) == 0
     bound = 4 * n * np.finfo(float).eps * a.frobenius_norm**2
     assert abs(one - _variances(a.matrix, x[None])[0]) <= bound
-    # the Born route at A itself, each eigenvalue its own atom (no grouping)
-    born = measure_variance(born_measure(SpectralDecomposition(a, 0.0), PureState(x)))
+    # the Born route at A itself, each eigenvalue of a random spectrum its own atom
+    born = measure_variance(born_measure(eigendecompose(a), PureState(x)))
     assert abs(max(0.0, one) - born) <= bound
     assert variance(a, PureState(x)) == max(0.0, float(one))
 

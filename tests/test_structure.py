@@ -598,6 +598,25 @@ def test_detector_spectral_mode():
         assert not two_spectrum_detector(HermitianObservable.from_diag([0.0, gap, 1.0]))
 
 
+def test_detector_order_mode_matches():
+    # the answer read from the order below A, as the docstring derives it: a chain for
+    # at most two points; for three or more, whether the hinges at the second
+    # eigenvalue are comparable
+    for diag in ([0.0, 1.0], [2.0, 2.0], [0.0, 1.0, 3.0], [0.0, 2.0, 2.0],
+                 [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 3.0, 4.0, 7.0, 7.0, 9.0]):
+        a = HermitianObservable.from_diag(diag)
+        dec = eigendecompose(a)
+        if len(dec.ranks) <= 2:
+            by_order = len(dec.ranks) == 2
+        else:
+            shifted = dec.eigenvalues - dec.eigenvalues[1]
+            up = HermitianObservable(dec.assemble(np.maximum(shifted, 0.0)))
+            down = HermitianObservable(dec.assemble(np.minimum(shifted, 0.0)))
+            assert decide_order(up, a).holds and decide_order(down, a).holds
+            by_order = decide_order(up, down).holds or decide_order(down, up).holds
+        assert two_spectrum_detector(a) == by_order == (len(set(diag)) == 2)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     labels=st.lists(st.integers(0, 4), min_size=2, max_size=16),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,6 +25,7 @@ from .errors import (
     ValidationError,
     VarOrderError,
 )
+from .functions import _checked_int
 from .linalg import HermitianObservable, UnitaryMap, resolve_tol
 from .order import (
     canonical_representative,
@@ -54,10 +56,8 @@ def _numeric(data, what: str):
 
 
 def _dim(data) -> int:
-    n = data["dim"]
-    if type(n) is not int:  # no float, string or bool (JSON true) is read as a dimension
-        raise ValidationError(f"malformed dim: expected an integer, got {n!r}")
-    return n
+    n = data["dim"]  # no float, string or bool (JSON true) is read as a dimension
+    return _checked_int(n, 1, math.inf, f"malformed dim: expected an integer, got {n!r}")
 
 
 def _complex_field(data: dict, key: str, path: str) -> np.ndarray:

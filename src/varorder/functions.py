@@ -41,9 +41,16 @@ def _checked_dim(dim) -> int:
     return _checked_int(dim, 1, math.inf, f"dimension must be a positive integer, got {dim!r}")
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: an ``int``, ``float`` or numpy one, never a ``bool``;
+    a tolerance, scale, threshold or constant."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _checked_tol(tol: float) -> float:
-    """``tol`` when it is finite and >= 0 (a NaN fails both); else :class:`ValidationError`."""
-    if not 0.0 <= tol < math.inf:
+    """``tol`` when it is a real number, finite and >= 0 (a NaN fails both); else
+    :class:`ValidationError`."""
+    if not (_is_real(tol) and 0.0 <= tol < math.inf):
         raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol
 
@@ -179,8 +186,8 @@ class LipschitzExtension:
 
     def __post_init__(self):
         c, t = self.constant, self.table
-        if not c >= 0:  # a NaN too
-            raise ValidationError("Lipschitz constant must be nonnegative")
+        if not (_is_real(c) and c >= 0):  # a NaN too
+            raise ValidationError(f"Lipschitz constant must be a nonnegative number, got {c!r}")
         slack = LIP_TOL * max(np.abs(t.locations).max(), np.abs(t.values).max())
         # on halves, as in lipschitz_constant: no difference overflows; every table is inf-Lipschitz
         worst = (_lipschitz_stage(t.locations / 2, t.values / 2, slack / 2, float(c))

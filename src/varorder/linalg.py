@@ -54,6 +54,16 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(y.dot(y))
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``x * 2**e`` as a new complex array, exactly, and ``e``, which puts the largest
+    modulus in [1/2, 1] (zero stays zero), so that the squares of the largest entries
+    are normal numbers, not subnormal or 0."""
+    e = -int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    y = np.empty_like(x, dtype=np.complex128)
+    y.real, y.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
+    return y, e
+
+
 def _square_matrix(obj) -> np.ndarray:
     """Coerce to a nonempty square complex128 array."""
     m = np.asarray(obj, dtype=np.complex128)
@@ -99,7 +109,11 @@ class HermitianObservable:
             f"matrix is not Hermitian: max |M - M*| = {dev:.3e} "
             f"exceeds {CHECK_TOL:.0e} * max(1, |M|_max) = {bound:.3e}"
         ))
-        vars(self).update(matrix=_freeze(m), frobenius_norm=_frobenius(m))
+        nrm = _frobenius(m)
+        if nrm * nrm < MIN_SQUARED_NORM:  # squares may have underflowed: norm the scaled copy
+            y, e = _unit_scaled(m)
+            nrm = math.ldexp(_frobenius(y), -e)
+        vars(self).update(matrix=_freeze(m), frobenius_norm=nrm)
 
     @property
     def dim(self) -> int:

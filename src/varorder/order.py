@@ -151,11 +151,13 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     ap = dec.adjoint @ a.matrix @ v
     scalars, res, g = _residue_stage(ap, dec.labels, dec.residue_bins, dec.rank_floats, tol)
     if g is not None:
-        lo, hi, diag = dec.offsets[g], dec.offsets[g] + dec.ranks[g], ap.diagonal().real
-        defects = (np.abs(ap[:, lo:hi]) ** 2).sum(axis=0) - diag[lo:hi] ** 2
+        col, end = dec.offsets[g], dec.offsets[g] + dec.ranks[g]
+        if end - col > 1:  # a rank-one eigenspace's one column needs no scan
+            defects = (np.abs(ap[:, col:end]) ** 2).sum(axis=0) - ap.diagonal().real[col:end] ** 2
+            col += int(np.argmax(defects))
         # a basis column's margin is its leakage, second order in the residue
-        verdict = (_margin_at(a, b, v[:, lo + int(np.argmax(defects))])
-                   or _margin_at(a, b, v @ _pair_state(ap, diag, lams[dec.labels])[0]))
+        verdict = _margin_at(a, b, v[:, col]) or _margin_at(
+            a, b, v @ _pair_state(ap, ap.diagonal().real, lams[dec.labels])[0])
         if verdict is None:
             raise InternalConsistencyError(
                 f"eigenspace residues (commutation {res[1, g]:.3e}, scalar {res[0, g]:.3e}) exceed "

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .functions import FunctionTable, _checked_dim, _checked_int
+from .functions import FunctionTable, _checked_dim, _checked_int, _is_real
 from .linalg import HermitianObservable, UnitaryMap
 
 if TYPE_CHECKING:  # for annotations only: importing varorder loads no numpy.random
@@ -85,8 +85,17 @@ def random_spectrum(
     high: float = 10.0,
     min_gap: float = 0.05,
 ) -> np.ndarray:
-    """Sorted distinct points in [low, high] with pairwise gaps >= min_gap (1000 draws at most)."""
+    """Sorted distinct points in [low, high] with pairwise gaps >= min_gap (1000 draws at most).
+    Finite bounds with ``low <= high`` and a finite ``min_gap >= 0`` that ``n`` points can
+    meet, ``(n - 1) * min_gap <= high - low``, are checked before any draw."""
     n, rng = _checked_dim(n), as_rng(seed)
+    if not (_is_real(low) and _is_real(high) and _is_real(min_gap)
+            and -math.inf < low <= high < math.inf and 0 <= min_gap < math.inf
+            and (n - 1) * min_gap <= high - low):
+        raise ValidationError(
+            f"no {n} points in [{low!r}, {high!r}] with gaps >= {min_gap!r}: low <= high and "
+            "min_gap >= 0 must be finite numbers with (n - 1) * min_gap <= high - low"
+        )
     for _ in range(1000):
         pts = np.sort(rng.uniform(low, high, size=n))
         if n < 2 or np.diff(pts).min() >= min_gap:

@@ -27,6 +27,7 @@ from .linalg import (
     _eigh,
     _frobenius,
     _hermitian_part,
+    _unit_scaled,
     resolve_tol,
 )
 from .tolerances import CHECK_TOL, DUST, ROUND_RTOL
@@ -39,7 +40,9 @@ class PureState:
     vector: np.ndarray
 
     def __post_init__(self):
-        x = _freeze(np.array(self.vector, dtype=np.complex128))
+        self._store(_freeze(np.array(self.vector, dtype=np.complex128)))
+
+    def _store(self, x: np.ndarray) -> None:  # x: frozen complex128, checked and kept
         if x.ndim != 1 or x.size == 0:
             raise ValidationError(f"state vector must be 1-dimensional, got shape {x.shape}")
         nrm = math.sqrt(np.vdot(x, x).real)  # NaN or inf when an entry is not finite
@@ -66,14 +69,14 @@ class PureState:
         if not sq < math.inf:  # inf or NaN
             what = "norm overflows float64" if np.isfinite(x).all() else "entries must be finite"
             raise ValidationError(f"state vector {what}")
-        if sq < MIN_SQUARED_NORM:  # largest modulus into [1/2, 1]; zero stays zero
-            e = -int(np.frexp(np.abs(x).max(initial=0.0))[1])
-            x, y = np.empty_like(x), x
-            x.real, x.imag = np.ldexp(y.real, e), np.ldexp(y.imag, e)
+        if sq < MIN_SQUARED_NORM:
+            x = _unit_scaled(x)[0]
         nrm = _frobenius(x)
         if nrm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
-        return cls(x / nrm)
+        state = cls.__new__(cls)  # the quotient is new: the constructor's copy is not needed
+        state._store(_freeze(x / nrm))
+        return state
 
     @classmethod
     def basis_vector(cls, dim: int, index: int) -> "PureState":

@@ -24,7 +24,7 @@ from .errors import (
     ReconstructionError,
     ValidationError,
 )
-from .functions import _check_points, _checked_int
+from .functions import _check_points, _checked_int, _is_real
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
@@ -106,7 +106,7 @@ class TwoPointFamily:
         object.__setattr__(self, "indices", self.decomposition.group_indices(self.indices))
         if not self.indices:
             raise ValidationError("family needs a nonempty eigenvalue subset")
-        if not 0 < self.threshold < math.inf:
+        if not (_is_real(self.threshold) and 0 < self.threshold < math.inf):
             raise ValidationError(f"threshold must be positive and finite, got {self.threshold!r}")
 
     @property
@@ -293,7 +293,7 @@ class AutomorphismSpec:
     unitary: UnitaryMap
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
+        if not (_is_real(self.scale) and 0 < self.scale < math.inf):
             raise ValidationError(f"scale must be positive and finite, got {self.scale!r}")
 
     def __call__(self, A) -> HermitianObservable:

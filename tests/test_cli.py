@@ -296,6 +296,23 @@ def test_dim_must_be_a_json_integer(files, capsys, dim):
         assert f"malformed dim: expected an integer, got {dim!r}" in out.err
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+def test_a_dim_below_one_is_malformed(files, capsys, dim):
+    # 0 and -2 used to pass as integers and fail later on the shape, as a dim mismatch
+    from varorder.cli import main
+
+    tmp_path, matrix = files
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+    (tmp_path / "a.json").write_text(json.dumps({"dim": dim, "matrix": rows}))
+    (tmp_path / "x.json").write_text(json.dumps({"dim": dim, "vector": []}))
+    b = matrix("b.json", [0.0, 1.0])
+    for argv in (["check-order", str(tmp_path / "a.json"), b], ["variance", b, str(tmp_path / "x.json")]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"malformed dim: expected an integer, got {dim}" in out.err
+
+
 def test_non_hermitian_is_an_input_error(files):
     tmp_path, matrix = files
     res = run_cli(

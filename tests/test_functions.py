@@ -1,5 +1,6 @@
 """Function tables and their greatest Lipschitz extension to the line."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,12 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varorder import (
+    AutomorphismSpec,
     BornMeasure,
     DomainError,
     FunctionTable,
+    HermitianObservable,
     LipschitzExtension,
     PreconditionError,
+    TwoPointFamily,
+    UnitaryMap,
     ValidationError,
+    class_equal,
+    decide_order,
+    eigendecompose,
 )
 from varorder import sampling
 from varorder.functions import _lipschitz_excess, _lipschitz_stage
@@ -495,3 +503,56 @@ def test_a_dimension_that_is_no_positive_integer_is_refused(name, dim):
     rng = (np.random.default_rng(0),) if name in ("random_pure_vector", "random_density_matrix") else ()
     with pytest.raises(ValidationError, match=f"dimension must be a positive integer, got {dim!r}"):
         getattr(sampling, name)(dim, *rng)
+
+
+_DIAG = HermitianObservable.from_diag([0.0, 1.0])
+_TABLE = FunctionTable(((0.0, 0.0), (1.0, 1.0)))
+NUMBER_ARGUMENTS = {
+    "decide_order(tol=)": lambda x: decide_order(_DIAG, _DIAG, tol=x),
+    "FunctionTable.value_at(tol=)": lambda x: _TABLE.value_at(0.0, tol=x),
+    "class_equal(tol=)": lambda x: class_equal(_DIAG, _DIAG, tol=x),
+    "LipschitzExtension(constant)": lambda x: LipschitzExtension(_TABLE, x),
+    "AutomorphismSpec(scale)": lambda x: AutomorphismSpec(x, UnitaryMap(np.eye(2))),
+    "TwoPointFamily(threshold)": lambda x: TwoPointFamily(eigendecompose(_DIAG), (0,), x),
+}
+
+
+@pytest.mark.parametrize("name", NUMBER_ARGUMENTS)
+def test_a_tolerance_scale_threshold_or_constant_that_is_no_real_number_is_refused(name):
+    # "1", None and 1j used to raise a bare TypeError from a comparison, and True passed
+    # as 1; every call accepts the number 1 and numpy's float and integer types, and a
+    # comparison's tol=None is its default
+    call = NUMBER_ARGUMENTS[name]
+    for good in (1, 1.0, np.float64(1.0), np.int64(1)):
+        call(good)
+    default_none = name in ("decide_order(tol=)", "class_equal(tol=)")
+    for bad in ("1", 1j, True, np.bool_(True)) + (() if default_none else (None,)):
+        with pytest.raises(ValidationError, match=re.escape(f"got {bad!r}")):
+            call(bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(low=1.0, high=0.0), dict(low=-np.inf), dict(high=np.inf), dict(low=np.nan),
+     dict(high=np.nan), dict(min_gap=-0.1), dict(min_gap=np.nan), dict(min_gap=np.inf),
+     dict(min_gap=5.01), dict(low=1.0, high=1.0, min_gap=1e-300), dict(low="0"), dict(min_gap=None)],
+    ids=repr,
+)
+def test_random_spectrum_refuses_what_no_draw_can_meet_before_drawing(kwargs):
+    # low > high used to raise numpy's bare ValueError, a gap that three points in [0, 10]
+    # cannot keep a RuntimeError after 1000 draws; the generator is left untouched
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="^no 3 points in "):
+        sampling.random_spectrum(3, rng, **kwargs)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("kwargs", [dict(min_gap=5.0, high=10.0), dict(low=2.0, high=2.0, min_gap=0.0)],
+                         ids=repr)
+def test_random_spectrum_draws_wherever_the_gaps_fit(kwargs):
+    # the check refuses only what no draw can meet: a one-point spectrum takes any gap,
+    # and a one-point interval a gap of 0
+    assert len(sampling.random_spectrum(1, 0, min_gap=1e6)) == 1
+    pts = sampling.random_spectrum(2, 0, **kwargs)
+    assert np.diff(pts).min() >= kwargs["min_gap"]

@@ -7,6 +7,7 @@ which serves as the independent oracle.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -480,6 +481,20 @@ def test_the_size_limit_is_on_dim_times_the_largest_entry():
     assert HermitianObservable(np.diag([4.9e152, 0.0])).frobenius_norm == 4.9e152
     with pytest.raises(ValidationError, match="matrix too large"):
         HermitianObservable(np.diag([5e152, 0.0]))
+
+
+@pytest.mark.parametrize("k", [-600, -1000])
+def test_a_tiny_observables_norm_does_not_underflow(k):
+    # entries below about 1e-154 have subnormal squares, and below about 1e-162 squares
+    # of 0: |A|_F used to read 0 for 2**-600 A, so the grouping threshold was 0 and two
+    # eigenvalues of a rotated 2.7e-301 I, apart by rounding, were two groups
+    m = random_hermitian(4, seed=9).matrix
+    m = HermitianObservable(m / (2 * np.abs(m).max())).matrix  # largest modulus 1/2
+    tiny = HermitianObservable(np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k))
+    assert tiny.frobenius_norm == math.ldexp(HermitianObservable(m).frobenius_norm, k)
+    a = random_unitary(2, seed=0).apply(HermitianObservable.from_diag([2.6680511202447637e-301] * 2))
+    assert a.frobenius_norm > 0.0 and eigendecompose(a).ranks == (2,)
+    assert not two_spectrum_detector(a)
 
 
 def test_a_pair_at_scale_1e150_still_decides():

@@ -121,6 +121,23 @@ def test_fails_when_block_is_not_scalar():
     assert verdict.margin == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("rank, column", [(1, 0), (2, 1)])
+def test_a_basis_witness_is_the_offending_eigenspaces_column(rank, column):
+    # In B's eigenbasis, A leaks a little from column 0 and much from column 1.  When B's
+    # lowest eigenspace has rank one it offends alone and its one column is the witness;
+    # at rank two the scan picks column 1, whose variance for A is the larger.  Either
+    # way the witness is that column of eigendecompose(B).vectors normalized, to the byte.
+    u = random_unitary(3, seed=80).matrix
+    b = HermitianObservable(u @ np.diag([0.0, 0.0 if rank == 2 else 1.0, 3.0]) @ u.conj().T)
+    dec = eigendecompose(b)
+    assert dec.ranks[0] == rank
+    v = dec.vectors
+    a = HermitianObservable(v @ np.array([[0.0, 0.0, 0.1], [0.0, 0.5, 1.0], [0.1, 1.0, 2.0]]) @ v.conj().T)
+    verdict = decide_order(a, b)
+    assert not verdict.holds
+    assert verdict.witness.vector.tobytes() == PureState.normalized(v[:, column]).vector.tobytes()
+
+
 def test_boundary_tight_gap_still_holds():
     # every nonadjacent slope exactly 1: classified as holding, not failing
     a = HermitianObservable.from_diag([0.0, -1.0, 1.0])

@@ -57,13 +57,14 @@ def test_pure_state_norm_enforced():
 
 
 def test_a_pure_state_keeps_a_frozen_copy_of_its_vector():
-    # a read-only complex128 vector used to be shared as it was
+    # a read-only complex128 vector used to be shared as it was; normalized keeps its
+    # own quotient, with no second copy
     for writeable in (True, False):
         x = np.array([1.0, 0.0], dtype=np.complex128)
         x.setflags(write=writeable)
-        state = PureState(x)
-        assert not np.shares_memory(state.vector, x)
-        assert not state.vector.flags.writeable
+        for state in (PureState(x), PureState.normalized(x)):
+            assert not np.shares_memory(state.vector, x)
+            assert not state.vector.flags.writeable
 
 
 @pytest.mark.parametrize("index", [-1, 3, 1.5, True, False, 2.0])

@@ -14,13 +14,16 @@ processes, with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
 observable against a ``B`` whose decomposition is already cached, as when one
 ``B`` meets many partners, and ``decide_order_cached_b_fails`` does the same for
 an independent ``A``, for which the order fails, as in most of ``pool-order``'s
-decisions.  ``SpectralDecomposition`` times that class's construction
-through the call every checkout shares: ``eigendecompose`` of a new observable
-whose eigenpairs are already solved, so the grouping, the reconstruction check
-and the stored arrays, but no eigensolve.  The ``_repeated`` layers take a ``B`` whose two
-lowest eigenvalues are equal, like the benchmark's ``repeated`` pairs, so its
-grouping merges one pair where the other ``B`` merges none.  The
-``decide_order_fails_*`` layers time one failing decision per witness route,
+decisions; its offending eigenspace has rank one, so the witness is that
+eigenspace's one column.  ``decide_order_cached_b_fails_repeated`` decides the same
+``A`` against the repeated ``B`` below, also cached, whose offending eigenspace has
+rank two, so the witness is the better of two columns.  ``SpectralDecomposition``
+times that class's construction through the call every checkout shares:
+``eigendecompose`` of a new observable whose eigenpairs are already solved, so the
+grouping, the reconstruction check and the stored arrays, but no eigensolve.  The
+``_repeated`` layers take a ``B`` whose two lowest eigenvalues are equal, like the
+benchmark's ``repeated`` pairs, so its grouping merges one pair where the other ``B``
+merges none.  The ``decide_order_fails_*`` layers time one failing decision per witness route,
 each on fresh arrays against the first ``B``: an independent ``A`` (an
 eigenbasis column), ``A = 1.5 B`` (the Lipschitz stage's superposition), and,
 against the repeated ``B``, an ``A`` diagonal in that ``B``'s own eigenbasis but
@@ -144,7 +147,8 @@ def layer_timings(checkout: Path) -> dict:
         raw_a, raw_b = pair(n, n)
         rep_a, rep_b = pair(n, n, repeated=True)
         a, b = HermitianObservable(raw_a), HermitianObservable(raw_b)
-        a_fails = HermitianObservable(pair(n, n + 1)[1])  # independent of b
+        a_fails = HermitianObservable(pair(n, n + 1)[1])  # independent of b, and of rep
+        rep = HermitianObservable(rep_b)
         dec = eigendecompose(b)
         lams, vecs = np.array(dec.eigenvalues), np.array(dec.vectors)
         vals = np.sin(lams)
@@ -157,7 +161,8 @@ def layer_timings(checkout: Path) -> dict:
             "lipschitz": (1.5 * raw_b, raw_b),
             "fallback": ((rep_v * split) @ rep_v.conj().T, rep_b),
         }
-        for route, ab in {**fails, "cached_b": (a_fails, b)}.items():
+        cached = {"cached_b": (a_fails, b), "cached_b_repeated": (a_fails, rep)}
+        for route, ab in {**fails, **cached}.items():
             if decide_order(*ab).holds:
                 raise SystemExit(f"the {route} pair at n={n} does not fail")
         out[f"n={n}"] = {
@@ -175,6 +180,7 @@ def layer_timings(checkout: Path) -> dict:
             "decide_order_fresh_repeated": per_call(lambda _: decide_order(rep_a, rep_b), calls),
             "decide_order_cached_b": per_call(lambda _: decide_order(a, b), calls),
             "decide_order_cached_b_fails": per_call(lambda _: decide_order(a_fails, b), calls),
+            "decide_order_cached_b_fails_repeated": per_call(lambda _: decide_order(a_fails, rep), calls),
             **{f"decide_order_fails_{route}": per_call(lambda _, ab=ab: decide_order(*ab), calls)
                for route, ab in fails.items()},
         }

@@ -8,7 +8,9 @@ from arrays, shares that observable's frozen eigenpairs, keeps the adjoint ``V*`
 and, up to dimension 16, shares the grouping arrays of its rank pattern, built
 once per pattern in a bounded memo.  Left to first use are an observable's
 eigenpairs and its one decomposition, since the ``A`` side of a decision is never
-solved.  Every eigensolve in the package goes
+solved.  Beside those cached values one thing changes after construction: a
+decomposition's private memo of the failing witnesses that depend on it alone, which
+:func:`~varorder.order.decide_order` fills with at most ``n`` entries.  Every eigensolve in the package goes
 through :func:`_eigh`, which calls LAPACK through ``numpy.linalg.eigh``; its
 answers stay on the checked path (each :class:`SpectralDecomposition` verifies
 its grouped reconstruction).  The cyclic Jacobi iteration :func:`jacobi_eigh` is
@@ -178,6 +180,12 @@ class SpectralDecomposition:
     in this basis: ``labels[c]`` when row ``r`` is in column ``c``'s group,
     ``labels[c] + len(ranks)`` otherwise, so one ``bincount`` sums each group's
     in-block and off-block entries apart.
+
+    Outside its fields it keeps a private memo, empty at construction, that
+    :func:`~varorder.order.decide_order` fills with the witnesses that depend on ``B``
+    alone (a basis column, or the superposition of two groups' first columns), each as
+    its normalized state and clamped variance for ``B``: the first ``n`` keys, never
+    evicted, so its vectors take no more memory than ``vectors``.
     """
 
     eigenvalues: np.ndarray
@@ -211,7 +219,8 @@ class SpectralDecomposition:
         grouping = _grouping if len(w) <= 16 else _grouping.__wrapped__  # built afresh past 16
         labels, rank_floats, bins, offsets = grouping(ranks)
         vars(self).update(eigenvalues=lams, vectors=v, ranks=ranks, adjoint=vh, labels=labels,
-                          rank_floats=rank_floats, residue_bins=bins, offsets=offsets)
+                          rank_floats=rank_floats, residue_bins=bins, offsets=offsets,
+                          _witnesses={})  # no field: decide_order's witness memo
 
     def group_indices(self, groups) -> tuple[int, ...]:
         """``groups`` as ints, each in ``range(len(ranks))`` or a :class:`ValidationError`."""

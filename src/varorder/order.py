@@ -67,6 +67,25 @@ def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
     return OrderVerdict(False, None, w, margin) if margin > FAIL_MARGIN_TOL else None
 
 
+def _kept_margin_at(a: HermitianObservable, b: HermitianObservable, dec, key):
+    """:func:`_margin_at` at a witness that depends on ``B`` alone: basis column ``key`` of
+    ``dec = eigendecompose(b)``, or for ``key = (j, k)`` the sum of groups ``j`` and ``k``'s
+    first columns.  The state and its clamped variance for ``B`` are kept in ``dec``'s
+    memo, which keeps its first ``n`` keys, so a ``B`` met by many partners normalizes
+    each witness once; the margin has the same bits as :func:`_margin_at`'s."""
+    memo = dec._witnesses
+    if (kept := memo.get(key)) is None:
+        v, offsets = dec.vectors, dec.offsets
+        w = PureState.normalized(
+            v[:, key] if isinstance(key, int) else v[:, offsets[key[0]]] + v[:, offsets[key[1]]])
+        kept = w, max(0.0, float(_variances(b.matrix, w.vector)))
+        if len(memo) < len(v):
+            memo[key] = kept
+    w, vb = kept
+    margin = max(0.0, float(_variances(a.matrix, w.vector))) - vb
+    return OrderVerdict(False, None, w, margin) if margin > FAIL_MARGIN_TOL else None
+
+
 def _pair_state(ap: np.ndarray, diag: np.ndarray, lams: np.ndarray):
     """The best two-level state over the column pairs ``(q, p)``, ``q != p``, of ``V``.
 
@@ -143,6 +162,9 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     two-level state; past the residue stage, the equal superposition of the offending
     eigenvalue pair's first columns.  Its margin, recomputed by :func:`_margin_at`, must
     exceed ``FAIL_MARGIN_TOL``; when no route's does, ``InternalConsistencyError`` is raised.
+    The column and the superposition depend on ``B`` alone, so :func:`_kept_margin_at`
+    keeps each, with its variance for ``B``, in ``B``'s decomposition: a ``B`` met by many
+    partners normalizes each once, and each decision computes only ``A``'s variance.
     """
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
@@ -156,7 +178,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
             defects = (np.abs(ap[:, col:end]) ** 2).sum(axis=0) - ap.diagonal().real[col:end] ** 2
             col += int(np.argmax(defects))
         # a basis column's margin is its leakage, second order in the residue
-        verdict = _margin_at(a, b, v[:, col]) or _margin_at(
+        verdict = _kept_margin_at(a, b, dec, col) or _margin_at(
             a, b, v @ _pair_state(ap, ap.diagonal().real, lams[dec.labels])[0])
         if verdict is None:
             raise InternalConsistencyError(
@@ -168,7 +190,7 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     if worst is None:
         return OrderVerdict(True, FunctionTable.from_values(lams, scalars), None, 0.0)
     j, k, excess = worst
-    superposition = _margin_at(a, b, v[:, dec.offsets[j]] + v[:, dec.offsets[k]])
+    superposition = _kept_margin_at(a, b, dec, (j, k))
     if superposition is None:
         raise InternalConsistencyError(
             f"Lipschitz excess {excess:.3e} at eigenvalues ({float(lams[j])!r}, "

@@ -31,7 +31,11 @@ def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def random_hermitian(dim: int, seed: RngLike = None, scale: float = 1.0) -> HermitianObservable:
-    dim, rng = _checked_dim(dim), as_rng(seed)
+    """A GUE-like observable times ``scale``, a finite number, checked before any draw."""
+    dim = _checked_dim(dim)
+    if not (_is_real(scale) and math.isfinite(scale)):
+        raise ValidationError(f"scale must be a finite number, got {scale!r}")
+    rng = as_rng(seed)
     g = complex_gaussian(rng, dim, dim)
     return HermitianObservable(scale * (g + g.conj().T) / 2.0)
 
@@ -61,10 +65,13 @@ def random_lipschitz_values(
     locations, seed: RngLike = None, constant: float = 1.0
 ) -> np.ndarray:
     """Random values on sorted locations with slopes bounded by ``constant``: a first value
-    in [-1, 1], then the cumulative sum of slopes in ``[-constant, constant]`` times gaps."""
+    in [-1, 1], then the cumulative sum of slopes in ``[-constant, constant]`` times gaps.
+    ``constant`` must be a finite number >= 0; both are checked before any draw."""
     xs = np.asarray(locations, dtype=np.float64)
     if xs.ndim != 1 or not xs.size:
         raise ValidationError(f"locations must be nonempty and 1-dimensional, got shape {xs.shape}")
+    if not (_is_real(constant) and 0 <= constant < math.inf):  # a NaN too
+        raise ValidationError(f"Lipschitz constant must be a finite nonnegative number, got {constant!r}")
     rng = as_rng(seed)
     vals = np.empty(len(xs))
     vals[0] = rng.uniform(-1.0, 1.0)
@@ -85,9 +92,14 @@ def random_spectrum(
     high: float = 10.0,
     min_gap: float = 0.05,
 ) -> np.ndarray:
-    """Sorted distinct points in [low, high] with pairwise gaps >= min_gap (1000 draws at most).
+    """Sorted distinct points in [low, high] with pairwise gaps >= min_gap.
     Finite bounds with ``low <= high`` and a finite ``min_gap >= 0`` that ``n`` points can
-    meet, ``(n - 1) * min_gap <= high - low``, are checked before any draw."""
+    meet, ``(n - 1) * min_gap <= high - low``, are checked before any draw.  Up to 1000
+    sorted uniform draws are tried; if none keeps the gap, ``n`` sorted uniform amounts in
+    ``[0, slack]``, ``slack = high - low - (n - 1) * min_gap``, spaced ``min_gap`` apart
+    (the distribution the draws were conditioned on), with any gap that rounding leaves
+    below ``min_gap`` raised an ulp at a time; when that pushes the top past ``high``,
+    rounding leaves no room and :class:`ValidationError` is raised."""
     n, rng = _checked_dim(n), as_rng(seed)
     if not (_is_real(low) and _is_real(high) and _is_real(min_gap)
             and -math.inf < low <= high < math.inf and 0 <= min_gap < math.inf
@@ -100,7 +112,17 @@ def random_spectrum(
         pts = np.sort(rng.uniform(low, high, size=n))
         if n < 2 or np.diff(pts).min() >= min_gap:
             return pts
-    raise RuntimeError(f"could not draw a spectrum with min gap {min_gap} in 1000 tries")
+    slack = high - low - (n - 1) * min_gap
+    pts = low + (np.sort(rng.uniform(0.0, slack, size=n)) + min_gap * np.arange(n))
+    for i in range(1, n):
+        while pts[i] - pts[i - 1] < min_gap:
+            pts[i] = np.nextafter(pts[i], math.inf)
+    if pts[-1] <= high:
+        return pts
+    raise ValidationError(
+        f"no {n} points in [{low!r}, {high!r}] with gaps >= {min_gap!r} survive rounding: "
+        f"floats at this magnitude leave no room for the slack {slack!r}"
+    )
 
 
 def random_commuting_pair(

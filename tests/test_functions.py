@@ -556,3 +556,57 @@ def test_random_spectrum_draws_wherever_the_gaps_fit(kwargs):
     assert len(sampling.random_spectrum(1, 0, min_gap=1e6)) == 1
     pts = sampling.random_spectrum(2, 0, **kwargs)
     assert np.diff(pts).min() >= kwargs["min_gap"]
+
+
+@pytest.mark.parametrize("n, low, high, min_gap",
+                         [(10, 0.0, 10.0, 1.0), (6, -1e3, 1e3, 399.0), (3, 1e5, 1e5 + 2e-7, 1e-7)])
+def test_random_spectrum_spaces_a_gap_no_uniform_draw_keeps(n, low, high, min_gap):
+    # no one of 1000 sorted uniform draws keeps these gaps (the first call used to end in
+    # a RuntimeError): the points are then sorted uniform amounts spaced min_gap apart,
+    # with every gap at least min_gap as np.diff reads it, rounding included
+    pts = sampling.random_spectrum(n, 0, low, high, min_gap=min_gap)
+    assert pts.shape == (n,)
+    assert low <= pts[0] and pts[-1] <= high
+    assert np.diff(pts).min() >= min_gap
+
+
+def test_random_spectrum_keeps_the_stream_of_every_draw_that_keeps_the_gap():
+    # a call that a sorted uniform draw satisfies returns that draw, as before the fallback
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pts = np.sort(rng.uniform(0.0, 5.0, 4))
+        while np.diff(pts).min() < 0.3:
+            pts = np.sort(rng.uniform(0.0, 5.0, 4))
+        assert sampling.random_spectrum(4, seed, 0.0, 5.0, 0.3).tobytes() == pts.tobytes()
+
+
+def test_random_spectrum_refuses_gaps_that_rounding_leaves_no_room_for():
+    # 0.1, 0.2, 0.3, 0.4 fit exactly, but no floats there keep all three differences >= 0.1
+    with pytest.raises(ValidationError, match=r"^no 4 points in \[0.1, 0.4\] .* survive rounding"):
+        sampling.random_spectrum(4, 0, 0.1, 0.4, min_gap=0.1)
+
+
+
+SCALE_OR_CONSTANT = {
+    "random_hermitian(scale=)": lambda rng, x: sampling.random_hermitian(2, rng, scale=x),
+    "random_lipschitz_values(constant=)":
+        lambda rng, x: sampling.random_lipschitz_values([0.0, 1.0], rng, constant=x),
+    "random_lipschitz_table(constant=)":
+        lambda rng, x: sampling.random_lipschitz_table([0.0, 1.0], rng, constant=x),
+}
+
+
+@pytest.mark.parametrize("name", SCALE_OR_CONSTANT)
+def test_a_scale_or_constant_that_is_no_finite_number_is_refused_before_drawing(name):
+    # "1" used to raise numpy's UFuncTypeError, None a bare TypeError and a constant of
+    # -1.0 numpy's ValueError; a scale may be negative, a Lipschitz constant may not.
+    # Each refusal leaves the generator untouched
+    call = SCALE_OR_CONSTANT[name]
+    for good in (1, 0.0, np.float64(2.5), np.int64(1)) + (() if "constant" in name else (-1.0,)):
+        call(0, good)
+    for bad in ("1", None, True, 1j, np.nan, np.inf, -np.inf) + ((-1.0,) if "constant" in name else ()):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=re.escape(f"got {bad!r}")):
+            call(rng, bad)
+        assert rng.bit_generator.state == before

@@ -489,6 +489,103 @@ def test_fresh_arrays_and_a_cached_b_give_the_same_bytes_on_every_route(monkeypa
     assert _verdict_bytes(cached) == _verdict_bytes(fresh)
 
 
+def _kept_partners(b, seed):
+    """Failing partners of ``b`` (n = 4, a simple spectrum) with the witness each must get:
+    ``A = V (diag(lam) + 0.5 (E_cd + E_dc)) V*`` leaks between columns ``c < d`` of ``V``,
+    so both groups offend and the witness is column ``c``; ``A = V diag(f) V*`` for random
+    values ``f`` commutes with ``B`` and fails the Lipschitz stage at its worst pair
+    ``(j, k)``, whose first columns' sum is the witness.  Each partner comes with its memo
+    key and the vector its witness normalizes."""
+    dec = eigendecompose(b)
+    v, lams = dec.vectors, dec.eigenvalues
+    out = []
+    for c, d in [(0, 1), (1, 2), (0, 3), (2, 3), (1, 3)]:
+        m = np.diag(lams).astype(complex)
+        m[c, d] = m[d, c] = 0.5
+        out.append((HermitianObservable(v @ m @ v.conj().T), c, v[:, c]))
+    rng = np.random.default_rng(seed)
+    while len(out) < 10:
+        f = rng.uniform(-20.0, 20.0, 4)
+        a = HermitianObservable((v * f) @ v.conj().T)
+        j, k, _ = _lipschitz_stage(lams, f, resolve_tol(None, a, b))
+        out.append((a, (j, k), v[:, dec.offsets[j]] + v[:, dec.offsets[k]]))
+    return out
+
+
+def test_a_kept_witness_is_the_normalized_column_or_superposition_with_the_public_margin():
+    u = random_unitary(4, seed=47).matrix
+    b = HermitianObservable(u @ np.diag([0.0, 1.0, 3.0, 6.0]) @ u.conj().T)
+    partners = _kept_partners(b, seed=48)
+    memo = vars(eigendecompose(b))["_witnesses"]
+    assert memo == {}
+    keys, first = [], {}
+    # each kept key's first decision misses and every later one hits; past the first
+    # n = 4 keys (three columns, then pairs) every decision builds its witness afresh
+    for a, key, vec in partners * 2:
+        hit = key in memo
+        verdict = decide_order(a, b)
+        w = verdict.witness
+        assert not verdict.holds
+        assert w.vector.tobytes() == PureState.normalized(vec).vector.tobytes()
+        assert verdict.margin == variance(a, w) - variance(b, w)
+        if key not in keys:
+            keys.append(key)
+        assert list(memo) == keys[:4]
+        assert hit == (key in first)
+        if key in memo:
+            assert memo[key][1] == variance(b, w)
+            first.setdefault(key, w)
+            assert memo[key][0] is w is first[key]  # shared: its vector must be read-only
+        else:
+            assert all(w is not kept for kept, _ in memo.values())
+        assert not w.vector.flags.writeable
+        with pytest.raises(ValueError):
+            w.vector[0] = 0.0
+    assert len(keys) > 4
+
+
+def test_the_witness_memo_keeps_its_first_n_keys_and_never_evicts():
+    b = random_hermitian(4, seed=49)
+    fresh_b = HermitianObservable(b.matrix.copy())
+    memo = vars(eigendecompose(b))["_witnesses"]
+    partners = [p[0] for p in _kept_partners(b, seed=50)]
+    partners += [random_hermitian(4, seed=51 + i, scale=s) for i, s in enumerate([0.1, 1.0, 10.0] * 10)]
+    partners += [p[0] for p in _kept_partners(b, seed=90)]
+    for a in partners:
+        before = dict(memo)
+        verdict = decide_order(a, b)
+        assert len(memo) <= 4
+        assert list(memo)[: len(before)] == list(before)
+        assert all(memo[key] is kept for key, kept in before.items())
+        # kept or, past the bound, built afresh: the bytes of an uncached B's decision
+        assert _verdict_bytes(verdict) == _verdict_bytes(decide_order(a, fresh_b))
+    assert len(memo) == 4
+
+
+def test_equal_observables_do_not_share_a_witness_memo():
+    m = random_hermitian(4, seed=52).matrix
+    b, twin = HermitianObservable(m), HermitianObservable(m)
+    a = random_hermitian(4, seed=53)
+    assert not decide_order(a, b).holds
+    kept, twin_kept = vars(eigendecompose(b))["_witnesses"], vars(eigendecompose(twin))["_witnesses"]
+    assert len(kept) == 1 and twin_kept == {}
+    assert kept is not twin_kept
+    assert decide_order(a, twin).witness is not decide_order(a, b).witness
+
+
+def test_the_two_level_state_depends_on_a_and_is_never_kept():
+    # every eigenbasis column of B's repeated eigenvalue is an eigenvector of A, so the
+    # column (kept: it depends on B alone) does not clear the floor and _pair_state decides
+    a = HermitianObservable.from_diag([0.0, 2.0, 0.0])
+    b = HermitianObservable.from_diag([1.0, 1.0, 5.0])
+    for _ in range(2):
+        verdict = decide_order(a, b)
+        memo = vars(eigendecompose(b))["_witnesses"]
+        assert list(memo) == [0]
+        assert not np.allclose(np.abs(memo[0][0].vector), np.abs(verdict.witness.vector))
+        assert all(w is not verdict.witness for w, _ in memo.values())
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_binned_residues_match_the_masked_column_sums(data):

@@ -17,7 +17,12 @@ an independent ``A``, for which the order fails, as in most of ``pool-order``'s
 decisions; its offending eigenspace has rank one, so the witness is that
 eigenspace's one column.  ``decide_order_cached_b_fails_repeated`` decides the same
 ``A`` against the repeated ``B`` below, also cached, whose offending eigenspace has
-rank two, so the witness is the better of two columns.  ``SpectralDecomposition``
+rank two, so the witness is the better of two columns, and
+``decide_order_cached_b_fails_superposition`` decides ``A = 1.5 B`` against the first
+cached ``B``, which fails the Lipschitz stage, so the witness is the superposition of
+two eigenvector columns.  On every cached ``_fails`` row the witness depends on ``B``
+alone, so a checkout that keeps it with ``B``'s decomposition builds it in the first
+call only.  ``SpectralDecomposition``
 times that class's construction through the call every checkout shares:
 ``eigendecompose`` of a new observable whose eigenpairs are already solved, so the
 grouping, the reconstruction check and the stored arrays, but no eigensolve.  The
@@ -148,6 +153,7 @@ def layer_timings(checkout: Path) -> dict:
         rep_a, rep_b = pair(n, n, repeated=True)
         a, b = HermitianObservable(raw_a), HermitianObservable(raw_b)
         a_fails = HermitianObservable(pair(n, n + 1)[1])  # independent of b, and of rep
+        a_stretched = HermitianObservable(1.5 * raw_b)
         rep = HermitianObservable(rep_b)
         dec = eigendecompose(b)
         lams, vecs = np.array(dec.eigenvalues), np.array(dec.vectors)
@@ -161,7 +167,8 @@ def layer_timings(checkout: Path) -> dict:
             "lipschitz": (1.5 * raw_b, raw_b),
             "fallback": ((rep_v * split) @ rep_v.conj().T, rep_b),
         }
-        cached = {"cached_b": (a_fails, b), "cached_b_repeated": (a_fails, rep)}
+        cached = {"cached_b": (a_fails, b), "cached_b_repeated": (a_fails, rep),
+                  "cached_b_superposition": (a_stretched, b)}
         for route, ab in {**fails, **cached}.items():
             if decide_order(*ab).holds:
                 raise SystemExit(f"the {route} pair at n={n} does not fail")
@@ -181,6 +188,8 @@ def layer_timings(checkout: Path) -> dict:
             "decide_order_cached_b": per_call(lambda _: decide_order(a, b), calls),
             "decide_order_cached_b_fails": per_call(lambda _: decide_order(a_fails, b), calls),
             "decide_order_cached_b_fails_repeated": per_call(lambda _: decide_order(a_fails, rep), calls),
+            "decide_order_cached_b_fails_superposition": per_call(
+                lambda _: decide_order(a_stretched, b), calls),
             **{f"decide_order_fails_{route}": per_call(lambda _, ab=ab: decide_order(*ab), calls)
                for route, ab in fails.items()},
         }

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     VarOrderError,
 )
-from .functions import _checked_int
+from .functions import _checked_int, _checked_seed
 from .linalg import HermitianObservable, UnitaryMap, resolve_tol
 from .order import (
     canonical_representative,
@@ -125,6 +125,7 @@ def emit(report: dict) -> None:
 def cmd_check_order(args) -> int:
     a, b = _observable(args.a), _observable(args.b)
     tol = resolve_tol(args.tol, a, b)
+    _checked_seed(args.seed)  # as the oracle checks it, without loading numpy.random
     verdict = decide_order(a, b, tol)
     report = {
         "holds": verdict.holds,

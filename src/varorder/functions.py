@@ -41,6 +41,10 @@ def _checked_dim(dim) -> int:
     return _checked_int(dim, 1, math.inf, f"dimension must be a positive integer, got {dim!r}")
 
 
+def _checked_seed(seed) -> int:
+    return _checked_int(seed, 0, math.inf, f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number: an ``int``, ``float`` or numpy one, never a ``bool``;
     a tolerance, scale, threshold or constant."""

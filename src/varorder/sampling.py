@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .functions import FunctionTable, _checked_dim, _checked_int, _is_real
+from .functions import FunctionTable, _checked_dim, _checked_seed, _is_real
 from .linalg import HermitianObservable, UnitaryMap
 
 if TYPE_CHECKING:  # for annotations only: importing varorder loads no numpy.random
@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # for annotations only: importing varorder loads no numpy.ran
 
 def as_rng(seed: RngLike) -> np.random.Generator:
     if not (seed is None or isinstance(seed, np.random.Generator)):
-        seed = _checked_int(seed, 0, math.inf, f"seed must be a nonnegative integer, got {seed!r}")
+        seed = _checked_seed(seed)
     return np.random.default_rng(seed)
 
 

@@ -18,7 +18,9 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .functions import _check_points, _checked_dim, _checked_int, _checked_tol, _freeze, _split_pairs
+from .functions import (
+    _check_points, _checked_dim, _checked_int, _checked_tol, _freeze, _is_real, _split_pairs,
+)
 from .linalg import (
     MIN_SQUARED_NORM,
     HermitianObservable,
@@ -302,6 +304,8 @@ def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float
     """
     obs = _as_observable(A)
     _check_dims(obs, state)
+    if not (_is_real(lam) and math.isfinite(lam)):
+        raise ValidationError(f"lam must be a finite number, got {lam!r}")
     x = state.vector
     ax = obs.matrix @ x
     d = _frobenius(ax - float(lam) * x) ** 2
@@ -328,19 +332,21 @@ def superposition_variance(
 
     The value is computed directly from the state; the closed form
     ``a^2 b^2 (lam - mu)^2 / (a^2 + b^2)^2`` serves as the oracle in tests.
-    Orthogonality, the eigenvector residues and the eigenvalue gap are checked
-    against ``tol``, resolved by :func:`~varorder.linalg.resolve_tol` (a given
-    one floored at rounding level).
+    The eigenvector residues and the eigenvalue gap are checked against ``tol``, resolved
+    by :func:`~varorder.linalg.resolve_tol` (a given one floored at rounding level), and
+    the dimensionless overlap ``|<x, y>|`` against ``tol / max(1, |A|_F)``.
     """
     obs = _as_observable(A)
     _check_dims(obs, x)
     _check_dims(obs, y)
+    if not all(_is_real(c) and math.isfinite(c) for c in (alpha, beta)):
+        raise ValidationError(f"coefficients must be finite numbers, got {alpha!r} and {beta!r}")
     alpha, beta = float(alpha), float(beta)
     if alpha == 0.0 or beta == 0.0:
         raise PreconditionError("superposition coefficients must both be nonzero")
     tol = resolve_tol(tol, obs)
     overlap = float(abs(np.vdot(x.vector, y.vector)))
-    if overlap > tol:
+    if overlap > tol / max(1.0, obs.frobenius_norm):
         raise PreconditionError(f"states are not orthogonal: |<x, y>| = {overlap!r}")
     for name, s in (("x", x), ("y", y)):
         defect = math.sqrt(variance_defect(obs, s))

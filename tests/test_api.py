@@ -1,10 +1,16 @@
 """The public surface: every public name and every optional parameter or dataclass field
-is added on purpose, and each option has a caller that sets it."""
+is added on purpose, and each option has a caller that sets it; the README lists the
+names and the subcommands as the code has them."""
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import varorder
+from varorder.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # A new public name must be added here on purpose; helpers stay in their modules.
 NAMES = {
@@ -148,3 +154,28 @@ def test_star_import_binds_no_module():
     exec("from varorder import *", scope)
     assert not [name for name, obj in scope.items() if inspect.ismodule(obj)]
     assert set(scope) - {"__builtins__"} == NAMES
+
+
+def readme_section(title: str) -> str:
+    """The README's ``## title`` section, up to the next ``## `` heading."""
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_the_readme_lists_each_public_name_once():
+    section = readme_section("Public API")
+    assert sorted(re.findall(r"^- `(\w+)", section, flags=re.M)) == sorted(varorder.__all__)
+    assert f"binds these {len(NAMES)} names" in section
+    assert f"the {len(OPTIONS)} defaulted options" in section
+
+
+def test_the_readme_shows_each_subcommand():
+    choices = re.search(r"\{([\w,-]+)\}", build_parser().format_usage()).group(1).split(",")
+    shown = re.findall(r"^varorder ([a-z][\w-]*)", readme_section("Command line"), flags=re.M)
+    assert set(shown) == set(choices) and len(choices) == 10
+
+
+def test_the_readme_names_no_private_identifier():
+    # bare (``_eigh``) or dotted (``linalg._frobenius``), in a code span or not; the README
+    # states behaviour, and implementation notes live in the docstrings
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"(?:^|(?<=[\s(\[,.`]))_[A-Za-z]\w*", text, flags=re.M) == []

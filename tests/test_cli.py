@@ -527,15 +527,18 @@ def test_a_malformed_input_file_is_an_input_error(tmp_path, monkeypatch, capsys,
         (["verify-automorphism", "--dim", "-1"], "dimension must be at least 2, got -1"),
         (["verify-automorphism", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
         (["check-order", "--oracle-trials", "2", "--seed", "-1"], "seed must be a nonnegative"),
+        (["check-order", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
         (["check-order", "--oracle-trials", "-1"], "oracle needs restarts >= 1"),
         (["verify-automorphism", "--alpha", "inf"], "scale must be positive and finite, got inf"),
     ],
-    ids=["dim-0", "dim-negative", "automorphism-seed", "oracle-seed", "oracle-trials", "alpha-inf"],
+    ids=["dim-0", "dim-negative", "automorphism-seed", "oracle-seed", "check-order-seed",
+         "oracle-trials", "alpha-inf"],
 )
 def test_out_of_range_arguments_are_input_errors(files, capsys, argv, message):
     # these ended in a numpy traceback with exit 1 ("refuted"), or, for
     # --oracle-trials -1, skipped the oracle and exited 0; --alpha inf printed a
-    # RuntimeWarning before its error line
+    # RuntimeWarning before its error line; a negative --seed without the oracle
+    # went unchecked and printed a verdict
     from varorder.cli import main
 
     _, matrix = files

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -34,6 +35,15 @@ def test_tolerance_values_are_pinned():
         "ORACLE_AGREE_TOL": 1e-6,
     }
     assert varorder.FAIL_MARGIN_TOL is order.FAIL_MARGIN_TOL is tolerances.FAIL_MARGIN_TOL
+
+
+def test_the_readme_table_lists_each_tolerance_with_its_value():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", readme, flags=re.M)
+    assert len(rows) == len({name for name, _ in rows}) == 8
+    assert {name: float(value) for name, value in rows} == {
+        k: v for k, v in vars(tolerances).items() if k.isupper()
+    }
 
 
 def test_public_tolerance_defaults_are_unchanged():

@@ -4,13 +4,14 @@
 
 ``--base`` is a second checkout (for example ``git archive`` of the parent
 commit); the checkout holding this script is the change.  For each workload
-in ``BENCHMARK.json`` and each seed, ``bench/run.py --trace 0`` runs once in
-each checkout, the two in alternating order (base first on odd seeds), and
-every end-to-end metric is kept with its median, quartiles and the number of
-pairs the change wins.  Then each checkout times its own layers in a fresh
-process (``--layers DIR``), ``LAYER_ROUNDS`` processes per checkout in
-alternating order: CPU seconds per call, the minimum over repeats and
-processes, with one BLAS thread on one CPU; ``decide_order_cached_b`` decides an
+in ``BENCHMARK.json`` and each seed from 1 to ``--seeds`` (10),
+``bench/run.py --trace 0`` runs once in each checkout, the two in alternating
+order (base first on odd seeds), and every end-to-end metric is kept with its
+median, quartiles and the number of pairs the change wins.  Then each checkout
+times its own layers in a fresh process (``--layers DIR``), ``LAYER_ROUNDS``
+processes per checkout in alternating order: CPU seconds per call, the minimum
+over repeats and processes, with one BLAS thread on one CPU;
+``decide_order_cached_b`` decides an
 observable against a ``B`` whose decomposition is already cached, as when one
 ``B`` meets many partners, and ``decide_order_cached_b_fails`` does the same for
 an independent ``A``, for which the order fails, as in most of ``pool-order``'s
@@ -61,7 +62,9 @@ errors did; a command whose stdout is not JSON is hashed with its stderr.
 relative change, ``|change - base| / |base|``.
 
 ``src_lines`` gives each checkout's ``wc -l src/varorder/*.py``: the line
-count of every module and their total.
+count of every module and their total.  The ``BENCH_*.json`` files at the
+repository root are such records; a new comparison adds a file and never edits
+an old one.
 """
 
 from __future__ import annotations
@@ -448,7 +451,7 @@ def machine_facts() -> dict:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--base", type=Path, help="checkout of the commit to compare against")
     p.add_argument("--out", type=Path, help="JSON file to write")
     p.add_argument("--seeds", type=int, default=10)

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     VarOrderError,
 )
-from .functions import _checked_int, _checked_seed
+from .functions import _checked_int, _checked_seed, _real_array
 from .linalg import HermitianObservable, UnitaryMap, resolve_tol
 from .order import (
     canonical_representative,
@@ -47,14 +47,6 @@ from .structure import (
 from .tolerances import ORACLE_AGREE_TOL
 
 
-def _numeric(data, what: str):
-    """``data`` as a float array; malformed input is a :class:`ValidationError`."""
-    try:
-        return np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed {what}: {exc}") from exc
-
-
 def _dim(data) -> int:
     n = data["dim"]  # no float, string or bool (JSON true) is read as a dimension
     return _checked_int(n, 1, math.inf, f"malformed dim: expected an integer, got {n!r}")
@@ -62,7 +54,7 @@ def _dim(data) -> int:
 
 def _complex_field(data: dict, key: str, path: str) -> np.ndarray:
     """``data[key]``'s ``[re, im]`` pairs as a complex ``(dim,)`` or ``(dim, dim)`` array."""
-    arr = _numeric(data[key], key)
+    arr = _real_array(data[key], key)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError(f"malformed {key}: entries must be [re, im] pairs")
     z = arr[..., 0] + 1j * arr[..., 1]
@@ -101,9 +93,9 @@ def load_state(path: str):
 
 def load_spectrum(arg: str) -> list[float]:
     if os.path.exists(arg):
-        pts = _numeric(_load_json(arg), f"spectrum in {arg}")
+        pts = _real_array(_load_json(arg), f"spectrum in {arg}")
     else:
-        pts = _numeric([tok for tok in arg.split(",") if tok.strip()], f"spectrum {arg!r}")
+        pts = _real_array([tok for tok in arg.split(",") if tok.strip()], f"spectrum {arg!r}")
     if pts.ndim != 1:
         raise ValidationError(f"{arg}: spectrum file must be a flat JSON array")
     return pts.tolist()
@@ -201,7 +193,7 @@ def cmd_reconstruct_metric(args) -> int:
     data = _load_json(args.q)
     if not isinstance(data, dict) or "q" not in data:
         raise ValidationError(f"{args.q}: expected an object with a 'q' field")
-    d, spectrum = reconstruct_metric(QMatrix(_numeric(data["q"], "gap matrix")))
+    d, spectrum = reconstruct_metric(QMatrix(data["q"]))
     emit({"distances": d.tolist(), "spectrum": spectrum.tolist()})
     return 0
 

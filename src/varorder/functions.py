@@ -10,6 +10,8 @@ import numpy as np
 from .errors import DomainError, PreconditionError, ValidationError
 from .tolerances import LIP_TOL, PAIR_TOL_SCALE
 
+_MAX_FLOAT = math.nextafter(math.inf, 0.0)  # the largest finite float
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -46,17 +48,32 @@ def _checked_seed(seed) -> int:
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number: an ``int``, ``float`` or numpy one, never a ``bool``;
-    a tolerance, scale, threshold or constant."""
+    """Whether ``value`` is a real number: an ``int``, ``float`` or numpy one, never a ``bool``."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _checked_tol(tol: float) -> float:
-    """``tol`` when it is a real number, finite and >= 0 (a NaN fails both); else
-    :class:`ValidationError`."""
-    if not (_is_real(tol) and 0.0 <= tol < math.inf):
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tol!r}")
-    return tol
+def _checked_real(value, message: str, low: float = -_MAX_FLOAT, high: float = _MAX_FLOAT) -> float:
+    """``value`` as a ``float``: an ``int``, ``float`` or numpy real, never a ``bool``, in the
+    closed ``[low, high]`` (``_checked_int``'s is half-open); else :class:`ValidationError`."""
+    big = isinstance(value, int) and abs(value) > _MAX_FLOAT  # past float64's range
+    x = float(value) if _is_real(value) and not big else math.nan
+    if not low <= x <= high:  # a NaN too
+        raise ValidationError(message)
+    return x
+
+
+def _checked_tol(tol) -> float:
+    return _checked_real(tol, f"tolerance must be finite and >= 0, got {tol!r}", 0.0)
+
+
+def _real_array(data, what: str) -> np.ndarray:
+    """``data`` as a new float64 array; what is no real array is a :class:`ValidationError`."""
+    if isinstance(data, np.ndarray) and data.dtype.kind == "c":  # numpy drops imaginary parts
+        raise ValidationError(f"malformed {what}: entries must be real, got dtype {data.dtype}")
+    try:
+        return np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
 def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +82,7 @@ def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
     message = "expected (x, y) pairs of two numbers each"
     try:
         xy = np.array(pairs, dtype=np.float64)
-    except ValueError as exc:  # ragged pairs
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, complex or too large
         raise ValidationError(message) from exc
     if pairs and xy.shape[1:] != (2,):  # a pair of other than two numbers, or nested deeper
         raise ValidationError(message)
@@ -106,7 +123,7 @@ class FunctionTable:
 
     @classmethod
     def from_values(cls, xs, ys) -> "FunctionTable":
-        xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+        xs, ys = _real_array(xs, "locations"), _real_array(ys, "values")
         if xs.ndim != 1 or ys.ndim != 1:
             raise ValidationError(f"locations {xs.shape} and values {ys.shape} must be 1-D")
         if len(xs) != len(ys):
@@ -129,7 +146,11 @@ class FunctionTable:
         return float(np.max(slopes, initial=0.0))
 
     def value_at(self, x: float, tol: float = PAIR_TOL_SCALE) -> float:
-        """Value at the table point nearest to ``x`` (within ``tol``, finite and >= 0)."""
+        """Value at the table point nearest to the real ``x`` (within ``tol``, finite and >= 0)."""
+        if not _is_real(x):
+            raise ValidationError(f"table argument must be a real number, got {x!r}")
+        if isinstance(x, int) and abs(x) > _MAX_FLOAT:  # as far from every point as inf
+            x = math.inf if x > 0 else -math.inf
         xs = self.locations
         with np.errstate(over="ignore"):  # a distance past the float64 maximum is inf
             dist = np.abs(xs - x)
@@ -189,12 +210,12 @@ class LipschitzExtension:
     constant: float
 
     def __post_init__(self):
-        c, t = self.constant, self.table
-        if not (_is_real(c) and c >= 0):  # a NaN too
-            raise ValidationError(f"Lipschitz constant must be a nonnegative number, got {c!r}")
+        c, t = self.constant, self.table  # c as given, which the messages name
+        object.__setattr__(self, "constant", _checked_real(
+            c, f"Lipschitz constant must be a nonnegative number, got {c!r}", 0.0, math.inf))
         slack = LIP_TOL * max(np.abs(t.locations).max(), np.abs(t.values).max())
         # on halves, as in lipschitz_constant: no difference overflows; every table is inf-Lipschitz
-        worst = (_lipschitz_stage(t.locations / 2, t.values / 2, slack / 2, float(c))
+        worst = (_lipschitz_stage(t.locations / 2, t.values / 2, slack / 2, self.constant)
                  if math.isfinite(c) else None)
         if worst is not None:
             j, k, _ = worst
@@ -205,7 +226,6 @@ class LipschitzExtension:
                 f"exceeds {c} * |{x0} - {x1}| / 2 = {c * abs(x0 / 2 - x1 / 2)!r}",
                 witness=bad,
             )
-        object.__setattr__(self, "constant", float(c))
 
     def __call__(self, x):
         xs, ys = self.table.locations / 2, self.table.values / 2

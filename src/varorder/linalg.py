@@ -36,7 +36,7 @@ from .errors import (
     NotHermitianError,
     ValidationError,
 )
-from .functions import FunctionTable, _checked_dim, _checked_int, _checked_tol, _freeze
+from .functions import FunctionTable, _checked_dim, _checked_int, _checked_tol, _freeze, _real_array
 from .tolerances import CHECK_TOL, PAIR_TOL_SCALE, ROUND_RTOL
 
 JACOBI_MAX_SWEEPS = 100
@@ -123,7 +123,7 @@ class HermitianObservable:
 
     @classmethod
     def from_diag(cls, values) -> "HermitianObservable":
-        return cls(np.diag(np.asarray(values, dtype=np.float64)))
+        return cls(np.diag(_real_array(values, "diagonal")))
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianObservable":
@@ -400,6 +400,8 @@ class UnitaryMap:
     antiunitary: bool = field(default=False)
 
     def __post_init__(self):
+        if not isinstance(self.antiunitary, (bool, np.bool_)):
+            raise ValidationError(f"antiunitary must be a bool, got {self.antiunitary!r}")
         u = _square_matrix(self.matrix)
         with np.errstate(invalid="ignore", over="ignore"):  # dev NaN or inf: refused below
             dev = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .functions import FunctionTable, _checked_dim, _checked_seed, _is_real
+from .functions import FunctionTable, _check_points, _checked_dim, _checked_real, _checked_seed, _real_array
 from .linalg import HermitianObservable, UnitaryMap
 
 if TYPE_CHECKING:  # for annotations only: importing varorder loads no numpy.random
@@ -33,8 +33,7 @@ def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
 def random_hermitian(dim: int, seed: RngLike = None, scale: float = 1.0) -> HermitianObservable:
     """A GUE-like observable times ``scale``, a finite number, checked before any draw."""
     dim = _checked_dim(dim)
-    if not (_is_real(scale) and math.isfinite(scale)):
-        raise ValidationError(f"scale must be a finite number, got {scale!r}")
+    scale = _checked_real(scale, f"scale must be a finite number, got {scale!r}")
     rng = as_rng(seed)
     g = complex_gaussian(rng, dim, dim)
     return HermitianObservable(scale * (g + g.conj().T) / 2.0)
@@ -66,12 +65,13 @@ def random_lipschitz_values(
 ) -> np.ndarray:
     """Random values on sorted locations with slopes bounded by ``constant``: a first value
     in [-1, 1], then the cumulative sum of slopes in ``[-constant, constant]`` times gaps.
-    ``constant`` must be a finite number >= 0; both are checked before any draw."""
-    xs = np.asarray(locations, dtype=np.float64)
+    Locations finite and strictly increasing, ``constant`` finite and >= 0: both checked first."""
+    xs = _real_array(locations, "locations")
     if xs.ndim != 1 or not xs.size:
         raise ValidationError(f"locations must be nonempty and 1-dimensional, got shape {xs.shape}")
-    if not (_is_real(constant) and 0 <= constant < math.inf):  # a NaN too
-        raise ValidationError(f"Lipschitz constant must be a finite nonnegative number, got {constant!r}")
+    _check_points(xs, "", "locations")  # nonempty by now
+    message = f"Lipschitz constant must be a finite nonnegative number, got {constant!r}"
+    constant = _checked_real(constant, message, 0.0)
     rng = as_rng(seed)
     vals = np.empty(len(xs))
     vals[0] = rng.uniform(-1.0, 1.0)
@@ -101,13 +101,12 @@ def random_spectrum(
     below ``min_gap`` raised an ulp at a time; when that pushes the top past ``high``,
     rounding leaves no room and :class:`ValidationError` is raised."""
     n, rng = _checked_dim(n), as_rng(seed)
-    if not (_is_real(low) and _is_real(high) and _is_real(min_gap)
-            and -math.inf < low <= high < math.inf and 0 <= min_gap < math.inf
-            and (n - 1) * min_gap <= high - low):
-        raise ValidationError(
-            f"no {n} points in [{low!r}, {high!r}] with gaps >= {min_gap!r}: low <= high and "
-            "min_gap >= 0 must be finite numbers with (n - 1) * min_gap <= high - low"
-        )
+    message = (f"no {n} points in [{low!r}, {high!r}] with gaps >= {min_gap!r}: low <= high and "
+               "min_gap >= 0 must be finite numbers with (n - 1) * min_gap <= high - low")
+    low = _checked_real(low, message)
+    high, min_gap = _checked_real(high, message, low), _checked_real(min_gap, message, 0.0)
+    if (n - 1) * min_gap > high - low:
+        raise ValidationError(message)
     for _ in range(1000):
         pts = np.sort(rng.uniform(low, high, size=n))
         if n < 2 or np.diff(pts).min() >= min_gap:

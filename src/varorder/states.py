@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .functions import (
-    _check_points, _checked_dim, _checked_int, _checked_tol, _freeze, _is_real, _split_pairs,
+    _check_points, _checked_dim, _checked_int, _checked_real, _checked_tol, _freeze, _split_pairs,
 )
 from .linalg import (
     MIN_SQUARED_NORM,
@@ -304,13 +304,12 @@ def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float
     """
     obs = _as_observable(A)
     _check_dims(obs, state)
-    if not (_is_real(lam) and math.isfinite(lam)):
-        raise ValidationError(f"lam must be a finite number, got {lam!r}")
+    lam = _checked_real(lam, f"lam must be a finite number, got {lam!r}")
     x = state.vector
     ax = obs.matrix @ x
-    d = _frobenius(ax - float(lam) * x) ** 2
+    d = _frobenius(ax - lam * x) ** 2
     var = variance(obs, state)
-    err = abs(float(np.vdot(x, ax).real) - float(lam))
+    err = abs(float(np.vdot(x, ax).real) - lam)
     mid = var + err * err
     slack = CHECK_TOL * max(1.0, float(np.vdot(ax, ax).real))
     if 0.5 * d - mid > slack or mid - 2.0 * d > slack:
@@ -339,9 +338,8 @@ def superposition_variance(
     obs = _as_observable(A)
     _check_dims(obs, x)
     _check_dims(obs, y)
-    if not all(_is_real(c) and math.isfinite(c) for c in (alpha, beta)):
-        raise ValidationError(f"coefficients must be finite numbers, got {alpha!r} and {beta!r}")
-    alpha, beta = float(alpha), float(beta)
+    message = f"coefficients must be finite numbers, got {alpha!r} and {beta!r}"
+    alpha, beta = (_checked_real(c, message) for c in (alpha, beta))
     if alpha == 0.0 or beta == 0.0:
         raise PreconditionError("superposition coefficients must both be nonzero")
     tol = resolve_tol(tol, obs)

@@ -24,7 +24,7 @@ from .errors import (
     ReconstructionError,
     ValidationError,
 )
-from .functions import _check_points, _checked_int, _is_real
+from .functions import _check_points, _checked_int, _checked_real, _real_array
 from .linalg import (
     HermitianObservable,
     SpectralDecomposition,
@@ -106,8 +106,8 @@ class TwoPointFamily:
         object.__setattr__(self, "indices", self.decomposition.group_indices(self.indices))
         if not self.indices:
             raise ValidationError("family needs a nonempty eigenvalue subset")
-        if not (_is_real(self.threshold) and 0 < self.threshold < math.inf):
-            raise ValidationError(f"threshold must be positive and finite, got {self.threshold!r}")
+        message = f"threshold must be positive and finite, got {self.threshold!r}"
+        object.__setattr__(self, "threshold", _checked_real(self.threshold, message, math.ulp(0.0)))
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -118,7 +118,9 @@ class TwoPointFamily:
         return self.decomposition.projector(*self.indices)
 
     def observable(self, t: float) -> HermitianObservable:
-        return HermitianObservable(float(t) * self.projector)
+        """``t E``, any finite ``t``; outside ``[0, threshold]`` it shows where the family ends."""
+        t = _checked_real(t, f"t must be a finite number, got {t!r}")
+        return HermitianObservable(t * self.projector)
 
 
 def two_point_lower_set(A) -> tuple[TwoPointFamily, ...]:
@@ -155,7 +157,7 @@ class QMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.values, dtype=np.float64)
+        q = _real_array(self.values, "gap matrix")
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {q.shape}")
         if q.shape[0] < 4:
@@ -209,7 +211,7 @@ def q_matrix(spectrum, method: str = "closed") -> QMatrix:
     ``"enumerate"`` method recomputes the matrix by brute force over clamp
     functions and verifies agreement with the closed form.
     """
-    pts = np.asarray(spectrum, dtype=np.float64).ravel()
+    pts = _real_array(spectrum, "spectrum").ravel()
     n = len(pts)
     if n < 4:
         raise DegenerateInputError(f"spectrum needs at least 4 points, got {n}")
@@ -293,8 +295,8 @@ class AutomorphismSpec:
     unitary: UnitaryMap
 
     def __post_init__(self):
-        if not (_is_real(self.scale) and 0 < self.scale < math.inf):
-            raise ValidationError(f"scale must be positive and finite, got {self.scale!r}")
+        message = f"scale must be positive and finite, got {self.scale!r}"
+        object.__setattr__(self, "scale", _checked_real(self.scale, message, math.ulp(0.0)))
 
     def __call__(self, A) -> HermitianObservable:
         return HermitianObservable(self.scale * self.unitary.apply(A).matrix)

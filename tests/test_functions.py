@@ -1,6 +1,6 @@
 """Function tables and their greatest Lipschitz extension to the line."""
 
-import re
+import math
 import warnings
 from fractions import Fraction
 
@@ -17,12 +17,19 @@ from varorder import (
     HermitianObservable,
     LipschitzExtension,
     PreconditionError,
+    PureState,
+    QMatrix,
     TwoPointFamily,
     UnitaryMap,
     ValidationError,
+    approx_eigen_sandwich,
     class_equal,
     decide_order,
     eigendecompose,
+    loewner_leq,
+    q_matrix,
+    state_order_violation,
+    superposition_variance,
 )
 from varorder import sampling
 from varorder.functions import _lipschitz_excess, _lipschitz_stage
@@ -487,6 +494,38 @@ def test_random_lipschitz_values_refuse_locations_that_are_no_nonempty_line(loca
         random_lipschitz_values(locations, seed=0)
 
 
+@pytest.mark.parametrize("locations", [[3.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf]],
+                         ids=["unsorted", "repeated", "nan", "inf"])
+@pytest.mark.parametrize("generate", [random_lipschitz_values, random_lipschitz_table])
+def test_random_lipschitz_values_refuse_locations_that_are_not_finite_and_increasing(generate, locations):
+    # at seed 1 the unsorted locations gave a neighbouring slope of 2.51 at constant 1, a NaN
+    # gave NaN values and inf a value of -inf; the table refused them only after drawing
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="^locations must be finite and strictly increasing$"):
+        generate(locations, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: HermitianObservable.from_diag([1j, 0.0]), lambda: FunctionTable([(0.0, 1j)]),
+     lambda: FunctionTable.from_values([0.0, 1.0], [1j, 0.0]), lambda: q_matrix([0.0, 1.0, 2.0, 3j]),
+     lambda: QMatrix(np.eye(4) * 1j), lambda: FunctionTable.from_values(np.array([0.0, 1j]), [0.0, 1.0]),
+     lambda: FunctionTable([(0.0, 10**400)]), lambda: FunctionTable.from_values([0.0, 10**400], [0.0, 1.0]),
+     lambda: sampling.random_lipschitz_values([0.0, 1j]),
+     lambda: sampling.random_lipschitz_values(np.array([0.0, 1j]))],
+    ids=["from_diag", "FunctionTable", "from_values", "q_matrix", "QMatrix-array", "from_values-array",
+         "FunctionTable-10**400", "from_values-10**400", "random_lipschitz_values",
+         "random_lipschitz_values-array"],
+)
+def test_a_complex_or_too_large_entry_of_a_real_array_is_refused(build):
+    # each used to raise a bare TypeError or OverflowError from numpy's conversion, or, for
+    # a complex array, to drop its imaginary parts with numpy's ComplexWarning
+    with pytest.raises(ValidationError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # random observables and states: their dimension
 
@@ -505,42 +544,140 @@ def test_a_dimension_that_is_no_positive_integer_is_refused(name, dim):
         getattr(sampling, name)(dim, *rng)
 
 
+# ---------------------------------------------------------------------------
+# real-valued arguments: one table for each tolerance, scale, threshold, constant and
+# coordinate that the package takes as a real number
+
+
 _DIAG = HermitianObservable.from_diag([0.0, 1.0])
 _TABLE = FunctionTable(((0.0, 0.0), (1.0, 1.0)))
-NUMBER_ARGUMENTS = {
-    "decide_order(tol=)": lambda x: decide_order(_DIAG, _DIAG, tol=x),
-    "FunctionTable.value_at(tol=)": lambda x: _TABLE.value_at(0.0, tol=x),
-    "class_equal(tol=)": lambda x: class_equal(_DIAG, _DIAG, tol=x),
-    "LipschitzExtension(constant)": lambda x: LipschitzExtension(_TABLE, x),
-    "AutomorphismSpec(scale)": lambda x: AutomorphismSpec(x, UnitaryMap(np.eye(2))),
-    "TwoPointFamily(threshold)": lambda x: TwoPointFamily(eigendecompose(_DIAG), (0,), x),
+_FLAT = FunctionTable(((0.0, 0.0), (1.0, 0.0)))  # c-Lipschitz for every c >= 0
+_FAMILY = TwoPointFamily(eigendecompose(_DIAG), (0,), 1.0)
+_E1, _E2 = PureState.basis_vector(2, 0), PureState.basis_vector(2, 1)
+_LEAST = math.ulp(0.0)  # the least positive float
+_FINITE = (-math.inf, math.inf)  # just outside [-max, max]
+_NONNEGATIVE = (-_LEAST, math.inf)  # just outside [0, max]
+_POSITIVE = (0.0, math.inf)  # just outside (0, max]
+
+
+def _message(template: str):
+    return lambda x: template.format(repr(x))
+
+
+def _spectrum(where: str):
+    return _message(f"no 3 points in {where}: low <= high and min_gap >= 0 must be finite "
+                    "numbers with (n - 1) * min_gap <= high - low")
+
+
+def _value_at(x):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):  # a number near no point
+        return f"no table point within 1.000e-08 of {math.inf if x == 10**400 else x!r} (nearest is 0.0)"
+    return f"table argument must be a real number, got {x!r}"
+
+
+_TOL = _message("tolerance must be finite and >= 0, got {}")
+_SCALE = _message("scale must be a finite number, got {}")
+_CONSTANT = _message("Lipschitz constant must be a finite nonnegative number, got {}")
+# name: (call(rng, x), the refusal's message for x, values accepted at the interval's ends,
+# values just outside them); each call also accepts 1 and draws from rng, if at all.
+# random_spectrum draws three points in [low, high] = [0, 10] with gaps >= min_gap, which
+# the low and high rows set to 0.25, so that both ends are exact
+REAL_ARGUMENTS = {
+    "decide_order(tol=)": (lambda rng, x: decide_order(_DIAG, _DIAG, tol=x), _TOL, (0,), _NONNEGATIVE),
+    "class_equal(tol=)": (lambda rng, x: class_equal(_DIAG, _DIAG, tol=x), _TOL, (0,), _NONNEGATIVE),
+    "loewner_leq(tol=)": (lambda rng, x: loewner_leq(_DIAG, _DIAG, tol=x), _TOL, (0,), _NONNEGATIVE),
+    "state_order_violation(tol=)":
+        (lambda rng, x: state_order_violation(_DIAG, _DIAG, 1, rng, tol=x), _TOL, (0,), _NONNEGATIVE),
+    "BornMeasure.normalized(merge_tol=)":
+        (lambda rng, x: BornMeasure.normalized([(0.0, 1.0)], merge_tol=x), _TOL, (0,), _NONNEGATIVE),
+    "FunctionTable.value_at(tol=)": (lambda rng, x: _TABLE.value_at(0.0, tol=x), _TOL, (0,), _NONNEGATIVE),
+    "FunctionTable.value_at(x)": (lambda rng, x: _TABLE.value_at(x), _value_at, (0,), _FINITE),
+    "LipschitzExtension(constant)": (
+        lambda rng, x: LipschitzExtension(_FLAT, x),
+        _message("Lipschitz constant must be a nonnegative number, got {}"), (0, math.inf), (-_LEAST,)),
+    "AutomorphismSpec(scale)": (
+        lambda rng, x: AutomorphismSpec(x, UnitaryMap(np.eye(2))),
+        _message("scale must be positive and finite, got {}"), (_LEAST,), _POSITIVE),
+    "TwoPointFamily(threshold)": (
+        lambda rng, x: TwoPointFamily(eigendecompose(_DIAG), (0,), x),
+        _message("threshold must be positive and finite, got {}"), (_LEAST,), _POSITIVE),
+    "TwoPointFamily.observable(t)": (
+        lambda rng, x: _FAMILY.observable(x), _message("t must be a finite number, got {}"),
+        (-1, 0, 2), _FINITE),
+    "approx_eigen_sandwich(lam)": (
+        lambda rng, x: approx_eigen_sandwich(_DIAG, _E1, x),
+        _message("lam must be a finite number, got {}"), (-1, 0), _FINITE),
+    "superposition_variance(alpha)": (
+        lambda rng, x: superposition_variance(_DIAG, _E1, _E2, x, 1.0),
+        _message("coefficients must be finite numbers, got {} and 1.0"), (-1,), _FINITE),
+    "superposition_variance(beta)": (
+        lambda rng, x: superposition_variance(_DIAG, _E1, _E2, 1.0, x),
+        _message("coefficients must be finite numbers, got 1.0 and {}"), (-1,), _FINITE),
+    "random_hermitian(scale=)":
+        (lambda rng, x: sampling.random_hermitian(2, rng, scale=x), _SCALE, (-1, 0), _FINITE),
+    "random_lipschitz_values(constant=)": (
+        lambda rng, x: sampling.random_lipschitz_values([0.0, 1.0], rng, constant=x),
+        _CONSTANT, (0,), _NONNEGATIVE),
+    "random_lipschitz_table(constant=)": (
+        lambda rng, x: sampling.random_lipschitz_table([0.0, 1.0], rng, constant=x),
+        _CONSTANT, (0,), _NONNEGATIVE),
+    "random_spectrum(low=)": (
+        lambda rng, x: sampling.random_spectrum(3, rng, low=x, min_gap=0.25),
+        _spectrum("[{}, 10.0] with gaps >= 0.25"), (9.5,), (-math.inf, math.nextafter(9.5, math.inf))),
+    "random_spectrum(high=)": (
+        lambda rng, x: sampling.random_spectrum(3, rng, high=x, min_gap=0.25),
+        _spectrum("[0.0, {}] with gaps >= 0.25"), (0.5,), (math.nextafter(0.5, 0.0), math.inf)),
+    "random_spectrum(min_gap=)": (
+        lambda rng, x: sampling.random_spectrum(3, rng, min_gap=x),
+        _spectrum("[0.0, 10.0] with gaps >= {}"), (0, 5), _NONNEGATIVE),
 }
+NONE_IS_DEFAULT = {"decide_order(tol=)", "class_equal(tol=)", "loewner_leq(tol=)"}
 
 
-@pytest.mark.parametrize("name", NUMBER_ARGUMENTS)
-def test_a_tolerance_scale_threshold_or_constant_that_is_no_real_number_is_refused(name):
-    # "1", None and 1j used to raise a bare TypeError from a comparison, and True passed
-    # as 1; every call accepts the number 1 and numpy's float and integer types, and a
-    # comparison's tol=None is its default
-    call = NUMBER_ARGUMENTS[name]
-    for good in (1, 1.0, np.float64(1.0), np.int64(1)):
-        call(good)
-    default_none = name in ("decide_order(tol=)", "class_equal(tol=)")
-    for bad in ("1", 1j, True, np.bool_(True)) + (() if default_none else (None,)):
-        with pytest.raises(ValidationError, match=re.escape(f"got {bad!r}")):
-            call(bad)
+def _refusals():
+    """Each row's ``(name, bad)`` cases: each kind of value that is no real number, a NaN, the
+    values just outside the row's interval, and 10**400, an int past float64's range."""
+    for name, (_, _, _, outside) in REAL_ARGUMENTS.items():
+        bad = {"str": "1", "None": None, "bool": True, "np.bool_": np.bool_(True), "complex": 1j,
+               "nan": math.nan, **dict(zip(("below", "above"), outside)), "10**400": 10**400}
+        if name in NONE_IS_DEFAULT:
+            del bad["None"]  # the default tolerance
+        yield from (pytest.param(name, x, id=f"{name}-{kind}") for kind, x in bad.items())
+
+
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_a_real_argument_accepts_each_kind_of_real_number_in_its_interval(name):
+    call, _, ends, _ = REAL_ARGUMENTS[name]
+    for good in (1, 1.0, np.float64(1.0), np.int64(1)) + ends:
+        call(np.random.default_rng(0), good)
+
+
+@pytest.mark.parametrize("name, bad", _refusals())
+def test_a_real_argument_refuses_what_is_no_real_number_in_its_interval(name, bad):
+    # "1", None and 1j used to raise a bare TypeError from a comparison or numpy's
+    # UFuncTypeError, True was read as 1, and 10**400, an int past float64's range, raised
+    # OverflowError or was kept.  Each refusal is a ValidationError with the parameter's
+    # own message, raised before any draw; a number that no table point is near is
+    # value_at's DomainError
+    call, message, _, _ = REAL_ARGUMENTS[name]
+    near_none = name == "FunctionTable.value_at(x)" and isinstance(bad, (int, float)) and not isinstance(bad, bool)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(DomainError if near_none else ValidationError) as err:
+        call(rng, bad)
+    assert str(err.value) == message(bad)
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(low=1.0, high=0.0), dict(low=-np.inf), dict(high=np.inf), dict(low=np.nan),
-     dict(high=np.nan), dict(min_gap=-0.1), dict(min_gap=np.nan), dict(min_gap=np.inf),
-     dict(min_gap=5.01), dict(low=1.0, high=1.0, min_gap=1e-300), dict(low="0"), dict(min_gap=None)],
+    [dict(low=1.0, high=0.0), dict(min_gap=5.01), dict(low=1.0, high=1.0, min_gap=1e-300)],
     ids=repr,
 )
 def test_random_spectrum_refuses_what_no_draw_can_meet_before_drawing(kwargs):
     # low > high used to raise numpy's bare ValueError, a gap that three points in [0, 10]
-    # cannot keep a RuntimeError after 1000 draws; the generator is left untouched
+    # cannot keep a RuntimeError after 1000 draws; the generator is left untouched.  Each
+    # parameter's own interval is in REAL_ARGUMENTS
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(ValidationError, match="^no 3 points in "):
@@ -586,27 +723,3 @@ def test_random_spectrum_refuses_gaps_that_rounding_leaves_no_room_for():
         sampling.random_spectrum(4, 0, 0.1, 0.4, min_gap=0.1)
 
 
-
-SCALE_OR_CONSTANT = {
-    "random_hermitian(scale=)": lambda rng, x: sampling.random_hermitian(2, rng, scale=x),
-    "random_lipschitz_values(constant=)":
-        lambda rng, x: sampling.random_lipschitz_values([0.0, 1.0], rng, constant=x),
-    "random_lipschitz_table(constant=)":
-        lambda rng, x: sampling.random_lipschitz_table([0.0, 1.0], rng, constant=x),
-}
-
-
-@pytest.mark.parametrize("name", SCALE_OR_CONSTANT)
-def test_a_scale_or_constant_that_is_no_finite_number_is_refused_before_drawing(name):
-    # "1" used to raise numpy's UFuncTypeError, None a bare TypeError and a constant of
-    # -1.0 numpy's ValueError; a scale may be negative, a Lipschitz constant may not.
-    # Each refusal leaves the generator untouched
-    call = SCALE_OR_CONSTANT[name]
-    for good in (1, 0.0, np.float64(2.5), np.int64(1)) + (() if "constant" in name else (-1.0,)):
-        call(0, good)
-    for bad in ("1", None, True, 1j, np.nan, np.inf, -np.inf) + ((-1.0,) if "constant" in name else ()):
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(ValidationError, match=re.escape(f"got {bad!r}")):
-            call(rng, bad)
-        assert rng.bit_generator.state == before

@@ -717,6 +717,17 @@ def test_antiunitary_apply_conjugates_entries_first():
     np.testing.assert_allclose(got.matrix, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("flag", ["no", 0.5, 1, None], ids=repr)
+def test_the_antiunitary_flag_is_a_bool(flag):
+    # a truthy "no" or 0.5 used to be stored as given and to conjugate the entries in apply
+    with pytest.raises(ValidationError) as err:
+        UnitaryMap(np.eye(2), antiunitary=flag)
+    assert str(err.value) == f"antiunitary must be a bool, got {flag!r}"
+    with pytest.raises(ValidationError, match="^antiunitary must be a bool"):
+        random_unitary(2, seed=0, antiunitary=flag)
+    assert UnitaryMap(np.eye(2), antiunitary=np.bool_(True)).antiunitary
+
+
 def test_antiunitary_spectrum_preserved():
     # conjugation preserves eigenvalues of a Hermitian matrix
     u = random_unitary(3, seed=35, antiunitary=True)

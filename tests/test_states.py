@@ -459,14 +459,6 @@ def test_sandwich_holds_at_every_eigenvalue_at_large_scales(scale):
         assert d == pytest.approx(1e-18 * (w[(k + 1) % 8] - w[k]) ** 2, rel=1e-6)
 
 
-@pytest.mark.parametrize("lam", [np.nan, np.inf, "0.5", True], ids=["nan", "inf", "str", "bool"])
-def test_sandwich_refuses_a_lam_that_is_no_finite_number(lam):
-    # a NaN passed both inequalities vacuously; inf raised numpy warnings (test errors
-    # here); "0.5" and True were read as numbers
-    with pytest.raises(ValidationError, match="lam must be a finite number"):
-        approx_eigen_sandwich(DIAG01, PLUS, lam)
-
-
 def test_perturbed_eigenvector_defect_decays_quadratically():
     a = HermitianObservable.from_diag([0.0, 1.0, 3.0])
     v = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
@@ -522,16 +514,6 @@ def test_superposition_checks_the_overlap_in_its_own_units_at_large_scale():
         superposition_variance(a, x, y, 1.0, 1.0)
     e1 = PureState.basis_vector(3, 1)
     assert superposition_variance(a, x, e1, 1.0, 1.0) == pytest.approx(2.25, rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "alpha, beta",
-    [(np.inf, 1.0), ("2", 1.0), (True, 1.0), (1.0, np.nan)],
-    ids=["alpha-inf", "alpha-str", "alpha-bool", "beta-nan"],
-)
-def test_superposition_refuses_a_coefficient_that_is_no_finite_number(alpha, beta):
-    with pytest.raises(ValidationError, match="coefficients must be finite numbers"):
-        superposition_variance(DIAG01, E1, E2, alpha, beta)
 
 
 # ---------------------------------------------------------------------------

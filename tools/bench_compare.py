@@ -51,9 +51,11 @@ Last, each checkout digests its own outputs in a fresh process
 run lengths, for each of ``DIGEST_SEEDS``, the first ``DIGEST_CLI_CHUNKS``
 chunks of the ``cli`` workload run in process, and ``EVERY_SUBCOMMAND``, a fixed
 set that runs each of the ten subcommands, its verdicts and its input errors in
-process through ``varorder.cli.main``, hashed per workload (or set) with
-sha256 twice.  ``digest`` hashes every byte of each answer, the margin's hex
-included; equal digests mean the change answers every op with the same bytes.
+process through ``varorder.cli.main`` (among them the two real-valued options
+outside their intervals: ``--tol -1`` and ``nan``, ``--alpha 0`` and ``nan``),
+hashed per workload (or set) with sha256 twice.  ``digest`` hashes every byte of
+each answer, the margin's hex included; equal digests mean the change answers
+every op with the same bytes.
 ``answers`` hashes the same bytes less the margin (for the CLI, less each
 report's ``margin`` field), so it stays equal when only a margin's rounding
 moves and tells whether the verdicts, certificates, witnesses, exit codes and
@@ -327,6 +329,10 @@ def _every_subcommand_inputs(d: Path) -> list[list[str]]:
         ["canonical", "missing.json"],
         ["q-matrix", "0,1,1,3"],
         ["reconstruct-metric", write("asymmetric.json", {"q": [[0, 1, 2, 3]] * 4})],
+        # the two real-valued options outside their intervals
+        ["check-order", "a3.json", "b3.json", "--tol", "-1"],
+        ["check-order", "a3.json", "b3.json", "--tol", "nan"],
+        ["verify-automorphism", "--alpha", "0"], ["verify-automorphism", "--alpha", "nan"],
     ]
     return argv
 

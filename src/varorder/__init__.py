@@ -57,7 +57,6 @@ from .states import (
     pushforward,
     superposition_variance,
     variance,
-    variance_defect,
 )
 from .structure import (
     AutomorphismReport,

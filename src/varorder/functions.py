@@ -67,13 +67,17 @@ def _checked_tol(tol) -> float:
 
 
 def _real_array(data, what: str) -> np.ndarray:
-    """``data`` as a new float64 array; what is no real array is a :class:`ValidationError`."""
-    if isinstance(data, np.ndarray) and data.dtype.kind == "c":  # numpy drops imaginary parts
-        raise ValidationError(f"malformed {what}: entries must be real, got dtype {data.dtype}")
+    """``data`` as a new float64 array; what is no real array is a :class:`ValidationError`,
+    and so is a numpy complex entry, which numpy would cast to its real part."""
     try:
-        return np.array(data, dtype=np.float64)
+        a = np.array(data)
+        complex_entry = a.dtype.kind == "c" or a.dtype.kind == "O" and any(
+            isinstance(v, (complex, np.complexfloating)) for v in a.flat)
+        if not complex_entry:  # cast from ``data`` itself, so an error names an entry as given
+            return a if a.dtype == np.float64 else np.array(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+    raise ValidationError(f"malformed {what}: entries must be real, got dtype {a.dtype}")
 
 
 def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -81,8 +85,8 @@ def _split_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
     pairs = tuple(pairs)
     message = "expected (x, y) pairs of two numbers each"
     try:
-        xy = np.array(pairs, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged, complex or too large
+        xy = _real_array(pairs, "pairs")
+    except ValidationError as exc:  # ragged, complex or too large
         raise ValidationError(message) from exc
     if pairs and xy.shape[1:] != (2,):  # a pair of other than two numbers, or nested deeper
         raise ValidationError(message)
@@ -229,7 +233,7 @@ class LipschitzExtension:
 
     def __call__(self, x):
         xs, ys = self.table.locations / 2, self.table.values / 2
-        arr = np.asarray(x, dtype=np.float64)
+        arr = _real_array(x, "extension argument")
         # on halves, as in the constructor: no distance overflows; c |x - x_i| is 0 where
         # the distance is, also for c = inf, and a NaN probe stays NaN
         dist = np.abs(arr[..., None] / 2 - xs)

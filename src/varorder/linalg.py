@@ -166,7 +166,8 @@ class SpectralDecomposition:
     """Grouped eigendecomposition ``B = V diag(lam) V*`` of an observable.
 
     Eigenvalues of ``observable.eigenpairs`` within ``ROUND_RTOL * |B|_F`` of each
-    other, apart only by rounding, merge into one group carrying their mean, clipped
+    other (at least ``8 n math.ulp(0.0)``, for subnormal spectra), apart only by rounding,
+    merge into one group carrying their mean, clipped
     into the group's range; with no merge the group ``eigenvalues`` are the
     observable's own, the same bits.  ``vectors`` is the observable's frozen
     eigenvector matrix, each group's columns adjacent, in the order of the strictly
@@ -184,7 +185,7 @@ class SpectralDecomposition:
     Outside its fields it keeps a private memo, empty at construction, that
     :func:`~varorder.order.decide_order` fills with the witnesses that depend on ``B``
     alone (a basis column, or the superposition of two groups' first columns), each as
-    its normalized state and clamped variance for ``B``: the first ``n`` keys, never
+    its normalized state and variance for ``B``: the first ``n`` keys, never
     evicted, so its vectors take no more memory than ``vectors``.
     """
 
@@ -199,7 +200,8 @@ class SpectralDecomposition:
 
     def __init__(self, observable: HermitianObservable):
         w, v = observable.eigenpairs
-        splits = w[1:] - w[:-1] > ROUND_RTOL * observable.frobenius_norm  # a group ends at True
+        floor = max(ROUND_RTOL * observable.frobenius_norm, 8 * len(w) * math.ulp(0.0))
+        splits = w[1:] - w[:-1] > floor  # a group ends at True
         if splits.all():  # no merge: each group's mean, clipped, is its one eigenvalue
             lams, ranks, lam_cols, spread = w, (1,) * len(w), w, 0.0
         else:
@@ -345,9 +347,9 @@ def apply_function(
 ) -> HermitianObservable:
     """Functional calculus: ``V diag(f(lam)) V*`` over the grouped eigenvalues.
 
-    ``f`` is a :class:`FunctionTable` (a mapping from eigenvalue to value becomes one
-    through :meth:`FunctionTable.from_mapping`), whose nearest point to each eigenvalue
-    must lie within ``PAIR_TOL_SCALE * max(1, max |lam|)``, or a plain callable.
+    ``f`` is a :class:`FunctionTable`, whose nearest point to each eigenvalue must lie
+    within ``PAIR_TOL_SCALE * max(1, max |lam|)``, or a plain callable.  A mapping is not
+    callable (a :class:`DomainError`); :meth:`FunctionTable.from_mapping` makes it a table.
     """
     lams = decomposition.eigenvalues
     tol = _tol_at(float(np.abs(lams).max()))

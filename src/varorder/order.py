@@ -56,34 +56,36 @@ class OrderVerdict:
                 )
 
 
-def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
-    """The failing verdict at the state ``w`` along ``vec``, or ``None`` when its margin
-    ``variance(a, w) - variance(b, w)`` does not clear ``FAIL_MARGIN_TOL``.  The margin is
-    recomputed from ``a.matrix`` and ``b.matrix`` with :func:`variance`'s kernel and clamp,
-    one matrix-vector product each, so it equals the public two-call form bit for bit."""
-    w = PureState.normalized(vec)
-    x = w.vector
-    margin = max(0.0, float(_variances(a.matrix, x))) - max(0.0, float(_variances(b.matrix, x)))
+def _failing(a: HermitianObservable, w: PureState, vb: float):
+    """The failing verdict at witness ``w``, whose variance for ``B`` is ``vb``, or ``None``
+    when its margin ``variance(a, w) - vb`` does not clear ``FAIL_MARGIN_TOL``."""
+    margin = _variances(a.matrix, w.vector) - vb
     return OrderVerdict(False, None, w, margin) if margin > FAIL_MARGIN_TOL else None
+
+
+def _margin_at(a: HermitianObservable, b: HermitianObservable, vec: np.ndarray):
+    """:func:`_failing` at the state ``w`` along ``vec``.  The margin is recomputed from
+    ``a.matrix`` and ``b.matrix`` with :func:`variance`'s kernel, one matrix-vector
+    product each, so it equals the public two-call form bit for bit."""
+    w = PureState.normalized(vec)
+    return _failing(a, w, _variances(b.matrix, w.vector))
 
 
 def _kept_margin_at(a: HermitianObservable, b: HermitianObservable, dec, key):
     """:func:`_margin_at` at a witness that depends on ``B`` alone: basis column ``key`` of
     ``dec = eigendecompose(b)``, or for ``key = (j, k)`` the sum of groups ``j`` and ``k``'s
-    first columns.  The state and its clamped variance for ``B`` are kept in ``dec``'s
-    memo, which keeps its first ``n`` keys, so a ``B`` met by many partners normalizes
-    each witness once; the margin has the same bits as :func:`_margin_at`'s."""
+    first columns.  The state and its variance for ``B`` are kept in ``dec``'s memo,
+    which keeps its first ``n`` keys, so a ``B`` met by many partners normalizes each
+    witness once; the margin has the same bits as :func:`_margin_at`'s."""
     memo = dec._witnesses
     if (kept := memo.get(key)) is None:
         v, offsets = dec.vectors, dec.offsets
         w = PureState.normalized(
             v[:, key] if isinstance(key, int) else v[:, offsets[key[0]]] + v[:, offsets[key[1]]])
-        kept = w, max(0.0, float(_variances(b.matrix, w.vector)))
+        kept = w, _variances(b.matrix, w.vector)
         if len(memo) < len(v):
             memo[key] = kept
-    w, vb = kept
-    margin = max(0.0, float(_variances(a.matrix, w.vector))) - vb
-    return OrderVerdict(False, None, w, margin) if margin > FAIL_MARGIN_TOL else None
+    return _failing(a, *kept)
 
 
 def _pair_state(ap: np.ndarray, diag: np.ndarray, lams: np.ndarray):

@@ -65,13 +65,15 @@ def random_lipschitz_values(
 ) -> np.ndarray:
     """Random values on sorted locations with slopes bounded by ``constant``: a first value
     in [-1, 1], then the cumulative sum of slopes in ``[-constant, constant]`` times gaps.
-    Locations finite and strictly increasing, ``constant`` finite and >= 0: both checked first."""
+    Locations finite and strictly increasing, ``0 <= constant <= max / 2``, so that the slope
+    range ``2 * constant`` stays below float64's maximum: both checked first."""
     xs = _real_array(locations, "locations")
     if xs.ndim != 1 or not xs.size:
         raise ValidationError(f"locations must be nonempty and 1-dimensional, got shape {xs.shape}")
     _check_points(xs, "", "locations")  # nonempty by now
-    message = f"Lipschitz constant must be a finite nonnegative number, got {constant!r}"
-    constant = _checked_real(constant, message, 0.0)
+    message = ("Lipschitz constant must be a nonnegative number, at most float64's maximum / 2, "
+               f"got {constant!r}")
+    constant = _checked_real(constant, message, 0.0, np.finfo(np.float64).max / 2)
     rng = as_rng(seed)
     vals = np.empty(len(xs))
     vals[0] = rng.uniform(-1.0, 1.0)
@@ -93,19 +95,19 @@ def random_spectrum(
     min_gap: float = 0.05,
 ) -> np.ndarray:
     """Sorted distinct points in [low, high] with pairwise gaps >= min_gap.
-    Finite bounds with ``low <= high`` and a finite ``min_gap >= 0`` that ``n`` points can
-    meet, ``(n - 1) * min_gap <= high - low``, are checked before any draw.  Up to 1000
-    sorted uniform draws are tried; if none keeps the gap, ``n`` sorted uniform amounts in
-    ``[0, slack]``, ``slack = high - low - (n - 1) * min_gap``, spaced ``min_gap`` apart
-    (the distribution the draws were conditioned on), with any gap that rounding leaves
-    below ``min_gap`` raised an ulp at a time; when that pushes the top past ``high``,
-    rounding leaves no room and :class:`ValidationError` is raised."""
+    Finite bounds with ``low <= high``, a finite ``high - low`` and a finite ``min_gap >= 0``
+    that ``n`` points can meet, ``(n - 1) * min_gap <= high - low``, are checked before any
+    draw.  Up to 1000 sorted uniform draws are tried; if none keeps the gap, ``n`` sorted
+    uniform amounts in ``[0, slack]``, ``slack = high - low - (n - 1) * min_gap``, spaced
+    ``min_gap`` apart (the distribution the draws were conditioned on), with any gap that
+    rounding leaves below ``min_gap`` raised an ulp at a time; when that pushes the top
+    past ``high``, rounding leaves no room and :class:`ValidationError` is raised."""
     n, rng = _checked_dim(n), as_rng(seed)
     message = (f"no {n} points in [{low!r}, {high!r}] with gaps >= {min_gap!r}: low <= high and "
                "min_gap >= 0 must be finite numbers with (n - 1) * min_gap <= high - low")
     low = _checked_real(low, message)
     high, min_gap = _checked_real(high, message, low), _checked_real(min_gap, message, 0.0)
-    if (n - 1) * min_gap > high - low:
+    if not (n - 1) * min_gap <= high - low < math.inf:
         raise ValidationError(message)
     for _ in range(1000):
         pts = np.sort(rng.uniform(low, high, size=n))

@@ -1,8 +1,9 @@
 """States, Born measures, and variance identities for Hermitian observables.
 
-Variances are computed three independent ways across the toolkit (matrix
-moments, Born-measure moments, and the double integral); the redundancy is
-deliberate and cross-checked both here and in the tests.
+At a pure state ``x`` the variance is the squared residual ``|Ax - <A>x|^2``, never negative
+and unmoved by a shift ``A + cI`` beyond rounding; at a density matrix ``rho`` it is the
+moment form ``tr(rho A^2) - tr(rho A)^2``; a Born measure's is taken from its moments and as
+the double integral.  The routes are independent on purpose, and cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -146,38 +147,37 @@ def expectation(A, state: State) -> float:
 
 
 def _variances(a: np.ndarray, states: np.ndarray):
-    """Unclamped ``<A^2> - <A>^2`` at one pure vector or at each state of a stack.
+    """Variance at one pure vector or at each state of a stack.
 
     ``states`` is one pure vector ``(n,)``, a stack of pure vectors ``(k, n)``
-    or of density matrices ``(k, n, n)``.  At one vector ``x`` it is one
-    matrix-vector product, ``ax = A x``, and two inner products:
-    ``<ax, ax> - <x, ax>^2``, returned as a scalar.
+    or of density matrices ``(k, n, n)``.  A pure vector ``x`` takes the residual
+    ``r = Ax - <x, Ax> x`` and returns ``<r, r>``, a Python ``float`` for one vector;
+    a density matrix takes the unclamped moment form ``tr(rho A^2) - tr(rho A)^2``.
     """
     if states.ndim == 1:
         ax = a @ states
-        mean = np.vdot(states, ax).real
-        return np.vdot(ax, ax).real - mean * mean
+        ax -= float(np.vdot(states, ax).real) * states
+        return float(np.vdot(ax, ax).real)
     if states.ndim == 2:
         ax = states @ a.T
-        mean = np.einsum("ij,ij->i", states.conj(), ax).real
-        second = np.einsum("ij,ij->i", ax.conj(), ax).real
-    else:
-        mean = np.einsum("tij,ji->t", states, a).real
-        second = np.einsum("tij,ji->t", states, a @ a).real
+        ax -= np.einsum("ij,ij->i", states.conj(), ax).real[:, None] * states
+        return np.einsum("ij,ij->i", ax.conj(), ax).real
+    mean = np.einsum("tij,ji->t", states, a).real
+    second = np.einsum("tij,ji->t", states, a @ a).real
     return second - mean * mean
 
 
 def variance(A, state: State) -> float:
-    """Variance ``<A^2> - <A>^2``; clamped at 0 against rounding dust.
+    """Variance ``<A^2> - <A>^2`` by :func:`_variances`; a density matrix's is clamped at 0.
 
-    A pure state takes :func:`_variances`' one-vector form, the one that
-    :func:`~varorder.order.decide_order` recomputes a witness margin with, so a
-    failing verdict's margin is ``variance(A, w) - variance(B, w)`` bit for bit.
+    A pure state's is the residual that :func:`~varorder.order.decide_order` recomputes a
+    witness margin with, so a failing verdict's margin is ``variance(A, w) - variance(B, w)``
+    bit for bit.
     """
     obs = _as_observable(A)
     _check_dims(obs, state)
     if isinstance(state, PureState):
-        return max(0.0, float(_variances(obs.matrix, state.vector)))
+        return _variances(obs.matrix, state.vector)
     return max(0.0, float(_variances(obs.matrix, state.matrix[None])[0]))
 
 
@@ -284,16 +284,6 @@ def pushforward(mu: BornMeasure, f) -> BornMeasure:
     return BornMeasure.normalized(zip(new_locs, mu.masses), merge_tol=merge_tol)
 
 
-def variance_defect(A, state: PureState) -> float:
-    """Squared residual ``|Ax - <A>x|^2``; equals the variance at a pure state."""
-    obs = _as_observable(A)
-    _check_dims(obs, state)
-    x = state.vector
-    ax = obs.matrix @ x
-    e = np.vdot(x, ax).real
-    return _frobenius(ax - e * x) ** 2
-
-
 def approx_eigen_sandwich(A, state: PureState, lam: float) -> tuple[float, float, float]:
     """Eigenvalue-residual sandwich around the variance.
 
@@ -347,7 +337,7 @@ def superposition_variance(
     if overlap > tol / max(1.0, obs.frobenius_norm):
         raise PreconditionError(f"states are not orthogonal: |<x, y>| = {overlap!r}")
     for name, s in (("x", x), ("y", y)):
-        defect = math.sqrt(variance_defect(obs, s))
+        defect = math.sqrt(variance(obs, s))
         if defect > tol:
             raise PreconditionError(
                 f"{name} is not an eigenvector within {tol:.3e}: residual {defect!r}"

@@ -27,7 +27,6 @@ from varorder import (
     superposition_variance,
     two_point_lower_set,
     variance,
-    variance_defect,
     verify_automorphism,
     witness_search,
 )
@@ -180,8 +179,8 @@ def test_criterion_04_holding_pairs_survive_state_sampling():
 
 
 def test_criterion_05_variance_identities():
-    # moment formula vs double integral on 1000 measures, and the
-    # eigenvector-defect identity on 1000 observable/state pairs, at 1e-10
+    # moment formula vs double integral on 1000 measures, and the pure-state residual
+    # vs the moment form at x x* on 1000 observable/state pairs, at 1e-10
     rng = np.random.default_rng(130)
     worst_measure = 0.0
     for _ in range(1000):
@@ -193,16 +192,16 @@ def test_criterion_05_variance_identities():
         double = 0.5 * float(p @ (t[:, None] - t[None, :]) ** 2 @ p)
         worst_measure = max(worst_measure, abs(measure_variance(mu) - double))
 
-    worst_defect = 0.0
+    worst_pure = 0.0
     for i in range(1000):
         n = 2 + i % 11
         a = random_hermitian(n, seed=140_000 + i, scale=2.0)
         x = PureState(random_pure_vector(n, rng))
-        worst_defect = max(worst_defect, abs(variance(a, x) - variance_defect(a, x)))
+        worst_pure = max(worst_pure, abs(variance(a, x) - variance(a, DensityState.from_pure(x))))
 
-    ok = worst_measure <= 1e-10 and worst_defect <= 1e-10
+    ok = worst_measure <= 1e-10 and worst_pure <= 1e-10
     line = _verdict_line(
-        5, ok, f"formula gap {worst_measure:.2e}, defect gap {worst_defect:.2e}"
+        5, ok, f"formula gap {worst_measure:.2e}, pure-state gap {worst_pure:.2e}"
     )
     assert ok, line
 

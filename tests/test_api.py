@@ -62,7 +62,6 @@ NAMES = {
     "two_point_lower_set",
     "two_spectrum_detector",
     "variance",
-    "variance_defect",
     "verify_automorphism",
     "witness_search",
 }
@@ -145,7 +144,7 @@ def test_public_options_are_pinned():
 
 
 def test_public_names_are_pinned():
-    assert len(varorder.__all__) == len(set(varorder.__all__)) == 51
+    assert len(varorder.__all__) == len(set(varorder.__all__)) == 50
     assert set(varorder.__all__) == NAMES
 
 

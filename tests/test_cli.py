@@ -690,10 +690,10 @@ _PINNED = [
      {"holds": True, "certificate": _CERTIFICATE, "witness": None, "margin": 0.0,
       "tol": 3.16227766016838e-08}),
     (["check-order", "c.json", "b.json", "--tol", "0.5"], 1,
-     {"holds": False, "certificate": None, "witness": _WITNESS, "margin": 0.75, "tol": 0.5}),
+     {"holds": False, "certificate": None, "witness": _WITNESS, "margin": 0.7499999999999999, "tol": 0.5}),
     (["extract-function", "a.json", "b.json"], 0, {"points": _CERTIFICATE}),
     (["extract-function", "c.json", "b.json"], 1,
-     {"error": "A is not below B in the variance order (witness margin 0.75)", "witness": _WITNESS}),
+     {"error": "A is not below B in the variance order (witness margin 0.7499999999999999)", "witness": _WITNESS}),
     (["variance", "obs.json", "vector.json"], 0, {"variance": 1.0}),
     (["variance", "obs.json", "density.json"], 0, {"variance": 1.0}),
     (["variance", "obs.json", "no-payload.json"], 2,

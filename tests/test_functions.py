@@ -256,6 +256,30 @@ def test_pairs_of_other_than_two_numbers_are_refused(build, pairs):
         build(pairs)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FunctionTable(np.array([[0, 1j], [1, 0]])),
+        lambda: FunctionTable([(0.0, np.complex64(1.0))]),
+        lambda: BornMeasure([(np.complex128(1j), 1.0)]),
+        lambda: FunctionTable.from_values([0, 1], [np.complex128(1j), 0]),
+        lambda: FunctionTable.from_values([Fraction(0), np.complex128(1)], [0, 1]),
+        lambda: LipschitzExtension(FunctionTable([(0.0, 0.0)]), 1.0)(1j),
+        lambda: LipschitzExtension(FunctionTable([(0.0, 0.0)]), 1.0)([0.5, np.complex128(2)]),
+    ],
+    ids=["complex-array", "complex64-pair", "complex-atom", "complex-value", "object-array",
+         "extension-complex", "extension-list"],
+)
+def test_a_numpy_complex_entry_is_refused(call):
+    # numpy cast a numpy complex entry to its real part with a ComplexWarning, and a
+    # Python complex at an extension raised a bare TypeError; even an imaginary part of 0
+    # is refused, as a complex array is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="pairs of two numbers each|entries must be real"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # LipschitzExtension (McShane's greatest extension)
 
@@ -577,7 +601,9 @@ def _value_at(x):
 
 _TOL = _message("tolerance must be finite and >= 0, got {}")
 _SCALE = _message("scale must be a finite number, got {}")
-_CONSTANT = _message("Lipschitz constant must be a finite nonnegative number, got {}")
+_CONSTANT = _message("Lipschitz constant must be a nonnegative number, at most float64's maximum / 2, "
+                     "got {}")
+_HALF_MAX = math.nextafter(math.inf, 0.0) / 2  # the largest constant whose slope range 2 c is finite
 # name: (call(rng, x), the refusal's message for x, values accepted at the interval's ends,
 # values just outside them); each call also accepts 1 and draws from rng, if at all.
 # random_spectrum draws three points in [low, high] = [0, 10] with gaps >= min_gap, which
@@ -617,10 +643,10 @@ REAL_ARGUMENTS = {
         (lambda rng, x: sampling.random_hermitian(2, rng, scale=x), _SCALE, (-1, 0), _FINITE),
     "random_lipschitz_values(constant=)": (
         lambda rng, x: sampling.random_lipschitz_values([0.0, 1.0], rng, constant=x),
-        _CONSTANT, (0,), _NONNEGATIVE),
+        _CONSTANT, (0, _HALF_MAX), (-_LEAST, math.nextafter(_HALF_MAX, math.inf))),
     "random_lipschitz_table(constant=)": (
         lambda rng, x: sampling.random_lipschitz_table([0.0, 1.0], rng, constant=x),
-        _CONSTANT, (0,), _NONNEGATIVE),
+        _CONSTANT, (0, _HALF_MAX), (-_LEAST, math.nextafter(_HALF_MAX, math.inf))),
     "random_spectrum(low=)": (
         lambda rng, x: sampling.random_spectrum(3, rng, low=x, min_gap=0.25),
         _spectrum("[{}, 10.0] with gaps >= 0.25"), (9.5,), (-math.inf, math.nextafter(9.5, math.inf))),
@@ -671,17 +697,28 @@ def test_a_real_argument_refuses_what_is_no_real_number_in_its_interval(name, ba
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(low=1.0, high=0.0), dict(min_gap=5.01), dict(low=1.0, high=1.0, min_gap=1e-300)],
+    [dict(low=1.0, high=0.0), dict(min_gap=5.01), dict(low=1.0, high=1.0, min_gap=1e-300),
+     dict(low=-1e308, high=1e308)],
     ids=repr,
 )
 def test_random_spectrum_refuses_what_no_draw_can_meet_before_drawing(kwargs):
     # low > high used to raise numpy's bare ValueError, a gap that three points in [0, 10]
-    # cannot keep a RuntimeError after 1000 draws; the generator is left untouched.  Each
+    # cannot keep a RuntimeError after 1000 draws, and a range high - low past the float64
+    # maximum numpy's bare OverflowError; the generator is left untouched.  Each
     # parameter's own interval is in REAL_ARGUMENTS
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(ValidationError, match="^no 3 points in "):
         sampling.random_spectrum(3, rng, **kwargs)
+    assert rng.bit_generator.state == before
+
+
+def test_random_lipschitz_values_refuses_a_slope_range_past_the_float64_maximum():
+    # slopes are drawn from [-c, c]: at c = 1e308 numpy raised a bare OverflowError
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="at most float64's maximum / 2, got 1e[+]308$"):
+        sampling.random_lipschitz_values([0.0, 1.0], rng, constant=1e308)
     assert rng.bit_generator.state == before
 
 

@@ -1203,7 +1203,6 @@ def test_n2_verdicts_agree_with_the_exact_distance_to_the_lower_set(kind, slope,
     _check_n2_verdict(kind, slope, c, gap, k, seed)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
 @pytest.mark.parametrize(
     "kind, slope, c, gap, k, seed",
     [
@@ -1212,9 +1211,10 @@ def test_n2_verdicts_agree_with_the_exact_distance_to_the_lower_set(kind, slope,
     ],
 )
 def test_n2_witnesses_whose_margin_is_rounding_noise(kind, slope, c, gap, k, seed):
-    # a merged near-degenerate B at scale 2**k: the failing verdict is right, but its basis
-    # column's float margin (1.49e-8, 4096) is rounding noise above the absolute
-    # FAIL_MARGIN_TOL, and its exact gap (-1.2e-25, -3.2e-12) is not positive
+    # a merged near-degenerate B at scale 2**k: the basis column's moment-form margin
+    # (1.49e-8, 4096) was rounding noise above the absolute FAIL_MARGIN_TOL, with an exact
+    # gap (-1.2e-25, -3.2e-12) that is not positive; the residual form's margin there does
+    # not clear it, so the witness is _pair_state's state, with exact gaps 4.8e-5 and 2.9e7
     _check_n2_verdict(kind, slope, c, gap, k, seed)
 
 
@@ -1235,8 +1235,8 @@ def _check_n2_verdict(kind, slope, c, gap, k, seed):
 
     Derandomized: on 60 000 random draws of this generator both bounds held, but 8
     failing witnesses (all "diagonal" draws with a merged ``B`` at ``k >= 13``) had an
-    exact gap <= 0, a basis column whose float margin is rounding noise above the
-    absolute ``FAIL_MARGIN_TOL``; two such draws are pinned as expected failures.
+    exact gap <= 0 while the margin was the moment form ``<A^2> - <A>^2``, whose rounding
+    noise cleared the absolute ``FAIL_MARGIN_TOL``; two such draws are pinned.
     """
     rng = np.random.default_rng(seed)
     if gap is None:

@@ -25,7 +25,6 @@ from varorder import (
     pushforward,
     superposition_variance,
     variance,
-    variance_defect,
     witness_search,
 )
 from varorder.sampling import (
@@ -398,24 +397,26 @@ def test_pushforward_contracts_variance_under_short_maps():
 
 
 # ---------------------------------------------------------------------------
-# defect identity and the sandwich
+# the residual at a pure state and the sandwich
 
 
-def test_variance_defect_examples():
-    assert variance_defect(DIAG01, E1) == pytest.approx(0.0, abs=1e-15)
+def test_pure_variance_examples():
+    # the residual Ax - <A>x: 0 at an eigenvector, exactly
+    assert variance(DIAG01, E1) == 0.0
     # residual vector (-1/2, 1/2)/sqrt(2) has squared norm 1/4
-    assert variance_defect(DIAG01, PLUS) == pytest.approx(0.25, abs=1e-12)
+    assert variance(DIAG01, PLUS) == pytest.approx(0.25, abs=1e-12)
     wide = HermitianObservable.from_diag([0.0, 2.0])
-    assert variance_defect(wide, PLUS) == pytest.approx(1.0, abs=1e-12)
+    assert variance(wide, PLUS) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_defect_equals_variance():
+def test_pure_variance_equals_the_moment_route():
+    # the residual at x against the moment form at the density matrix x x*
     rng = np.random.default_rng(49)
     for n in (2, 5, 9):
         a = random_hermitian(n, seed=50 + n, scale=2.0)
         for _ in range(50):
             x = PureState(random_pure_vector(n, rng))
-            assert variance_defect(a, x) == pytest.approx(variance(a, x), abs=1e-10)
+            assert variance(a, x) == pytest.approx(variance(a, DensityState.from_pure(x)), abs=1e-10)
 
 
 def test_sandwich_examples():
@@ -595,8 +596,33 @@ def test_one_vector_variance_matches_the_stacked_form_and_the_born_measure(n, k,
     assert abs(one - _variances(a.matrix, x[None])[0]) <= bound
     # the Born route at A itself, each eigenvalue of a random spectrum its own atom
     born = measure_variance(born_measure(eigendecompose(a), PureState(x)))
-    assert abs(max(0.0, one) - born) <= bound
-    assert variance(a, PureState(x)) == max(0.0, float(one))
+    assert 0.0 <= one and abs(one - born) <= bound
+    assert variance(a, PureState(x)) == one
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 8),
+    k=st.integers(-19, 19),  # scale 2**k, about 1e-6 to 1e6
+    shift=st.floats(-1e6, 1e6),  # c in units of |A|_F
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_pure_variance_is_shift_invariant_to_first_order_rounding(n, k, shift, seed):
+    # Var_x(A + cI) = Var_x(A).  With u the unit roundoff and s = |A|_F, forming A + cI,
+    # its product with x, the mean <x, (A + cI)x> and the residual each move the residual
+    # vector by at most about (n + 2) u (|c| + s) (Higham, Accuracy and Stability, ch. 3),
+    # and so does x's own norm, 1 to within 2 (n + 2) u, through c (1 - |x|^2) x; the
+    # squared norm of a residual of norm at most s then moves by 2 s e + e^2, and its sum
+    # by 2 n u s^2.  The moment form <A^2> - <A>^2 loses u c^2, 1e-4 s^2 at c = 1e6 s
+    rng = np.random.default_rng(seed)
+    a = HermitianObservable(2.0**k * random_hermitian(n, rng).matrix)
+    x = PureState(random_pure_vector(n, rng))
+    s = a.frobenius_norm
+    c = shift * s
+    u = np.finfo(float).eps / 2
+    e = 8 * (n + 2) * u * (abs(c) + s)
+    gap = abs(variance(HermitianObservable(a.matrix + c * np.eye(n)), x) - variance(a, x))
+    assert gap <= 2 * s * e + e * e + 2 * n * u * s * s
 
 
 @pytest.mark.parametrize("scale", [1e2, 1e3, 1e4, 1e6])

@@ -34,7 +34,9 @@ each on fresh arrays against the first ``B``: an independent ``A`` (an
 eigenbasis column), ``A = 1.5 B`` (the Lipschitz stage's superposition), and,
 against the repeated ``B``, an ``A`` diagonal in that ``B``'s own eigenbasis but
 not scalar on the repeated eigenspace, so that every eigenbasis column is an
-eigenvector of ``A`` and the residue stage's fallback decides.  ``_residue_stage``
+eigenvector of ``A`` and the residue stage's fallback decides.  ``variance`` is the
+public call at the pure state ``_margin_at`` is timed at, the sum of ``B``'s first two
+eigenvector columns, normalized.  ``_residue_stage``
 and ``_lipschitz_stage``, the two stages of ``decide_order``, are timed on the
 holding pair's arrays in ``B``'s eigenbasis, built before the timed loop.  The
 ``witness_search`` oracle is timed at the ``cli`` workload's setting, n = 8
@@ -117,7 +119,7 @@ def layer_timings(checkout: Path) -> dict:
         _lipschitz_stage, _margin_at, _residue_stage, decide_order, witness_search,
     )
     from varorder.sampling import random_unitary
-    from varorder.states import PureState
+    from varorder.states import PureState, variance
     from varorder.structure import AutomorphismSpec, q_matrix, reconstruct_metric, verify_automorphism
 
     if not Path(varorder.__file__).resolve().is_relative_to(checkout.resolve()):
@@ -164,6 +166,7 @@ def layer_timings(checkout: Path) -> dict:
         lams, vecs = np.array(dec.eigenvalues), np.array(dec.vectors)
         vals = np.sin(lams)
         probe = vecs[:, 0] + vecs[:, 1]
+        state = PureState.normalized(probe)
         rep_w, rep_v = HermitianObservable(rep_b).eigenpairs
         split = np.sin(rep_w)
         split[1] = split[0] + 1.0
@@ -188,6 +191,7 @@ def layer_timings(checkout: Path) -> dict:
             "FunctionTable.from_values": per_call(lambda _: FunctionTable.from_values(lams, vals), calls),
             "_margin_at": per_call(lambda _: _margin_at(a, b, probe), calls),
             "PureState.normalized": per_call(lambda _: PureState.normalized(probe), calls),
+            "variance": per_call(lambda _: variance(a, state), calls),
             "decide_order_fresh": per_call(lambda _: decide_order(raw_a, raw_b), calls),
             "decide_order_fresh_repeated": per_call(lambda _: decide_order(rep_a, rep_b), calls),
             "decide_order_cached_b": per_call(lambda _: decide_order(a, b), calls),

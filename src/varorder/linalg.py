@@ -4,11 +4,11 @@ All heavy objects are immutable: construction validates the defining
 invariants and stores every value derived from them.  One ownership rule covers
 every validated type: it stores only arrays it computed or copied, frozen, so no
 caller holds them; a ``SpectralDecomposition`` is built from an observable, not
-from arrays, shares that observable's frozen eigenpairs, keeps the adjoint ``V*``
-and, up to dimension 16, shares the grouping arrays of its rank pattern, built
-once per pattern in a bounded memo.  Left to first use are an observable's
-eigenpairs and its one decomposition, since the ``A`` side of a decision is never
-solved.  Beside those cached values one thing changes after construction: a
+from arrays, shares that observable's frozen eigenpairs (its one eigenvector array:
+``V*`` is formed where it is used) and, up to dimension 16, shares the grouping
+arrays of its rank pattern, built once per pattern in a bounded memo.  Left to first
+use are an observable's eigenpairs and its one decomposition, since the ``A`` side
+of a decision is never solved.  Beside those cached values one thing changes after construction: a
 decomposition's private memo of the failing witnesses that depend on it alone, which
 :func:`~varorder.order.decide_order` fills with at most ``n`` entries.  Every eigensolve in the package goes
 through :func:`_eigh`, which calls LAPACK through ``numpy.linalg.eigh``; its
@@ -167,20 +167,19 @@ class SpectralDecomposition:
 
     Eigenvalues of ``observable.eigenpairs`` within ``ROUND_RTOL * |B|_F`` of each
     other (at least ``8 n math.ulp(0.0)``, for subnormal spectra), apart only by rounding,
-    merge into one group carrying their mean, clipped
-    into the group's range; with no merge the group ``eigenvalues`` are the
-    observable's own, the same bits.  ``vectors`` is the observable's frozen
-    eigenvector matrix, each group's columns adjacent, in the order of the strictly
-    increasing group eigenvalues; ``ranks`` gives the number of columns per group.
-    Construction checks the grouped reconstruction and keeps ``adjoint``, the frozen
-    ``V*`` that check forms.  What depends on ``ranks`` alone is, up to ``n = 16``,
-    built once per rank pattern and shared by every decomposition with that pattern
-    (a memo of 64 patterns): ``labels`` (each column's group), ``rank_floats`` (the
-    ranks as floats), ``offsets`` (each group's first column, as ints) and
-    ``residue_bins``, the flattened ``n x n`` bin of each entry ``(r, c)`` of a matrix
-    in this basis: ``labels[c]`` when row ``r`` is in column ``c``'s group,
-    ``labels[c] + len(ranks)`` otherwise, so one ``bincount`` sums each group's
-    in-block and off-block entries apart.
+    merge into one group carrying their mean, clipped into the group's range; with no
+    merge the group ``eigenvalues`` are the observable's own, the same bits.
+    ``vectors`` is the observable's frozen eigenvector matrix, each group's columns
+    adjacent, in the order of the strictly increasing group eigenvalues, and the one
+    eigenvector array kept: :meth:`in_basis` forms ``V* M V``.  ``ranks`` gives the
+    number of columns per group.  Construction checks the grouped reconstruction.
+    What depends on ``ranks`` alone is, up to ``n = 16``, built once per rank pattern
+    and shared by every decomposition with that pattern (a memo of 64 patterns):
+    ``labels`` (each column's group), ``rank_floats`` (the ranks as floats), ``offsets``
+    (each group's first column, as ints) and ``residue_bins``, the flattened ``n x n``
+    bin of each entry ``(r, c)`` of a matrix in this basis: ``labels[c]`` when row ``r``
+    is in column ``c``'s group, ``labels[c] + len(ranks)`` otherwise, so one
+    ``bincount`` sums each group's in-block and off-block entries apart.
 
     Outside its fields it keeps a private memo, empty at construction, that
     :func:`~varorder.order.decide_order` fills with the witnesses that depend on ``B``
@@ -192,7 +191,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     ranks: tuple[int, ...]
-    adjoint: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
     rank_floats: np.ndarray = field(repr=False)
     residue_bins: np.ndarray = field(repr=False)
@@ -211,8 +209,7 @@ class SpectralDecomposition:
             lams = _freeze(np.minimum(np.maximum(means, w[bounds[:-1]]), w[bounds[1:] - 1]))
             lam_cols = np.repeat(lams, ranks)
             spread = _frobenius(w - lam_cols)
-        vh = _freeze(v.conj()).T
-        recon_err = _frobenius((v * lam_cols) @ vh - observable.matrix)
+        recon_err = _frobenius((v * lam_cols) @ v.conj().T - observable.matrix)
         allowed = spread + resolve_tol(None, observable)
         if not recon_err <= allowed:  # a NaN eigenpair fails too
             raise InternalConsistencyError(
@@ -220,7 +217,7 @@ class SpectralDecomposition:
             )
         grouping = _grouping if len(w) <= 16 else _grouping.__wrapped__  # built afresh past 16
         labels, rank_floats, bins, offsets = grouping(ranks)
-        vars(self).update(eigenvalues=lams, vectors=v, ranks=ranks, adjoint=vh, labels=labels,
+        vars(self).update(eigenvalues=lams, vectors=v, ranks=ranks, labels=labels,
                           rank_floats=rank_floats, residue_bins=bins, offsets=offsets,
                           _witnesses={})  # no field: decide_order's witness memo
 
@@ -241,7 +238,11 @@ class SpectralDecomposition:
     def assemble(self, values) -> np.ndarray:
         """``V diag(values) V*`` with one value per group."""
         cols = np.repeat(np.asarray(values, dtype=np.float64), self.ranks)
-        return (self.vectors * cols) @ self.adjoint
+        return (self.vectors * cols) @ self.vectors.conj().T
+
+    def in_basis(self, m: np.ndarray) -> np.ndarray:
+        """``V* M V``, the matrix ``m`` in this eigenbasis, formed left to right."""
+        return self.vectors.conj().T @ m @ self.vectors
 
 
 def _offdiag_norm(a: np.ndarray) -> float:

@@ -172,16 +172,16 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     tol = resolve_tol(tol, a, b)
     dec = eigendecompose(b)
     v, lams = dec.vectors, dec.eigenvalues
-    ap = dec.adjoint @ a.matrix @ v
+    ap = dec.in_basis(a.matrix)
     scalars, res, g = _residue_stage(ap, dec.labels, dec.residue_bins, dec.rank_floats, tol)
     if g is not None:
-        col, end = dec.offsets[g], dec.offsets[g] + dec.ranks[g]
+        diag, col, end = ap.diagonal().real, dec.offsets[g], dec.offsets[g] + dec.ranks[g]
         if end - col > 1:  # a rank-one eigenspace's one column needs no scan
-            defects = (np.abs(ap[:, col:end]) ** 2).sum(axis=0) - ap.diagonal().real[col:end] ** 2
+            defects = (np.abs(ap[:, col:end]) ** 2).sum(axis=0) - diag[col:end] ** 2
             col += int(np.argmax(defects))
         # a basis column's margin is its leakage, second order in the residue
         verdict = _kept_margin_at(a, b, dec, col) or _margin_at(
-            a, b, v @ _pair_state(ap, ap.diagonal().real, lams[dec.labels])[0])
+            a, b, v @ _pair_state(ap, diag, lams[dec.labels])[0])
         if verdict is None:
             raise InternalConsistencyError(
                 f"eigenspace residues (commutation {res[1, g]:.3e}, scalar {res[0, g]:.3e}) exceed "

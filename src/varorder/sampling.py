@@ -65,15 +65,20 @@ def random_lipschitz_values(
 ) -> np.ndarray:
     """Random values on sorted locations with slopes bounded by ``constant``: a first value
     in [-1, 1], then the cumulative sum of slopes in ``[-constant, constant]`` times gaps.
-    Locations finite and strictly increasing, ``0 <= constant <= max / 2``, so that the slope
-    range ``2 * constant`` stays below float64's maximum: both checked first."""
+    Checked first: locations finite, strictly increasing and at most float64's maximum
+    apart, and ``0 <= constant * max(1, span) <= max / 2``, so that no value overflows."""
     xs = _real_array(locations, "locations")
     if xs.ndim != 1 or not xs.size:
         raise ValidationError(f"locations must be nonempty and 1-dimensional, got shape {xs.shape}")
     _check_points(xs, "", "locations")  # nonempty by now
-    message = ("Lipschitz constant must be a nonnegative number, at most float64's maximum / 2, "
+    lo, hi = float(xs[0]), float(xs[-1])
+    half = hi / 2 - lo / 2  # half the span, formed on halves: finite
+    if not half <= np.finfo(np.float64).max / 2:  # a gap would overflow
+        raise ValidationError(f"locations {lo!r} to {hi!r} are more than float64's maximum apart")
+    over = f" over the locations' span {2 * half!r}" if half > 0.5 else ""
+    message = (f"Lipschitz constant must be a nonnegative number, at most float64's maximum / 2{over}, "
                f"got {constant!r}")
-    constant = _checked_real(constant, message, 0.0, np.finfo(np.float64).max / 2)
+    constant = _checked_real(constant, message, 0.0, np.finfo(np.float64).max / 4 / max(0.5, half))
     rng = as_rng(seed)
     vals = np.empty(len(xs))
     vals[0] = rng.uniform(-1.0, 1.0)

@@ -243,7 +243,7 @@ def born_measure(decomposition: SpectralDecomposition, state: State) -> BornMeas
             f"decomposition dimension {v.shape[0]} does not match state {state.dim}"
         )
     if isinstance(state, PureState):
-        weights = np.abs(decomposition.adjoint @ state.vector) ** 2
+        weights = np.abs(v.conj().T @ state.vector) ** 2
     else:
         weights = np.einsum("ij,ij->j", v.conj(), state.matrix @ v).real
     masses = np.maximum(np.bincount(decomposition.labels, weights=weights), 0.0)

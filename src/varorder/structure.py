@@ -54,14 +54,14 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
     a, b = _as_pair(A, B)
     dec = eigendecompose(a)
     v, labels = dec.vectors, dec.labels
-    blocks = np.where(labels[:, None] == labels, dec.adjoint @ b.matrix @ v, 0.0)
+    blocks = np.where(labels[:, None] == labels, dec.in_basis(b.matrix), 0.0)
     blocks = (blocks + blocks.conj().T) / 2.0
     tau = max(
         float(np.abs(_eigh(blocks[np.ix_(labels == j, labels == j)])[0]).max())
         for j in range(len(dec.ranks))
     )
     beta = 4.0 * tau + dec.diameter + 1.0
-    return HermitianObservable(v @ (blocks + np.diag(beta * (labels + 1.0))) @ dec.adjoint)
+    return HermitianObservable(v @ (blocks + np.diag(beta * (labels + 1.0))) @ v.conj().T)
 
 
 def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
@@ -79,7 +79,7 @@ def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
     a, b = _as_pair(A, B)
     tol = resolve_tol(tol, a, b)
     dec = eigendecompose(a)
-    bp = dec.adjoint @ b.matrix @ dec.vectors
+    bp = dec.in_basis(b.matrix)
     res = _residue_stage(bp, dec.labels, dec.residue_bins, dec.rank_floats, tol)[1][1]
     for name, value in (("|AB - BA|_F", commutator_norm(a, b)), ("|PB - BP|_F", float(res.max()))):
         if value > tol:
@@ -135,9 +135,7 @@ def two_point_lower_set(A) -> tuple[TwoPointFamily, ...]:
     dec = eigendecompose(a)
     m = len(dec.ranks)
     if m == 1:
-        raise DegenerateInputError(
-            "spectrum has a single point; everything below it is scalar"
-        )
+        raise DegenerateInputError("spectrum has a single point; everything below it is scalar")
     lams = dec.eigenvalues
     families = []
     for r in range(1, m // 2 + 1):
@@ -260,9 +258,7 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
     tie = GAP_RTOL * qmax
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if q[i, j] >= qmax - tie]
     if not 1 <= len(pairs) <= 3:
-        raise ReconstructionError(
-            f"matrix maximum attained {len(pairs)} times; expected 1, 2, or 3"
-        )
+        raise ReconstructionError(f"matrix maximum attained {len(pairs)} times; expected 1, 2, or 3")
 
     d = q.copy()
     for i, j in pairs:
@@ -376,9 +372,7 @@ def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianO
     a = _as_observable(A)
     dec = eigendecompose(a)
     if len(dec.ranks) != 3:
-        raise DegenerateInputError(
-            f"expected exactly 3 distinct eigenvalues, got {len(dec.ranks)}"
-        )
+        raise DegenerateInputError(f"expected exactly 3 distinct eigenvalues, got {len(dec.ranks)}")
     tol = resolve_tol(tol, a)
     lams = dec.eigenvalues
     t1, t2 = float(lams[1] - lams[0]), float(lams[2] - lams[1])

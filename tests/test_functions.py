@@ -722,6 +722,35 @@ def test_random_lipschitz_values_refuses_a_slope_range_past_the_float64_maximum(
     assert rng.bit_generator.state == before
 
 
+def test_random_lipschitz_values_refuses_a_constant_whose_product_with_the_span_overflows():
+    # a slope of up to 1e300 times the gap 1e10 passed the float64 maximum: numpy's overflow
+    # RuntimeWarning, and otherwise a value of -inf
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError) as err:
+        sampling.random_lipschitz_values([0.0, 1e10], rng, constant=1e300)
+    assert str(err.value) == ("Lipschitz constant must be a nonnegative number, at most float64's "
+                              "maximum / 2 over the locations' span 10000000000.0, got 1e+300")
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValidationError, match="^locations -1e[+]308 to 1e[+]308 are more than float64's"):
+        sampling.random_lipschitz_values([-1e308, 1e308], rng, constant=0.0)  # a gap overflows
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("locations", [[0.0, 1e10], [-1e300, 0.0, 1e300], [-_HALF_MAX, 0.0, _HALF_MAX]],
+                         ids=["span 1e10", "span 2e300", "span max"])
+def test_random_lipschitz_values_at_the_largest_constant_are_finite(locations):
+    # the largest constant accepted, max / 2 / span, leaves every slope times gap and every
+    # cumulative sum finite, with no numpy warning; the next float up is refused
+    top = np.finfo(np.float64).max / 2 / (locations[-1] - locations[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(20):
+            assert np.isfinite(random_lipschitz_values(locations, seed, constant=top)).all()
+    with pytest.raises(ValidationError, match="over the locations' span"):
+        random_lipschitz_values(locations, 0, constant=math.nextafter(top, math.inf))
+
+
 @pytest.mark.parametrize("kwargs", [dict(min_gap=5.0, high=10.0), dict(low=2.0, high=2.0, min_gap=0.0)],
                          ids=repr)
 def test_random_spectrum_draws_wherever_the_gaps_fit(kwargs):

@@ -8,6 +8,7 @@ which serves as the independent oracle.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -326,7 +327,7 @@ def test_the_observable_keeps_one_decomposition_grouped_at_rounding_level():
     assert eigendecompose(obs) is dec and vars(obs)["_decomposition"] is dec
     fresh = SpectralDecomposition(obs)
     assert dec.ranks == fresh.ranks == (1, 1, 1, 1, 1)
-    for name in ("eigenvalues", "vectors", "adjoint", "labels", "residue_bins"):
+    for name in ("eigenvalues", "vectors", "labels", "residue_bins"):
         assert getattr(dec, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert eigendecompose(obs) is dec
 
@@ -429,13 +430,37 @@ def test_equal_ranks_share_one_frozen_set_of_grouping_arrays(spectrum, ranks):
     assert all(type(k) is int for k in first.offsets)
 
 
-def test_the_adjoint_is_the_frozen_conjugate_transpose_of_the_vectors():
-    for obs in (random_hermitian(5, seed=13), HermitianObservable.from_diag([1.0, 1.0, 2.0])):
+@pytest.mark.parametrize("b", [random_hermitian(5, seed=13), HermitianObservable.from_diag([1.0, 1.0, 2.0])],
+                         ids=["random", "degenerate"])
+def test_in_basis_is_v_star_m_v_bit_for_bit(b):
+    # the decomposition keeps one eigenvector array; V* is formed where it is used
+    dec = eigendecompose(b)
+    m = random_hermitian(b.dim, seed=14).matrix
+    v = dec.vectors
+    assert dec.in_basis(m).tobytes() == (v.conj().T @ m @ v).tobytes()
+    assert dec.in_basis(b.matrix).tobytes() == (v.conj().T @ b.matrix @ v).tobytes()
+    assert not hasattr(dec, "adjoint")
+    assert [f.name for f in dataclasses.fields(dec)] == [
+        "eigenvalues", "vectors", "ranks", "labels", "rank_floats", "residue_bins", "offsets"]
+
+
+def test_a_decomposition_retains_less_than_one_complex_n_by_n_array():
+    # eigendecompose of an observable whose eigenpairs are already solved keeps the
+    # observable's own vectors and no second eigenvector array; past n = 16 it builds
+    # its own residue_bins, n^2 int64 entries, half of one complex n x n array
+    n = 128
+    eigendecompose(random_hermitian(n, seed=1))  # warm code paths
+    obs = random_hermitian(n, seed=2)
+    obs.eigenpairs
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
         dec = eigendecompose(obs)
-        assert dec.adjoint.tobytes() == dec.vectors.conj().T.tobytes()
-        assert dec.adjoint.shape == dec.vectors.shape[::-1]
-        assert not dec.adjoint.flags.writeable and not dec.adjoint.base.flags.writeable
-        assert vars(dec)["adjoint"] is dec.adjoint
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dec.vectors is obs.eigenpairs[1]
+    assert retained < 16 * n * n
 
 
 def test_the_grouping_memo_is_bounded():

@@ -4,13 +4,14 @@ All heavy objects are immutable: construction validates the defining
 invariants and stores every value derived from them.  One ownership rule covers
 every validated type: it stores only arrays it computed or copied, frozen, so no
 caller holds them; a ``SpectralDecomposition`` is built from an observable, not
-from arrays, shares that observable's frozen eigenpairs (its one eigenvector array:
-``V*`` is formed where it is used) and, up to dimension 16, shares the grouping
-arrays of its rank pattern, built once per pattern in a bounded memo.  Left to first
-use are an observable's eigenpairs and its one decomposition, since the ``A`` side
-of a decision is never solved.  Beside those cached values one thing changes after construction: a
-decomposition's private memo of the failing witnesses that depend on it alone, which
-:func:`~varorder.order.decide_order` fills with at most ``n`` entries.  Every eigensolve in the package goes
+from arrays, shares that observable's frozen eigenpairs (its one eigenvector
+array: ``V*`` is formed where it is used) and, up to dimension 16, shares the
+grouping arrays of its rank pattern, built once per pattern in a bounded memo.
+Left to first use are an observable's eigenpairs and its one decomposition, since
+the ``A`` side of a decision is never solved.  Beside those cached values one thing
+changes after construction: a decomposition's private memo of the failing
+witnesses that depend on it alone, which :func:`~varorder.order.decide_order`
+fills with at most ``n`` entries.  Every eigensolve in the package goes
 through :func:`_eigh`, which calls LAPACK through ``numpy.linalg.eigh``; its
 answers stay on the checked path (each :class:`SpectralDecomposition` verifies
 its grouped reconstruction).  The cyclic Jacobi iteration :func:`jacobi_eigh` is

@@ -175,13 +175,14 @@ def decide_order(A, B, tol: float | None = None) -> OrderVerdict:
     ap = dec.in_basis(a.matrix)
     scalars, res, g = _residue_stage(ap, dec.labels, dec.residue_bins, dec.rank_floats, tol)
     if g is not None:
-        diag, col, end = ap.diagonal().real, dec.offsets[g], dec.offsets[g] + dec.ranks[g]
+        col, end, diag = dec.offsets[g], dec.offsets[g] + dec.ranks[g], None
         if end - col > 1:  # a rank-one eigenspace's one column needs no scan
+            diag = ap.diagonal().real
             defects = (np.abs(ap[:, col:end]) ** 2).sum(axis=0) - diag[col:end] ** 2
             col += int(np.argmax(defects))
         # a basis column's margin is its leakage, second order in the residue
-        verdict = _kept_margin_at(a, b, dec, col) or _margin_at(
-            a, b, v @ _pair_state(ap, diag, lams[dec.labels])[0])
+        verdict = _kept_margin_at(a, b, dec, col) or _margin_at(a, b, v @ _pair_state(
+            ap, ap.diagonal().real if diag is None else diag, lams[dec.labels])[0])
         if verdict is None:
             raise InternalConsistencyError(
                 f"eigenspace residues (commutation {res[1, g]:.3e}, scalar {res[0, g]:.3e}) exceed "

@@ -135,7 +135,9 @@ def two_point_lower_set(A) -> tuple[TwoPointFamily, ...]:
     dec = eigendecompose(a)
     m = len(dec.ranks)
     if m == 1:
-        raise DegenerateInputError("spectrum has a single point; everything below it is scalar")
+        raise DegenerateInputError(
+            "spectrum has a single point; everything below it is scalar"
+        )
     lams = dec.eigenvalues
     families = []
     for r in range(1, m // 2 + 1):
@@ -258,7 +260,9 @@ def reconstruct_metric(Q) -> tuple[np.ndarray, np.ndarray]:
     tie = GAP_RTOL * qmax
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if q[i, j] >= qmax - tie]
     if not 1 <= len(pairs) <= 3:
-        raise ReconstructionError(f"matrix maximum attained {len(pairs)} times; expected 1, 2, or 3")
+        raise ReconstructionError(
+            f"matrix maximum attained {len(pairs)} times; expected 1, 2, or 3"
+        )
 
     d = q.copy()
     for i, j in pairs:
@@ -372,7 +376,9 @@ def three_point_class_candidates(A, tol: float | None = None) -> list[HermitianO
     a = _as_observable(A)
     dec = eigendecompose(a)
     if len(dec.ranks) != 3:
-        raise DegenerateInputError(f"expected exactly 3 distinct eigenvalues, got {len(dec.ranks)}")
+        raise DegenerateInputError(
+            f"expected exactly 3 distinct eigenvalues, got {len(dec.ranks)}"
+        )
     tol = resolve_tol(tol, a)
     lams = dec.eigenvalues
     t1, t2 = float(lams[1] - lams[0]), float(lams[2] - lams[1])

@@ -469,7 +469,7 @@ B6 = random_hermitian(6, seed=45)
 
 @pytest.mark.parametrize("route, a, b", [("holds", _lipschitz_image(B6, 46)[0], B6), *_route_instances()])
 def test_fresh_arrays_and_a_cached_b_give_the_same_bytes_on_every_route(monkeypatch, route, a, b):
-    # the fresh side builds B's decomposition, adjoint and grouping arrays in the call;
+    # the fresh side builds B's decomposition and grouping arrays in the call;
     # the cached side reads the ones B's first partner left on it
     cached_b = HermitianObservable(b.matrix.copy())
     assert decide_order(cached_b, cached_b).holds

@@ -26,12 +26,9 @@ alone, so a checkout that keeps it with ``B``'s decomposition builds it in the f
 call only.  ``SpectralDecomposition``
 times that class's construction through the call every checkout shares:
 ``eigendecompose`` of a new observable whose eigenpairs are already solved, so the
-grouping, the reconstruction check and the stored arrays, but no eigensolve.
-``SpectralDecomposition_kept`` times the same calls and holds every decomposition they
-return in a list until the repeat ends, so that each one's arrays stay allocated
-whatever ``eigendecompose`` caches: what a process that keeps many decompositions
-pays.  An observable that keeps its own decomposition, as ``HermitianObservable`` does,
-keeps it alive through the plain row's argument list too; there the two rows read alike.  The
+grouping, the reconstruction check and the stored arrays, but no eigensolve.  Each
+observable keeps its decomposition and stays in the repeat's argument list, so every
+decomposition of a repeat stays alive until the repeat ends.  The
 ``_repeated`` layers take a ``B`` whose two lowest eigenvalues are equal, like the
 benchmark's ``repeated`` pairs, so its grouping merges one pair where the other ``B``
 merges none.  The ``decide_order_fails_*`` layers time one failing decision per witness route,
@@ -130,20 +127,15 @@ def layer_timings(checkout: Path) -> dict:
     if not Path(varorder.__file__).resolve().is_relative_to(checkout.resolve()):
         raise SystemExit(f"imported varorder from {varorder.__file__}, not from {checkout}")
 
-    def per_call(fn, calls: int, fresh=None, keep: bool = False) -> float:
-        # ``fresh`` builds one argument per call outside the timed loop; with ``keep`` every
-        # result stays alive until the repeat ends
+    def per_call(fn, calls: int, fresh=None) -> float:
+        # ``fresh`` builds one argument per call outside the timed loop
         best = float("inf")
         for _ in range(REPEATS):
             args = [fresh() for _ in range(calls)] if fresh else [None] * calls
             t0 = time.process_time()
-            if keep:
-                kept = [fn(arg) for arg in args]
-            else:
-                for arg in args:
-                    fn(arg)
+            for arg in args:
+                fn(arg)
             best = min(best, time.process_time() - t0)
-            kept = None  # a repeat's kept results go with it
         return 1e6 * best / calls
 
     def pair(n: int, seed: int, repeated: bool = False):
@@ -198,7 +190,6 @@ def layer_timings(checkout: Path) -> dict:
                 eigendecompose, calls, lambda: HermitianObservable(rep_b)),
             "eigendecompose_cached": per_call(lambda _: eigendecompose(b), calls),
             "SpectralDecomposition": per_call(eigendecompose, calls, lambda: solved(raw_b)),
-            "SpectralDecomposition_kept": per_call(eigendecompose, calls, lambda: solved(raw_b), keep=True),
             "FunctionTable.from_values": per_call(lambda _: FunctionTable.from_values(lams, vals), calls),
             "_margin_at": per_call(lambda _: _margin_at(a, b, probe), calls),
             "PureState.normalized": per_call(lambda _: PureState.normalized(probe), calls),

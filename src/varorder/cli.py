@@ -5,15 +5,19 @@ states are ``{"dim": n, "vector": [[re, im], ...]}`` or
 ``{"dim": n, "density": ...}``, spectra are flat JSON arrays.  Exit codes:
 0 success or positive verdict, 1 negative verdict, 2 input error,
 3 internal inconsistency (including decision/oracle disagreement).
+:func:`run` is the process entry of ``python -m varorder`` and the ``varorder``
+script: it ends the process once the report is flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -291,3 +295,22 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, VarOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and end the process with its exit code.
+
+    Once ``main`` returns, the exit handlers run and stdout and stderr are flushed,
+    the first steps of the interpreter's own exit; ``os._exit`` then skips the
+    teardown of numpy's and varorder's modules that would follow.  Argparse's
+    ``SystemExit``, an uncaught exception and a failed flush exit the ordinary way.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except Exception:  # the ordinary exit reports the unflushed stream, as it would have
+        raise SystemExit(code)
+    os._exit(code)

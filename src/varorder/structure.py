@@ -53,14 +53,24 @@ def block_shift_upper_bound(A, B) -> HermitianObservable:
     """
     a, b = _as_pair(A, B)
     dec = eigendecompose(a)
-    v, labels = dec.vectors, dec.labels
-    blocks = np.where(labels[:, None] == labels, dec.in_basis(b.matrix), 0.0)
+    return _shifted_blocks(dec, dec.in_basis(b.matrix))
+
+
+def _shifted_blocks(dec: SpectralDecomposition, bp: np.ndarray) -> HermitianObservable:
+    """:func:`block_shift_upper_bound` from ``bp``, ``B`` in ``dec``'s eigenbasis.
+
+    Each block is the diagonal range ``offsets[j]:offsets[j] + ranks[j]``; the blocks of
+    one size are solved in one stacked eigensolve.
+    """
+    labels = dec.labels
+    blocks = np.where(labels[:, None] == labels, bp, 0.0)
     blocks = (blocks + blocks.conj().T) / 2.0
-    tau = max(
-        float(np.abs(_eigh(blocks[np.ix_(labels == j, labels == j)])[0]).max())
-        for j in range(len(dec.ranks))
-    )
+    offsets, ranks = np.array(dec.offsets), np.array(dec.ranks)
+    # per block size k, each block's rows: an (m, k) array for the m blocks of that size
+    rows = (offsets[ranks == k][:, None] + np.arange(k) for k in np.unique(ranks))
+    tau = max(float(np.abs(_eigh(blocks[r[:, :, None], r[:, None, :]])[0]).max()) for r in rows)
     beta = 4.0 * tau + dec.diameter + 1.0
+    v = dec.vectors
     return HermitianObservable(v @ (blocks + np.diag(beta * (labels + 1.0))) @ v.conj().T)
 
 
@@ -87,7 +97,7 @@ def joint_upper_bound(A, B, tol: float | None = None) -> HermitianObservable:
                 f"observables do not commute: {name} = {value!r} exceeds tol {tol:.3e}",
                 witness=value,
             )
-    return block_shift_upper_bound(a, b)
+    return _shifted_blocks(dec, bp)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,18 +2,23 @@
 
 Most run ``cli.main`` in process (:func:`run_cli`); the few that check what only a
 process shows, ``python -m varorder`` start-up, the exit code that ``SystemExit``
-carries and a stderr with no warning text on it, start one (:func:`run_process`).
+carries, a stderr with no warning text on it and the process's own exit path, start
+one (:func:`run_process`).
 """
 
 import contextlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varorder
 from varorder import (
     AutomorphismReport,
     EigensolverError,
@@ -22,14 +27,28 @@ from varorder import (
     VarOrderError,
 )
 
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
-def run_process(*args):
-    """``python -m varorder *args`` in a new process."""
+
+def child_env() -> dict:
+    """This environment with the imported ``varorder`` first on the path, so that a child
+    in another directory finds it, and without ``PYTHONUNBUFFERED``: a report then waits in
+    stdout's buffer until the exit path flushes it."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    src = str(Path(varorder.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_process(*args, cwd=None, entry=("-m", "varorder")):
+    """``python -m varorder *args`` in a new process; ``entry`` replaces ``-m varorder``."""
     return subprocess.run(
-        [sys.executable, "-m", "varorder", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         timeout=120,
+        cwd=cwd,
+        env=child_env(),
     )
 
 
@@ -723,16 +742,21 @@ _PINNED = [
 ]
 
 
+def write_inputs(d):
+    """Write ``_INPUTS`` to the directory ``d``."""
+    for name, data in _INPUTS.items():
+        if isinstance(data, dict) and isinstance(data.get("matrix"), np.ndarray):
+            data = {**data, "matrix": [[[z.real, 0.0] for z in row] for row in data["matrix"]]}
+        (d / name).write_text(json.dumps(data))
+
+
 def test_every_subcommand_writes_its_pinned_bytes(tmp_path, monkeypatch, capsys):
     # a report (a dict) is pinned as the exact stdout that emit prints for it; an input
     # error (a string) as the exact stderr, with nothing on stdout
     from varorder import __version__
     from varorder.cli import main
 
-    for name, data in _INPUTS.items():
-        if isinstance(data, dict) and isinstance(data.get("matrix"), np.ndarray):
-            data = {**data, "matrix": [[[z.real, 0.0] for z in row] for row in data["matrix"]]}
-        (tmp_path / name).write_text(json.dumps(data))
+    write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert {argv[0] for argv, _, _ in _PINNED} == set(
         "check-order extract-function variance joint-upper-bound lower-set q-matrix "
@@ -746,3 +770,75 @@ def test_every_subcommand_writes_its_pinned_bytes(tmp_path, monkeypatch, capsys)
         else:
             stdout = json.dumps({**expected, "version": __version__}, indent=2) + "\n"
             assert (got, out.out, out.err) == (code, stdout, ""), argv
+
+
+# ---------------------------------------------------------------------------
+# the process's exit path
+
+# an exit-0, an exit-1 and an exit-2 case of _PINNED, argparse's usage error and --version
+_EXIT_PATH = [
+    (["check-order", "a.json", "b.json"], 0),
+    (["check-order", "c.json", "b.json", "--tol", "0.5"], 1),
+    (["variance", "obs.json", "no-payload.json"], 2),
+    (["check-order", "a.json"], 2),
+    (["--version"], 0),
+]
+
+
+def test_the_process_and_the_console_script_exit_with_mains_code_and_bytes(tmp_path, monkeypatch):
+    # both end through cli.run: after the report is flushed, without interpreter teardown;
+    # without PYTHONUNBUFFERED, a report left in stdout's buffer would be lost
+    # the console script's entry, as pyproject.toml names it and its generated wrapper calls it
+    match = re.search(r'^varorder = "([\w.]+):(\w+)"$', PYPROJECT.read_text(encoding="utf-8"), re.M)
+    module, function = match.groups()
+    assert (module, function) == ("varorder.cli", "run")
+    assert {tuple(argv) for argv, _ in _EXIT_PATH[:3]} <= {tuple(argv) for argv, _, _ in _PINNED}
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this width
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    for argv, code in _EXIT_PATH:
+        expected = run_cli(*argv)
+        assert expected.returncode == code, argv
+        for entry in (("-m", "varorder"), ("-c", script)):
+            got = run_process(*argv, cwd=tmp_path, entry=entry)
+            assert (got.returncode, got.stdout, got.stderr) == (
+                expected.returncode, expected.stdout, expected.stderr), (entry, argv)
+
+
+def test_the_process_runs_its_exit_handlers():
+    handler = "import atexit, sys; atexit.register(print, 'handled', file=sys.stderr); "
+    res = run_process("q-matrix", "0,1,3,7", entry=("-c", handler + "from varorder.cli import run; run()"))
+    assert (res.returncode, res.stderr) == (0, "handled\n")
+    assert json.loads(res.stdout)["n"] == 4
+
+
+def test_a_closed_stdout_exits_0_with_nothing_on_stderr():
+    # with descriptor 1 closed at start, sys.stdout is None and print writes nothing
+    res = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m varorder q-matrix 0,1,3,7 >&-', sys.executable],
+        stderr=subprocess.PIPE, text=True, timeout=120, env=child_env(),
+    )
+    assert (res.returncode, res.stderr) == (0, "")
+
+
+def test_a_report_into_a_closed_pipe_exits_as_the_ordinary_exit_does():
+    # the report waits in stdout's buffer, and its flush meets a pipe with no reader: the
+    # interpreter's own exit reports the unflushed stream in two lines and exits 120
+    results = []
+    ordinary = "import sys; from varorder.cli import main; sys.exit(main())"  # no cli.run
+    for entry in (("-m", "varorder"), ("-c", ordinary)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = subprocess.run(
+                [sys.executable, *entry, "q-matrix", "0,1,3,7"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=child_env(),
+            )
+        finally:
+            os.close(write)
+        results.append((res.returncode, res.stderr))
+    assert results[0] == results[1]
+    code, err = results[0]
+    assert code == 120 and len(err.splitlines()) == 2 and "Traceback" not in err
+    assert err.splitlines()[1].startswith("BrokenPipeError")

@@ -530,20 +530,6 @@ def test_a_pair_at_scale_1e150_still_decides():
     assert not decide_order(HermitianObservable(1.5 * b.matrix), b).holds
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of the matrices handed to ``varorder.linalg._eigh``."""
-    calls = []
-    eigh = linalg._eigh
-
-    def counted(matrix):
-        calls.append(np.shape(matrix))
-        return eigh(matrix)
-
-    monkeypatch.setattr(linalg, "_eigh", counted)
-    return calls
-
-
 def test_one_eigensolve_per_observable_across_partner_norms(eigh_calls):
     b = random_hermitian(3, seed=1)
     dec = eigendecompose(b)

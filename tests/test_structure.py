@@ -124,6 +124,32 @@ def test_block_shift_candidate_never_tops_both_for_noncommuting():
             assert not (decide_order(a, c).holds and decide_order(b, c).holds)
 
 
+def test_joint_upper_bound_forms_b_in_a_basis_once_and_solves_each_block_size_once(
+    monkeypatch, eigh_calls
+):
+    # A's eigenspaces have ranks (1, 2, 1, 3, 2): two blocks of size 1, two of size 2
+    # and one of size 3, so one eigensolve of A and then one stack per block size
+    ranks = (1, 2, 1, 3, 2)
+    u = random_unitary(9, seed=150).matrix
+    a = HermitianObservable((u * np.repeat(np.arange(5.0), ranks)) @ u.conj().T)
+    rng = np.random.default_rng(151)
+    blocks = np.zeros((9, 9), dtype=complex)
+    for start, k in zip(np.cumsum((0,) + ranks[:-1]), ranks):
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        blocks[start:start + k, start:start + k] = g + g.conj().T
+    b = HermitianObservable(u @ blocks @ u.conj().T)
+    formed = []
+    in_basis = linalg.SpectralDecomposition.in_basis
+    monkeypatch.setattr(linalg.SpectralDecomposition, "in_basis",
+                        lambda dec, m: formed.append(m.shape) or in_basis(dec, m))
+    c = joint_upper_bound(a, b)
+    assert formed == [(9, 9)]
+    assert eigh_calls == [(9, 9), (2, 1, 1), (2, 2, 2), (1, 3, 3)]
+    assert eigendecompose(a).ranks == ranks
+    assert np.array_equal(c.matrix, block_shift_upper_bound(a, b).matrix)
+    assert decide_order(a, c).holds and decide_order(b, c).holds
+
+
 # ---------------------------------------------------------------------------
 # two-point lower sets
 

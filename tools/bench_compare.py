@@ -48,7 +48,13 @@ the ``cli`` workload's sizes: ``q_matrix(method="enumerate")`` on
 ``Q_POINTS`` points, ``reconstruct_metric`` on the gap matrix of
 ``RECONSTRUCT_POINTS`` distinct points, and ``verify_automorphism`` of a scaled
 unitary conjugation at dimension ``AUTOMORPHISM_DIM`` over
-``AUTOMORPHISM_TRIALS`` trials.
+``AUTOMORPHISM_TRIALS`` trials.  ``joint_upper_bound`` is timed at each
+``LAYER_CALLS`` dimension on a ``random_commuting_pair``, whose ``A`` repeats
+eigenvalues.  The ``process`` rows are the child CPU (user and system,
+``RUSAGE_CHILDREN``) of one process, the median over ``REPEATS`` processes, each
+run in the checkout with its ``src`` as ``PYTHONPATH``: ``PROCESS_ARGV``'s
+command from start to exit, and ``python -c "import varorder"`` for the start-up
+alone.
 
 Last, each checkout digests its own outputs in a fresh process
 (``--digest DIR``): every op of ``DIGEST_WORKLOADS`` at ``DIGEST_SECONDS``
@@ -81,6 +87,8 @@ import json
 import math
 import os
 import platform
+import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -98,6 +106,7 @@ Q_POINTS = 12
 RECONSTRUCT_POINTS = 8
 AUTOMORPHISM_DIM = 3
 AUTOMORPHISM_TRIALS = 50
+PROCESS_ARGV = ("-m", "varorder", "q-matrix", "0,1,3,7")
 REPEATS = 7
 # the host's speed swings for seconds at a time; alternating processes keep
 # one slow window from landing on one checkout's layers only
@@ -120,9 +129,11 @@ def layer_timings(checkout: Path) -> dict:
     from varorder.order import (
         _lipschitz_stage, _margin_at, _residue_stage, decide_order, witness_search,
     )
-    from varorder.sampling import random_unitary
+    from varorder.sampling import random_commuting_pair, random_unitary
     from varorder.states import PureState, variance
-    from varorder.structure import AutomorphismSpec, q_matrix, reconstruct_metric, verify_automorphism
+    from varorder.structure import (
+        AutomorphismSpec, joint_upper_bound, q_matrix, reconstruct_metric, verify_automorphism,
+    )
 
     if not Path(varorder.__file__).resolve().is_relative_to(checkout.resolve()):
         raise SystemExit(f"imported varorder from {varorder.__file__}, not from {checkout}")
@@ -209,10 +220,12 @@ def layer_timings(checkout: Path) -> dict:
         residue_args = (grouped.vectors.conj().T @ a.matrix @ grouped.vectors, grouped.labels,
                         grouped.residue_bins, grouped.rank_floats, tol)
         scalars = _residue_stage(*residue_args)[0]
+        commuting = random_commuting_pair(n, seed=n)
         out[f"n={n}"].update({
             "_residue_stage": per_call(lambda _: _residue_stage(*residue_args), calls),
             "_lipschitz_stage": per_call(
                 lambda _: _lipschitz_stage(grouped.eigenvalues, scalars, tol), calls),
+            "joint_upper_bound": per_call(lambda _: joint_upper_bound(*commuting), calls),
         })
     holding = pair(ORACLE_DIM, ORACLE_DIM)
     failing = (pair(ORACLE_DIM, ORACLE_DIM + 1)[1], holding[1])  # an independent A: the order fails
@@ -235,7 +248,24 @@ def layer_timings(checkout: Path) -> dict:
             lambda _: verify_automorphism(phi, AUTOMORPHISM_TRIALS, AUTOMORPHISM_DIM), 3
         ),
     }
+    out["process"] = {
+        f"python {' '.join(argv)}": process_cpu(checkout, argv)
+        for argv in (PROCESS_ARGV, ("-c", "import varorder"))
+    }
     return out
+
+
+def process_cpu(checkout: Path, argv) -> float:
+    """Median CPU microseconds of ``python *argv`` over ``REPEATS`` processes, each run in
+    ``checkout`` with its ``src`` as ``PYTHONPATH``."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cpu = []
+    for _ in range(REPEATS):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run([sys.executable, *argv], cwd=checkout, env=env, capture_output=True, check=True)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu.append(after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime)
+    return 1e6 * statistics.median(cpu)
 
 
 def _verdict_bytes(out, margin: bool) -> bytes:
